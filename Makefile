@@ -5,7 +5,7 @@ GO ?= go
 # that use (sweep runner, serve daemon) or feed (event kernel)
 # concurrency, and the exhaustive small-config protocol model check.
 .PHONY: check
-check: vet lint tablecover build test race modelcheck trace-smoke fleet-smoke fleet-chaos-smoke obs-fleet-smoke
+check: vet lint tablecover build test race modelcheck bench-test trace-smoke fleet-smoke fleet-chaos-smoke obs-fleet-smoke
 
 .PHONY: vet
 vet:
@@ -24,13 +24,22 @@ lint:
 
 # tablecover statically cross-checks the protocol table against its
 # handlers: every declared (state, event) row must have a handler arm
-# in ctrl.go/memctrl.go, every Transition call site must be able to hit
+# in ctrl.go/memctrl.go/core.go, every Transition call site must be able to hit
 # a declared row, and every declared row must fire in the committed
 # model-checker reachability dump. It already runs inside `lint`; this
 # target is the focused rerun for protocol edits.
 .PHONY: tablecover
 tablecover:
 	$(GO) run ./cmd/dstore-lint -run tablecover ./internal/coherence
+
+# bench-test vets and tests the benchmark module (benchmark/, a Go module
+# of its own, so the root `go test ./...` never reaches it). Its tests
+# pin the Fig. 4 comparison digests (benchmark/testdata/fig4.sha256) and
+# the model checker's exact state counts, so every protocol edit is
+# gated on identical simulation and identical exploration (~3 s).
+.PHONY: bench-test
+bench-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # reachability regenerates the committed model-checker coverage dump
 # that the tablecover dead-transition check diffs against. Rerun after
@@ -92,13 +101,13 @@ trace-smoke:
 	@rm -f /tmp/dstore-trace-smoke.json /tmp/dstore-trace-smoke.txt /tmp/dstore-trace-smoke.csv
 	@echo "trace-smoke: ok"
 
-# serve-smoke boots the dstore-serve daemon on a random loopback port,
+# serve-smoke boots the serve daemon on a random loopback port,
 # submits one small job over real HTTP, resubmits it, and asserts the
-# second answer is a byte-identical cache hit (checked against the
-# /metrics counters).
+# second answer is a byte-identical cache hit with exactly one
+# simulation executed (checked against the /metrics counters).
 .PHONY: serve-smoke
 serve-smoke:
-	$(GO) run ./cmd/dstore-serve -smoke
+	$(GO) test ./internal/serve -run TestCacheHitDeterminism -count=1
 
 # fleet-smoke boots an in-process fleet — two persistent dstore-serve
 # workers plus a dstore-coord coordinator — streams one sweep matrix

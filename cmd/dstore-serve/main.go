@@ -8,8 +8,6 @@
 //	dstore-serve -addr 127.0.0.1:9000 -workers 8 -queue 128
 //	dstore-serve -store /var/dstore   # results + warm-prefix snapshots
 //	                                  # persist across restarts
-//	dstore-serve -smoke               # boot on a random port, run the
-//	                                  # end-to-end cache-hit smoke test
 //
 // API:
 //
@@ -30,18 +28,13 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -62,7 +55,6 @@ func main() {
 		storeMax     = flag.Int64("store-max-bytes", 0, "disk store size cap in bytes (0 = 256 MiB default, negative = unlimited)")
 		name         = flag.String("name", "", "process name in trace exports (default dstore-serve)")
 		pprofOn      = flag.Bool("pprof", false, "expose GET /debug/pprof/ (CPU/heap profiling; dstore-coord's POST /v1/profiles captures from it)")
-		smoke        = flag.Bool("smoke", false, "boot on a random port, run the cache-hit smoke test, exit")
 	)
 	flag.Parse()
 
@@ -81,14 +73,6 @@ func main() {
 		// tests inject deterministic clocks instead.
 		//dstore:allow-wallclock trace timestamps at the daemon boundary
 		Clock: func() uint64 { return uint64(time.Now().UnixNano()) },
-	}
-
-	if *smoke {
-		if err := runSmoke(opt); err != nil {
-			fmt.Fprintf(os.Stderr, "serve-smoke: FAIL: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	srv, err := serve.New(opt)
@@ -120,135 +104,4 @@ func main() {
 		log.Printf("drain cut short: %v", err)
 	}
 	log.Printf("bye")
-}
-
-// runSmoke boots the full daemon on a loopback port and exercises the
-// zero-to-cached path over real HTTP: submit one small job, wait for
-// the result, submit the identical job again, and require a
-// byte-identical cached answer plus a cache-hit counter increment.
-func runSmoke(opt serve.Options) error {
-	srv, err := serve.New(opt)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go func() { _ = hs.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = hs.Shutdown(ctx)
-		_ = srv.Shutdown(ctx)
-	}()
-	base := "http://" + ln.Addr().String()
-	fmt.Printf("serve-smoke: daemon on %s\n", base)
-
-	spec := `{"bench":"MT","mode":"direct-store","input":"small"}`
-	client := &http.Client{Timeout: 30 * time.Second}
-
-	// Submit and poll to completion.
-	var first struct {
-		ID     string `json:"id"`
-		Status string `json:"status"`
-	}
-	if err := postJSON(client, base+"/v1/runs", spec, http.StatusAccepted, &first); err != nil {
-		return fmt.Errorf("first submission: %w", err)
-	}
-	fmt.Printf("serve-smoke: submitted job %s\n", first.ID)
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		var st struct {
-			Status string `json:"status"`
-			Error  string `json:"error"`
-		}
-		if err := getJSON(client, base+"/v1/runs/"+first.ID, &st); err != nil {
-			return err
-		}
-		if st.Status == "done" {
-			break
-		}
-		if st.Status == "failed" || st.Status == "cancelled" {
-			return fmt.Errorf("job %s: %s", st.Status, st.Error)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("job still %q after 2m", st.Status)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	result1, err := getRaw(client, base+"/v1/runs/"+first.ID+"/result")
-	if err != nil {
-		return err
-	}
-
-	// Identical resubmission must be a cache hit with identical bytes.
-	var second struct {
-		ID     string          `json:"id"`
-		Status string          `json:"status"`
-		Cached bool            `json:"cached"`
-		Result json.RawMessage `json:"result"`
-	}
-	if err := postJSON(client, base+"/v1/runs", spec, http.StatusOK, &second); err != nil {
-		return fmt.Errorf("second submission: %w", err)
-	}
-	if !second.Cached || second.ID != first.ID {
-		return fmt.Errorf("second submission not served from cache (id=%s cached=%v)", second.ID, second.Cached)
-	}
-	if !bytes.Equal([]byte(second.Result), result1) {
-		return fmt.Errorf("cached result differs from first run:\n  first:  %s\n  cached: %s", result1, second.Result)
-	}
-
-	metrics, err := getRaw(client, base+"/metrics")
-	if err != nil {
-		return err
-	}
-	for _, want := range []string{
-		"dstore_serve_cache_hits_total 1",
-		"dstore_serve_jobs_executed_total 1",
-	} {
-		if !strings.Contains(string(metrics), want) {
-			return fmt.Errorf("/metrics missing %q:\n%s", want, metrics)
-		}
-	}
-	fmt.Printf("serve-smoke: OK — 1 simulation executed, resubmission served %d byte-identical bytes from cache\n", len(result1))
-	return nil
-}
-
-func postJSON(c *http.Client, url, body string, wantCode int, out any) error {
-	resp, err := c.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != wantCode {
-		return fmt.Errorf("POST %s: got %d want %d: %s", url, resp.StatusCode, wantCode, b)
-	}
-	return json.Unmarshal(b, out)
-}
-
-func getJSON(c *http.Client, url string, out any) error {
-	b, err := getRaw(c, url)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(b, out)
-}
-
-func getRaw(c *http.Client, url string) ([]byte, error) {
-	resp, err := c.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %d: %s", url, resp.StatusCode, b)
-	}
-	return b, nil
 }

@@ -17,12 +17,13 @@ import (
 // runtime consumers. It applies to any package shaped like
 // internal/coherence: a table.go declaring `var table` via a
 // function-literal initializer that populates cells through a local
-// set(state, event, outcome) helper, and controller files named
-// ctrl.go / memctrl.go that consult the table through the package's
-// Transition function. Three checks:
+// set(state, event, outcome) helper, and handler files (see
+// handlerFiles: the controllers ctrl.go / memctrl.go and the transition
+// core.go they share with the model checker) that consult the table
+// through the package's Transition function. Three checks:
 //
 //  1. unhandled — a declared (state, event) row no Transition call
-//     site in ctrl.go/memctrl.go can ever consult. The controllers
+//     site in the handler files can ever consult. The controllers
 //     would panic (or silently no-op) if the protocol fired it.
 //     Escape hatch: //dstore:allow-unhandled.
 //  2. undeclared — a Transition call site whose possible (state,
@@ -105,7 +106,7 @@ func runTablecover(pass *Pass) error {
 	for _, p := range pairs {
 		d := tc.declared[p]
 		if !tc.handled(p) && !pass.Allowed(d.pos, "unhandled") {
-			pass.Reportf(d.pos, "declared transition (%s, %s) has no handler arm: no Transition call in ctrl.go/memctrl.go can consult it; add a handler or annotate //dstore:allow-unhandled <why>",
+			pass.Reportf(d.pos, "declared transition (%s, %s) has no handler arm: no Transition call in ctrl.go/memctrl.go/core.go can consult it; add a handler or annotate //dstore:allow-unhandled <why>",
 				d.stName, d.evName)
 		}
 		if haveReach && !reach[p] && !pass.Allowed(d.pos, "uncovered") {
@@ -308,12 +309,16 @@ func (tc *tablecover) scopeConst(name string) (int64, bool) {
 	return v, ok
 }
 
-// scanHandlers records every Transition call site in ctrl.go and
-// memctrl.go with its resolved argument sets.
+// handlerFiles are the files whose Transition call sites are handler
+// arms: the cache and memory controllers, and the transition core both
+// they and the model checker execute.
+var handlerFiles = map[string]bool{"ctrl.go": true, "memctrl.go": true, "core.go": true}
+
+// scanHandlers records every Transition call site in the handler files
+// with its resolved argument sets.
 func (tc *tablecover) scanHandlers() {
 	for _, f := range tc.pass.Pkg.Files {
-		base := filepath.Base(tc.pass.Pkg.Fset.Position(f.Pos()).Filename)
-		if base != "ctrl.go" && base != "memctrl.go" {
+		if !handlerFiles[filepath.Base(tc.pass.Pkg.Fset.Position(f.Pos()).Filename)] {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -20,12 +20,6 @@ func Probe(st State, inv bool) State {
 	return out.Next
 }
 
-// Fill handles fills through a FillEvent-assigned variable.
-func Fill(st State, grant State) bool {
-	ev, ok := FillEvent(grant)
-	return ok && Transition(st, ev).OK
-}
-
 // Evict handles evictions.
 func Evict(st State) bool {
 	return Transition(st, EvEvict).OK

@@ -1,12 +1,12 @@
 // Package tablecover is the seeded-violation fixture for the
 // tablecover analyzer: a miniature protocol package in the shape of
 // internal/coherence (a table.go populating `var table` through a set
-// helper, a ctrl.go consulting it through Transition) that seeds
-// exactly one violation per rule — a declared row with no handler arm,
-// a handler arm for an undeclared row, and a declared row absent from
-// the reachability dump — plus an annotated twin for each escape
-// hatch. Loaded only by the analysis unit tests (wildcards skip
-// testdata).
+// helper, a ctrl.go and a core.go consulting it through Transition)
+// that seeds exactly one violation per rule — a declared row with no
+// handler arm, a handler arm for an undeclared row (in each handler
+// file), and a declared row absent from the reachability dump — plus
+// an annotated twin for each escape hatch. Loaded only by the analysis
+// unit tests (wildcards skip testdata).
 package tablecover
 
 // State mirrors the coherence package's alias form deliberately: the

@@ -174,7 +174,7 @@ func (c *Ctrl) receivePutxResilient(p PutxMsg) {
 	// sender (the CPU controller), so a flat seq set suffices. The
 	// version comparison handles reordering: global versions are
 	// monotonic, so a same-line push with a lower version is stale.
-	if c.appliedPush[p.Seq] || p.Ver < c.lastPushVer[p.Addr] {
+	if PushStale(c.appliedPush[p.Seq], p.Ver, c.lastPushVer[p.Addr]) {
 		c.sendPushAck(p, false) // re-ack so the sender stops retrying
 		return
 	}

@@ -300,11 +300,7 @@ func (c *Ctrl) processReq(req *memsys.Request, quiet bool) {
 			// MM commits in place; M is the paper's silent M→MM
 			// upgrade (stores are not allowed in M, but no other node
 			// holds a copy, so the controller upgrades locally).
-			if out.Next != st {
-				c.l2.SetState(line, out.Next)
-				c.obsState(line, st, out.Next)
-			}
-			c.localWrite(line, req)
+			c.commitStore(line, st, out.Next, req, c.cfg.L1HitLat+c.cfg.L2HitLat)
 		case hit: // S or O: must invalidate other copies first
 			c.upgrades.Inc()
 			c.missPath(req, line, true)
@@ -318,14 +314,19 @@ func (c *Ctrl) processReq(req *memsys.Request, quiet bool) {
 	}
 }
 
-// localWrite commits a store that already has MM permission.
-func (c *Ctrl) localWrite(line memsys.Addr, req *memsys.Request) {
+// commitStore commits a store holding write permission in state st,
+// moving the line to next (the silent M→MM upgrade when they differ).
+func (c *Ctrl) commitStore(line memsys.Addr, st, next State, req *memsys.Request, lat sim.Tick) {
+	if next != st {
+		c.l2.SetState(line, next)
+		c.obsState(line, st, next)
+	}
 	c.l2.SetDirty(line, true)
 	c.lines.at(line).ver = req.Ver
 	if c.l1 != nil && c.l1.Contains(line) {
 		c.l1.SetDirty(line, true)
 	}
-	c.complete(req, c.cfg.L1HitLat+c.cfg.L2HitLat)
+	c.complete(req, lat)
 }
 
 // fillL1 mirrors a line into the L1 shadow. L1 victims are silent: the
@@ -532,36 +533,25 @@ func (c *Ctrl) ReceivePutx(p PutxMsg, req *memsys.Request) {
 func (c *Ctrl) applyPutx(p PutxMsg) {
 	c.pushesRecv.Inc()
 	line := p.Addr
-	_, pending := c.mshr.Lookup(line)
+	e, pending := c.mshr.Lookup(line)
 	if !pending && c.l2.SetFull(line) {
 		c.pushOverflow.Inc()
-		c.bufferWriteback(line, p.Ver)
-		c.sendReq(ReqMsg{Type: WB, Addr: line, From: c.name, Ver: p.Ver}, interconnect.DataMsgBytes)
+		c.writeBack(line, p.Ver)
 		return
 	}
-	if pending {
-		e, _ := c.mshr.Lookup(line)
-		e.Superseded = true
-	}
-	// Consult the push row for the resident state (I when absent; a
-	// retry or a line the slice read back in M lands on a valid copy).
 	cur, _, _ := c.l2.Probe(line)
-	out := Transition(cur, PushEvent(c.cfg.PushWriteThrough))
-	if !out.OK {
+	r := InstallPush(cur, pending, c.cfg.PushWriteThrough)
+	if !r.OK {
 		panic(fmt.Sprintf("coherence %s: push install illegal from %s", c.name, StateName(cur)))
 	}
-	st, dirty := out.Next, out.Dirty == DirtySet
-	if c.cfg.PushWriteThrough {
-		// Ablation: pushes write through to memory and install
-		// exclusive-clean, so evictions are silent.
-		c.installLine(line, st, dirty, p.Ver)
-		c.obs.PushInstalled(c.engine.Now(), line)
-		c.bufferWriteback(line, p.Ver)
-		c.sendReq(ReqMsg{Type: WB, Addr: line, From: c.name, Ver: p.Ver}, interconnect.DataMsgBytes)
-		return
+	if r.Supersede {
+		e.Superseded = true
 	}
-	c.installLine(line, st, dirty, p.Ver)
+	c.installLine(line, r.Next, r.Dirty, p.Ver)
 	c.obs.PushInstalled(c.engine.Now(), line)
+	if r.WriteThrough {
+		c.writeBack(line, p.Ver)
+	}
 }
 
 // installLine allocates a line, handling victim writeback.
@@ -584,35 +574,32 @@ func (c *Ctrl) installLine(line memsys.Addr, st State, dirty bool, ver uint64) {
 	vv := vls.ver
 	vls.ver = 0
 	if v.Dirty {
-		c.bufferWriteback(v.Addr, vv)
 		c.wbSent.Inc()
-		c.sendReq(ReqMsg{Type: WB, Addr: v.Addr, From: c.name, Ver: vv}, interconnect.DataMsgBytes)
+		c.writeBack(v.Addr, vv)
 	}
 }
 
 // writebackDone clears the writeback buffer entry once memory has
-// committed it. The clear is version-matched: if a newer writeback for
-// the same line is already in flight (re-fetch and re-evict, or a
-// second bypassed store), the commit notice of the older one must not
-// strip the line's probe protection.
+// committed it, if the commit is for the buffered version.
 func (c *Ctrl) writebackDone(line memsys.Addr, ver uint64) {
-	if ls := c.lines.at(line); ls.flags&lsWB != 0 && ls.wbVer == ver {
+	if ls := c.lines.at(line); WBCommitClears(ls.flags&lsWB != 0, ls.wbVer, ver) {
 		ls.flags = 0
 		ls.wbVer = 0
 		c.wbCount--
 	}
 }
 
-// bufferWriteback records a fresh in-flight writeback. Overwriting an
-// older entry (re-fetch and re-evict) also clears any staleness: the
-// new data is current again.
-func (c *Ctrl) bufferWriteback(line memsys.Addr, ver uint64) {
+// writeBack sends a writeback to memory, buffering it until memory
+// commits. Overwriting an older buffer entry (re-fetch and re-evict)
+// also clears any staleness: the new data is current again.
+func (c *Ctrl) writeBack(line memsys.Addr, ver uint64) {
 	ls := c.lines.at(line)
 	if ls.flags&lsWB == 0 {
 		c.wbCount++
 	}
 	ls.flags = lsWB
 	ls.wbVer = ver
+	c.sendReq(ReqMsg{Type: WB, Addr: line, From: c.name, Ver: ver}, interconnect.DataMsgBytes)
 }
 
 // receiveProbe answers the memory controller's probe after the array
@@ -626,53 +613,32 @@ func (c *Ctrl) receiveProbe(p ProbeMsg) {
 
 func (c *Ctrl) answerProbe(p ProbeMsg) {
 	line := p.Addr
-	ack := AckMsg{Addr: line, From: c.name}
-
-	if ls := c.lines.at(line); ls.flags&lsWB != 0 && ls.flags&lsWBStale == 0 {
-		ver := ls.wbVer
-		st, _, hit := c.l2.Probe(line)
-		owned := hit && (st == MM || st == M || st == O)
-		if !owned || ls.ver < ver {
-			// Dirty eviction still in flight: we remain the data source.
-			// An invalidating probe hands that role to the requester, so
-			// the entry goes stale: it must not supply anyone else (the
-			// new owner has newer data) nor satisfy local loads.
-			if p.Kind == PrbInv {
-				ls.flags |= lsWBStale
-			}
-			ack.HadData = true
-			ack.Dirty = true
-			ack.Ver = ver
-			c.supplyToRequester(p, ver, true)
-			c.sendAck(ack)
-			return
+	ls := c.lines.at(line)
+	st, dirty, _ := c.l2.Probe(line) // I and clean when absent
+	ctx := ProbeCtx{St: st, Dirty: dirty}
+	if ls.flags&lsWB != 0 {
+		ctx.WB = WBLive
+		if ls.flags&lsWBStale != 0 {
+			ctx.WB = WBStale
 		}
-		// The line was re-acquired and re-dirtied while the older
-		// writeback is still in flight. The live copy is newer, so
-		// answer from the cache below; the in-flight writeback's
-		// version-matched completion clears the buffer entry.
+		ctx.LiveOlder = ls.ver < ls.wbVer
 	}
-
-	st, dirty, ok := c.l2.Probe(line)
-	if !ok {
-		c.sendAck(ack)
-		return
-	}
-	// The probe reaction — what data leaves, what the ack reports and
-	// which state the copy drops to — is one row of the shared protocol
-	// table (table.go), the same relation the model checker enumerates.
-	out := Transition(st, ProbeEvent(p.Kind))
-	ack.Present = out.Present
-	if out.Data != NoData {
-		ack.HadData = true
-		ack.Dirty = DataDirty(out.Data, dirty)
-		ack.Ver = c.lines.at(line).ver
+	r := AnswerProbe(ctx, p.Kind)
+	ack := AckMsg{Addr: line, From: c.name, HadData: r.HadData, Present: r.Present, Dirty: r.Dirty}
+	switch {
+	case r.FromWB:
+		if r.StaleWB {
+			ls.flags |= lsWBStale
+		}
+		ack.Ver = ls.wbVer
+	case r.HadData:
+		ack.Ver = ls.ver
 	}
 	switch {
-	case out.Next == st:
-		// No state change (O/S survive PrbShare, everything survives
-		// PrbSnoop).
-	case out.Next == I:
+	case r.Next == st:
+		// No state change (answered from the writeback buffer, O/S
+		// survive PrbShare, everything survives PrbSnoop).
+	case r.Next == I:
 		if c.hooks != nil && c.hooks.SkipInvalidate != nil && c.hooks.SkipInvalidate() {
 			// Injected protocol mutation: acknowledge the probe but keep
 			// the copy. The requester will install exclusive while this
@@ -688,33 +654,19 @@ func (c *Ctrl) answerProbe(p ProbeMsg) {
 		c.lines.at(line).ver = 0
 		c.obsState(line, st, I)
 	default:
-		c.l2.SetState(line, out.Next)
-		c.obsState(line, st, out.Next)
+		c.l2.SetState(line, r.Next)
+		c.obsState(line, st, r.Next)
 	}
-	if ack.HadData {
+	if r.HadData {
 		// 3-hop transfer: the owner sends the line straight to the
 		// requester; the memory controller only gets a control ack.
-		c.supplyToRequester(p, ack.Ver, ack.Dirty)
+		c.supplyToRequester(p, DataMsg{Addr: line, Ver: ack.Ver, Grant: r.Grant, Owned: r.Owned})
 	}
 	c.sendAck(ack)
 }
 
-// supplyToRequester performs the owner-to-requester data transfer with
-// the grant implied by the probe kind.
-func (c *Ctrl) supplyToRequester(p ProbeMsg, ver uint64, dirty bool) {
-	var grant State
-	var owned bool
-	switch p.Kind {
-	case PrbShare:
-		// Previous owner keeps writeback responsibility in O.
-		grant = GrantState(GETS, true, false)
-	case PrbInv:
-		grant = GrantState(GETX, true, false)
-		owned = dirty // dirty-data responsibility transfers
-	case PrbSnoop:
-		grant = GrantState(RemoteLoad, true, false) // uncacheable: nothing installs
-	}
-	d := DataMsg{Addr: p.Addr, Ver: ver, Grant: grant, Owned: owned}
+// supplyToRequester sends an owner's data straight to the requester.
+func (c *Ctrl) supplyToRequester(p ProbeMsg, d DataMsg) {
 	requester := p.Requester
 	if c.obs != nil {
 		c.obs.Msg(c.engine.Now(), c.obsID, obs.MsgData, p.Addr, c.obs.Component(requester))
@@ -751,67 +703,47 @@ func (c *Ctrl) receiveData(d DataMsg) {
 		panic(fmt.Sprintf("coherence %s: data for line %#x with no MSHR", c.name, uint64(line)))
 	}
 	superseded := e.Superseded
+	bypass := false
+	if !superseded && c.cfg.BypassDirtyVictim {
+		v, wouldEvict := c.l2.PeekVictim(line)
+		bypass = wouldEvict && v.Dirty
+	}
 	waiters := c.mshr.Free(line)
-	bypassed := false
-	if !superseded {
-		if c.cfg.BypassDirtyVictim {
-			if v, wouldEvict := c.l2.PeekVictim(line); wouldEvict && v.Dirty {
-				bypassed = true
-				c.bypasses.Inc()
-			}
+	prev, _, _ := c.l2.Probe(line)
+	f := ApplyFill(prev, grant, d.Owned, superseded, bypass)
+	switch f.Action {
+	case FillBypass:
+		c.bypasses.Inc()
+	case FillInstall:
+		if !f.OK {
+			panic(fmt.Sprintf("coherence %s: fill %s illegal from %s", c.name, StateName(grant), StateName(prev)))
 		}
-		if !bypassed {
-			// Fill legality against the resident state: I on a plain
-			// miss, S or O on the upgrade path (the stale copy survives
-			// until the grant lands).
-			prev, _, _ := c.l2.Probe(line)
-			fe, feOK := FillEvent(grant)
-			if out := Transition(prev, fe); !feOK || !out.OK {
-				panic(fmt.Sprintf("coherence %s: fill %s illegal from %s", c.name, StateName(grant), StateName(prev)))
-			}
-			c.installLine(line, grant, d.Owned, d.Ver)
-		}
+		c.installLine(line, f.Next, f.Dirty, d.Ver)
 	}
 	c.unblock(line)
 	// Complete waiters straight from the fill (no second array lookup —
 	// MSHR-merged requests are one L2 access, matching Ruby's
-	// accounting). Stores that did not get write permission retry as
-	// upgrades; stores on a bypassed fill write through to memory.
+	// accounting).
 	fillVer := d.Ver
 	for _, w := range waiters {
 		st, _, ok := c.l2.Probe(line)
-		switch {
-		case w.Type == memsys.Load || w.Type == memsys.IFetch:
+		if w.Type == memsys.Load || w.Type == memsys.IFetch {
 			if ok {
 				w.Ver = c.lines.at(line).ver
 				c.fillL1(line)
 			} else {
 				w.Ver = fillVer
 			}
-			c.engine.ScheduleArg(0, completeReq, w)
-		case ok && Transition(st, EvStoreHit).OK:
-			if out := Transition(st, EvStoreHit); out.Next != st {
-				c.l2.SetState(line, out.Next)
-				c.obsState(line, st, out.Next)
-			}
-			c.l2.SetDirty(line, true)
-			c.lines.at(line).ver = w.Ver
-			if c.l1 != nil && c.l1.Contains(line) {
-				c.l1.SetDirty(line, true)
-			}
-			c.engine.ScheduleArg(0, completeReq, w)
-		case bypassed && grant == MM:
-			// Exclusive permission held but no copy installed: the
-			// store writes through to memory (nobody else caches the
-			// line — the GETX invalidated all copies). Until memory
-			// commits, this controller is the data's only holder, so the
-			// line must sit in the writeback buffer: a GETS that beats
-			// the in-flight WB to the ordering point probes us, and
-			// without the entry it would read stale DRAM.
+			c.complete(w, 0)
+			continue
+		}
+		switch act, next := StoreAfterFill(st, ok, f); act {
+		case StoreCommit:
+			c.commitStore(line, st, next, w, 0)
+		case StoreWriteThrough:
 			fillVer = w.Ver
-			c.bufferWriteback(line, w.Ver)
-			c.sendReq(ReqMsg{Type: WB, Addr: line, From: c.name, Ver: w.Ver}, interconnect.DataMsgBytes)
-			c.engine.ScheduleArg(0, completeReq, w)
+			c.writeBack(line, w.Ver)
+			c.complete(w, 0)
 		default:
 			// Vanished line or insufficient grant: replay.
 			pk := c.mem.pkt(pkProcessQuiet)

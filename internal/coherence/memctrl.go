@@ -76,28 +76,16 @@ type MemCtrl struct {
 	fromDRAM  *stats.Counter
 }
 
+// txn is one in-flight transaction: the request it serves, its age for
+// the watchdog, and the protocol core that decides every step.
 type txn struct {
-	req        ReqMsg
-	started    sim.Tick
-	acksWanted int
-	acks       []AckMsg
+	req     ReqMsg
+	started sim.Tick
 	// gen is bumped when the transaction is recycled, so a speculative
 	// DRAM read that outlives its transaction (pkDramDone) can detect
 	// that its txn pointer is stale and fizzle.
 	gen uint64
-	// Speculative-fetch bookkeeping: Hammer launches the DRAM read in
-	// parallel with the probes and discards it if an owner responds.
-	probesClean bool // all acks in, no owner
-	dramDone    bool
-	dataSent    bool
-	// unblocked records the requester's completion notice. The
-	// transaction closes only once BOTH the unblock and every expected
-	// probe ack have arrived: on a fault-free fabric acks always beat
-	// the unblock (the requester's data leaves the owner before its
-	// ack), but injected delivery jitter can invert the race, and a
-	// straggling ack must not leak into the next transaction on the
-	// line.
-	unblocked bool
+	TxnCore
 }
 
 // NewMemCtrl builds the controller. probeTargets defines the broadcast
@@ -185,22 +173,10 @@ func (m *MemCtrl) newTxn(req ReqMsg) *txn {
 		m.txnPool = m.txnPool[:n-1]
 		t.req = req
 		t.started = m.engine.Now()
-		t.acksWanted = 0
-		t.acks = t.acks[:0]
-		t.probesClean, t.dramDone, t.dataSent, t.unblocked = false, false, false, false
 	} else {
 		t = &txn{req: req, started: m.engine.Now()}
 	}
 	return t
-}
-
-// specFetch launches the DRAM read racing the probes; the completion
-// packet pins the transaction generation so a read outliving its
-// transaction fizzles instead of corrupting the txn's successor.
-func (m *MemCtrl) specFetch(line memsys.Addr, t *txn) {
-	pk := m.pkt(pkDramDone)
-	pk.t, pk.gen = t, t.gen
-	m.dram.AccessArg(line, false, runPkt, pk)
 }
 
 func (m *MemCtrl) start(req ReqMsg) {
@@ -210,164 +186,109 @@ func (m *MemCtrl) start(req ReqMsg) {
 	m.busyCount++
 	m.armWatchdog()
 
-	if req.Type == WB {
+	var targets []string
+	if req.Type != WB {
+		targets = m.probeTargets(line, req.From)
+		if m.regions != nil && len(targets) > 0 && m.regions.Filter(line, req.From, req.Type) {
+			targets = nil
+		}
+	}
+	m.apply(t, t.Start(req.Type, len(targets)), targets)
+}
+
+// apply carries out the effects a TxnCore event returned, in the core's
+// order. targets are the probe targets (transaction start only).
+func (m *MemCtrl) apply(t *txn, eff TxnEffect, targets []string) {
+	line := t.req.Addr
+	if eff&TxDramWrite != 0 {
 		m.wbs.Inc()
-		*m.dramVer.at(line) = req.Ver
-		pk := m.pkt(pkWBDone)
-		pk.rmsg = req
-		m.dram.AccessArg(line, true, runPkt, pk)
-		return
+		*m.dramVer.at(line) = t.req.Ver
+		m.dramAccess(t, true)
 	}
-
-	targets := m.probeTargets(line, req.From)
-	if m.regions != nil && len(targets) > 0 && m.regions.Filter(line, req.From, req.Type) {
-		targets = nil
+	if eff&TxDramRead != 0 {
+		m.dramAccess(t, false)
 	}
-	if len(targets) == 0 {
-		t.probesClean = true
-		if req.Type == GETX {
-			m.sendGrant(t, *m.dramVer.at(line))
-			return
+	if eff&TxProbe != 0 {
+		kind, ok := ProbeFor(t.req.Type)
+		if !ok {
+			panic(fmt.Sprintf("coherence: no probe kind for %v", t.req.Type))
 		}
-		m.specFetch(line, t)
-		return
-	}
-	t.acksWanted = len(targets)
-	kind, ok := ProbeFor(req.Type)
-	if !ok {
-		panic(fmt.Sprintf("coherence: no probe kind for %v", req.Type))
-	}
-	if req.Type != GETX {
-		// Speculative memory fetch (the Opteron/Hammer hallmark): the
-		// DRAM read races the probes; an owner response wins and the
-		// memory data is dropped — bandwidth spent either way.
-		m.specFetch(line, t)
-	}
-	for _, tgt := range targets {
-		m.probes.Inc()
-		if m.obs != nil {
-			m.obs.Msg(m.engine.Now(), m.obsID, obs.MsgProbe, line, m.obs.Component(tgt))
+		for _, tgt := range targets {
+			m.probes.Inc()
+			if m.obs != nil {
+				m.obs.Msg(m.engine.Now(), m.obsID, obs.MsgProbe, line, m.obs.Component(tgt))
+			}
+			pk := m.pkt(pkRecvProbe)
+			pk.c = m.peers[tgt]
+			pk.probe = ProbeMsg{Kind: kind, Addr: line, Requester: t.req.From}
+			m.xbar.SendArg(m.name, tgt, interconnect.CtrlMsgBytes, runPkt, pk)
 		}
-		pk := m.pkt(pkRecvProbe)
-		pk.c = m.peers[tgt]
-		pk.probe = ProbeMsg{Kind: kind, Addr: line, Requester: req.From}
-		m.xbar.SendArg(m.name, tgt, interconnect.CtrlMsgBytes, runPkt, pk)
+	}
+	if eff&TxOwnerData != 0 {
+		// Owner-to-requester transfer already in flight (Hammer is
+		// 3-hop); the speculative DRAM read, if any, is discarded.
+		m.fromPeer.Inc()
+	}
+	if eff&TxGrant != 0 {
+		// No owner: the simulator's stores are line-granular, so the
+		// write fully overwrites the line and a fetch-on-write would be
+		// wasted bandwidth; the grant travels as a control message.
+		m.sendData(t, obs.MsgGrant, interconnect.CtrlMsgBytes)
+	}
+	if eff&TxMemData != 0 {
+		m.fromDRAM.Inc()
+		m.sendData(t, obs.MsgData, interconnect.DataMsgBytes)
+	}
+	if eff&TxWBDone != 0 {
+		pk := m.pkt(pkWBCommit)
+		pk.rmsg = t.req
+		m.xbar.SendArg(m.name, t.req.From, interconnect.CtrlMsgBytes, runPkt, pk)
+	}
+	if eff&TxFinish != 0 {
+		m.finish(line)
 	}
 }
 
-// writebackCommitted fires when DRAM has committed a writeback: it
-// notifies the writer (so its writeback buffer entry clears) and closes
-// the transaction.
-func (m *MemCtrl) writebackCommitted(req ReqMsg) {
-	pk := m.pkt(pkWBCommit)
-	pk.rmsg = req
-	m.xbar.SendArg(m.name, req.From, interconnect.CtrlMsgBytes, runPkt, pk)
-	m.finish(req.Addr)
+// dramAccess starts the transaction's DRAM access; the completion packet
+// pins the transaction generation so a speculative read outliving its
+// transaction fizzles instead of corrupting the txn's successor.
+func (m *MemCtrl) dramAccess(t *txn, write bool) {
+	pk := m.pkt(pkDramDone)
+	pk.t, pk.gen = t, t.gen
+	m.dram.AccessArg(t.req.Addr, write, runPkt, pk)
 }
 
-// maybeSendFromMemory forwards DRAM data once both the probes have come
-// back clean and the speculative read has completed.
-func (m *MemCtrl) maybeSendFromMemory(t *txn) {
-	if t.dataSent || !t.probesClean || !t.dramDone {
-		return
-	}
-	t.dataSent = true
-	m.fromDRAM.Inc()
-	m.sendData(t, *m.dramVer.at(t.req.Addr))
-}
-
-// ReceiveAck collects a probe acknowledgement. Hammer is 3-hop: an
-// owner has already sent the data straight to the requester, so the
-// controller only sources DRAM when nobody owned the line.
+// ReceiveAck collects a probe acknowledgement.
 func (m *MemCtrl) ReceiveAck(a AckMsg) {
 	line := memsys.LineAlign(a.Addr)
 	t := *m.busy.at(line)
 	if t == nil {
 		panic(fmt.Sprintf("coherence: ack for idle line %#x", uint64(line)))
 	}
-	t.acks = append(t.acks, a)
-	if len(t.acks) < t.acksWanted {
-		return
-	}
-	defer m.maybeFinish(line, t)
-	for i := range t.acks {
-		if t.acks[i].HadData {
-			// Owner-to-requester transfer already in flight; the
-			// speculative DRAM read (if any) is discarded.
-			m.fromPeer.Inc()
-			return
-		}
-	}
-	t.probesClean = true
-	if t.req.Type == GETX {
-		// No owner: the simulator's stores are line-granular, so the
-		// write fully overwrites the line and a fetch-on-write would
-		// be wasted bandwidth (write-combining / WriteInvalidate
-		// semantics); the grant travels as a control message.
-		m.sendGrant(t, *m.dramVer.at(t.req.Addr))
-		return
-	}
-	m.maybeSendFromMemory(t)
+	m.apply(t, t.Ack(a.HadData, a.Present), nil)
 }
 
-// sendGrant delivers write permission without data (full-line write).
-func (m *MemCtrl) sendGrant(t *txn, ver uint64) {
-	d := DataMsg{Addr: t.req.Addr, Ver: ver, Grant: GrantState(GETX, false, false)}
+// sendData answers the requester from memory with the core's grant: a
+// data message, or a control-sized grant when no data travels.
+func (m *MemCtrl) sendData(t *txn, class obs.MsgClass, size int) {
+	d := DataMsg{Addr: t.req.Addr, Ver: *m.dramVer.at(t.req.Addr), Grant: t.MemGrant()}
 	requester := t.req.From
 	if m.obs != nil {
-		m.obs.Msg(m.engine.Now(), m.obsID, obs.MsgGrant, d.Addr, m.obs.Component(requester))
+		m.obs.Msg(m.engine.Now(), m.obsID, class, d.Addr, m.obs.Component(requester))
 	}
 	pk := m.pkt(pkRecvData)
 	pk.c, pk.data = m.peers[requester], d
-	m.xbar.SendArg(m.name, requester, interconnect.CtrlMsgBytes, runPkt, pk)
+	m.xbar.SendArg(m.name, requester, size, runPkt, pk)
 }
 
-// anySharer reports whether a probe ack showed a surviving shared copy
-// (possible only for GETS; GETX probes invalidate).
-func (m *MemCtrl) anySharer(t *txn) bool {
-	if t.req.Type != GETS {
-		return false
-	}
-	for _, a := range t.acks {
-		if a.Present || a.HadData {
-			return true
-		}
-	}
-	return false
-}
-
-// sendData delivers memory-sourced data to the requester with the
-// right grant.
-func (m *MemCtrl) sendData(t *txn, ver uint64) {
-	// GETX → MM; GETS → S if a copy survived, else exclusive-clean M
-	// (the Hammer grant); RemoteLoad → I (uncacheable, no install).
-	grant := GrantState(t.req.Type, false, m.anySharer(t))
-	d := DataMsg{Addr: t.req.Addr, Ver: ver, Grant: grant}
-	requester := t.req.From
-	if m.obs != nil {
-		m.obs.Msg(m.engine.Now(), m.obsID, obs.MsgData, d.Addr, m.obs.Component(requester))
-	}
-	pk := m.pkt(pkRecvData)
-	pk.c, pk.data = m.peers[requester], d
-	m.xbar.SendArg(m.name, requester, interconnect.DataMsgBytes, runPkt, pk)
-}
-
-// ReceiveUnblock records the requester's completion notice and closes
-// the transaction once every expected ack has also arrived.
+// ReceiveUnblock records the requester's completion notice.
 func (m *MemCtrl) ReceiveUnblock(a memsys.Addr) {
 	line := memsys.LineAlign(a)
 	t := *m.busy.at(line)
 	if t == nil {
 		panic(fmt.Sprintf("coherence: unblock for idle line %#x", uint64(line)))
 	}
-	t.unblocked = true
-	m.maybeFinish(line, t)
-}
-
-func (m *MemCtrl) maybeFinish(line memsys.Addr, t *txn) {
-	if t.unblocked && len(t.acks) >= t.acksWanted {
-		m.finish(line)
-	}
+	m.apply(t, t.Unblock(), nil)
 }
 
 func (m *MemCtrl) finish(line memsys.Addr) {
@@ -472,8 +393,8 @@ func (m *MemCtrl) TransactionDump() string {
 		t := *m.busy.at(line)
 		fmt.Fprintf(&b,
 			"  line %#x: %s from %s, age %d, acks %d/%d, probesClean=%v dramDone=%v dataSent=%v, %d queued\n",
-			uint64(line), t.req.Type, t.req.From, now-t.started, len(t.acks), t.acksWanted,
-			t.probesClean, t.dramDone, t.dataSent, len(m.queued[line]))
+			uint64(line), t.req.Type, t.req.From, now-t.started, t.AcksRecv, t.AcksWanted,
+			t.Flags&TxnProbesClean != 0, t.Flags&TxnDramDone != 0, t.Flags&TxnDataSent != 0, len(m.queued[line]))
 	}
 	return b.String()
 }

@@ -28,8 +28,7 @@ const (
 	pkRecvAck     // m.ReceiveAck(ack)
 	pkRecvUnblock // m.ReceiveUnblock(line)
 	pkStart       // m.start(rmsg) dequeued follower
-	pkDramDone    // speculative fetch done: t.dramDone, maybeSendFromMemory
-	pkWBDone      // writeback committed to DRAM: notify writer, finish
+	pkDramDone    // the txn's DRAM access completed: TxnCore.DramComplete
 	pkWBCommit    // writer-side writeback-commit notice delivery
 )
 
@@ -103,14 +102,10 @@ func runPkt(arg any, now sim.Tick) {
 	case pkDramDone:
 		// The speculative DRAM read can outlive its transaction (an
 		// owner supplied the data and the transaction closed); a stale
-		// generation means the txn was recycled and the read is a no-op,
-		// matching the old closure's harmless late firing.
+		// generation means the txn was recycled and the read is a no-op.
 		if pk.t.gen == pk.gen {
-			pk.t.dramDone = true
-			m.maybeSendFromMemory(pk.t)
+			m.apply(pk.t, pk.t.DramComplete(), nil)
 		}
-	case pkWBDone:
-		m.writebackCommitted(pk.rmsg)
 	case pkWBCommit:
 		if p := m.peers[pk.rmsg.From]; p != nil {
 			p.writebackDone(pk.rmsg.Addr, pk.rmsg.Ver)

@@ -352,20 +352,8 @@ func PushEvent(writeThrough bool) Event {
 	return EvPushInstall
 }
 
-// ProtocolTable renders the full transition relation as a
-// GitHub-flavoured markdown table (every event column). The DESIGN.md
-// appendix uses AppendixA, which renders one table per registered
-// protocol over its own event subset.
-func ProtocolTable() string {
-	return protocolTableFor([]Event{
-		EvLoadHit, EvStoreHit, EvProbeShare, EvProbeInv, EvProbeSnoop,
-		EvFillS, EvFillM, EvFillMM, EvPushInstall, EvPushInstallWT,
-		EvDirectStore, EvEvict,
-	})
-}
-
 // protocolTableFor renders the transition table restricted to the
-// given event columns.
+// given event columns as a GitHub-flavoured markdown table.
 func protocolTableFor(events []Event) string {
 	states := []State{I, S, O, M, MM}
 	var b strings.Builder

@@ -12,9 +12,9 @@ import (
 // dropped ack — and arms the scan loop.
 func wedge(r *rig, line memsys.Addr, ty ReqType, from string) {
 	*r.mem.busy.at(line) = &txn{
-		req:        ReqMsg{Type: ty, Addr: line, From: from},
-		started:    r.e.Now(),
-		acksWanted: 1,
+		req:     ReqMsg{Type: ty, Addr: line, From: from},
+		started: r.e.Now(),
+		TxnCore: TxnCore{Typ: ty, AcksWanted: 1},
 	}
 	r.mem.busyCount++
 	r.mem.armWatchdog()
@@ -57,6 +57,9 @@ func TestWatchdogTripsOnStuckTransaction(t *testing.T) {
 	}
 	if !strings.Contains(msg, "GETS") || !strings.Contains(msg, "cpu") {
 		t.Fatalf("dump does not identify the wedged request: %v", msg)
+	}
+	if !strings.Contains(msg, "acks 0/1, probesClean=false dramDone=false dataSent=false") {
+		t.Fatalf("dump does not render the transaction core: %v", msg)
 	}
 }
 

@@ -36,7 +36,7 @@ func lineQuiescent(cfg Config, s *state, l int) bool {
 
 func anyDramPending(cfg Config, s *state) bool {
 	for l := 0; l < cfg.Lines; l++ {
-		if s.busy[l] != 0 && s.txn[l].flags&tDramPending != 0 && s.txn[l].flags&tDramDone == 0 {
+		if s.busy[l] != 0 && s.txn[l].DramOutstanding() {
 			return true
 		}
 	}
@@ -116,8 +116,7 @@ type Options struct {
 	Workers int
 	// Coverage, when non-nil, collects every (state, event) table row
 	// the model fires. Recording costs a mutex per transition, so it is
-	// reserved for the reachability dump and the cross-validation fuzz
-	// test, not routine checking.
+	// reserved for the reachability dump, not routine checking.
 	Coverage map[CoveragePair]bool
 }
 
@@ -463,7 +462,7 @@ func dump(cfg Config, s *state) string {
 		if s.busy[l] != 0 {
 			t := s.txn[l]
 			fmt.Fprintf(&b, " [txn %s from agent%d acks %d/%d flags %#x, %d queued]",
-				coherence.ReqType(t.typ), t.from, t.acksRecv, t.acksWanted, t.flags, s.nq[l])
+				t.Typ, t.from, t.AcksRecv, t.AcksWanted, t.Flags, s.nq[l])
 		}
 		b.WriteByte('\n')
 		for a := 0; a < cfg.Agents; a++ {

@@ -7,16 +7,23 @@
 // in each one and printing a minimal counterexample trace on
 // violation.
 //
-// The model's transition behaviour is not re-implemented: probe
-// reactions, fill grants and push installs all go through the explicit
-// table in internal/coherence (coherence.Transition and friends), the
-// same relation the runtime controllers execute. What the model
-// abstracts away is timing: message delivery order is fully
+// The model runs the simulator's protocol code: every transaction
+// start and every probe, ack, data, unblock, writeback-commit and PUTX
+// delivery calls the transition core in internal/coherence (core.go:
+// AnswerProbe, TxnCore, ApplyFill, StoreAfterFill, InstallPush,
+// PushStale, WBCommitClears), the same pure functions the runtime
+// controllers wrap, and the packed state embeds coherence.TxnCore.
+// What stays here is the environment and the abstraction: the message
+// multiset and request queue, the spontaneous agent actions, and three
+// simplifications. Timing: message delivery order is fully
 // nondeterministic (a sound over-approximation of the crossbar, whose
 // mixed control/data latencies — and the chaos layer's injected jitter
-// — already reorder messages), caches have no capacity (evictions are
-// spontaneous actions instead), and data values are versions from a
-// global ghost counter, exactly like the stress harness's oracle.
+// — already reorder messages), and DRAM completions are separate
+// steps. Capacity: caches have no size, so evictions are spontaneous
+// actions and pushes never overflow. Ghost versions: data values are
+// versions from a global counter, exactly like the stress harness's
+// oracle. The -mutate bugs perturb the core's returned effects here,
+// so the core carries no mutation parameter.
 //
 // Scope and limits (see DESIGN.md "Static verification"): the direct
 // push path models the paper's usage — the CPU pushes and remote-loads
@@ -274,27 +281,15 @@ const (
 	pendRemote
 )
 
-// txnState is the memory controller's in-flight transaction for one
-// line (memctrl.go's txn struct with ticks abstracted away).
+// txnState is the ordering point's in-flight transaction for one line:
+// the transaction core the simulator's memory controller runs, plus the
+// requester and the writeback version it serves (memctrl.go keeps those
+// in the request message).
 type txnState struct {
-	typ        uint8 // coherence.ReqType
-	from       uint8
-	ver        uint8 // WB payload
-	acksWanted uint8
-	acksRecv   uint8
-	flags      uint8
+	coherence.TxnCore
+	from uint8
+	ver  uint8 // WB payload
 }
-
-// txn flag bits.
-const (
-	tOwnerSupplied uint8 = 1 << iota
-	tSharerSeen
-	tProbesClean
-	tDramPending
-	tDramDone
-	tDataSent
-	tUnblocked
-)
 
 // reqEntry is one queued request at the ordering point.
 type reqEntry struct {
@@ -309,9 +304,9 @@ type state struct {
 	dirty [maxAgents][maxLines]uint8
 	ver   [maxAgents][maxLines]uint8
 	wb    [maxAgents][maxLines]uint8
-	// wbStale mirrors ctrl.wbStale: the buffered writeback answered an
-	// invalidating probe, so it no longer serves local loads or later
-	// probes.
+	// wbStale is the controllers' lsWBStale: the buffered writeback
+	// answered an invalidating probe, so it no longer serves local loads
+	// or later probes.
 	wbStale [maxAgents][maxLines]uint8
 	pend    [maxAgents][maxLines]uint8
 	super   [maxAgents][maxLines]uint8

@@ -7,9 +7,10 @@ import (
 )
 
 // recorder observes every protocol-table row the model fires:
-// (agent, line, state, event) → next state. Nil in the hot exploration
-// loop; the -coverage reachability dump and the cross-validation fuzz
-// test install one.
+// (agent, line, state, event) → next state. Each exploration worker
+// installs one that counts mm-install checks and, for the -coverage
+// reachability dump, collects the fired rows; trace reconstruction
+// passes nil.
 type recorder func(agent, line int, st coherence.State, ev coherence.Event, next coherence.State)
 
 func (r recorder) rec(agent, line int, st coherence.State, ev coherence.Event, next coherence.State) {
@@ -98,30 +99,26 @@ func successorsInto(cfg Config, s, scratch *state, labels bool, rc recorder, emi
 					ns.ver[a][l] = ns.latest[l]
 					ns.storesLeft--
 					emit(ns, lbl("agent%d: store hit line %d → v%d", a, l, ns.latest[l]), "")
-				} else if st == coherence.S || st == coherence.O {
-					// Upgrade: other copies must be invalidated first.
-					ns := scratch
-					copyLive(ns, s)
-					ns.pend[a][l] = pendStore
-					ns.storesLeft--
-					ns.send(msg{kind: kReq, line: uint8(l), a: uint8(coherence.GETX), b: uint8(a)})
-					emit(ns, lbl("agent%d: store upgrade line %d (GETX)", a, l), "")
-				} else if st == coherence.I {
-					ns := scratch
-					copyLive(ns, s)
-					ns.pend[a][l] = pendStore
-					ns.storesLeft--
-					ns.send(msg{kind: kReq, line: uint8(l), a: uint8(coherence.GETX), b: uint8(a)})
-					emit(ns, lbl("agent%d: store miss line %d (GETX)", a, l), "")
-					if cfg.Bypass {
-						// Bypass-dirty-victim flavour: the fill will not
-						// allocate; the store writes through.
-						nb := scratch
-						copyLive(nb, s)
-						nb.pend[a][l] = pendBypass
-						nb.storesLeft--
-						nb.send(msg{kind: kReq, line: uint8(l), a: uint8(coherence.GETX), b: uint8(a)})
-						emit(nb, lbl("agent%d: bypass store miss line %d (GETX)", a, l), "")
+				} else {
+					// Upgrade from S or O (other copies must be invalidated
+					// first) or miss from I. Under the bypass-dirty-victim
+					// flavour a miss may also leave the fill unallocated:
+					// the store then writes through.
+					what := "store upgrade"
+					if st == coherence.I {
+						what = "store miss"
+					}
+					for _, p := range [2]uint8{pendStore, pendBypass} {
+						if p == pendBypass && (st != coherence.I || !cfg.Bypass) {
+							break
+						}
+						ns := scratch
+						copyLive(ns, s)
+						ns.pend[a][l] = p
+						ns.storesLeft--
+						ns.send(msg{kind: kReq, line: uint8(l), a: uint8(coherence.GETX), b: uint8(a)})
+						emit(ns, lbl("agent%d: %s line %d (GETX)", a, what, l), "")
+						what = "bypass store miss"
 					}
 				}
 			}
@@ -201,26 +198,16 @@ func successorsInto(cfg Config, s, scratch *state, labels bool, rc recorder, emi
 
 	// DRAM completions.
 	for l := 0; l < cfg.Lines; l++ {
-		if s.busy[l] == 0 {
+		if s.busy[l] == 0 || !s.txn[l].DramOutstanding() {
 			continue
 		}
 		t := s.txn[l]
-		if t.flags&tDramPending == 0 || t.flags&tDramDone != 0 {
-			continue
-		}
 		ns := scratch
 		copyLive(ns, s)
-		nt := &ns.txn[l]
-		if t.typ == uint8(coherence.WB) {
-			// Memory committed the writeback (the version was recorded at
-			// transaction start, matching memctrl.start): notify the
-			// writer and close the transaction.
-			ns.send(msg{kind: kWBDone, line: uint8(l), a: t.from, b: t.ver})
-			finishTxn(cfg, ns, l)
+		applyTxn(cfg, ns, l, ns.txn[l].DramComplete())
+		if t.Typ == coherence.WB {
 			emit(ns, lbl("memctl: WB v%d line %d committed", t.ver, l), "")
 		} else {
-			nt.flags |= tDramDone
-			maybeSendFromMemory(ns, l)
 			emit(ns, lbl("memctl: speculative DRAM read line %d done", l), "")
 		}
 	}
@@ -307,19 +294,28 @@ func deliveryVariants(cfg Config, s *state, m msg) (vs [3]int, n int) {
 // normal-path copy to I (the mutation point for MutSkipInvalidate).
 func probeWouldInvalidate(s *state, m msg) bool {
 	a, l := int(m.b), int(m.line)
-	st := coherence.State(s.st[a][l])
-	if s.wb[a][l] != 0 && s.wbStale[a][l] == 0 {
-		owned := st == coherence.MM || st == coherence.M || st == coherence.O
-		if !owned || s.ver[a][l] < s.wb[a][l] {
-			return false // answered from the writeback buffer, no state change
+	r := coherence.AnswerProbe(probeCtx(s, a, l), coherence.ProbeKind(m.a))
+	return s.st[a][l] != coherence.I && r.Next == coherence.I
+}
+
+// probeCtx reads agent a's line-local probe context for line l.
+func probeCtx(s *state, a, l int) coherence.ProbeCtx {
+	c := coherence.ProbeCtx{St: coherence.State(s.st[a][l]), Dirty: s.dirty[a][l] != 0}
+	if wb := s.wb[a][l]; wb != 0 {
+		c.WB = coherence.WBLive
+		if s.wbStale[a][l] != 0 {
+			c.WB = coherence.WBStale
 		}
+		c.LiveOlder = s.ver[a][l] < wb
 	}
-	out := coherence.Transition(st, coherence.ProbeEvent(coherence.ProbeKind(m.a)))
-	return st != coherence.I && out.Next == coherence.I
+	return c
 }
 
 // deliver applies message m (already removed from the multiset unless
-// duplicated) to ns.
+// duplicated) to ns. Every protocol decision is the transition core's
+// (internal/coherence/core.go); this function only reads the context
+// from the packed state, writes the results back and turns the core's
+// effects into messages.
 func deliver(cfg Config, ns *state, m msg, variant int, labels bool, rc recorder) (label, viol string) {
 	lbl := func(format string, args ...any) string {
 		if !labels {
@@ -343,25 +339,28 @@ func deliver(cfg Config, ns *state, m msg, variant int, labels bool, rc recorder
 		return lbl("memctl: start %s from agent%d line %d", coherence.ReqType(m.a), m.b, l), ""
 
 	case kProbe:
-		return deliverProbe(cfg, ns, m, variant, lbl, rc)
+		return deliverProbe(ns, m, variant, lbl, rc), ""
 
 	case kAck:
-		return deliverAck(cfg, ns, m, lbl)
+		if ns.busy[l] == 0 {
+			panic("modelcheck: ack for idle line")
+		}
+		applyTxn(cfg, ns, l, ns.txn[l].Ack(m.b&fHadData != 0, m.b&fPresent != 0))
+		return lbl("memctl: ack from agent%d line %d", m.a, l), ""
 
 	case kData:
-		return deliverData(cfg, ns, m, lbl, rc)
+		return deliverData(cfg, ns, m, lbl, rc), ""
 
 	case kUnblock:
 		if ns.busy[l] == 0 {
 			panic("modelcheck: unblock for idle line")
 		}
-		ns.txn[l].flags |= tUnblocked
-		maybeFinish(cfg, ns, l)
+		applyTxn(cfg, ns, l, ns.txn[l].Unblock())
 		return lbl("memctl: unblock from agent%d line %d", m.a, l), ""
 
 	case kWBDone:
 		a := int(m.a)
-		if ns.wb[a][l] == m.b {
+		if coherence.WBCommitClears(ns.wb[a][l] != 0, uint64(ns.wb[a][l]), uint64(m.b)) {
 			ns.wb[a][l] = 0
 			ns.wbStale[a][l] = 0
 		}
@@ -386,170 +385,48 @@ func deliver(cfg Config, ns *state, m msg, variant int, labels bool, rc recorder
 	panic("modelcheck: unknown message kind")
 }
 
-// startTxn begins a transaction at the ordering point, mirroring
-// memctrl.start: writebacks update memory immediately and wait only
-// for DRAM; reads and upgrades broadcast probes to every other agent,
-// with a speculative DRAM read racing them for everything but GETX.
+// startTxn begins a transaction at the ordering point. Hammer has no
+// directory: every agent but the requester is a probe target.
 func startTxn(cfg Config, ns *state, l int, e reqEntry) {
 	ns.busy[l] = 1
 	t := &ns.txn[l]
-	*t = txnState{typ: e.typ, from: e.from, ver: e.ver}
-	typ := coherence.ReqType(e.typ)
-	if typ == coherence.WB {
-		ns.mem[l] = e.ver
-		t.flags = tDramPending
-		return
-	}
-	kind, ok := coherence.ProbeFor(typ)
-	if !ok {
-		panic(fmt.Sprintf("modelcheck: no probe kind for %v", typ))
-	}
-	t.acksWanted = uint8(cfg.Agents - 1)
-	if typ != coherence.GETX {
-		t.flags |= tDramPending
-	}
-	for tgt := 0; tgt < cfg.Agents; tgt++ {
-		if tgt == int(e.from) {
-			continue
-		}
-		ns.send(msg{kind: kProbe, line: uint8(l), a: uint8(kind), b: uint8(tgt), c: e.from})
-	}
+	t.from, t.ver = e.from, e.ver
+	applyTxn(cfg, ns, l, t.Start(coherence.ReqType(e.typ), cfg.Agents-1))
 }
 
-// deliverProbe is ctrl.answerProbe: the writeback buffer supplies
-// in-flight dirty evictions, everything else is a row of the shared
-// protocol table.
-func deliverProbe(cfg Config, ns *state, m msg, variant int, lbl func(string, ...any) string, rc recorder) (string, string) {
-	a, l := int(m.b), int(m.line)
-	kind := coherence.ProbeKind(m.a)
-	requester := m.c
-	st := coherence.State(ns.st[a][l])
-
-	if wbv := ns.wb[a][l]; wbv != 0 && ns.wbStale[a][l] == 0 {
-		owned := st == coherence.MM || st == coherence.M || st == coherence.O
-		if !owned || ns.ver[a][l] < wbv {
-			// Dirty eviction still in flight: this agent remains the data
-			// source; no state change. An invalidating probe transfers
-			// that role, so the entry goes stale.
-			if kind == coherence.PrbInv {
-				ns.wbStale[a][l] = 1
-			}
-			supply(ns, l, requester, kind, wbv, true)
-			ns.send(msg{kind: kAck, line: uint8(l), a: uint8(a), b: fHadData | fDirty, c: wbv})
-			return lbl("agent%d: %v line %d answered from wb buffer (v%d)", a, kind, l, wbv), ""
-		}
-		// Re-acquired and re-dirtied: the live copy below is newer.
-	}
-
-	out := coherence.Transition(st, coherence.ProbeEvent(kind))
-	rc.rec(a, l, st, coherence.ProbeEvent(kind), out.Next)
-	var flags uint8
-	if out.Present {
-		flags |= fPresent
-	}
-	dirty := coherence.DataDirty(out.Data, ns.dirty[a][l] != 0)
-	hadData := out.Data != coherence.NoData
-	ver := ns.ver[a][l]
-	skipped := ""
-	switch {
-	case out.Next == st:
-		// O/S survive PrbShare; everything survives PrbSnoop.
-	case out.Next == coherence.I:
-		if variant == variantSkipInvalidate {
-			skipped = " [copy kept: skip-invalidate]"
-			break
-		}
-		ns.invalidate(a, l)
-	default:
-		ns.st[a][l] = uint8(out.Next)
-	}
-	if hadData {
-		flags |= fHadData
-		if dirty {
-			flags |= fDirty
-		}
-		supply(ns, l, requester, kind, ver, dirty)
-	}
-	ns.send(msg{kind: kAck, line: uint8(l), a: uint8(a), b: flags, c: ver})
-	return lbl("agent%d: answer %v line %d (was %s)%s", a, kind, l, coherence.StateName(st), skipped), ""
-}
-
-// supply is ctrl.supplyToRequester: the 3-hop owner-to-requester data
-// transfer with the grant implied by the probe kind.
-func supply(ns *state, l int, requester uint8, kind coherence.ProbeKind, ver uint8, dirty bool) {
-	var grant coherence.State
-	var flags uint8
-	switch kind {
-	case coherence.PrbShare:
-		grant = coherence.GrantState(coherence.GETS, true, false)
-	case coherence.PrbInv:
-		grant = coherence.GrantState(coherence.GETX, true, false)
-		if dirty {
-			flags |= fOwned // dirty-data responsibility transfers
-		}
-	case coherence.PrbSnoop:
-		grant = coherence.GrantState(coherence.RemoteLoad, true, false)
-	}
-	ns.send(msg{kind: kData, line: uint8(l), a: requester, b: uint8(grant), c: ver, d: flags})
-}
-
-// deliverAck is memctrl.ReceiveAck: collect, and once all acks are in
-// either rely on the owner's in-flight transfer or source from memory.
-func deliverAck(cfg Config, ns *state, m msg, lbl func(string, ...any) string) (string, string) {
-	l := int(m.line)
-	if ns.busy[l] == 0 {
-		panic("modelcheck: ack for idle line")
-	}
+// applyTxn carries out a transaction-core event's effects on the model:
+// memory updates and the probe, data and commit messages. DRAM accesses
+// need nothing here: while one is outstanding its completion is a
+// separate nondeterministic step (see successorsInto).
+func applyTxn(cfg Config, ns *state, l int, eff coherence.TxnEffect) {
 	t := &ns.txn[l]
-	t.acksRecv++
-	if m.b&fHadData != 0 {
-		t.flags |= tOwnerSupplied | tSharerSeen
+	if eff&coherence.TxDramWrite != 0 {
+		ns.mem[l] = t.ver
 	}
-	if m.b&fPresent != 0 {
-		t.flags |= tSharerSeen
-	}
-	if t.acksRecv >= t.acksWanted {
-		if t.flags&tOwnerSupplied != 0 {
-			// Owner-to-requester transfer already in flight; the
-			// speculative DRAM read is discarded.
-			t.flags &^= tDramPending
-		} else {
-			t.flags |= tProbesClean
-			if coherence.ReqType(t.typ) == coherence.GETX {
-				// No owner: full-line write, grant travels without data.
-				t.flags |= tDataSent
-				ns.send(msg{kind: kData, line: uint8(l), a: t.from,
-					b: uint8(coherence.GrantState(coherence.GETX, false, false)), c: ns.mem[l]})
-			} else {
-				maybeSendFromMemory(ns, l)
+	if eff&coherence.TxProbe != 0 {
+		kind, ok := coherence.ProbeFor(t.Typ)
+		if !ok {
+			panic(fmt.Sprintf("modelcheck: no probe kind for %v", t.Typ))
+		}
+		for tgt := 0; tgt < cfg.Agents; tgt++ {
+			if tgt != int(t.from) {
+				ns.send(msg{kind: kProbe, line: uint8(l), a: uint8(kind), b: uint8(tgt), c: t.from})
 			}
 		}
-		maybeFinish(cfg, ns, l)
 	}
-	return lbl("memctl: ack from agent%d line %d", m.a, l), ""
-}
-
-// maybeSendFromMemory is memctrl.maybeSendFromMemory: data leaves once
-// the probes came back clean and the speculative read completed.
-func maybeSendFromMemory(ns *state, l int) {
-	t := &ns.txn[l]
-	if t.flags&(tDataSent|tProbesClean|tDramDone) != tProbesClean|tDramDone {
-		return
+	if eff&(coherence.TxGrant|coherence.TxMemData) != 0 {
+		ns.send(msg{kind: kData, line: uint8(l), a: t.from, b: uint8(t.MemGrant()), c: ns.mem[l]})
 	}
-	t.flags |= tDataSent
-	typ := coherence.ReqType(t.typ)
-	sharer := typ == coherence.GETS && t.flags&tSharerSeen != 0
-	grant := coherence.GrantState(typ, false, sharer)
-	ns.send(msg{kind: kData, line: uint8(l), a: t.from, b: uint8(grant), c: ns.mem[l]})
-}
-
-func maybeFinish(cfg Config, ns *state, l int) {
-	t := &ns.txn[l]
-	if t.flags&tUnblocked != 0 && t.acksRecv >= t.acksWanted {
+	if eff&coherence.TxWBDone != 0 {
+		ns.send(msg{kind: kWBDone, line: uint8(l), a: t.from, b: t.ver})
+	}
+	if eff&coherence.TxFinish != 0 {
 		finishTxn(cfg, ns, l)
 	}
 }
 
+// finishTxn closes line l's transaction and starts the next queued
+// request, if any.
 func finishTxn(cfg Config, ns *state, l int) {
 	ns.busy[l] = 0
 	ns.txn[l] = txnState{}
@@ -563,8 +440,61 @@ func finishTxn(cfg Config, ns *state, l int) {
 	startTxn(cfg, ns, l, e)
 }
 
-// deliverData is ctrl.receiveData: complete the outstanding miss.
-func deliverData(cfg Config, ns *state, m msg, lbl func(string, ...any) string, rc recorder) (string, string) {
+// deliverProbe answers a probe at agent m.b. The skip-invalidate
+// variant perturbs the core's result: the copy survives a reply that
+// invalidates it.
+func deliverProbe(ns *state, m msg, variant int, lbl func(string, ...any) string, rc recorder) string {
+	a, l := int(m.b), int(m.line)
+	kind := coherence.ProbeKind(m.a)
+	st := coherence.State(ns.st[a][l])
+	r := coherence.AnswerProbe(probeCtx(ns, a, l), kind)
+	ver := ns.ver[a][l]
+	if r.FromWB {
+		ver = ns.wb[a][l]
+		if r.StaleWB {
+			ns.wbStale[a][l] = 1
+		}
+	} else {
+		rc.rec(a, l, st, r.Ev, r.Next)
+	}
+	skipped := ""
+	switch {
+	case r.Next == st:
+	case r.Next == coherence.I:
+		if variant == variantSkipInvalidate {
+			skipped = " [copy kept: skip-invalidate]"
+			break
+		}
+		ns.invalidate(a, l)
+	default:
+		ns.st[a][l] = uint8(r.Next)
+	}
+	var flags uint8
+	if r.Present {
+		flags |= fPresent
+	}
+	if r.HadData {
+		flags |= fHadData
+		if r.Dirty {
+			flags |= fDirty
+		}
+		var d uint8
+		if r.Owned {
+			d = fOwned
+		}
+		ns.send(msg{kind: kData, line: uint8(l), a: m.c, b: uint8(r.Grant), c: ver, d: d})
+	}
+	ns.send(msg{kind: kAck, line: uint8(l), a: uint8(a), b: flags, c: ver})
+	if r.FromWB {
+		return lbl("agent%d: %v line %d answered from wb buffer (v%d)", a, kind, l, ver)
+	}
+	return lbl("agent%d: answer %v line %d (was %s)%s", a, kind, l, coherence.StateName(st), skipped)
+}
+
+// deliverData completes agent m.a's outstanding miss. The
+// bypass-no-wbbuf mutation perturbs the core's write-through: the
+// write skips the writeback buffer.
+func deliverData(cfg Config, ns *state, m msg, lbl func(string, ...any) string, rc recorder) string {
 	a, l := int(m.a), int(m.line)
 	grant := coherence.State(m.b)
 	if grant == coherence.I {
@@ -574,52 +504,25 @@ func deliverData(cfg Config, ns *state, m msg, lbl func(string, ...any) string, 
 		}
 		ns.pend[a][l] = pendNone
 		ns.send(msg{kind: kUnblock, line: uint8(l), a: uint8(a)})
-		return lbl("agent%d: remote load line %d completes (v%d)", a, l, m.c), ""
+		return lbl("agent%d: remote load line %d completes (v%d)", a, l, m.c)
 	}
 	p := ns.pend[a][l]
 	if p == pendNone {
 		panic("modelcheck: data with no pending miss")
 	}
-	superseded := ns.super[a][l] != 0
+	cur := coherence.State(ns.st[a][l])
+	f := coherence.ApplyFill(cur, grant, m.d&fOwned != 0, ns.super[a][l] != 0, p == pendBypass)
 	ns.pend[a][l] = pendNone
 	ns.super[a][l] = 0
 	defer ns.send(msg{kind: kUnblock, line: uint8(l), a: uint8(a)})
-	switch {
-	case superseded:
-		// A push landed while the fill was in flight; the pushed line
-		// wins and the fill data is dropped.
-		return lbl("agent%d: fill line %d superseded by push", a, l), ""
-	case p == pendLoad:
-		ev, ok := coherence.FillEvent(grant)
-		if !ok {
-			panic("modelcheck: no fill event for grant")
+	switch f.Action {
+	case coherence.FillSuperseded:
+		return lbl("agent%d: fill line %d superseded by push", a, l)
+	case coherence.FillBypass:
+		// The bypassed store is the fill's only waiter.
+		if act, _ := coherence.StoreAfterFill(cur, cur != coherence.I, f); act != coherence.StoreWriteThrough {
+			panic("modelcheck: bypassed store does not write through")
 		}
-		out := coherence.Transition(coherence.State(ns.st[a][l]), ev)
-		if !out.OK {
-			panic("modelcheck: illegal fill")
-		}
-		rc.rec(a, l, coherence.State(ns.st[a][l]), ev, out.Next)
-		ns.st[a][l] = uint8(out.Next)
-		if m.d&fOwned != 0 {
-			ns.dirty[a][l] = 1
-		}
-		ns.ver[a][l] = m.c
-		return lbl("agent%d: fill line %d %s v%d", a, l, coherence.StateName(out.Next), m.c), ""
-	case p == pendStore:
-		out := coherence.Transition(coherence.State(ns.st[a][l]), coherence.EvFillMM)
-		if !out.OK {
-			panic("modelcheck: illegal exclusive fill")
-		}
-		rc.rec(a, l, coherence.State(ns.st[a][l]), coherence.EvFillMM, out.Next)
-		ns.st[a][l] = uint8(out.Next)
-		ns.dirty[a][l] = 1
-		ns.latest[l]++
-		ns.ver[a][l] = ns.latest[l]
-		return lbl("agent%d: exclusive fill line %d, store commits v%d", a, l, ns.latest[l]), ""
-	case p == pendBypass:
-		// Write permission held but no copy installed: write through.
-		// The writeback-buffer entry keeps this agent the data source
-		// until memory commits — dropping it is the PR 3 lost-store bug.
 		ns.latest[l]++
 		v := ns.latest[l]
 		if cfg.Mutation != MutBypassNoWBBuf {
@@ -627,12 +530,36 @@ func deliverData(cfg Config, ns *state, m msg, lbl func(string, ...any) string, 
 			ns.wbStale[a][l] = 0
 		}
 		ns.send(msg{kind: kReq, line: uint8(l), a: uint8(coherence.WB), b: uint8(a), c: v})
-		return lbl("agent%d: bypassed store line %d writes through v%d", a, l, v), ""
+		return lbl("agent%d: bypassed store line %d writes through v%d", a, l, v)
 	}
-	panic("modelcheck: unreachable pend kind")
+	if !f.OK {
+		panic("modelcheck: illegal fill")
+	}
+	rc.rec(a, l, cur, f.Ev, f.Next)
+	ns.st[a][l] = uint8(f.Next)
+	ns.dirty[a][l] = 0
+	if f.Dirty {
+		ns.dirty[a][l] = 1
+	}
+	ns.ver[a][l] = m.c
+	if p == pendLoad {
+		return lbl("agent%d: fill line %d %s v%d", a, l, coherence.StateName(f.Next), m.c)
+	}
+	// The waiting store commits on the exclusive fill.
+	act, next := coherence.StoreAfterFill(f.Next, true, f)
+	if act != coherence.StoreCommit {
+		panic("modelcheck: store fill without write permission")
+	}
+	rc.rec(a, l, f.Next, coherence.EvStoreHit, next)
+	ns.st[a][l] = uint8(next)
+	ns.dirty[a][l] = 1
+	ns.latest[l]++
+	ns.ver[a][l] = ns.latest[l]
+	return lbl("agent%d: exclusive fill line %d, store commits v%d", a, l, ns.latest[l])
 }
 
-// deliverPutx is the GPU slice's ReceivePutx.
+// deliverPutx is the GPU slice's push receive: injected NACKs and, for
+// resilient pushes, duplicate suppression ahead of the install.
 func deliverPutx(cfg Config, ns *state, m msg, variant int, lbl func(string, ...any) string, rc recorder) (string, string) {
 	l := int(m.line)
 	ver, seq := m.a, m.b
@@ -645,12 +572,9 @@ func deliverPutx(cfg Config, ns *state, m msg, variant int, lbl func(string, ...
 	if variant == variantDup {
 		dup = " [duplicated]"
 	}
-	if seq != 0 {
-		// Resilient receive: duplicate suppression, then ack.
-		if ns.applied&(1<<seq) != 0 || ver < ns.lastPushVer[l] {
-			ns.send(msg{kind: kPushAck, line: uint8(l), a: seq})
-			return lbl("gpu: duplicate/stale push seq %d line %d re-acked%s", seq, l, dup), ""
-		}
+	if seq != 0 && coherence.PushStale(ns.applied&(1<<seq) != 0, uint64(ver), uint64(ns.lastPushVer[l])) {
+		ns.send(msg{kind: kPushAck, line: uint8(l), a: seq})
+		return lbl("gpu: duplicate/stale push seq %d line %d re-acked%s", seq, l, dup), ""
 	}
 	viol := applyPush(cfg, ns, l, ver, rc)
 	if seq != 0 {
@@ -661,23 +585,23 @@ func deliverPutx(cfg Config, ns *state, m msg, variant int, lbl func(string, ...
 	return lbl("gpu: push install line %d v%d (seq %d)%s", l, ver, seq, dup), viol
 }
 
-// applyPush is ctrl.applyPutx without the capacity/overflow path
-// (capacity is abstracted away): install per the shared table's
-// PushInstallState, superseding any fill in flight, and check the MM-
-// install invariant — write permission must arrive with the data
-// (§III-F), except under the deliberate write-through ablation.
+// applyPush installs a push at its homing slice (capacity is abstracted
+// away, so the simulator's overflow-to-DRAM path has no counterpart) and
+// checks the MM-install invariant: write permission must arrive with
+// the data (§III-F), except under the write-through ablation. The
+// push-install-s mutation perturbs the core's install state.
 func applyPush(cfg Config, ns *state, l int, ver uint8, rc recorder) string {
 	g := homeAgent(cfg, l)
-	if ns.pend[g][l] != pendNone {
-		ns.super[g][l] = 1
-	}
 	cur := coherence.State(ns.st[g][l])
-	out := coherence.Transition(cur, coherence.PushEvent(cfg.WriteThroughPush))
-	if !out.OK {
+	r := coherence.InstallPush(cur, ns.pend[g][l] != pendNone, cfg.WriteThroughPush)
+	if !r.OK {
 		panic("modelcheck: illegal push install")
 	}
-	rc.rec(g, l, cur, coherence.PushEvent(cfg.WriteThroughPush), out.Next)
-	st, dirty := out.Next, out.Dirty == coherence.DirtySet
+	rc.rec(g, l, cur, r.Ev, r.Next)
+	if r.Supersede {
+		ns.super[g][l] = 1
+	}
+	st, dirty := r.Next, r.Dirty
 	if cfg.Mutation == MutPushInstallS {
 		st, dirty = coherence.S, false
 	}
@@ -687,7 +611,7 @@ func applyPush(cfg Config, ns *state, l int, ver uint8, rc recorder) string {
 		ns.dirty[g][l] = 1
 	}
 	ns.ver[g][l] = ver
-	if cfg.WriteThroughPush {
+	if r.WriteThrough {
 		ns.wb[g][l] = ver
 		ns.wbStale[g][l] = 0
 		ns.send(msg{kind: kReq, line: uint8(l), a: uint8(coherence.WB), b: uint8(g), c: ver})

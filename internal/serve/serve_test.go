@@ -247,6 +247,9 @@ func TestCacheHitDeterminism(t *testing.T) {
 		t.Fatalf("cache hits %d misses %d, want 1 and 1",
 			m["dstore_serve_cache_hits_total"], m["dstore_serve_cache_misses_total"])
 	}
+	if _, text := getRaw(t, base+"/metrics"); !strings.Contains(string(text), "dstore_serve_cache_hits_total 1\n") {
+		t.Fatalf("/metrics text lacks the cache hit:\n%s", text)
+	}
 
 	// Determinism across server instances: a brand-new daemon computes
 	// the identical document.
