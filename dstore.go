@@ -94,7 +94,8 @@ type (
 const (
 	// OpCompute spends Gap ticks of arithmetic.
 	OpCompute = gpu.OpCompute
-	// OpShared is a scratchpad (shared-memory) access.
+	// OpShared is a scratchpad (shared-memory) access; Lines: n repeats
+	// it n times back to back.
 	OpShared = gpu.OpShared
 	// OpGlobalLoad reads global memory lines; the warp blocks.
 	OpGlobalLoad = gpu.OpGlobalLoad

@@ -7,8 +7,9 @@ import (
 )
 
 // allocFreePackages are the hot-path packages under the steady-state
-// zero-allocation contract: the event kernel, the cache arrays and the
-// coherence protocol. Every map the hot path consults was converted to
+// zero-allocation contract: the event kernel, the cache arrays, the
+// coherence protocol, the GPU pipeline, the TLB and the on-chip
+// networks. Every map the hot path consults was converted to
 // a dense line-indexed table, and every per-message allocation to a
 // pooled packet — a new map or message allocation creeping in undoes
 // the conversion silently, visible only as B/op drift in benchmarks.
@@ -18,6 +19,9 @@ var allocFreePackages = map[string]bool{
 	"dstore/internal/sim":                           true,
 	"dstore/internal/cache":                         true,
 	"dstore/internal/coherence":                     true,
+	"dstore/internal/gpu":                           true,
+	"dstore/internal/mmu":                           true,
+	"dstore/internal/interconnect":                  true,
 	"dstore/internal/analysis/testdata/src/fixture": true,
 }
 

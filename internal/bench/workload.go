@@ -192,10 +192,11 @@ func buildKernel(p profile, in Input, k, passes int, readLines, outLines []memsy
 	gap := p.computePerLine[in]
 
 	// Per-read-line op footprint, for exact preallocation: the load
-	// itself, the scratchpad staging ops, and the trailing compute gap.
+	// itself, one repeated scratchpad op for the staging accesses, and
+	// the trailing compute gap.
 	perLine := 1
-	if p.stage {
-		perLine += sharedOps
+	if p.stage && sharedOps > 0 {
+		perLine++
 	}
 	if gap > 0 {
 		perLine++
@@ -218,10 +219,8 @@ func buildKernel(p profile, in Input, k, passes int, readLines, outLines []memsy
 			chunk := chunks[(wi+pass)%warps]
 			for _, a := range chunk {
 				ops = append(ops, gpu.WarpOp{Kind: gpu.OpGlobalLoad, Addr: a, Lines: 1})
-				if p.stage {
-					for s := 0; s < sharedOps; s++ {
-						ops = append(ops, gpu.WarpOp{Kind: gpu.OpShared})
-					}
+				if p.stage && sharedOps > 0 {
+					ops = append(ops, gpu.WarpOp{Kind: gpu.OpShared, Lines: sharedOps})
 				}
 				if gap > 0 {
 					ops = append(ops, gpu.WarpOp{Kind: gpu.OpCompute, Gap: gap})

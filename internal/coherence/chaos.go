@@ -120,9 +120,9 @@ func (c *Ctrl) sendPushAttempt(pp *pendingPush) {
 	deliver := func(sim.Tick) { target.ReceivePutx(p, nil) }
 	if c.cfg.DirectOverXbar {
 		if c.cfg.DirectGetx {
-			c.xbar.Send(c.name, target.name, interconnect.CtrlMsgBytes, nil)
+			c.xbar.Send(c.port, target.port, interconnect.CtrlMsgBytes, nil)
 		}
-		c.xbar.Send(c.name, target.name, interconnect.DataMsgBytes, deliver)
+		c.xbar.Send(c.port, target.port, interconnect.DataMsgBytes, deliver)
 	} else {
 		if c.cfg.DirectGetx {
 			c.directLink.Send(interconnect.CtrlMsgBytes, nil)
@@ -189,10 +189,10 @@ func (c *Ctrl) receivePutxResilient(p PutxMsg) {
 func (c *Ctrl) sendPushAck(p PutxMsg, nack bool) {
 	sender := c.mem.peers[p.From]
 	if sender == nil {
-		panic(fmt.Sprintf("coherence %s: push ack for unknown sender %q", c.name, p.From))
+		panic(fmt.Sprintf("coherence %s: push ack for unknown sender %q", c.name, c.mem.peerName(p.From)))
 	}
 	ack := PushAckMsg{Addr: p.Addr, Seq: p.Seq, Nack: nack}
-	c.xbar.Send(c.name, p.From, interconnect.CtrlMsgBytes, func(sim.Tick) {
+	c.xbar.Send(c.port, p.From, interconnect.CtrlMsgBytes, func(sim.Tick) {
 		sender.receivePushAck(ack)
 	})
 }

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -29,14 +30,15 @@ func newRig(t *testing.T, mshrs, cacheBytes, ways int) *rig {
 	xbar := interconnect.NewCrossbar(e, "xbar", 16, 32)
 	d := dram.New(e, dram.DefaultConfig())
 	var mem *MemCtrl
-	mem = NewMemCtrl(e, "mem", xbar, d, func(_ memsys.Addr, requester string) []string {
-		var out []string
-		for _, n := range []string{"cpu", "gpu0"} {
-			if n != requester {
-				out = append(out, n)
-			}
+	agents := []interconnect.Port{xbar.Port("cpu"), xbar.Port("gpu0")}
+	mem = NewMemCtrl(e, "mem", xbar, d, func(_ memsys.Addr, requester interconnect.Port) []interconnect.Port {
+		switch requester {
+		case agents[0]:
+			return agents[1:]
+		case agents[1]:
+			return agents[:1]
 		}
-		return out
+		return agents
 	})
 	l1cfg := cache.Config{Name: "cpu.l1d", SizeBytes: 1024, Ways: 2}
 	cpu := NewCtrl(e, CtrlConfig{
@@ -410,7 +412,7 @@ func TestDirectGetxSendsExtraControlFlit(t *testing.T) {
 		e := sim.NewEngine()
 		xbar := interconnect.NewCrossbar(e, "xbar", 16, 32)
 		d := dram.New(e, dram.DefaultConfig())
-		mem := NewMemCtrl(e, "mem", xbar, d, func(memsys.Addr, string) []string { return nil })
+		mem := NewMemCtrl(e, "mem", xbar, d, func(memsys.Addr, interconnect.Port) []interconnect.Port { return nil })
 		cpu := NewCtrl(e, CtrlConfig{
 			Name: "cpu", L2: cache.Config{Name: "l2", SizeBytes: 4096, Ways: 2},
 			L2HitLat: 12, MSHRs: 4, DirectGetx: getx,
@@ -588,7 +590,7 @@ func TestDirectOverXbarAblation(t *testing.T) {
 	e := sim.NewEngine()
 	xbar := interconnect.NewCrossbar(e, "xbar", 16, 32)
 	d := dram.New(e, dram.DefaultConfig())
-	mem := NewMemCtrl(e, "mem", xbar, d, func(memsys.Addr, string) []string { return nil })
+	mem := NewMemCtrl(e, "mem", xbar, d, func(memsys.Addr, interconnect.Port) []interconnect.Port { return nil })
 	cpu := NewCtrl(e, CtrlConfig{
 		Name: "cpu", L2: cache.Config{Name: "l2", SizeBytes: 4096, Ways: 2},
 		L2HitLat: 12, MSHRs: 4, DirectOverXbar: true,
@@ -622,7 +624,7 @@ func TestPushWriteThroughAblation(t *testing.T) {
 	e := sim.NewEngine()
 	xbar := interconnect.NewCrossbar(e, "xbar", 16, 32)
 	d := dram.New(e, dram.DefaultConfig())
-	mem := NewMemCtrl(e, "mem", xbar, d, func(memsys.Addr, string) []string { return nil })
+	mem := NewMemCtrl(e, "mem", xbar, d, func(memsys.Addr, interconnect.Port) []interconnect.Port { return nil })
 	cpu := NewCtrl(e, CtrlConfig{
 		Name: "cpu", L2: cache.Config{Name: "l2", SizeBytes: 4096, Ways: 2},
 		L2HitLat: 12, MSHRs: 4,
@@ -666,7 +668,7 @@ func TestPushOverflowToDRAM(t *testing.T) {
 	e := sim.NewEngine()
 	xbar := interconnect.NewCrossbar(e, "xbar", 16, 32)
 	d := dram.New(e, dram.DefaultConfig())
-	mem := NewMemCtrl(e, "mem", xbar, d, func(memsys.Addr, string) []string { return nil })
+	mem := NewMemCtrl(e, "mem", xbar, d, func(memsys.Addr, interconnect.Port) []interconnect.Port { return nil })
 	cpu := NewCtrl(e, CtrlConfig{
 		Name: "cpu", L2: cache.Config{Name: "l2", SizeBytes: 4096, Ways: 2},
 		L2HitLat: 12, MSHRs: 4,
@@ -800,8 +802,12 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	r.do(r.cpu, memsys.Store, line0, 1)
 	// Corrupt: force a second exclusive copy behind the protocol's back.
 	r.gpu.L2Cache().Insert(line0, MM, true)
-	if err := r.mem.CheckInvariants([]memsys.Addr{line0}); err == nil {
-		t.Error("invariant checker missed a double-exclusive line")
+	err := r.mem.CheckInvariants([]memsys.Addr{line0})
+	if err == nil {
+		t.Fatal("invariant checker missed a double-exclusive line")
+	}
+	if !strings.Contains(err.Error(), "0x10000") {
+		t.Errorf("report does not name the line: %v", err)
 	}
 }
 
@@ -827,7 +833,7 @@ func TestStoreToOverflowedPushReinstalls(t *testing.T) {
 	e := sim.NewEngine()
 	xbar := interconnect.NewCrossbar(e, "xbar", 16, 32)
 	d := dram.New(e, dram.DefaultConfig())
-	mem := NewMemCtrl(e, "mem", xbar, d, func(memsys.Addr, string) []string { return nil })
+	mem := NewMemCtrl(e, "mem", xbar, d, func(memsys.Addr, interconnect.Port) []interconnect.Port { return nil })
 	cpu := NewCtrl(e, CtrlConfig{
 		Name: "cpu", L2: cache.Config{Name: "l2", SizeBytes: 4096, Ways: 2},
 		L2HitLat: 12, MSHRs: 4,

@@ -59,6 +59,7 @@ type Ctrl struct {
 	engine *sim.Engine
 	cfg    CtrlConfig
 	name   string
+	port   interconnect.Port
 	xbar   interconnect.Network
 	mem    *MemCtrl
 
@@ -76,8 +77,9 @@ type Ctrl struct {
 	// remotePending holds uncacheable direct-region loads awaiting
 	// data.
 	remotePending map[memsys.Addr][]*memsys.Request
-	stalled       []*memsys.Request
-	portFree      sim.Tick
+	// stalled queues demand misses that found the MSHR file full.
+	stalled  reqQueue
+	portFree sim.Tick
 
 	// Direct-store send side (CPU controller only).
 	directLink interconnect.DirectPort
@@ -124,6 +126,7 @@ func NewCtrl(engine *sim.Engine, cfg CtrlConfig, xbar interconnect.Network, mem 
 		engine:        engine,
 		cfg:           cfg,
 		name:          cfg.Name,
+		port:          xbar.Port(cfg.Name),
 		xbar:          xbar,
 		mem:           mem,
 		l2:            cache.New(cfg.L2),
@@ -348,7 +351,7 @@ func (c *Ctrl) sendReq(msg ReqMsg, size int) {
 	c.obsSend(msg)
 	pk := c.mem.pkt(pkRecvReq)
 	pk.rmsg = msg
-	c.xbar.SendArg(c.name, c.mem.Name(), size, runPkt, pk)
+	c.xbar.SendArg(c.port, c.mem.port, size, runPkt, pk)
 }
 
 // missPath sends the demand miss into the protocol.
@@ -377,7 +380,7 @@ func (c *Ctrl) missPath(req *memsys.Request, line memsys.Addr, wantX bool) {
 	}
 	if c.mshr.Full() {
 		c.mshrStalls.Inc()
-		c.stalled = append(c.stalled, req)
+		c.stalled.push(req)
 		return
 	}
 	e, _ := c.mshr.Allocate(line)
@@ -387,7 +390,7 @@ func (c *Ctrl) missPath(req *memsys.Request, line memsys.Addr, wantX bool) {
 	if wantX {
 		rtype = GETX
 	}
-	c.sendReq(ReqMsg{Type: rtype, Addr: line, From: c.name}, interconnect.CtrlMsgBytes)
+	c.sendReq(ReqMsg{Type: rtype, Addr: line, From: c.port}, interconnect.CtrlMsgBytes)
 	if c.cfg.OnDemandMiss != nil && req.Done != nil {
 		c.cfg.OnDemandMiss(line)
 	}
@@ -410,7 +413,7 @@ func (c *Ctrl) Prefetch(line memsys.Addr) {
 	}
 	e, _ := c.mshr.Allocate(line)
 	_ = e
-	c.sendReq(ReqMsg{Type: GETS, Addr: line, From: c.name}, interconnect.CtrlMsgBytes)
+	c.sendReq(ReqMsg{Type: GETS, Addr: line, From: c.port}, interconnect.CtrlMsgBytes)
 }
 
 // RemoteLoad submits an uncacheable load to the direct-store region
@@ -437,7 +440,7 @@ func (c *Ctrl) remoteLoadStart(req *memsys.Request) {
 	if len(waiting) > 0 {
 		return // request already in flight
 	}
-	c.sendReq(ReqMsg{Type: RemoteLoad, Addr: line, From: c.name}, interconnect.CtrlMsgBytes)
+	c.sendReq(ReqMsg{Type: RemoteLoad, Addr: line, From: c.port}, interconnect.CtrlMsgBytes)
 }
 
 // processDirectStore performs the remote-store transition of Fig. 3:
@@ -476,7 +479,7 @@ func (c *Ctrl) processDirectStore(req *memsys.Request, line memsys.Addr) {
 	if target == nil {
 		panic(fmt.Sprintf("coherence %s: no push target for %#x", c.name, uint64(line)))
 	}
-	p := PutxMsg{Addr: line, Ver: req.Ver, From: c.name}
+	p := PutxMsg{Addr: line, Ver: req.Ver, From: c.port}
 	if c.obs != nil {
 		to := c.obs.Component(target.name)
 		now := c.engine.Now()
@@ -496,9 +499,9 @@ func (c *Ctrl) processDirectStore(req *memsys.Request, line memsys.Addr) {
 		// Ablation: no dedicated network — the push rides the shared
 		// coherence crossbar and contends with everything else.
 		if c.cfg.DirectGetx {
-			c.xbar.Send(c.name, target.name, interconnect.CtrlMsgBytes, nil)
+			c.xbar.Send(c.port, target.port, interconnect.CtrlMsgBytes, nil)
 		}
-		c.xbar.SendArg(c.name, target.name, interconnect.DataMsgBytes, runPkt, pk)
+		c.xbar.SendArg(c.port, target.port, interconnect.DataMsgBytes, runPkt, pk)
 		return
 	}
 	if c.cfg.DirectGetx {
@@ -599,7 +602,7 @@ func (c *Ctrl) writeBack(line memsys.Addr, ver uint64) {
 	}
 	ls.flags = lsWB
 	ls.wbVer = ver
-	c.sendReq(ReqMsg{Type: WB, Addr: line, From: c.name, Ver: ver}, interconnect.DataMsgBytes)
+	c.sendReq(ReqMsg{Type: WB, Addr: line, From: c.port, Ver: ver}, interconnect.DataMsgBytes)
 }
 
 // receiveProbe answers the memory controller's probe after the array
@@ -624,7 +627,7 @@ func (c *Ctrl) answerProbe(p ProbeMsg) {
 		ctx.LiveOlder = ls.ver < ls.wbVer
 	}
 	r := AnswerProbe(ctx, p.Kind)
-	ack := AckMsg{Addr: line, From: c.name, HadData: r.HadData, Present: r.Present, Dirty: r.Dirty}
+	ack := AckMsg{Addr: line, From: c.port, HadData: r.HadData, Present: r.Present, Dirty: r.Dirty}
 	switch {
 	case r.FromWB:
 		if r.StaleWB {
@@ -669,18 +672,18 @@ func (c *Ctrl) answerProbe(p ProbeMsg) {
 func (c *Ctrl) supplyToRequester(p ProbeMsg, d DataMsg) {
 	requester := p.Requester
 	if c.obs != nil {
-		c.obs.Msg(c.engine.Now(), c.obsID, obs.MsgData, p.Addr, c.obs.Component(requester))
+		c.obs.Msg(c.engine.Now(), c.obsID, obs.MsgData, p.Addr, c.obs.Component(c.mem.peerName(requester)))
 	}
 	pk := c.mem.pkt(pkRecvData)
 	pk.c, pk.data = c.mem.peers[requester], d
-	c.xbar.SendArg(c.name, requester, interconnect.DataMsgBytes, runPkt, pk)
+	c.xbar.SendArg(c.port, requester, interconnect.DataMsgBytes, runPkt, pk)
 }
 
 func (c *Ctrl) sendAck(ack AckMsg) {
 	c.obs.Msg(c.engine.Now(), c.obsID, obs.MsgAck, ack.Addr, c.obsMem)
 	pk := c.mem.pkt(pkRecvAck)
 	pk.ack = ack
-	c.xbar.SendArg(c.name, c.mem.Name(), interconnect.CtrlMsgBytes, runPkt, pk)
+	c.xbar.SendArg(c.port, c.mem.port, interconnect.CtrlMsgBytes, runPkt, pk)
 }
 
 // receiveData completes an outstanding miss (or remote load).
@@ -758,7 +761,7 @@ func (c *Ctrl) unblock(line memsys.Addr) {
 	c.obs.Msg(c.engine.Now(), c.obsID, obs.MsgUnblock, line, c.obsMem)
 	pk := c.mem.pkt(pkRecvUnblock)
 	pk.line = line
-	c.xbar.SendArg(c.name, c.mem.Name(), interconnect.CtrlMsgBytes, runPkt, pk)
+	c.xbar.SendArg(c.port, c.mem.port, interconnect.CtrlMsgBytes, runPkt, pk)
 }
 
 // drainStalled releases stalled requests only while they can make
@@ -767,16 +770,45 @@ func (c *Ctrl) unblock(line memsys.Addr) {
 // would reprocess (and re-stall) most of it — quadratic work and
 // inflated statistics.
 func (c *Ctrl) drainStalled() {
-	for len(c.stalled) > 0 {
-		req := c.stalled[0]
+	for c.stalled.len() > 0 {
+		req := c.stalled.front()
 		line := memsys.LineAlign(req.Addr)
 		_, pending := c.mshr.Lookup(line)
 		if !pending && !c.l2.Contains(line) && c.mshr.Full() {
 			return
 		}
-		c.stalled = c.stalled[1:]
+		c.stalled.pop()
 		pk := c.mem.pkt(pkProcessQuiet)
 		pk.c, pk.req = c, req
 		c.engine.ScheduleArg(0, runPkt, pk)
+	}
+}
+
+// reqQueue is a FIFO of requests that reuses its backing array: pop
+// advances a head index, and a push that finds the array full slides
+// the live entries down to the front before growing it.
+type reqQueue struct {
+	q    []*memsys.Request
+	head int
+}
+
+func (r *reqQueue) len() int { return len(r.q) - r.head }
+
+func (r *reqQueue) front() *memsys.Request { return r.q[r.head] }
+
+func (r *reqQueue) push(req *memsys.Request) {
+	if len(r.q) == cap(r.q) && r.head > 0 {
+		n := copy(r.q, r.q[r.head:])
+		clear(r.q[n:])
+		r.q, r.head = r.q[:n], 0
+	}
+	r.q = append(r.q, req)
+}
+
+func (r *reqQueue) pop() {
+	r.q[r.head] = nil
+	r.head++
+	if r.head == len(r.q) {
+		r.q, r.head = r.q[:0], 0
 	}
 }

@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"fmt"
-
 	"strings"
 
 	"dstore/internal/dram"
@@ -21,15 +20,18 @@ import (
 type MemCtrl struct {
 	engine *sim.Engine
 	name   string
+	port   interconnect.Port
 	xbar   interconnect.Network
 	dram   *dram.DRAM
 
-	peers map[string]*Ctrl
-	// probeTargets returns the peer names that must be probed for a
-	// line, excluding the requester. The paper's topology has two
+	// peers maps a network port to the controller behind it (nil for
+	// ports that are not cache controllers, such as this one's own).
+	peers []*Ctrl
+	// probeTargets returns the ports of the peers that must be probed
+	// for a line, excluding the requester. The paper's topology has two
 	// coherent agents per line: the CPU cache complex and the GPU L2
-	// slice owning the address.
-	probeTargets func(addr memsys.Addr, requester string) []string
+	// slice owning the address. The returned slice is only read.
+	probeTargets func(addr memsys.Addr, requester interconnect.Port) []interconnect.Port
 
 	// proto is the registered protocol flavour whose invariant set
 	// CheckInvariants evaluates (see registry.go); nil defaults to heap.
@@ -89,15 +91,15 @@ type txn struct {
 }
 
 // NewMemCtrl builds the controller. probeTargets defines the broadcast
-// set per line.
+// set per line, as ports of xbar.
 func NewMemCtrl(engine *sim.Engine, name string, xbar interconnect.Network, d *dram.DRAM,
-	probeTargets func(addr memsys.Addr, requester string) []string) *MemCtrl {
+	probeTargets func(addr memsys.Addr, requester interconnect.Port) []interconnect.Port) *MemCtrl {
 	m := &MemCtrl{
 		engine:       engine,
 		name:         name,
+		port:         xbar.Port(name),
 		xbar:         xbar,
 		dram:         d,
-		peers:        make(map[string]*Ctrl),
 		probeTargets: probeTargets,
 		queued:       make(map[memsys.Addr][]ReqMsg),
 		counters:     stats.NewSet(),
@@ -122,7 +124,15 @@ func (m *MemCtrl) Counters() *stats.Set { return m.counters }
 
 // AddPeer registers a cache controller so probes and data can be
 // delivered to it.
-func (m *MemCtrl) AddPeer(c *Ctrl) { m.peers[c.name] = c }
+func (m *MemCtrl) AddPeer(c *Ctrl) {
+	for int(c.port) >= len(m.peers) {
+		m.peers = append(m.peers, nil)
+	}
+	m.peers[c.port] = c
+}
+
+// peerName names the controller at port p, for diagnostics.
+func (m *MemCtrl) peerName(p interconnect.Port) string { return m.xbar.PortName(p) }
 
 // AttachRegionDirectory enables HSC-style probe filtering.
 func (m *MemCtrl) AttachRegionDirectory(r *RegionDirectory) { m.regions = r }
@@ -186,10 +196,10 @@ func (m *MemCtrl) start(req ReqMsg) {
 	m.busyCount++
 	m.armWatchdog()
 
-	var targets []string
+	var targets []interconnect.Port
 	if req.Type != WB {
 		targets = m.probeTargets(line, req.From)
-		if m.regions != nil && len(targets) > 0 && m.regions.Filter(line, req.From, req.Type) {
+		if m.regions != nil && len(targets) > 0 && m.regions.Filter(line, m.peerName(req.From), req.Type) {
 			targets = nil
 		}
 	}
@@ -198,7 +208,7 @@ func (m *MemCtrl) start(req ReqMsg) {
 
 // apply carries out the effects a TxnCore event returned, in the core's
 // order. targets are the probe targets (transaction start only).
-func (m *MemCtrl) apply(t *txn, eff TxnEffect, targets []string) {
+func (m *MemCtrl) apply(t *txn, eff TxnEffect, targets []interconnect.Port) {
 	line := t.req.Addr
 	if eff&TxDramWrite != 0 {
 		m.wbs.Inc()
@@ -216,12 +226,12 @@ func (m *MemCtrl) apply(t *txn, eff TxnEffect, targets []string) {
 		for _, tgt := range targets {
 			m.probes.Inc()
 			if m.obs != nil {
-				m.obs.Msg(m.engine.Now(), m.obsID, obs.MsgProbe, line, m.obs.Component(tgt))
+				m.obs.Msg(m.engine.Now(), m.obsID, obs.MsgProbe, line, m.obs.Component(m.peerName(tgt)))
 			}
 			pk := m.pkt(pkRecvProbe)
 			pk.c = m.peers[tgt]
 			pk.probe = ProbeMsg{Kind: kind, Addr: line, Requester: t.req.From}
-			m.xbar.SendArg(m.name, tgt, interconnect.CtrlMsgBytes, runPkt, pk)
+			m.xbar.SendArg(m.port, tgt, interconnect.CtrlMsgBytes, runPkt, pk)
 		}
 	}
 	if eff&TxOwnerData != 0 {
@@ -242,7 +252,7 @@ func (m *MemCtrl) apply(t *txn, eff TxnEffect, targets []string) {
 	if eff&TxWBDone != 0 {
 		pk := m.pkt(pkWBCommit)
 		pk.rmsg = t.req
-		m.xbar.SendArg(m.name, t.req.From, interconnect.CtrlMsgBytes, runPkt, pk)
+		m.xbar.SendArg(m.port, t.req.From, interconnect.CtrlMsgBytes, runPkt, pk)
 	}
 	if eff&TxFinish != 0 {
 		m.finish(line)
@@ -274,11 +284,11 @@ func (m *MemCtrl) sendData(t *txn, class obs.MsgClass, size int) {
 	d := DataMsg{Addr: t.req.Addr, Ver: *m.dramVer.at(t.req.Addr), Grant: t.MemGrant()}
 	requester := t.req.From
 	if m.obs != nil {
-		m.obs.Msg(m.engine.Now(), m.obsID, class, d.Addr, m.obs.Component(requester))
+		m.obs.Msg(m.engine.Now(), m.obsID, class, d.Addr, m.obs.Component(m.peerName(requester)))
 	}
 	pk := m.pkt(pkRecvData)
 	pk.c, pk.data = m.peers[requester], d
-	m.xbar.SendArg(m.name, requester, size, runPkt, pk)
+	m.xbar.SendArg(m.port, requester, size, runPkt, pk)
 }
 
 // ReceiveUnblock records the requester's completion notice.
@@ -358,7 +368,7 @@ func (m *MemCtrl) watchdogScan() {
 			m.wdTripped = true
 			err := fmt.Errorf(
 				"coherence: transaction for line %#x (%s from %s) stuck for %d ticks (limit %d)\n%s",
-				uint64(line), t.req.Type, t.req.From, age, m.wdLimit, m.TransactionDump())
+				uint64(line), t.req.Type, m.peerName(t.req.From), age, m.wdLimit, m.TransactionDump())
 			if m.wdOnStuck == nil {
 				panic(err)
 			}
@@ -393,7 +403,7 @@ func (m *MemCtrl) TransactionDump() string {
 		t := *m.busy.at(line)
 		fmt.Fprintf(&b,
 			"  line %#x: %s from %s, age %d, acks %d/%d, probesClean=%v dramDone=%v dataSent=%v, %d queued\n",
-			uint64(line), t.req.Type, t.req.From, now-t.started, t.AcksRecv, t.AcksWanted,
+			uint64(line), t.req.Type, m.peerName(t.req.From), now-t.started, t.AcksRecv, t.AcksWanted,
 			t.Flags&TxnProbesClean != 0, t.Flags&TxnDramDone != 0, t.Flags&TxnDataSent != 0, len(m.queued[line]))
 	}
 	return b.String()

@@ -147,3 +147,38 @@ func TestProbeDuringWritebackStorm(t *testing.T) {
 		return out
 	}())
 }
+
+// TestStallDrainSteadyStateAllocs pins the stall queue's reuse of its
+// backing array: once warm, a cycle of misses that overflow a 1-entry
+// MSHR file, stall and drain allocates nothing. The cache holds 4
+// lines and each cycle loads 16, so every load misses and all but one
+// per fill stall.
+func TestStallDrainSteadyStateAllocs(t *testing.T) {
+	r := newRig(t, 1, 512, 2)
+	const n = 16
+	done := 0
+	reqs := make([]memsys.Request, n)
+	for i := range reqs {
+		reqs[i].Done = func(sim.Tick) { done++ }
+	}
+	cycle := func() {
+		for i := range reqs {
+			reqs[i].Type, reqs[i].Addr = memsys.Load, line0+memsys.Addr(i)*memsys.LineSize
+			r.gpu.Access(&reqs[i])
+		}
+		r.e.Run()
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	stalls := r.gpu.Counters().Get("mshr_stalls")
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("stall/drain cycle allocates %.1f times, want 0", allocs)
+	}
+	if r.gpu.Counters().Get("mshr_stalls") == stalls {
+		t.Error("no MSHR stalls in the measured cycles")
+	}
+	if want := n * (4 + 21); done != want {
+		t.Errorf("%d accesses completed, want %d", done, want)
+	}
+}

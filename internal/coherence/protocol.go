@@ -30,6 +30,7 @@ package coherence
 import (
 	"fmt"
 
+	"dstore/internal/interconnect"
 	"dstore/internal/memsys"
 )
 
@@ -111,7 +112,8 @@ func (t ReqType) String() string {
 type ReqMsg struct {
 	Type ReqType
 	Addr memsys.Addr
-	From string
+	// From is the requester's network port.
+	From interconnect.Port
 	// Ver carries the data version for WB.
 	Ver uint64
 }
@@ -149,14 +151,15 @@ func (k ProbeKind) String() string {
 type ProbeMsg struct {
 	Kind ProbeKind
 	Addr memsys.Addr
-	// Requester is the original requester's name (for tracing).
-	Requester string
+	// Requester is the original requester's network port: an owner
+	// sends its data straight there.
+	Requester interconnect.Port
 }
 
 // AckMsg travels peer cache → memory controller in answer to a probe.
 type AckMsg struct {
 	Addr memsys.Addr
-	From string
+	From interconnect.Port
 	// HadData reports the peer was owner and its copy (with Ver) is the
 	// authoritative data.
 	HadData bool
@@ -189,7 +192,7 @@ type DataMsg struct {
 type PutxMsg struct {
 	Addr memsys.Addr
 	Ver  uint64
-	From string
+	From interconnect.Port
 	// Seq is non-zero only under the resilient push protocol (chaos
 	// runs): it identifies the push for acknowledgement, retry and
 	// receiver-side duplicate suppression. Zero means fire-and-forget

@@ -18,7 +18,7 @@ import (
 func (c *Ctrl) SnapshotTo(w *snap.Writer) {
 	w.Tag("ctrl")
 	w.String(c.name)
-	quiet := c.mshr.Len() == 0 && len(c.stalled) == 0 && len(c.remotePending) == 0 &&
+	quiet := c.mshr.Len() == 0 && c.stalled.len() == 0 && len(c.remotePending) == 0 &&
 		c.hooks == nil && c.pushSeq == 0
 	w.Bool(quiet)
 	w.I64(int64(c.portFree))
@@ -65,7 +65,7 @@ func (c *Ctrl) RestoreFrom(r *snap.Reader) {
 	if r.Err() != nil {
 		return
 	}
-	if c.mshr.Len() != 0 || len(c.stalled) != 0 || len(c.remotePending) != 0 {
+	if c.mshr.Len() != 0 || c.stalled.len() != 0 || len(c.remotePending) != 0 {
 		r.Failf("coherence %s: restore into a controller with transactions in flight", c.name)
 		return
 	}

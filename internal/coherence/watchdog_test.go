@@ -12,7 +12,7 @@ import (
 // dropped ack — and arms the scan loop.
 func wedge(r *rig, line memsys.Addr, ty ReqType, from string) {
 	*r.mem.busy.at(line) = &txn{
-		req:     ReqMsg{Type: ty, Addr: line, From: from},
+		req:     ReqMsg{Type: ty, Addr: line, From: r.xbar.Port(from)},
 		started: r.e.Now(),
 		TxnCore: TxnCore{Typ: ty, AcksWanted: 1},
 	}

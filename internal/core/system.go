@@ -313,21 +313,30 @@ func NewSystem(cfg Config) *System {
 		s.Net = cfg.Chaos.WrapNet(engine, s.Net)
 	}
 	standalone := cfg.Mode == ModeStandalone
+	// The coherent agents for a line are the CPU and the slice owning
+	// it; probeSets[i] lists both, CPU first, for slice i. A request
+	// probes the set minus its requester, a subslice of the same array.
+	cpuPort := s.Net.Port("cpu")
+	probeSets := make([][2]interconnect.Port, cfg.GPUL2Slices)
+	for i := range probeSets {
+		probeSets[i] = [2]interconnect.Port{cpuPort, s.Net.Port(sliceName(i))}
+	}
 	s.Mem = coherence.NewMemCtrl(engine, "mem", s.Net, s.DRAM,
-		func(a memsys.Addr, requester string) []string {
+		func(a memsys.Addr, requester interconnect.Port) []interconnect.Port {
 			if standalone {
 				// §III-H: no CPU↔GPU cross-probes; each request goes
 				// straight to memory. Sound because shared data lives
 				// only in the GPU L2.
 				return nil
 			}
-			var out []string
-			for _, n := range []string{"cpu", sliceName(memsys.SliceFor(a, cfg.GPUL2Slices))} {
-				if n != requester {
-					out = append(out, n)
-				}
+			set := probeSets[memsys.SliceFor(a, cfg.GPUL2Slices)][:]
+			switch requester {
+			case set[0]:
+				return set[1:]
+			case set[1]:
+				return set[:1]
 			}
-			return out
+			return set
 		})
 	s.Mem.SetProtocol(coherence.ProtocolFor(
 		cfg.Mode.DirectStoreEnabled(),

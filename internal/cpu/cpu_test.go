@@ -39,11 +39,12 @@ func newRig(t *testing.T, ds bool) *rig {
 	e := sim.NewEngine()
 	xbar := interconnect.NewCrossbar(e, "xbar", 16, 32)
 	d := dram.New(e, dram.DefaultConfig())
-	mem := coherence.NewMemCtrl(e, "mem", xbar, d, func(_ memsys.Addr, req string) []string {
-		var out []string
-		for _, n := range []string{"cpu", "gpu0"} {
-			if n != req {
-				out = append(out, n)
+	agents := []interconnect.Port{xbar.Port("cpu"), xbar.Port("gpu0")}
+	mem := coherence.NewMemCtrl(e, "mem", xbar, d, func(_ memsys.Addr, req interconnect.Port) []interconnect.Port {
+		var out []interconnect.Port
+		for _, p := range agents {
+			if p != req {
+				out = append(out, p)
 			}
 		}
 		return out

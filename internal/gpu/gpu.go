@@ -36,7 +36,9 @@ const (
 	// OpCompute spends Gap ticks of arithmetic.
 	OpCompute OpKind = iota
 	// OpShared is a scratchpad access: fixed low latency, no cache or
-	// coherence traffic.
+	// coherence traffic. Lines: n runs n back-to-back accesses, each
+	// taking its own issue slot and SharedLat, exactly as n separate
+	// OpShared ops would; Lines <= 1 is one access.
 	OpShared
 	// OpGlobalLoad reads Lines consecutive cache lines starting at
 	// Addr; the warp blocks until all lines arrive. Lines==1 is a fully
@@ -58,7 +60,7 @@ const (
 type WarpOp struct {
 	Kind  OpKind
 	Addr  memsys.Addr // virtual; first line of the access
-	Lines int         // lines touched by global ops (min 1)
+	Lines int         // lines touched by global ops, repeats of OpShared (min 1)
 	Gap   sim.Tick    // compute duration for OpCompute
 }
 
@@ -158,6 +160,8 @@ type warpCtx struct {
 	ops          []WarpOp
 	pc           int
 	pendingLines int
+	// rep counts the accesses of the current OpShared already issued.
+	rep int
 }
 
 // loadReq carries one line of a global load from TLB translation to the
@@ -189,6 +193,7 @@ type storeReq struct {
 // Static event trampolines: scheduling these with a pooled or pinned
 // argument allocates nothing (pointer-shaped args box for free).
 func stepWarp(arg any, _ sim.Tick)     { arg.(*warpCtx).step() }
+func issueWarp(arg any, _ sim.Tick)    { arg.(*warpCtx).issue() }
 func execWarp(arg any, _ sim.Tick)     { w := arg.(*warpCtx); w.exec(&w.ops[w.pc-1]) }
 func lineDoneWarp(arg any, _ sim.Tick) { arg.(*warpCtx).lineDone() }
 func loadLookup(arg any, _ sim.Tick)   { lr := arg.(*loadReq); lr.s.lookupLoad(lr, false) }
@@ -296,7 +301,7 @@ func (g *GPU) Launch(k Kernel, done func()) {
 		}
 		return
 	}
-	if kernelUsesBarriers(k) && len(k.Warps) > g.cfg.SMs*g.cfg.MaxWarpsPerSM {
+	if len(k.Warps) > g.cfg.SMs*g.cfg.MaxWarpsPerSM && kernelUsesBarriers(k) {
 		panic(fmt.Sprintf("gpu %s: kernel %q uses barriers with %d warps, above the resident capacity %d",
 			g.cfg.Name, k.Name, len(k.Warps), g.cfg.SMs*g.cfg.MaxWarpsPerSM))
 	}
@@ -352,6 +357,11 @@ func (w *warpCtx) step() {
 		return
 	}
 	w.pc++
+	w.issue()
+}
+
+// issue books the SM's next issue slot for the operation at pc-1.
+func (w *warpCtx) issue() {
 	s := w.s
 	now := s.g.engine.Now()
 	slot := now
@@ -369,6 +379,11 @@ func (w *warpCtx) exec(op *WarpOp) {
 		g.engine.ScheduleArg(op.Gap, stepWarp, w)
 	case OpShared:
 		g.sharedOps.Inc()
+		if w.rep++; w.rep < op.Lines {
+			g.engine.ScheduleArg(g.cfg.SharedLat, issueWarp, w)
+			return
+		}
+		w.rep = 0
 		g.engine.ScheduleArg(g.cfg.SharedLat, stepWarp, w)
 	case OpGlobalLoad:
 		lines := op.Lines

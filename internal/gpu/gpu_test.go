@@ -32,11 +32,11 @@ func newRig(t *testing.T, sms, warpsPerSM, mshrs int) *rig {
 	d := dram.New(e, dram.DefaultConfig())
 	const nSlices = 2
 	sliceName := func(i int) string { return []string{"gpu0", "gpu1"}[i] }
-	mem := coherence.NewMemCtrl(e, "mem", xbar, d, func(a memsys.Addr, req string) []string {
-		var out []string
+	mem := coherence.NewMemCtrl(e, "mem", xbar, d, func(a memsys.Addr, req interconnect.Port) []interconnect.Port {
+		var out []interconnect.Port
 		for _, n := range []string{"cpu", sliceName(memsys.SliceFor(a, nSlices))} {
-			if n != req {
-				out = append(out, n)
+			if p := xbar.Port(n); p != req {
+				out = append(out, p)
 			}
 		}
 		return out
@@ -202,6 +202,41 @@ func TestSharedOpsBypassHierarchy(t *testing.T) {
 	}
 	if r.sliceAccesses() != 0 {
 		t.Error("shared ops generated L2 traffic")
+	}
+}
+
+// TestRepeatedSharedOpMatchesSeparateOps checks that OpShared with
+// Lines: n runs exactly like n separate OpShared ops: same finish tick,
+// same event count, same shared-op counter, with warps contending for
+// the SM's issue slots around loads and compute.
+func TestRepeatedSharedOpMatchesSeparateOps(t *testing.T) {
+	run := func(repeat bool) (sim.Tick, uint64, uint64) {
+		r := newRig(t, 2, 3, 2)
+		var warps []Warp
+		for w := 0; w < 6; w++ {
+			var ops []WarpOp
+			for i := 0; i < 5; i++ {
+				n := 1 + (w+i)%4
+				ops = append(ops, WarpOp{Kind: OpGlobalLoad, Addr: memsys.Addr(0x40000 + (w*5+i)*memsys.LineSize), Lines: 1})
+				if repeat {
+					ops = append(ops, WarpOp{Kind: OpShared, Lines: n})
+				} else {
+					for j := 0; j < n; j++ {
+						ops = append(ops, WarpOp{Kind: OpShared})
+					}
+				}
+				ops = append(ops, WarpOp{Kind: OpCompute, Gap: sim.Tick(3 * w)})
+			}
+			warps = append(warps, Warp{Ops: ops})
+		}
+		at := r.launch(t, Kernel{Name: "k", Warps: warps})
+		return at, r.e.Executed(), r.g.Counters().Get("shared_ops")
+	}
+	at1, ev1, sh1 := run(false)
+	at2, ev2, sh2 := run(true)
+	if at1 != at2 || ev1 != ev2 || sh1 != sh2 {
+		t.Errorf("repeated op: tick %d, %d events, %d shared ops; separate ops: tick %d, %d events, %d shared ops",
+			at2, ev2, sh2, at1, ev1, sh1)
 	}
 }
 

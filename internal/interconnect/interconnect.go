@@ -123,6 +123,11 @@ func (l *Link) SendArg(size int, fn func(arg any, now sim.Tick), arg any) sim.Ti
 	return arrival
 }
 
+// Port is a network endpoint, resolved once from its name by
+// Network.Port. Sends address endpoints by port, so the per-message
+// path indexes slices instead of hashing names.
+type Port int32
+
 // Crossbar connects named ports with per-input and per-output
 // arbitration: a message occupies its source's injection port and its
 // destination's ejection port for its serialisation time.
@@ -131,12 +136,21 @@ type Crossbar struct {
 	engine       *sim.Engine
 	latency      sim.Tick
 	bytesPerTick int
-	inFree       map[string]sim.Tick
-	outFree      map[string]sim.Tick
+	ports        []xbarPort
+	byName       map[string]Port
 
 	counters *stats.Set
 	messages *stats.Counter
 	bytes    *stats.Counter
+}
+
+// xbarPort is one crossbar endpoint's arbitration state. inUsed and
+// outUsed mark a port that has injected or ejected a message: only those
+// directions appear in snapshots, whose format lists them by name.
+type xbarPort struct {
+	name            string
+	inFree, outFree sim.Tick
+	inUsed, outUsed bool
 }
 
 // NewCrossbar builds a crossbar with the given hop latency and per-port
@@ -147,8 +161,7 @@ func NewCrossbar(engine *sim.Engine, name string, latency sim.Tick, bytesPerTick
 		engine:       engine,
 		latency:      latency,
 		bytesPerTick: bytesPerTick,
-		inFree:       make(map[string]sim.Tick),
-		outFree:      make(map[string]sim.Tick),
+		byName:       make(map[string]Port),
 		counters:     stats.NewSet(),
 	}
 	x.messages = x.counters.Counter("messages")
@@ -162,23 +175,37 @@ func (x *Crossbar) Name() string { return x.name }
 // Counters exposes messages/bytes counters.
 func (x *Crossbar) Counters() *stats.Set { return x.counters }
 
+// Port resolves a named endpoint, registering it on first use.
+func (x *Crossbar) Port(name string) Port {
+	if p, ok := x.byName[name]; ok {
+		return p
+	}
+	p := Port(len(x.ports))
+	x.ports = append(x.ports, xbarPort{name: name})
+	x.byName[name] = p
+	return p
+}
+
+// PortName returns the name port p was registered under.
+func (x *Crossbar) PortName(p Port) string { return x.ports[p].name }
+
 // reserve arbitrates the injection and ejection ports for a message and
 // returns its arrival tick.
-func (x *Crossbar) reserve(src, dst string, size int) sim.Tick {
+func (x *Crossbar) reserve(src, dst Port, size int) sim.Tick {
 	if size <= 0 {
 		panic(fmt.Sprintf("interconnect %s: non-positive message size %d", x.name, size))
 	}
+	in, out := &x.ports[src], &x.ports[dst]
 	start := x.engine.Now()
-	if t := x.inFree[src]; t > start {
-		start = t
+	if in.inFree > start {
+		start = in.inFree
 	}
-	if t := x.outFree[dst]; t > start {
-		start = t
+	if out.outFree > start {
+		start = out.outFree
 	}
-	occ := serialisation(size, x.bytesPerTick)
-	busyUntil := start + occ
-	x.inFree[src] = busyUntil
-	x.outFree[dst] = busyUntil
+	busyUntil := start + serialisation(size, x.bytesPerTick)
+	in.inFree, in.inUsed = busyUntil, true
+	out.outFree, out.outUsed = busyUntil, true
 	x.messages.Inc()
 	x.bytes.Add(uint64(size))
 	return busyUntil + x.latency
@@ -186,7 +213,7 @@ func (x *Crossbar) reserve(src, dst string, size int) sim.Tick {
 
 // Send transmits size bytes from port src to port dst, invoking deliver
 // at arrival, and returns the arrival tick.
-func (x *Crossbar) Send(src, dst string, size int, deliver func(now sim.Tick)) sim.Tick {
+func (x *Crossbar) Send(src, dst Port, size int, deliver func(now sim.Tick)) sim.Tick {
 	arrival := x.reserve(src, dst, size)
 	if deliver != nil {
 		x.engine.ScheduleTickAt(arrival, deliver)
@@ -196,7 +223,7 @@ func (x *Crossbar) Send(src, dst string, size int, deliver func(now sim.Tick)) s
 
 // SendArg transmits size bytes from src to dst and fires fn(arg,
 // arrival) at arrival without allocating a delivery closure.
-func (x *Crossbar) SendArg(src, dst string, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
+func (x *Crossbar) SendArg(src, dst Port, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
 	arrival := x.reserve(src, dst, size)
 	if fn != nil {
 		x.engine.ScheduleArgAt(arrival, fn, arg)

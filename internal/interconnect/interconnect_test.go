@@ -68,7 +68,7 @@ func TestCrossbarLatency(t *testing.T) {
 	e := sim.NewEngine()
 	x := NewCrossbar(e, "x", 12, 0)
 	var at sim.Tick
-	x.Send("a", "b", CtrlMsgBytes, func(now sim.Tick) { at = now })
+	x.Send(x.Port("a"), x.Port("b"), CtrlMsgBytes, func(now sim.Tick) { at = now })
 	e.Run()
 	if at != 12 {
 		t.Errorf("arrival %d, want 12", at)
@@ -78,8 +78,8 @@ func TestCrossbarLatency(t *testing.T) {
 func TestCrossbarDistinctPortsOverlap(t *testing.T) {
 	e := sim.NewEngine()
 	x := NewCrossbar(e, "x", 4, 8) // ctrl → 1 tick occupancy
-	a1 := x.Send("a", "b", CtrlMsgBytes, nil)
-	a2 := x.Send("c", "d", CtrlMsgBytes, nil)
+	a1 := x.Send(x.Port("a"), x.Port("b"), CtrlMsgBytes, nil)
+	a2 := x.Send(x.Port("c"), x.Port("d"), CtrlMsgBytes, nil)
 	if a1 != a2 {
 		t.Errorf("independent port pairs should overlap: %d vs %d", a1, a2)
 	}
@@ -88,8 +88,8 @@ func TestCrossbarDistinctPortsOverlap(t *testing.T) {
 func TestCrossbarSharedOutputSerialises(t *testing.T) {
 	e := sim.NewEngine()
 	x := NewCrossbar(e, "x", 4, 8)
-	a1 := x.Send("a", "mem", CtrlMsgBytes, nil)
-	a2 := x.Send("b", "mem", CtrlMsgBytes, nil)
+	a1 := x.Send(x.Port("a"), x.Port("mem"), CtrlMsgBytes, nil)
+	a2 := x.Send(x.Port("b"), x.Port("mem"), CtrlMsgBytes, nil)
 	if a2 <= a1 {
 		t.Errorf("same destination should serialise: %d then %d", a1, a2)
 	}
@@ -98,8 +98,8 @@ func TestCrossbarSharedOutputSerialises(t *testing.T) {
 func TestCrossbarSharedInputSerialises(t *testing.T) {
 	e := sim.NewEngine()
 	x := NewCrossbar(e, "x", 4, 8)
-	a1 := x.Send("cpu", "a", CtrlMsgBytes, nil)
-	a2 := x.Send("cpu", "b", CtrlMsgBytes, nil)
+	a1 := x.Send(x.Port("cpu"), x.Port("a"), CtrlMsgBytes, nil)
+	a2 := x.Send(x.Port("cpu"), x.Port("b"), CtrlMsgBytes, nil)
 	if a2 <= a1 {
 		t.Errorf("same source should serialise: %d then %d", a1, a2)
 	}
@@ -108,8 +108,8 @@ func TestCrossbarSharedInputSerialises(t *testing.T) {
 func TestCrossbarTrafficTotals(t *testing.T) {
 	e := sim.NewEngine()
 	x := NewCrossbar(e, "x", 1, 0)
-	x.Send("a", "b", DataMsgBytes, nil)
-	x.Send("a", "b", CtrlMsgBytes, nil)
+	x.Send(x.Port("a"), x.Port("b"), DataMsgBytes, nil)
+	x.Send(x.Port("a"), x.Port("b"), CtrlMsgBytes, nil)
 	if x.TotalMessages() != 2 || x.TotalBytes() != DataMsgBytes+CtrlMsgBytes {
 		t.Errorf("totals msgs=%d bytes=%d", x.TotalMessages(), x.TotalBytes())
 	}
@@ -165,7 +165,7 @@ func TestPropertyCrossbarConservation(t *testing.T) {
 			size := int(s)%300 + 1
 			src := string(rune('a' + i%3))
 			dst := string(rune('x' + i%2))
-			x.Send(src, dst, size, nil)
+			x.Send(x.Port(src), x.Port(dst), size, nil)
 			wantBytes += uint64(size)
 		}
 		return x.TotalMessages() == uint64(len(sizes)) && x.TotalBytes() == wantBytes

@@ -11,13 +11,18 @@ import (
 // both the crossbar and the ring satisfy it.
 type Network interface {
 	Name() string
+	// Port resolves a named endpoint to the port sends address it by.
+	// Callers resolve each endpoint once, at construction.
+	Port(name string) Port
+	// PortName returns the name a port was resolved from.
+	PortName(p Port) string
 	// Send transmits size bytes from src to dst, invoking deliver at
 	// arrival, and returns the arrival tick.
-	Send(src, dst string, size int, deliver func(now sim.Tick)) sim.Tick
+	Send(src, dst Port, size int, deliver func(now sim.Tick)) sim.Tick
 	// SendArg is the allocation-free variant: fn(arg, arrival) fires at
 	// arrival, letting hot senders pass a static function plus a pooled
 	// argument instead of a fresh closure per message.
-	SendArg(src, dst string, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick
+	SendArg(src, dst Port, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick
 	Counters() *stats.Set
 	TotalBytes() uint64
 	TotalMessages() uint64
@@ -90,6 +95,19 @@ func (r *Ring) TotalBytes() uint64 { return r.bytes.Value() }
 // TotalMessages returns all messages ever sent.
 func (r *Ring) TotalMessages() uint64 { return r.messages.Value() }
 
+// Port resolves a ring node to its port, its position in the ring
+// order. Naming a node the ring was not built with panics.
+func (r *Ring) Port(name string) Port {
+	i, ok := r.index[name]
+	if !ok {
+		panic(fmt.Sprintf("interconnect %s: unknown node %q", r.name, name))
+	}
+	return Port(i)
+}
+
+// PortName returns the node at port p.
+func (r *Ring) PortName(p Port) string { return r.nodes[p] }
+
 // Nodes returns the ring order (copy).
 func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 
@@ -106,7 +124,7 @@ func (r *Ring) HopsBetween(src, dst string) int {
 }
 
 // Send routes size bytes from src to dst the shorter way around.
-func (r *Ring) Send(src, dst string, size int, deliver func(now sim.Tick)) sim.Tick {
+func (r *Ring) Send(src, dst Port, size int, deliver func(now sim.Tick)) sim.Tick {
 	t := r.reserve(src, dst, size)
 	if deliver != nil {
 		r.engine.ScheduleTickAt(t, deliver)
@@ -116,7 +134,7 @@ func (r *Ring) Send(src, dst string, size int, deliver func(now sim.Tick)) sim.T
 
 // SendArg routes size bytes from src to dst and fires fn(arg, arrival)
 // at arrival without allocating a delivery closure.
-func (r *Ring) SendArg(src, dst string, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
+func (r *Ring) SendArg(src, dst Port, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
 	t := r.reserve(src, dst, size)
 	if fn != nil {
 		r.engine.ScheduleArgAt(t, fn, arg)
@@ -126,16 +144,11 @@ func (r *Ring) SendArg(src, dst string, size int, fn func(arg any, now sim.Tick)
 
 // reserve walks the path's directed links, booking each for the
 // message's serialisation time, and returns the arrival tick.
-func (r *Ring) reserve(src, dst string, size int) sim.Tick {
+func (r *Ring) reserve(src, dst Port, size int) sim.Tick {
 	if size <= 0 {
 		panic(fmt.Sprintf("interconnect %s: non-positive message size %d", r.name, size))
 	}
-	i, okSrc := r.index[src]
-	j, okDst := r.index[dst]
-	if !okSrc || !okDst {
-		panic(fmt.Sprintf("interconnect %s: unknown node in %s->%s", r.name, src, dst))
-	}
-	n := len(r.nodes)
+	i, j, n := int(src), int(dst), len(r.nodes)
 	cw := (j - i + n) % n
 	ccw := (i - j + n) % n
 	clockwise := cw <= ccw

@@ -28,31 +28,52 @@ func (l *Link) RestoreFrom(r *snap.Reader) {
 	l.counters.RestoreFrom(r)
 }
 
-// snapshotPortMap serialises a port→free-time map with sorted keys so
-// the stream is deterministic.
-func snapshotPortMap(w *snap.Writer, m map[string]sim.Tick) {
-	keys := make([]string, 0, len(m))
-	for k := range m { //dstore:allow-maprange keys sorted below
-		keys = append(keys, k)
+// snapshotPorts serialises one direction's port free times in the
+// sorted-name format: the count of ports used in that direction, then
+// (name, free tick) pairs in name order.
+func (x *Crossbar) snapshotPorts(w *snap.Writer, out bool) {
+	ps := make([]*xbarPort, 0, len(x.ports))
+	for i := range x.ports {
+		if p := &x.ports[i]; (out && p.outUsed) || (!out && p.inUsed) {
+			ps = append(ps, p)
+		}
 	}
-	sort.Strings(keys)
-	w.U32(uint32(len(keys)))
-	for _, k := range keys {
-		w.String(k)
-		w.I64(int64(m[k]))
+	sort.Slice(ps, func(i, j int) bool { return ps[i].name < ps[j].name })
+	w.U32(uint32(len(ps)))
+	for _, p := range ps {
+		w.String(p.name)
+		if out {
+			w.I64(int64(p.outFree))
+		} else {
+			w.I64(int64(p.inFree))
+		}
 	}
 }
 
-func restorePortMap(r *snap.Reader, m map[string]sim.Tick) {
-	for k := range m { //dstore:allow-maprange keys sorted below
-		delete(m, k)
+// restorePorts reads one direction written by snapshotPorts, first
+// clearing that direction on every port. A name the crossbar has not
+// seen registers a new port.
+func (x *Crossbar) restorePorts(r *snap.Reader, out bool) {
+	for i := range x.ports {
+		p := &x.ports[i]
+		if out {
+			p.outFree, p.outUsed = 0, false
+		} else {
+			p.inFree, p.inUsed = 0, false
+		}
 	}
 	n := r.U32()
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		k := r.String()
+		name := r.String()
 		t := sim.Tick(r.I64())
-		if r.Err() == nil {
-			m[k] = t
+		if r.Err() != nil {
+			return
+		}
+		p := &x.ports[x.Port(name)]
+		if out {
+			p.outFree, p.outUsed = t, true
+		} else {
+			p.inFree, p.inUsed = t, true
 		}
 	}
 }
@@ -61,8 +82,8 @@ func restorePortMap(r *snap.Reader, m map[string]sim.Tick) {
 func (x *Crossbar) SnapshotTo(w *snap.Writer) {
 	w.Tag("xbar")
 	w.String(x.name)
-	snapshotPortMap(w, x.inFree)
-	snapshotPortMap(w, x.outFree)
+	x.snapshotPorts(w, false)
+	x.snapshotPorts(w, true)
 	x.counters.SnapshotTo(w)
 }
 
@@ -75,8 +96,8 @@ func (x *Crossbar) RestoreFrom(r *snap.Reader) {
 	if r.Err() != nil {
 		return
 	}
-	restorePortMap(r, x.inFree)
-	restorePortMap(r, x.outFree)
+	x.restorePorts(r, false)
+	x.restorePorts(r, true)
 	x.counters.RestoreFrom(r)
 }
 

@@ -89,6 +89,9 @@ type tlbEntry struct {
 	vpn  uint64
 	pfn  uint64
 	used uint64
+	// prev and next link the entry into the TLB's recency list (more
+	// recently used toward head); -1 ends the list.
+	prev, next int32
 }
 
 // TLB is a fully associative translation cache with true-LRU
@@ -99,10 +102,15 @@ type TLB struct {
 	entries []tlbEntry
 	// index maps vpn → slot in entries, mirroring the linear contents:
 	// a 256-entry fully associative file is too big to scan per
-	// translation. Replacement decisions still use the used stamps, so
-	// hit/miss/eviction behaviour is unchanged.
+	// translation.
 	index map[uint64]int32
-	clock uint64
+	// head and tail are the most and least recently used entries of the
+	// intrusive recency list threaded through entries, so the LRU
+	// victim is tail in O(1). The used stamps stay (they are unique per
+	// translation) and are what snapshots carry; the list is rebuilt
+	// from them on restore.
+	head, tail int32
+	clock      uint64
 
 	counters *stats.Set
 	hits     *stats.Counter
@@ -118,7 +126,7 @@ func NewTLB(pt *PageTable, cfg Config) *TLB {
 	if cfg.DirectLimit < cfg.DirectBase {
 		panic(fmt.Sprintf("mmu %s: inverted direct-store range", cfg.Name))
 	}
-	t := &TLB{cfg: cfg, pt: pt, index: make(map[uint64]int32, cfg.Entries), counters: stats.NewSet()}
+	t := &TLB{cfg: cfg, pt: pt, index: make(map[uint64]int32, cfg.Entries), head: -1, tail: -1, counters: stats.NewSet()}
 	t.hits = t.counters.Counter("hits")
 	t.misses = t.counters.Counter("misses")
 	t.directs = t.counters.Counter("direct_detected")
@@ -135,11 +143,31 @@ func (t *TLB) IsDirect(va memsys.Addr) bool {
 	return va >= t.cfg.DirectBase && va < t.cfg.DirectLimit
 }
 
-func (t *TLB) find(vpn uint64) int {
-	if i, ok := t.index[vpn]; ok {
-		return int(i)
+// unlink removes entry i from the recency list.
+func (t *TLB) unlink(i int32) {
+	e := &t.entries[i]
+	if e.prev >= 0 {
+		t.entries[e.prev].next = e.next
+	} else {
+		t.head = e.next
 	}
-	return -1
+	if e.next >= 0 {
+		t.entries[e.next].prev = e.prev
+	} else {
+		t.tail = e.prev
+	}
+}
+
+// pushFront makes entry i the most recently used.
+func (t *TLB) pushFront(i int32) {
+	e := &t.entries[i]
+	e.prev, e.next = -1, t.head
+	if t.head >= 0 {
+		t.entries[t.head].prev = i
+	} else {
+		t.tail = i
+	}
+	t.head = i
 }
 
 // Translate maps va to a physical address, charging hit or walk latency,
@@ -152,9 +180,13 @@ func (t *TLB) Translate(va memsys.Addr) (pa memsys.Addr, lat sim.Tick, direct bo
 	}
 	vpn := uint64(va) >> PageShift
 	t.clock++
-	if i := t.find(vpn); i >= 0 {
+	if i, ok := t.index[vpn]; ok {
 		t.hits.Inc()
 		t.entries[i].used = t.clock
+		if i != t.head {
+			t.unlink(i)
+			t.pushFront(i)
+		}
 		pfn := t.entries[i].pfn
 		return memsys.Addr(pfn<<PageShift | uint64(va)&(PageSize-1)), t.cfg.HitLatency, direct, nil
 	}
@@ -164,20 +196,19 @@ func (t *TLB) Translate(va memsys.Addr) (pa memsys.Addr, lat sim.Tick, direct bo
 		return 0, 0, direct, err
 	}
 	e := tlbEntry{vpn: vpn, pfn: uint64(pa) >> PageShift, used: t.clock}
+	var slot int32
 	if len(t.entries) < t.cfg.Entries {
 		t.entries = append(t.entries, e)
-		t.index[vpn] = int32(len(t.entries) - 1)
+		slot = int32(len(t.entries) - 1)
 	} else {
-		victim := 0
-		for i := range t.entries {
-			if t.entries[i].used < t.entries[victim].used {
-				victim = i
-			}
-		}
-		delete(t.index, t.entries[victim].vpn)
-		t.entries[victim] = e
-		t.index[vpn] = int32(victim)
+		// The tail holds the smallest used stamp: the true-LRU victim.
+		slot = t.tail
+		t.unlink(slot)
+		delete(t.index, t.entries[slot].vpn)
+		t.entries[slot] = e
 	}
+	t.index[vpn] = slot
+	t.pushFront(slot)
 	return pa, t.cfg.HitLatency + t.cfg.WalkLatency, direct, nil
 }
 

@@ -40,7 +40,7 @@ func (pt *PageTable) RestoreFrom(r *snap.Reader) {
 		return
 	}
 	pt.nextFrame = nextFrame
-	pt.frames = make(map[uint64]uint64, n)
+	pt.frames = make(map[uint64]uint64, n) //dstore:allow-alloc snapshot restore, cold path
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		vpn := r.U64()
 		pfn := r.U64()
@@ -91,5 +91,21 @@ func (t *TLB) RestoreFrom(r *snap.Reader) {
 		t.entries = append(t.entries, e)
 		t.index[e.vpn] = int32(len(t.entries) - 1)
 	}
+	t.relink()
 	t.counters.RestoreFrom(r)
+}
+
+// relink rebuilds the recency list from the used stamps: entries
+// sorted by ascending stamp are pushed to the front in turn, leaving
+// the most recent at head and the least recent at tail.
+func (t *TLB) relink() {
+	order := make([]int32, len(t.entries))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(a, b int) bool { return t.entries[order[a]].used < t.entries[order[b]].used })
+	t.head, t.tail = -1, -1
+	for _, i := range order {
+		t.pushFront(i)
+	}
 }

@@ -16,8 +16,8 @@
 //
 //   - a same-tick FIFO that absorbs events scheduled for the current
 //     tick (Schedule(0, fn) chains — the dominant pattern in the
-//     coherence controllers' message hops) and doubles as the staging
-//     area into which each new tick's events are migrated in bulk;
+//     coherence controllers' message hops). It is a node list like a
+//     wheel slot, so each new tick's slot is spliced onto it whole;
 //   - a timing wheel of wheelSize one-tick slots for events less than
 //     wheelSize ticks out (every cache, link, DRAM and pipeline latency
 //     in the simulator). Each slot is a linked list of nodes drawn from
@@ -50,11 +50,12 @@ import (
 type Tick uint64
 
 // wheelBits sets the timing-wheel span: events under wheelSize ticks
-// out go to the wheel, the rest to the overflow heap. 1024 ticks covers
+// out go to the wheel, the rest to the overflow heap. 2048 ticks covers
 // every component latency in the simulator (DRAM ~200, TLB walk 40,
-// crossbar 16) with an order of magnitude to spare; only watchdog-style
-// timeouts overflow.
-const wheelBits = 10
+// crossbar 16) and the per-line compute gaps of all but the five
+// compute-bound Table II profiles (up to 1,835 ticks); the heap keeps
+// those 3,000- and 5,000-tick gaps and watchdog-style timeouts.
+const wheelBits = 11
 
 const (
 	wheelSize  = Tick(1) << wheelBits
@@ -71,19 +72,24 @@ type slotEvent struct {
 	arg any
 }
 
-// node is one wheel-slot list entry, drawn from the engine's arena and
-// recycled through a freelist — slot storage never allocates in steady
-// state regardless of how events distribute over ticks.
+// node is one wheel-slot or FIFO list entry, drawn from the engine's
+// arena and recycled through a freelist — slot storage never allocates
+// in steady state regardless of how events distribute over ticks.
 type node struct {
 	ev   slotEvent
 	next int32
 }
 
-// slotList is a wheel slot: an intrusive singly-linked list of arena
-// node indices in insertion order. -1 means empty.
+// slotList is a wheel slot or the FIFO: an intrusive singly-linked
+// list of arena node indices in insertion order, with its length.
+// -1 means empty.
 type slotList struct {
 	head, tail int32
+	n          int32
 }
+
+// emptyList is the empty slotList.
+var emptyList = slotList{head: -1, tail: -1}
 
 // event is an overflow-heap entry. seq breaks ties between heap events
 // scheduled for the same tick, preserving insertion order; wheel and
@@ -114,16 +120,12 @@ const heapArity = 4
 type Engine struct {
 	now Tick
 
-	// fifo holds the current tick's run queue in execution order as
-	// node-arena indices: events migrated from the wheel/heap when the
-	// clock advanced here, followed by any Schedule(0, fn) appends made
-	// while executing. Storing indices instead of slotEvents keeps the
-	// queue pointer-free (no write barriers on append, nothing for the
-	// GC to scan) and migrates a wheel slot without copying its events.
-	// fifoHead indexes the next entry to run; the backing array is
-	// reset (not reallocated) whenever it drains.
-	fifo     []int32
-	fifoHead int
+	// fifo is the current tick's run queue in execution order, a node
+	// list like a wheel slot: events migrated from the heap and the
+	// wheel when the clock advanced here, followed by any Schedule(0,
+	// fn) appends made while executing. A wheel slot migrates by
+	// splicing its list on, so each node is touched once, when it runs.
+	fifo slotList
 
 	// Timing wheel: slot i holds events for the unique pending tick
 	// congruent to i mod wheelSize (all wheel events are in
@@ -157,14 +159,13 @@ type Engine struct {
 	advanceHook func(prev, now Tick)
 }
 
-// initialNodes pre-sizes the node arena and FIFO at construction.
+// initialNodes pre-sizes the node arena at construction.
 // Growing from zero under a wavefront of schedules churns every
 // power-of-two doubling below the working set through the allocator
 // (the dominant byte count in the fill-drain profile); one engine
 // serves an entire simulation, so paying 1024 slots up front is noise
 // there and removes the churn everywhere. Steady state allocates
-// nothing regardless — nodes recycle through the freelist and the FIFO
-// backing array is reused across ticks (pinned by
+// nothing regardless — nodes recycle through the freelist (pinned by
 // TestRunDrainSteadyStateAllocs).
 const initialNodes = 1024
 
@@ -172,11 +173,11 @@ const initialNodes = 1024
 func NewEngine() *Engine {
 	e := &Engine{
 		freeNode: -1,
-		fifo:     make([]int32, 0, initialNodes),
+		fifo:     emptyList,
 		nodes:    make([]node, 0, initialNodes),
 	}
 	for i := range e.slots {
-		e.slots[i] = slotList{head: -1, tail: -1}
+		e.slots[i] = emptyList
 	}
 	return e
 }
@@ -186,7 +187,7 @@ func (e *Engine) Now() Tick { return e.now }
 
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int {
-	return (len(e.fifo) - e.fifoHead) + e.wheelCount + len(e.heap)
+	return int(e.fifo.n) + e.wheelCount + len(e.heap)
 }
 
 // Executed returns the total number of events executed so far.
@@ -299,7 +300,7 @@ func (e *Engine) scheduleEvent(when Tick, ev slotEvent) {
 		// global insertion order.
 		n := e.allocNode()
 		e.nodes[n] = node{ev: ev, next: -1}
-		e.fifo = append(e.fifo, n)
+		e.fifoPush(n)
 		return
 	}
 	if when-e.now < wheelSize {
@@ -307,17 +308,29 @@ func (e *Engine) scheduleEvent(when Tick, ev slotEvent) {
 		n := e.allocNode()
 		e.nodes[n] = node{ev: ev, next: -1}
 		if s := &e.slots[slot]; s.head < 0 {
-			s.head, s.tail = n, n
+			*s = slotList{head: n, tail: n, n: 1}
 			e.bits[slot>>6] |= 1 << uint(slot&63)
 		} else {
 			e.nodes[s.tail].next = n
 			s.tail = n
+			s.n++
 		}
 		e.wheelCount++
 		return
 	}
 	e.heapSeq++
 	e.heapPush(event{when: when, seq: e.heapSeq, ev: ev})
+}
+
+// fifoPush appends node n, whose next is -1, to the FIFO.
+func (e *Engine) fifoPush(n int32) {
+	if e.fifo.head < 0 {
+		e.fifo.head = n
+	} else {
+		e.nodes[e.fifo.tail].next = n
+	}
+	e.fifo.tail = n
+	e.fifo.n++
 }
 
 // allocNode returns a free arena node index, growing the arena only
@@ -375,9 +388,9 @@ func (e *Engine) wheelNext() Tick {
 // advanceTo moves the clock to when and migrates every event pending at
 // that tick into the FIFO in global insertion order: overflow-heap
 // entries first (scheduled at least wheelSize ticks early, hence before
-// any wheel entry for the same tick), then the wheel slot's list. The
-// caller has drained the FIFO and established that at least one event
-// is pending at when.
+// any wheel entry for the same tick), then the wheel slot's list,
+// spliced on whole. The caller has drained the FIFO and established
+// that at least one event is pending at when.
 func (e *Engine) advanceTo(when Tick) {
 	if e.advanceHook != nil {
 		e.advanceHook(e.now, when)
@@ -386,27 +399,29 @@ func (e *Engine) advanceTo(when Tick) {
 	for len(e.heap) > 0 && e.heap[0].when == when {
 		n := e.allocNode()
 		e.nodes[n] = node{ev: e.heapPop().ev, next: -1}
-		e.fifo = append(e.fifo, n)
+		e.fifoPush(n)
 	}
 	slot := int(when & wheelMask)
 	s := &e.slots[slot]
 	if s.head < 0 {
 		return
 	}
-	// Migrate the slot by index: the nodes stay in the arena (released
-	// one by one at fifoPop) and their events are never copied here.
-	for n := s.head; n >= 0; n = e.nodes[n].next {
-		e.fifo = append(e.fifo, n)
-		e.wheelCount--
+	if e.fifo.head < 0 {
+		e.fifo.head = s.head
+	} else {
+		e.nodes[e.fifo.tail].next = s.head
 	}
-	s.head, s.tail = -1, -1
+	e.fifo.tail = s.tail
+	e.fifo.n += s.n
+	e.wheelCount -= int(s.n)
+	*s = emptyList
 	e.bits[slot>>6] &^= 1 << uint(slot&63)
 }
 
 // next reports the (when, ok) of the earliest pending event without
 // removing it.
 func (e *Engine) next() (Tick, bool) {
-	if e.fifoHead < len(e.fifo) {
+	if e.fifo.head >= 0 {
 		return e.now, true
 	}
 	return e.nextAdvance()
@@ -425,7 +440,7 @@ func (e *Engine) runOne(ev slotEvent) {
 // Step executes the single next event, advancing the clock to its tick.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	if e.fifoHead >= len(e.fifo) {
+	if e.fifo.head < 0 {
 		when, ok := e.nextAdvance()
 		if !ok {
 			return false
@@ -459,7 +474,7 @@ func (e *Engine) checkStall() {
 // when idle.
 func (e *Engine) Run() Tick {
 	for {
-		for e.fifoHead < len(e.fifo) {
+		for e.fifo.head >= 0 {
 			e.runOne(e.fifoPop())
 		}
 		when, ok := e.nextAdvance()
@@ -489,7 +504,7 @@ func (e *Engine) RunInterruptible(stop func() bool) (Tick, bool) {
 	}
 	budget := stopCheckEvents
 	for {
-		for e.fifoHead < len(e.fifo) {
+		for e.fifo.head >= 0 {
 			if budget == 0 {
 				if stop() {
 					return e.now, false
@@ -519,7 +534,7 @@ func (e *Engine) RunInterruptible(stop func() bool) (Tick, bool) {
 // beyond the limit remain queued.
 func (e *Engine) RunUntil(limit Tick) bool {
 	for {
-		for e.fifoHead < len(e.fifo) {
+		for e.fifo.head >= 0 {
 			e.runOne(e.fifoPop())
 		}
 		when, ok := e.nextAdvance()
@@ -543,17 +558,16 @@ func (e *Engine) RunFor(d Tick) bool {
 // fifoPop removes and returns the FIFO front, releasing its arena node.
 // The caller has checked it is non-empty.
 func (e *Engine) fifoPop() slotEvent {
-	n := e.fifo[e.fifoHead]
+	n := e.fifo.head
 	nd := &e.nodes[n]
 	ev := nd.ev
+	if e.fifo.head = nd.next; e.fifo.head < 0 {
+		e.fifo.tail = -1
+	}
+	e.fifo.n--
 	nd.ev = slotEvent{} // release callback and arg for GC
 	nd.next = e.freeNode
 	e.freeNode = n
-	e.fifoHead++
-	if e.fifoHead == len(e.fifo) {
-		e.fifo = e.fifo[:0]
-		e.fifoHead = 0
-	}
 	return ev
 }
 
