@@ -5,7 +5,7 @@ GO ?= go
 # that use (sweep runner, serve daemon) or feed (event kernel)
 # concurrency, and the exhaustive small-config protocol model check.
 .PHONY: check
-check: vet lint tablecover build test race modelcheck bench-test trace-smoke fleet-smoke fleet-chaos-smoke obs-fleet-smoke
+check: vet lint tablecover build test race modelcheck bench-test trace-smoke
 
 .PHONY: vet
 vet:
@@ -109,32 +109,16 @@ trace-smoke:
 serve-smoke:
 	$(GO) test ./internal/serve -run TestCacheHitDeterminism -count=1
 
-# fleet-smoke boots an in-process fleet — two persistent dstore-serve
-# workers plus a dstore-coord coordinator — streams one sweep matrix
-# through it, SIGKILLs a worker, and asserts every job still answers
-# byte-identically via the hash ring's surviving replica.
+# fleet-smoke is the focused rerun of the fleet's end-to-end checks,
+# all in-process on fixed worker hosts: a worker partitioned, healed,
+# caught serving a corrupt result and requalified, with every job it
+# owns answered byte-identically from the replica; the federated
+# /metrics equal to the sums of the workers' own scrapes; and the
+# stitched cross-process trace byte-identical across runs. `test` and
+# `race` already run these tests, so `check` does not list it.
 .PHONY: fleet-smoke
 fleet-smoke:
-	$(GO) run ./cmd/dstore-coord -smoke
-
-# fleet-chaos-smoke runs the fault-tolerance walkthrough in-process:
-# a worker behind a chaosnet proxy is partitioned (jobs fail over,
-# the breaker trips), healed (a probe recloses it), then serves one
-# bit-flipped result body — which the coordinator's digest check must
-# catch, quarantine, and answer around from the replica.
-.PHONY: fleet-chaos-smoke
-fleet-chaos-smoke:
-	$(GO) run ./cmd/dstore-coord -chaos-smoke
-
-# obs-fleet-smoke exercises the observability plane end to end: two
-# named in-process workers plus a coordinator run a 12-job sweep, the
-# stitched cross-process Chrome trace from /v1/sweeps/{id}/trace is
-# re-parsed through encoding/json and must carry spans from the
-# coordinator and both workers under one trace ID, and the federated
-# /metrics aggregates must equal the sums of the workers' own scrapes.
-.PHONY: obs-fleet-smoke
-obs-fleet-smoke:
-	$(GO) run ./cmd/dstore-coord -obs-smoke
+	$(GO) test ./internal/fleet -run '^(TestFleetFaultWalkthrough|TestFederatedMetricsEqualWorkerSums|TestStitchedTraceByteDeterminism)$$' -count=1
 
 # bench regenerates the event-kernel microbenchmarks. Compare against
 # the committed baseline in BENCH_sim_engine.txt before merging engine

@@ -10,11 +10,9 @@
 //	dstore-coord -workers http://h1:8080,http://h2:8080
 //	dstore-coord -addr 127.0.0.1:9000 -workers http://h1:8080
 //	dstore-coord -journal /var/lib/dstore/journal   # sweep crash-recovery
-//	dstore-coord -smoke       # boot 2 in-process workers, sweep,
-//	                          # kill one, verify failover; exit
-//	dstore-coord -chaos-smoke # boot workers behind a chaos proxy,
-//	                          # partition + corrupt, verify the sweep
-//	                          # survives and integrity holds; exit
+//
+// The fleet's failover, fault-tolerance and federation checks live in
+// internal/fleet's tests; `make fleet-smoke` runs the focused set.
 //
 // API:
 //
@@ -30,13 +28,8 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -47,8 +40,6 @@ import (
 	"time"
 
 	"dstore/internal/fleet"
-	"dstore/internal/fleet/chaosnet"
-	"dstore/internal/serve"
 )
 
 func main() {
@@ -75,9 +66,6 @@ func main() {
 		name          = flag.String("name", "", "process name in trace exports (default coordinator)")
 		storeDir      = flag.String("store", "", "content-addressed store directory for fleet profile captures (POST /v1/profiles)")
 		pprofOn       = flag.Bool("pprof", false, "expose GET /debug/pprof/ on the coordinator")
-		smoke         = flag.Bool("smoke", false, "boot an in-process fleet, sweep it, kill a worker, verify failover, exit")
-		chaosSmoke    = flag.Bool("chaos-smoke", false, "boot an in-process fleet behind a chaos proxy, partition and corrupt it, verify recovery, exit")
-		obsSmoke      = flag.Bool("obs-smoke", false, "boot an in-process fleet, sweep it, verify the stitched trace and metrics federation, exit")
 	)
 	flag.Parse()
 
@@ -115,28 +103,6 @@ func main() {
 		}
 	}
 
-	if *smoke {
-		if err := runSmoke(opt); err != nil {
-			fmt.Fprintf(os.Stderr, "fleet-smoke: FAIL: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *chaosSmoke {
-		if err := runChaosSmoke(opt); err != nil {
-			fmt.Fprintf(os.Stderr, "fleet-chaos-smoke: FAIL: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *obsSmoke {
-		if err := runObsSmoke(opt); err != nil {
-			fmt.Fprintf(os.Stderr, "obs-fleet-smoke: FAIL: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	coord, err := fleet.New(opt)
 	if err != nil {
 		log.Fatal(err)
@@ -163,411 +129,3 @@ func main() {
 	coord.Close()
 	log.Printf("bye")
 }
-
-// smokeWorker is one in-process dstore-serve node.
-type smokeWorker struct {
-	srv *serve.Server
-	hs  *http.Server
-	url string
-}
-
-func startSmokeWorker(dir string) (*smokeWorker, error) {
-	srv, err := serve.New(serve.Options{Workers: 2, StoreDir: dir})
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go func() { _ = hs.Serve(ln) }()
-	return &smokeWorker{srv: srv, hs: hs, url: "http://" + ln.Addr().String()}, nil
-}
-
-func (w *smokeWorker) kill() {
-	_ = w.hs.Close()
-	w.srv.Close()
-}
-
-// runSmoke exercises the fleet end to end in one process: two
-// persistent workers, a coordinator, a streamed sweep, then a worker
-// kill followed by resubmission of every sweep job — each must still
-// answer, byte-identical, via the surviving replica.
-func runSmoke(opt fleet.Options) error {
-	tmp, err := os.MkdirTemp("", "fleet-smoke-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-
-	var ws [2]*smokeWorker
-	for i := range ws {
-		w, err := startSmokeWorker(fmt.Sprintf("%s/w%d", tmp, i))
-		if err != nil {
-			return err
-		}
-		defer w.kill()
-		ws[i] = w
-		opt.Workers = append(opt.Workers, w.url)
-	}
-	opt.ProbeInterval = 500 * time.Millisecond
-	opt.PollInterval = 5 * time.Millisecond
-	coord, err := fleet.New(opt)
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
-	chs := httptestServer(coord.Handler())
-	defer chs.close()
-	base := chs.url
-	fmt.Printf("fleet-smoke: coordinator on %s, workers %s %s\n", base, ws[0].url, ws[1].url)
-
-	// One sweep: 3 benches x 2 prefetch depths = 6 jobs across the
-	// fleet, streamed back as NDJSON.
-	matrix := `{"bench":["MT","VA","BL"],"mode":["direct-store"],"config":{"prefetch_depth":[0,2]}}`
-	results, report, err := streamSweep(base, matrix)
-	if err != nil {
-		return err
-	}
-	if len(results) != 6 || report == nil {
-		return fmt.Errorf("sweep streamed %d results (want 6), report %v", len(results), report != nil)
-	}
-	byWorker := map[string]int{}
-	for _, o := range results {
-		if o.Error != "" {
-			return fmt.Errorf("sweep job %.8s failed: %s", o.ID, o.Error)
-		}
-		byWorker[o.Worker]++
-	}
-	if report.Failed != 0 || report.Completed != 6 {
-		return fmt.Errorf("report totals off: %+v", report)
-	}
-	fmt.Printf("fleet-smoke: sweep %.8s done — %d results, split %v, frontier %d points\n",
-		report.SweepID, report.Completed, byWorker, len(report.Frontier))
-
-	// Kill worker 0 and resubmit every job: the ring must fail each
-	// one over to the survivor with byte-identical results.
-	ws[0].kill()
-	fmt.Printf("fleet-smoke: killed worker %s\n", ws[0].url)
-	failedOver := 0
-	for _, o := range results {
-		body, err := resubmit(base, o.ID, results)
-		if err != nil {
-			return fmt.Errorf("post-kill job %.8s: %w", o.ID, err)
-		}
-		if !bytes.Equal(body, o.Result) {
-			return fmt.Errorf("post-kill job %.8s returned different bytes", o.ID)
-		}
-		if o.Worker == ws[0].url {
-			failedOver++
-		}
-	}
-	if byWorker[ws[0].url] > 0 && failedOver == 0 {
-		return fmt.Errorf("worker %s owned jobs but none failed over", ws[0].url)
-	}
-	fmt.Printf("fleet-smoke: OK — all 6 jobs re-answered after the kill (%d via failover), bytes identical\n", failedOver)
-	return nil
-}
-
-// runChaosSmoke exercises the fault-tolerance path end to end in one
-// process: two workers, one behind a chaosnet proxy, and a
-// coordinator with fast breakers. A clean sweep establishes the
-// baseline, then the proxied worker is partitioned (jobs must fail
-// over, the breaker must trip), healed (the breaker must reclose via
-// a probe), served one corrupted result (the coordinator must catch
-// the digest mismatch, quarantine the worker, and retry on the
-// replica), and finally requalified after the quarantine cooldown.
-func runChaosSmoke(opt fleet.Options) error {
-	tmp, err := os.MkdirTemp("", "fleet-chaos-smoke-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-
-	var ws [2]*smokeWorker
-	for i := range ws {
-		w, err := startSmokeWorker(fmt.Sprintf("%s/w%d", tmp, i))
-		if err != nil {
-			return err
-		}
-		defer w.kill()
-		ws[i] = w
-	}
-	proxy, err := chaosnet.New(ws[0].url, opt.Seed, chaosnet.FaultPlan{})
-	if err != nil {
-		return err
-	}
-	phs := httptestServer(proxy)
-	defer phs.close()
-
-	// The coordinator only knows the proxy's address for worker 0, so
-	// every byte to or from it crosses the chaos path.
-	opt.Workers = []string{phs.url, ws[1].url}
-	opt.ProbeInterval = 200 * time.Millisecond
-	opt.PollInterval = 5 * time.Millisecond
-	opt.FailureThreshold = 2
-	opt.BreakerCooldown = 300 * time.Millisecond
-	opt.QuarantineCooldown = 1200 * time.Millisecond
-	opt.DispatchRetries = 3
-	opt.BackoffBase = 20 * time.Millisecond
-	opt.BackoffMax = 100 * time.Millisecond
-	coord, err := fleet.New(opt)
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
-	chs := httptestServer(coord.Handler())
-	defer chs.close()
-	base := chs.url
-	fmt.Printf("fleet-chaos-smoke: coordinator on %s, workers %s (chaos-proxied %s) %s\n",
-		base, phs.url, ws[0].url, ws[1].url)
-
-	// Phase 1: a clean sweep through the zero-fault proxy — 12 jobs so
-	// the ring all but surely assigns the proxied worker some of them.
-	matrix := `{"bench":["MT","VA","BL"],"mode":["direct-store"],"config":{"prefetch_depth":[0,2],"sms":[2,4]}}`
-	results, report, err := streamSweep(base, matrix)
-	if err != nil {
-		return err
-	}
-	if len(results) != 12 || report == nil || report.Failed != 0 {
-		return fmt.Errorf("baseline sweep: %d results, report %+v", len(results), report)
-	}
-	var proxied []fleet.Outcome
-	for _, o := range results {
-		if o.Error != "" {
-			return fmt.Errorf("baseline job %.8s failed: %s", o.ID, o.Error)
-		}
-		if o.Worker == phs.url {
-			proxied = append(proxied, o)
-		}
-	}
-	if len(proxied) == 0 {
-		return fmt.Errorf("ring assigned no jobs to the proxied worker across %d jobs; rerun", len(results))
-	}
-	fmt.Printf("fleet-chaos-smoke: baseline sweep %.8s done — %d results, %d via the chaos proxy\n",
-		report.SweepID, report.Completed, len(proxied))
-
-	// Phase 2: partition the proxied worker. Its jobs must still
-	// answer, byte-identical, via the replica, and the repeated
-	// connection resets must trip its breaker.
-	proxy.Partition(true)
-	for i := 0; i < 2; i++ {
-		for _, o := range proxied {
-			body, err := resubmit(base, o.ID, results)
-			if err != nil {
-				return fmt.Errorf("partitioned job %.8s: %w", o.ID, err)
-			}
-			if !bytes.Equal(body, o.Result) {
-				return fmt.Errorf("partitioned job %.8s returned different bytes", o.ID)
-			}
-		}
-	}
-	stats, err := chaosStats(base)
-	if err != nil {
-		return err
-	}
-	if stats["fleet_breaker_trips_total"] == 0 {
-		return fmt.Errorf("partition did not trip the breaker: %v", stats)
-	}
-	fmt.Printf("fleet-chaos-smoke: partition survived — %d jobs re-answered via failover, breaker tripped\n", len(proxied))
-
-	// Phase 3: heal the partition; a health probe must half-open and
-	// reclose the breaker.
-	proxy.Partition(false)
-	if err := awaitWorkerHealthy(base, phs.url, 15*time.Second); err != nil {
-		return fmt.Errorf("breaker did not reclose after heal: %w", err)
-	}
-	stats, err = chaosStats(base)
-	if err != nil {
-		return err
-	}
-	if stats["fleet_breaker_recloses_total"] == 0 {
-		return fmt.Errorf("heal recorded no breaker reclose: %v", stats)
-	}
-	fmt.Printf("fleet-chaos-smoke: partition healed — breaker reclosed via probe\n")
-
-	// Phase 4: serve exactly one corrupted result body. The
-	// coordinator must catch the digest mismatch, quarantine the
-	// worker, and still answer with clean bytes from the replica.
-	proxy.CorruptNext(1)
-	pick := proxied[0]
-	body, err := resubmit(base, pick.ID, results)
-	if err != nil {
-		return fmt.Errorf("job %.8s during corruption: %w", pick.ID, err)
-	}
-	if !bytes.Equal(body, pick.Result) {
-		return fmt.Errorf("corrupt result leaked through for job %.8s", pick.ID)
-	}
-	stats, err = chaosStats(base)
-	if err != nil {
-		return err
-	}
-	if stats["fleet_corrupt_results_total"] == 0 || stats["fleet_quarantines_total"] == 0 {
-		return fmt.Errorf("corruption not detected or worker not quarantined: %v", stats)
-	}
-	if c := proxy.Counts(); c.Corruptions != 1 {
-		return fmt.Errorf("proxy injected %d corruptions, want 1", c.Corruptions)
-	}
-	fmt.Printf("fleet-chaos-smoke: corrupt result caught — worker quarantined, clean bytes served from replica\n")
-
-	// Phase 5: after the quarantine cooldown a successful probe must
-	// requalify the worker.
-	if err := awaitWorkerHealthy(base, phs.url, 20*time.Second); err != nil {
-		return fmt.Errorf("worker not requalified after quarantine cooldown: %w", err)
-	}
-	stats, err = chaosStats(base)
-	if err != nil {
-		return err
-	}
-	if stats["fleet_requalified_total"] == 0 {
-		return fmt.Errorf("requalification not counted: %v", stats)
-	}
-	body, err = resubmit(base, pick.ID, results)
-	if err != nil || !bytes.Equal(body, pick.Result) {
-		return fmt.Errorf("post-requalification job %.8s: %v", pick.ID, err)
-	}
-	fmt.Printf("fleet-chaos-smoke: OK — partition, heal, corruption, quarantine, requalification all verified\n")
-	return nil
-}
-
-// chaosStats fetches the coordinator's counter snapshot.
-func chaosStats(base string) (map[string]uint64, error) {
-	resp, err := http.Get(base + "/v1/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var m map[string]uint64
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// awaitWorkerHealthy polls GET /v1/workers until the worker at url
-// reports healthy (breaker closed, not quarantined) or the deadline
-// passes.
-func awaitWorkerHealthy(base, url string, within time.Duration) error {
-	//dstore:allow-wallclock smoke-test deadline, never in a simulation result
-	deadline := time.Now().Add(within)
-	var last []byte
-	//dstore:allow-wallclock smoke-test deadline, never in a simulation result
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/v1/workers")
-		if err == nil {
-			var lst struct {
-				Workers []struct {
-					URL     string `json:"url"`
-					Healthy bool   `json:"healthy"`
-				} `json:"workers"`
-			}
-			b, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			last = b
-			if json.Unmarshal(b, &lst) == nil {
-				for _, w := range lst.Workers {
-					if w.URL == url && w.Healthy {
-						return nil
-					}
-				}
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("worker %s not healthy within %v (last: %s)", url, within, last)
-}
-
-// resubmit re-runs one sweep job through the coordinator using the
-// canonical spec the sweep stream carried for it.
-func resubmit(base, id string, results []fleet.Outcome) ([]byte, error) {
-	var spec []byte
-	for _, o := range results {
-		if o.ID == id {
-			spec = o.Spec
-		}
-	}
-	if spec == nil {
-		return nil, fmt.Errorf("job %.8s not in sweep results", id)
-	}
-	resp, err := http.Post(base+"/v1/runs", "application/json", bytes.NewReader(spec))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var rr struct {
-		ID     string          `json:"id"`
-		Result json.RawMessage `json:"result"`
-		Error  string          `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%d: %s", resp.StatusCode, rr.Error)
-	}
-	if rr.ID != id {
-		return nil, fmt.Errorf("resubmitted spec hashed to %.8s, want %.8s", rr.ID, id)
-	}
-	return rr.Result, nil
-}
-
-// streamSweep posts the matrix and drains the NDJSON stream.
-func streamSweep(base, matrix string) ([]fleet.Outcome, *fleet.Report, error) {
-	resp, err := http.Post(base+"/v1/sweeps", "application/json", strings.NewReader(matrix))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var buf bytes.Buffer
-		_, _ = buf.ReadFrom(resp.Body)
-		return nil, nil, fmt.Errorf("sweep submit: %d: %s", resp.StatusCode, buf.String())
-	}
-	var results []fleet.Outcome
-	var report *fleet.Report
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev struct {
-			Event string          `json:"event"`
-			Data  json.RawMessage `json:"data"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, nil, fmt.Errorf("bad stream line %q: %v", sc.Text(), err)
-		}
-		switch ev.Event {
-		case "result":
-			var o fleet.Outcome
-			if err := json.Unmarshal(ev.Data, &o); err != nil {
-				return nil, nil, err
-			}
-			results = append(results, o)
-		case "report":
-			report = &fleet.Report{}
-			if err := json.Unmarshal(ev.Data, report); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	return results, report, sc.Err()
-}
-
-// httptestServer is a minimal net/http/httptest.Server stand-in so
-// the smoke path needs no testing imports in a main package.
-type smokeHTTP struct {
-	hs  *http.Server
-	url string
-}
-
-func httptestServer(h http.Handler) *smokeHTTP {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	hs := &http.Server{Handler: h}
-	go func() { _ = hs.Serve(ln) }()
-	return &smokeHTTP{hs: hs, url: "http://" + ln.Addr().String()}
-}
-
-func (s *smokeHTTP) close() { _ = s.hs.Close() }

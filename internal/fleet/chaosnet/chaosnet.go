@@ -11,7 +11,8 @@
 // proxy no matter how requests interleave. Targeted helpers
 // (Partition, CorruptNext, TruncateNext, ResetNext) override the
 // random plan for scripted scenarios — "corrupt exactly one result,
-// then heal" — which is what the chaos e2e and smoke drive.
+// then heal" — which is what TestFleetChaosE2E and
+// TestFleetFaultWalkthrough in internal/fleet drive.
 package chaosnet
 
 import (

@@ -222,8 +222,10 @@ func TestFleetChaosE2E(t *testing.T) {
 	}
 
 	// The chaos must have been felt and handled: the partition tripped
-	// the proxied worker's breaker, a probe reclosed it after the heal,
-	// and the corrupted body was caught and quarantined — never served.
+	// the proxied worker's breaker, and the corrupted body was caught
+	// and quarantined — never served. Reclose after the heal and
+	// requalification after the quarantine are pinned step by step in
+	// TestFleetFaultWalkthrough.
 	if err := getJSONInto(client, coord2.url+"/v1/stats", &stats); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,17 +23,8 @@ func startWorker(t *testing.T, opt serve.Options) string {
 	if opt.Workers == 0 {
 		opt.Workers = 2
 	}
-	srv, err := serve.New(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	})
+	hs := httptest.NewServer(serveHandler(t, opt))
+	t.Cleanup(hs.Close)
 	return hs.URL
 }
 
@@ -414,29 +404,32 @@ func TestSweepBadMatrix(t *testing.T) {
 }
 
 func TestSweepFailsOverDeadWorker(t *testing.T) {
-	w1 := startWorker(t, serve.Options{})
-
 	// A worker that is registered and believed healthy but is already
-	// gone: its listener is closed before any dispatch.
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close()
+	// gone: the transport has no route to it, so every call is refused.
+	// On fixed hosts the ring gives it the same share of the matrix on
+	// every run.
+	const live, dead = "http://w0", "http://dead"
+	ht := handlerTransport{"w0": serveHandler(t, serve.Options{Workers: 2})}
 
 	// FailureThreshold 1 restores the old one-strike behavior this
-	// test pins: the first refused connection trips the breaker. The
-	// 16-job matrix (vs the usual 4) makes it overwhelmingly likely
-	// the dead worker is first owner for at least one job — ring
-	// placement depends on the ephemeral port.
-	base, c := startCoord(t, Options{Workers: []string{w1, deadURL}, SweepWorkers: 4, FailureThreshold: 1})
+	// test pins: the first refused connection trips the breaker.
+	base, c := startCoord(t, Options{Workers: []string{live, dead}, Transport: ht, SweepWorkers: 4, FailureThreshold: 1})
 	m := `{"bench":["MT","VA"],"mode":["direct-store"],"config":{"prefetch_depth":[0,1],"sms":[2,4],"max_warps_per_sm":[4,8]}}`
 	results, report, _ := runSweepNDJSON(t, base, m)
 	if len(results) != 16 || report == nil || report.Failed != 0 {
 		t.Fatalf("sweep with a dead worker: %d results, report %+v", len(results), report)
 	}
+	deadOwned := 0
 	for _, o := range results {
-		if o.Worker != w1 {
+		if o.Worker != live {
 			t.Fatalf("job %.8s served by %q, want the live worker", o.ID, o.Worker)
 		}
+		if c.reg.currentRing().owners(o.ID, 1)[0] == dead {
+			deadOwned++
+		}
+	}
+	if deadOwned == 0 {
+		t.Fatal("the dead worker owns none of the 16 jobs; failover is not exercised")
 	}
 	if c.failovers.Load() == 0 {
 		t.Fatal("no failovers recorded despite a dead ring member")
@@ -501,5 +494,73 @@ func TestCoordinatorMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(string(b), want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, b)
 		}
+	}
+}
+
+// TestSweepsActiveNeverExceedsStarted scrapes /v1/stats in a loop
+// while 127 distinct sweeps start and finish, and requires
+// fleet_sweeps_active <= fleet_sweeps_started_total on every scrape.
+// The gauge is started - done: a scrape that read done after started
+// could count a sweep finishing that it never saw start and wrap the
+// gauge to about 1.8e19.
+func TestSweepsActiveNeverExceedsStarted(t *testing.T) {
+	ht := handlerTransport{"w0": serveHandler(t, serve.Options{Workers: 2})}
+	base, c := startCoord(t, Options{Workers: []string{"http://w0"}, Transport: ht})
+
+	stop := make(chan struct{})
+	scrapes := make(chan int, 1)
+	go func() {
+		n := 0
+		defer func() { scrapes <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rec := httptest.NewRecorder()
+			c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+			var st map[string]uint64
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+				t.Errorf("/v1/stats unparseable: %v", err)
+				return
+			}
+			if st["fleet_sweeps_active"] > st["fleet_sweeps_started_total"] {
+				t.Errorf("scrape %d: fleet_sweeps_active %d > fleet_sweeps_started_total %d",
+					n, st["fleet_sweeps_active"], st["fleet_sweeps_started_total"])
+				return
+			}
+			n++
+		}
+	}()
+
+	// The 127 non-empty subsets of seven SM counts are distinct sweeps
+	// over only seven distinct jobs, so nearly every job is a cache hit.
+	sms := []string{"2", "4", "6", "8", "10", "12", "14"}
+	const sweeps = 1<<7 - 1
+	func() {
+		defer close(stop) // also on t.Fatal, so the scraper always exits
+		for mask := 1; mask <= sweeps; mask++ {
+			var vals []string
+			for i, v := range sms {
+				if mask&(1<<i) != 0 {
+					vals = append(vals, v)
+				}
+			}
+			m := `{"bench":["MT"],"mode":["direct-store"],"config":{"sms":[` + strings.Join(vals, ",") + `]}}`
+			if _, report, _ := runSweepNDJSON(t, base, m); report == nil || report.Failed != 0 {
+				t.Fatalf("sweep %d: report %+v", mask, report)
+			}
+		}
+	}()
+	if n := <-scrapes; n == 0 && !t.Failed() {
+		t.Fatal("no /v1/stats scrape completed during the sweeps")
+	}
+
+	// Close waits for every sweep goroutine, so the counters are final.
+	c.Close()
+	st := coordStats(t, base)
+	if st["fleet_sweeps_started_total"] != sweeps || st["fleet_sweeps_completed_total"] != sweeps || st["fleet_sweeps_active"] != 0 {
+		t.Fatalf("after %d sweeps: %v", sweeps, st)
 	}
 }

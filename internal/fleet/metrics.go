@@ -14,8 +14,9 @@ import (
 // metricDefs lists every scalar coordinator metric in a fixed order,
 // with its Prometheus type. /metrics and /v1/stats both render from
 // this table (the same convention as internal/serve), so the two
-// views can never disagree on names. The keys are registered in
-// internal/stats/registry.go.
+// views can never disagree on names. The names are dynamic keys to
+// the stats package (//dstore:allow-statskey below), so they are not
+// listed in its registry.
 var metricDefs = []struct {
 	name, kind string
 }{
@@ -63,8 +64,11 @@ func (c *Coordinator) snapshot() *stats.Set {
 	healthy, total := c.reg.healthyCount()
 	probes, probeFailures := c.reg.probeCounts()
 	trips, recloses, quarantines, requalified := c.reg.breakerCounts()
-	started := c.sweepsRun.Load()
+	// Load done before started: both only grow and every finished
+	// sweep was started first, so started >= done on every scrape and
+	// the active gauge never wraps.
 	done := c.sweepsDone.Load()
+	started := c.sweepsRun.Load()
 	pending := c.pending.Load()
 	if pending < 0 {
 		pending = 0

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dstore/internal/obs/dtrace"
 	"dstore/internal/serve"
 )
 
@@ -111,17 +112,49 @@ func TestSweepSSEReplayKeepsTraceStable(t *testing.T) {
 
 // handlerTransport routes requests for fixed fake hosts straight into
 // in-process handlers, so worker URLs — and with them ring placement
-// and trace process rows — are identical across runs and stacks.
+// and trace process rows — are identical across runs and stacks. A
+// host with no route fails like a refused connection, and a handler
+// that aborts with http.ErrAbortHandler (the chaosnet proxy's
+// partition and reset) fails like a reset one.
 type handlerTransport map[string]http.Handler
 
-func (ht handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+func (ht handlerTransport) RoundTrip(req *http.Request) (resp *http.Response, err error) {
 	h, ok := ht[req.URL.Host]
 	if !ok {
 		return nil, fmt.Errorf("no route to %q", req.URL.Host)
 	}
+	defer func() {
+		if p := recover(); p != nil {
+			if p != http.ErrAbortHandler {
+				panic(p)
+			}
+			resp, err = nil, fmt.Errorf("connection to %q reset", req.URL.Host)
+		}
+	}()
+	if req.Body == nil {
+		// Server-side requests always carry a body.
+		req = req.Clone(req.Context())
+		req.Body = http.NoBody
+	}
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec.Result(), nil
+}
+
+// serveHandler boots a serve.Server, shut down at test cleanup, and
+// returns its HTTP API.
+func serveHandler(t *testing.T, opt serve.Options) http.Handler {
+	t.Helper()
+	srv, err := serve.New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	})
+	return srv.Handler()
 }
 
 // obsStack is one complete in-process fleet: two single-threaded
@@ -130,25 +163,15 @@ func (ht handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 type obsStack struct {
 	base  string
 	coord *Coordinator
+	// workers routes the fixed worker hosts, for direct scrapes.
+	workers handlerTransport
 }
 
 func startObsStack(t *testing.T) *obsStack {
 	t.Helper()
 	ht := handlerTransport{}
 	for i, host := range []string{"w0", "w1"} {
-		srv, err := serve.New(serve.Options{
-			Workers: 1,
-			Name:    fmt.Sprintf("worker-%d", i),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-			_ = srv.Shutdown(ctx)
-		})
-		ht[host] = srv.Handler()
+		ht[host] = serveHandler(t, serve.Options{Workers: 1, Name: fmt.Sprintf("worker-%d", i)})
 	}
 	c, err := New(Options{
 		Workers:       []string{"http://w0", "http://w1"},
@@ -165,7 +188,7 @@ func startObsStack(t *testing.T) *obsStack {
 		hs.Close()
 		c.Close()
 	})
-	return &obsStack{base: hs.URL, coord: c}
+	return &obsStack{base: hs.URL, coord: c, workers: ht}
 }
 
 // TestStitchedTraceByteDeterminism runs the same sweep on two isolated
@@ -179,6 +202,7 @@ func TestStitchedTraceByteDeterminism(t *testing.T) {
 	matrix := `{"bench":["MT","VA","BL"],"mode":["direct-store"],"config":{"prefetch_depth":[0,2]}}`
 	var traces [][]byte
 	var workerSets []map[string]bool
+	var traceID string
 	for run := 0; run < 2; run++ {
 		s := startObsStack(t)
 		results, report, sweepID := runSweepNDJSON(t, s.base, matrix)
@@ -189,6 +213,7 @@ func TestStitchedTraceByteDeterminism(t *testing.T) {
 		for _, o := range results {
 			byWorker[o.Worker] = true
 		}
+		traceID = results[0].Trace
 		workerSets = append(workerSets, byWorker)
 		traces = append(traces, getTrace(t, s.base, sweepID))
 	}
@@ -207,9 +232,13 @@ func TestStitchedTraceByteDeterminism(t *testing.T) {
 			Pid  int               `json:"pid"`
 			Args map[string]string `json:"args"`
 		} `json:"traceEvents"`
+		OtherData map[string]string `json:"otherData"`
 	}
 	if err := json.Unmarshal(traces[0], &doc); err != nil {
 		t.Fatal(err)
+	}
+	if got := doc.OtherData["trace"]; got == "" || got != traceID {
+		t.Fatalf("stitched trace id %q, want the outcomes' %q", got, traceID)
 	}
 	processes := map[int]string{}
 	spans := map[int]int{}
@@ -228,6 +257,70 @@ func TestStitchedTraceByteDeterminism(t *testing.T) {
 	for _, name := range []string{"coordinator", "worker-0", "worker-1"} {
 		if withSpans[name] == 0 {
 			t.Fatalf("no spans from process %q in stitched trace (got %v)", name, withSpans)
+		}
+	}
+}
+
+// TestFederatedMetricsEqualWorkerSums runs a sweep on the obs stack,
+// scrapes each worker's /metrics directly, and requires the
+// coordinator's federated /metrics to carry, for every checked
+// family, an unlabelled fleet value equal to the sum of the direct
+// scrapes. Each worker must have executed jobs, so a federation that
+// dropped either one would show as a short sum.
+func TestFederatedMetricsEqualWorkerSums(t *testing.T) {
+	s := startObsStack(t)
+	matrix := `{"bench":["MT","VA","BL"],"mode":["direct-store"],"config":{"prefetch_depth":[0,2]}}`
+	results, report, _ := runSweepNDJSON(t, s.base, matrix)
+	if report == nil || report.Failed != 0 || len(results) != 6 {
+		t.Fatalf("sweep: %d results, report %+v", len(results), report)
+	}
+
+	scrape := func(url string, h http.Handler) *dtrace.Metrics {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d: %s", url, rec.Code, rec.Body)
+		}
+		m, err := dtrace.Parse(rec.Body.String())
+		if err != nil {
+			t.Fatalf("parse %s: %v", url, err)
+		}
+		return m
+	}
+	// unlabelled returns name's unlabelled sample value, failing when
+	// the scrape has none.
+	unlabelled := func(m *dtrace.Metrics, name, from string) float64 {
+		t.Helper()
+		for _, smp := range m.Samples {
+			if smp.Name == name && smp.Labels == "" {
+				return smp.Value
+			}
+		}
+		t.Fatalf("%s has no unlabelled %s sample", from, name)
+		return 0
+	}
+
+	names := []string{
+		"dstore_serve_jobs_executed_total",
+		"dstore_serve_cache_misses_total",
+		"obs_spans_recorded_total",
+		"dstore_serve_queue_wait_ns_count",
+	}
+	sums := make(map[string]float64, len(names))
+	for _, host := range []string{"w0", "w1"} {
+		m := scrape("http://"+host+"/metrics", s.workers[host])
+		if unlabelled(m, "dstore_serve_jobs_executed_total", host) == 0 {
+			t.Fatalf("worker %s executed no jobs; the sums would not show a dropped worker", host)
+		}
+		for _, name := range names {
+			sums[name] += unlabelled(m, name, host)
+		}
+	}
+	fed := scrape(s.base+"/metrics", s.coord.Handler())
+	for _, name := range names {
+		if got := unlabelled(fed, name, "federated /metrics"); got != sums[name] {
+			t.Fatalf("federated %s = %g, per-worker sum = %g", name, got, sums[name])
 		}
 	}
 }

@@ -10,9 +10,10 @@ import "sort"
 // component means adding its key here — the analyzer's error message
 // points at this file.
 //
-// Dynamic keys (built from data, e.g. the Prometheus metric names in
-// internal/serve) are exempted at the call site with a
-// //dstore:allow-statskey annotation.
+// Dynamic keys (built from data, e.g. the Prometheus metric names of
+// the serve daemon and the fleet coordinator, which render from their
+// own metricDefs tables) are exempted at the call site with a
+// //dstore:allow-statskey annotation and are not listed here.
 var knownKeys = map[string]bool{
 	// cache arrays (internal/cache)
 	"accesses":  true,
@@ -81,62 +82,6 @@ var knownKeys = map[string]bool{
 	"push_jitter":     true,
 	"push_drops":      true,
 	"push_dups":       true,
-
-	// persistent content-addressed store tier (internal/store, surfaced
-	// by internal/serve's /v1/stats and /metrics)
-	"dstore_store_disk_hits_total":      true,
-	"dstore_store_disk_misses_total":    true,
-	"dstore_store_disk_writes_total":    true,
-	"dstore_store_disk_evictions_total": true,
-	"dstore_store_disk_bytes":           true,
-	"dstore_store_disk_entries":         true,
-	"dstore_store_corrupt_entries":      true,
-
-	// fleet coordinator (internal/fleet)
-	"fleet_workers":                      true,
-	"fleet_workers_healthy":              true,
-	"fleet_probes_total":                 true,
-	"fleet_probe_failures_total":         true,
-	"fleet_jobs_dispatched_total":        true,
-	"fleet_jobs_completed_total":         true,
-	"fleet_jobs_failed_total":            true,
-	"fleet_dispatch_failovers_total":     true,
-	"fleet_sweeps_started_total":         true,
-	"fleet_sweeps_completed_total":       true,
-	"fleet_sweeps_active":                true,
-	"fleet_sweep_results_streamed_total": true,
-	"fleet_dispatch_retry_rounds_total":  true,
-	"fleet_breaker_trips_total":          true,
-	"fleet_breaker_recloses_total":       true,
-	"fleet_workers_quarantined":          true,
-	"fleet_quarantines_total":            true,
-	"fleet_requalified_total":            true,
-	"fleet_corrupt_results_total":        true,
-	"fleet_sweeps_degraded_total":        true,
-	"fleet_sweeps_resumed_total":         true,
-	"fleet_jobs_replayed_total":          true,
-
-	// fleet coordinator process-local queue and journal (internal/fleet)
-	"coord_pending_jobs":          true,
-	"coord_shed_total":            true,
-	"coord_journal_appends_total": true,
-	"coord_journal_errors_total":  true,
-
-	// fleet observability plane: metrics federation, trace export,
-	// profile capture, and the coordinator's span ring (internal/fleet)
-	"fleet_federation_scrapes_total": true,
-	"fleet_federation_errors_total":  true,
-	"fleet_trace_exports_total":      true,
-	"fleet_dispatch_latency_ns":      true,
-	"coord_profile_captures_total":   true,
-	"coord_spans_recorded_total":     true,
-	"coord_spans_dropped_total":      true,
-
-	// worker observability: span ring and queue-wait histogram
-	// (internal/obs/dtrace, surfaced by internal/serve's /metrics)
-	"obs_spans_recorded_total":   true,
-	"obs_spans_dropped_total":    true,
-	"dstore_serve_queue_wait_ns": true,
 }
 
 // KnownKey reports whether name is a registered counter key.
