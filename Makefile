@@ -5,7 +5,7 @@ GO ?= go
 # that use (sweep runner, serve daemon) or feed (event kernel)
 # concurrency, and the exhaustive small-config protocol model check.
 .PHONY: check
-check: vet lint tablecover build test race modelcheck bench-test trace-smoke
+check: vet lint tablecover build test race modelcheck bench-test
 
 .PHONY: vet
 vet:
@@ -87,19 +87,6 @@ stress:
 .PHONY: stress-soak
 stress-soak:
 	$(GO) run ./cmd/dstore-sim -stress -chaos-seed $(SEED) -chaos-profile $(PROFILE) -stress-ops $(OPS) -stress-instances 32
-
-# trace-smoke records a Chrome trace of one small benchmark and
-# validates it: dstore-sim re-parses the written file through
-# encoding/json (the same parse Perfetto performs) and exits non-zero
-# on a malformed document. The timeline, histogram and time-series
-# exports ride along so every observability format gets exercised.
-.PHONY: trace-smoke
-trace-smoke:
-	$(GO) run ./cmd/dstore-sim -bench MT -input small -mode direct-store \
-		-trace /tmp/dstore-trace-smoke.json -timeline /tmp/dstore-trace-smoke.txt \
-		-hist -timeseries /tmp/dstore-trace-smoke.csv > /dev/null
-	@rm -f /tmp/dstore-trace-smoke.json /tmp/dstore-trace-smoke.txt /tmp/dstore-trace-smoke.csv
-	@echo "trace-smoke: ok"
 
 # serve-smoke boots the serve daemon on a random loopback port,
 # submits one small job over real HTTP, resubmits it, and asserts the

@@ -17,7 +17,6 @@
 //	GET  /v1/benchmarks      what can be submitted
 //	GET  /healthz            liveness
 //	GET  /metrics            Prometheus counters; /v1/stats is the JSON view
-//	POST /v1/chaos           seeded fault-injection soak run (requires -chaos)
 //
 // SIGINT/SIGTERM shut down gracefully: queued jobs are cancelled and
 // in-flight simulations drain (bounded by -drain-timeout); with -store
@@ -50,7 +49,6 @@ func main() {
 		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "per-job simulation timeout (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "graceful-shutdown drain bound")
 		stallGuard   = flag.Uint64("stall-guard", 0, "per-tick event budget before a job is failed as livelocked (0 = default)")
-		enableChaos  = flag.Bool("chaos", false, "expose POST /v1/chaos (seeded fault-injection soak runs)")
 		storeDir     = flag.String("store", "", "persistent store directory: results and warm-prefix snapshots survive restarts (empty = memory only)")
 		storeMax     = flag.Int64("store-max-bytes", 0, "disk store size cap in bytes (0 = 256 MiB default, negative = unlimited)")
 		name         = flag.String("name", "", "process name in trace exports (default dstore-serve)")
@@ -64,7 +62,6 @@ func main() {
 		CacheEntries:     *cacheEntries,
 		JobTimeout:       *jobTimeout,
 		StallGuardEvents: *stallGuard,
-		EnableChaos:      *enableChaos,
 		StoreDir:         *storeDir,
 		StoreMaxBytes:    *storeMax,
 		Name:             *name,

@@ -239,8 +239,8 @@ func main() {
 
 // writeObsOutputs exports whatever the observer collected. The trace
 // file is validated by re-reading it through encoding/json — the same
-// parse Perfetto performs — so a malformed trace fails the run (and
-// `make trace-smoke`) instead of failing later in the viewer.
+// parse Perfetto performs — so a malformed trace fails the run instead
+// of failing later in the viewer.
 func writeObsOutputs(o *obs.Observer, traceF, timelineF string, hist bool, seriesF string) {
 	if o == nil {
 		return

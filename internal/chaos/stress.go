@@ -274,9 +274,9 @@ func (r *stressRun) runRound() {
 		return
 	}
 	r.checkQuiescent()
+	nacks, retries := r.pushCounts()
 	fmt.Fprintf(&r.transcript, "round %2d: ops=%d kernel=%v tick=%d faults=%d nacks=%d retries=%d\n",
-		r.round, perAgent*r.cfg.Agents, kernel, r.sys.Now(),
-		r.plan.Injected(), r.ctrlSum("push_nacks"), r.ctrlSum("push_retries"))
+		r.round, perAgent*r.cfg.Agents, kernel, r.sys.Now(), r.plan.Injected(), nacks, retries)
 }
 
 // drain runs the engine to quiescence, converting panics (the engine's
@@ -507,23 +507,25 @@ func (r *stressRun) commitRegion(region string, pas []memsys.Addr, committed []u
 	}
 }
 
-func (r *stressRun) ctrlSum(counter string) uint64 {
-	var n uint64
+// pushCounts sums the controllers' push NACK and retry counters.
+func (r *stressRun) pushCounts() (nacks, retries uint64) {
 	for _, c := range r.ctrls() {
-		n += c.Counters().Get(counter) //dstore:allow-statskey callers pass registered literals
+		nacks += c.Counters().Get("push_nacks")
+		retries += c.Counters().Get("push_retries")
 	}
-	return n
+	return nacks, retries
 }
 
 func (r *stressRun) finish() *StressResult {
+	nacks, retries := r.pushCounts()
 	res := &StressResult{
 		Seed:           r.cfg.Seed,
 		Violations:     r.violations,
 		Ops:            r.opsIssued,
 		Ticks:          r.sys.Now(),
 		FaultsInjected: r.plan.Injected(),
-		Nacks:          r.ctrlSum("push_nacks"),
-		Retries:        r.ctrlSum("push_retries"),
+		Nacks:          nacks,
+		Retries:        retries,
 	}
 	fmt.Fprintf(&r.transcript, "final: ops=%d ticks=%d faults=%d nacks=%d retries=%d pushes=%d violations=%d\n",
 		res.Ops, res.Ticks, res.FaultsInjected, res.Nacks, res.Retries,

@@ -112,12 +112,24 @@ func RenderConsole(st ConsoleState) string {
 	}
 
 	if len(st.Stats) > 0 {
-		fmt.Fprintf(&b, "\nDISPATCH  completed %d · failed %d · failovers %d · shed %d · corrupt %d\n",
-			st.Stats["fleet_jobs_completed_total"],
-			st.Stats["fleet_jobs_failed_total"],
-			st.Stats["fleet_dispatch_failovers_total"],
-			st.Stats["coord_shed_total"],
-			st.Stats["fleet_corrupt_results_total"])
+		b.WriteString("\nDISPATCH ")
+		for i, col := range dispatchColumns {
+			if i > 0 {
+				b.WriteString(" ·")
+			}
+			fmt.Fprintf(&b, " %s %d", col.label, st.Stats[col.key])
+		}
+		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// dispatchColumns are the coordinator /v1/stats counters on the
+// console's DISPATCH line, as (label, key).
+var dispatchColumns = []struct{ label, key string }{
+	{"completed", "fleet_jobs_completed_total"},
+	{"failed", "fleet_jobs_failed_total"},
+	{"failovers", "fleet_dispatch_failovers_total"},
+	{"shed", "coord_shed_total"},
+	{"corrupt", "fleet_corrupt_results_total"},
 }

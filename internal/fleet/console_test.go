@@ -1,11 +1,30 @@
 package fleet
 
 import (
+	"net/http"
 	"strings"
 	"testing"
+
+	"dstore/internal/serve"
 )
 
+// TestRenderConsole renders a frame from fixed worker and sweep rows
+// plus a live coordinator's /v1/stats after one job, so a renamed
+// coordinator metric shows as a missing DISPATCH column instead of a
+// silent 0.
 func TestRenderConsole(t *testing.T) {
+	ht := handlerTransport{"w0": serveHandler(t, serve.Options{Workers: 1})}
+	base, _ := startCoord(t, Options{Workers: []string{"http://w0"}, Transport: ht})
+	if resp, b := postBody(t, base+"/v1/runs", specMT, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit: %d: %s", resp.StatusCode, b)
+	}
+	stats := coordStats(t, base)
+	for _, col := range dispatchColumns {
+		if _, ok := stats[col.key]; !ok {
+			t.Errorf("console column %q reads %s, which /v1/stats does not serve", col.label, col.key)
+		}
+	}
+
 	st := ConsoleState{
 		Coordinator: "http://127.0.0.1:8090",
 		Workers: []ConsoleWorker{
@@ -17,10 +36,7 @@ func TestRenderConsole(t *testing.T) {
 			{ID: "ffff000011112222", Total: 8, Completed: 4, Cached: 1},
 			{ID: "aaaa000011112222", Total: 6, Completed: 6, Failed: 1, Done: true, Degraded: true},
 		},
-		Stats: map[string]uint64{
-			"fleet_jobs_completed_total":     10,
-			"fleet_dispatch_failovers_total": 2,
-		},
+		Stats: stats,
 	}
 	out := RenderConsole(st)
 
@@ -45,8 +61,8 @@ func TestRenderConsole(t *testing.T) {
 	if !strings.Contains(out, "6/6 DEGRADED") {
 		t.Fatalf("frame missing degraded sweep:\n%s", out)
 	}
-	if !strings.Contains(out, "completed 10") || !strings.Contains(out, "failovers 2") {
-		t.Fatalf("frame missing dispatch counters:\n%s", out)
+	if !strings.Contains(out, "\nDISPATCH  completed 1 · failed 0 · failovers 0 · shed 0 · corrupt 0\n") {
+		t.Fatalf("frame missing dispatch counters after one job:\n%s", out)
 	}
 
 	// Deterministic: same state, same frame.

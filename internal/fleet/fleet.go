@@ -267,7 +267,7 @@ func New(opt Options) (*Coordinator, error) {
 		rng:         sim.NewRand(opt.Seed ^ 0xBACC0FF),
 		sweeps:      make(map[string]*sweepRun),
 		rec:         dtrace.New(dtrace.Options{Cap: opt.TraceSpanCap, Clock: opt.Clock, Process: opt.Name}),
-		dispatchLat: obs.NewHistogram("fleet_dispatch_latency_ns"),
+		dispatchLat: obs.NewHistogram("dispatch_latency_ns"),
 		ctx:         ctx,
 		cancel:      cancel,
 	}

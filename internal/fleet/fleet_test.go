@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -562,5 +563,25 @@ func TestSweepsActiveNeverExceedsStarted(t *testing.T) {
 	st := coordStats(t, base)
 	if st["fleet_sweeps_started_total"] != sweeps || st["fleet_sweeps_completed_total"] != sweeps || st["fleet_sweeps_active"] != 0 {
 		t.Fatalf("after %d sweeps: %v", sweeps, st)
+	}
+}
+
+// TestWorkerStatsNamesServed requires every dstore-serve metric the
+// registry's probes decode (workerStats' JSON tags) in a live worker's
+// /v1/stats. A renamed worker metric would otherwise leave the
+// per-worker gauges reading a silent 0.
+func TestWorkerStatsNamesServed(t *testing.T) {
+	rec := httptest.NewRecorder()
+	serveHandler(t, serve.Options{Workers: 1}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var served map[string]uint64
+	if err := json.Unmarshal(rec.Body.Bytes(), &served); err != nil {
+		t.Fatalf("worker /v1/stats unparseable: %v: %s", err, rec.Body)
+	}
+	typ := reflect.TypeOf(workerStats{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Tag.Get("json")
+		if _, ok := served[name]; !ok {
+			t.Errorf("workerStats.%s decodes %q, which a worker's /v1/stats does not serve", typ.Field(i).Name, name)
+		}
 	}
 }

@@ -8,59 +8,14 @@ import (
 
 	"dstore/internal/obs"
 	"dstore/internal/obs/dtrace"
-	"dstore/internal/stats"
 )
 
-// metricDefs lists every scalar coordinator metric in a fixed order,
-// with its Prometheus type. /metrics and /v1/stats both render from
-// this table (the same convention as internal/serve), so the two
-// views can never disagree on names. The names are dynamic keys to
-// the stats package (//dstore:allow-statskey below), so they are not
-// listed in its registry.
-var metricDefs = []struct {
-	name, kind string
-}{
-	{"fleet_workers", "gauge"},
-	{"fleet_workers_healthy", "gauge"},
-	{"fleet_probes_total", "counter"},
-	{"fleet_probe_failures_total", "counter"},
-	{"fleet_jobs_dispatched_total", "counter"},
-	{"fleet_jobs_completed_total", "counter"},
-	{"fleet_jobs_failed_total", "counter"},
-	{"fleet_dispatch_failovers_total", "counter"},
-	{"fleet_sweeps_started_total", "counter"},
-	{"fleet_sweeps_completed_total", "counter"},
-	{"fleet_sweeps_active", "gauge"},
-	{"fleet_sweep_results_streamed_total", "counter"},
-	{"fleet_dispatch_retry_rounds_total", "counter"},
-	{"fleet_breaker_trips_total", "counter"},
-	{"fleet_breaker_recloses_total", "counter"},
-	{"fleet_workers_quarantined", "gauge"},
-	{"fleet_quarantines_total", "counter"},
-	{"fleet_requalified_total", "counter"},
-	{"fleet_corrupt_results_total", "counter"},
-	{"fleet_sweeps_degraded_total", "counter"},
-	{"fleet_sweeps_resumed_total", "counter"},
-	{"fleet_jobs_replayed_total", "counter"},
-	{"coord_pending_jobs", "gauge"},
-	{"coord_shed_total", "counter"},
-	{"coord_journal_appends_total", "counter"},
-	{"coord_journal_errors_total", "counter"},
-	{"fleet_federation_scrapes_total", "counter"},
-	{"fleet_federation_errors_total", "counter"},
-	{"fleet_trace_exports_total", "counter"},
-	{"coord_profile_captures_total", "counter"},
-	// The coordinator's span-ring counters use the coord_ prefix — the
-	// workers' own obs_spans_* families arrive via federation below,
-	// and one exposition must not carry the same family twice.
-	{"coord_spans_recorded_total", "counter"},
-	{"coord_spans_dropped_total", "counter"},
-	{"fleet_dispatch_latency_ns", "histogram"},
-}
-
-// snapshot materializes the scalar metrics as a stats.Set in
-// metricDefs order.
-func (c *Coordinator) snapshot() *stats.Set {
+// metrics reads every source once and returns the coordinator's
+// scalar metric table in exposition order. It is the one place each
+// of these metrics is declared: /v1/stats renders this slice, and
+// /metrics renders it ahead of the per-worker gauges and the federated
+// worker families.
+func (c *Coordinator) metrics() []obs.Metric {
 	healthy, total := c.reg.healthyCount()
 	probes, probeFailures := c.reg.probeCounts()
 	trips, recloses, quarantines, requalified := c.reg.breakerCounts()
@@ -73,64 +28,58 @@ func (c *Coordinator) snapshot() *stats.Set {
 	if pending < 0 {
 		pending = 0
 	}
-	values := map[string]uint64{
-		"fleet_workers":                      uint64(total),
-		"fleet_workers_healthy":              uint64(healthy),
-		"fleet_probes_total":                 probes,
-		"fleet_probe_failures_total":         probeFailures,
-		"fleet_jobs_dispatched_total":        c.dispatched.Load(),
-		"fleet_jobs_completed_total":         c.completed.Load(),
-		"fleet_jobs_failed_total":            c.jobsFailed.Load(),
-		"fleet_dispatch_failovers_total":     c.failovers.Load(),
-		"fleet_sweeps_started_total":         started,
-		"fleet_sweeps_completed_total":       done,
-		"fleet_sweeps_active":                started - done,
-		"fleet_sweep_results_streamed_total": c.streamed.Load(),
-		"fleet_dispatch_retry_rounds_total":  c.retryRounds.Load(),
-		"fleet_breaker_trips_total":          trips,
-		"fleet_breaker_recloses_total":       recloses,
-		"fleet_workers_quarantined":          uint64(c.reg.quarantinedCount()),
-		"fleet_quarantines_total":            quarantines,
-		"fleet_requalified_total":            requalified,
-		"fleet_corrupt_results_total":        c.corrupt.Load(),
-		"fleet_sweeps_degraded_total":        c.sweepsDegraded.Load(),
-		"fleet_sweeps_resumed_total":         c.sweepsResumed.Load(),
-		"fleet_jobs_replayed_total":          c.jobsReplayed.Load(),
-		"coord_pending_jobs":                 uint64(pending),
-		"coord_shed_total":                   c.shed.Load(),
-		"coord_journal_appends_total":        c.journalAppends.Load(),
-		"coord_journal_errors_total":         c.journalErrors.Load(),
-		"fleet_federation_scrapes_total":     c.fedScrapes.Load(),
-		"fleet_federation_errors_total":      c.fedErrors.Load(),
-		"fleet_trace_exports_total":          c.traceExports.Load(),
-		"coord_profile_captures_total":       c.profileCaps.Load(),
-	}
 	spansRecorded, spansDropped := c.rec.Counts()
-	values["coord_spans_recorded_total"] = spansRecorded
-	values["coord_spans_dropped_total"] = spansDropped
-	values["fleet_dispatch_latency_ns"] = c.dispatchLatSnapshot().Count()
-	set := stats.NewSet()
-	for _, d := range metricDefs {
-		set.Counter(d.name).Add(values[d.name]) //dstore:allow-statskey Prometheus names from metricDefs
+	c.histMu.Lock()
+	dispatchLat := c.dispatchLat.Clone()
+	c.histMu.Unlock()
+	return []obs.Metric{
+		obs.Gauge("fleet_workers", uint64(total)),
+		obs.Gauge("fleet_workers_healthy", uint64(healthy)),
+		obs.Counter("fleet_probes_total", probes),
+		obs.Counter("fleet_probe_failures_total", probeFailures),
+		obs.Counter("fleet_jobs_dispatched_total", c.dispatched.Load()),
+		obs.Counter("fleet_jobs_completed_total", c.completed.Load()),
+		obs.Counter("fleet_jobs_failed_total", c.jobsFailed.Load()),
+		obs.Counter("fleet_dispatch_failovers_total", c.failovers.Load()),
+		obs.Counter("fleet_sweeps_started_total", started),
+		obs.Counter("fleet_sweeps_completed_total", done),
+		obs.Gauge("fleet_sweeps_active", started-done),
+		obs.Counter("fleet_sweep_results_streamed_total", c.streamed.Load()),
+		obs.Counter("fleet_dispatch_retry_rounds_total", c.retryRounds.Load()),
+		obs.Counter("fleet_breaker_trips_total", trips),
+		obs.Counter("fleet_breaker_recloses_total", recloses),
+		obs.Gauge("fleet_workers_quarantined", uint64(c.reg.quarantinedCount())),
+		obs.Counter("fleet_quarantines_total", quarantines),
+		obs.Counter("fleet_requalified_total", requalified),
+		obs.Counter("fleet_corrupt_results_total", c.corrupt.Load()),
+		obs.Counter("fleet_sweeps_degraded_total", c.sweepsDegraded.Load()),
+		obs.Counter("fleet_sweeps_resumed_total", c.sweepsResumed.Load()),
+		obs.Counter("fleet_jobs_replayed_total", c.jobsReplayed.Load()),
+		obs.Gauge("coord_pending_jobs", uint64(pending)),
+		obs.Counter("coord_shed_total", c.shed.Load()),
+		obs.Counter("coord_journal_appends_total", c.journalAppends.Load()),
+		obs.Counter("coord_journal_errors_total", c.journalErrors.Load()),
+		obs.Counter("fleet_federation_scrapes_total", c.fedScrapes.Load()),
+		obs.Counter("fleet_federation_errors_total", c.fedErrors.Load()),
+		obs.Counter("fleet_trace_exports_total", c.traceExports.Load()),
+		obs.Counter("coord_profile_captures_total", c.profileCaps.Load()),
+		// The coordinator's span-ring counters use the coord_ prefix:
+		// the workers' own obs_spans_* families arrive via federation,
+		// and one exposition must not carry the same family twice.
+		obs.Counter("coord_spans_recorded_total", spansRecorded),
+		obs.Counter("coord_spans_dropped_total", spansDropped),
+		obs.HistogramMetric("fleet_dispatch_latency_ns", dispatchLat),
 	}
-	return set
 }
 
 // handleMetrics implements GET /metrics in the Prometheus text
 // exposition format: the scalar table, then per-worker gauges
 // labelled by worker URL (health, last-scraped queue depth and cache
-// hit rate, cumulative executed jobs).
+// hit rate, cumulative executed jobs), then the federated worker
+// families.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	set := c.snapshot()
 	var b strings.Builder
-	for _, d := range metricDefs {
-		if d.kind == "histogram" {
-			c.dispatchLatSnapshot().WriteProm(&b, d.name)
-			continue
-		}
-		//dstore:allow-statskey Prometheus names from metricDefs
-		fmt.Fprintf(&b, "# TYPE %s %s\n%s %d\n", d.name, d.kind, d.name, set.Get(d.name))
-	}
+	obs.WriteProm(&b, c.metrics())
 	_, states := c.reg.snapshot()
 	perWorker := []struct {
 		name, kind string
@@ -206,24 +155,9 @@ func (c *Coordinator) writeFederation(r *http.Request, b *strings.Builder, state
 	dtrace.WriteFederated(b, workers)
 }
 
-// dispatchLatSnapshot clones the dispatch-latency histogram under its
-// lock so rendering never races concurrent dispatches.
-func (c *Coordinator) dispatchLatSnapshot() *obs.Histogram {
-	out := obs.NewHistogram("fleet_dispatch_latency_ns")
-	c.histMu.Lock()
-	out.Merge(c.dispatchLat)
-	c.histMu.Unlock()
-	return out
-}
-
-// handleStats implements GET /v1/stats: the scalar metrics as an
-// ordered JSON object (stats.Set's encoding).
+// handleStats implements GET /v1/stats: the scalar table as an ordered
+// JSON object.
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	b, err := c.snapshot().MarshalJSON()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	_, _ = w.Write(b)
+	obs.WriteStats(w, c.metrics())
 }

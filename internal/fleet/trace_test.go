@@ -191,6 +191,10 @@ func startObsStack(t *testing.T) *obsStack {
 	return &obsStack{base: hs.URL, coord: c, workers: ht}
 }
 
+// spreadMatrix is a 6-job sweep that the obs stack's ring places on
+// both workers.
+const spreadMatrix = `{"bench":["MT","VA","BL"],"mode":["direct-store"],"config":{"prefetch_depth":[0,2]}}`
+
 // TestStitchedTraceByteDeterminism runs the same sweep on two isolated
 // stacks — fixed worker URLs, serial dispatch, step clocks — and
 // requires the two stitched trace exports to be byte-identical, with
@@ -199,13 +203,12 @@ func startObsStack(t *testing.T) *obsStack {
 // nondeterminism in span recording, merging or rendering shows up as a
 // byte diff here.
 func TestStitchedTraceByteDeterminism(t *testing.T) {
-	matrix := `{"bench":["MT","VA","BL"],"mode":["direct-store"],"config":{"prefetch_depth":[0,2]}}`
 	var traces [][]byte
 	var workerSets []map[string]bool
 	var traceID string
 	for run := 0; run < 2; run++ {
 		s := startObsStack(t)
-		results, report, sweepID := runSweepNDJSON(t, s.base, matrix)
+		results, report, sweepID := runSweepNDJSON(t, s.base, spreadMatrix)
 		if report == nil || report.Failed != 0 || len(results) != 6 {
 			t.Fatalf("run %d: %d results, report %+v", run, len(results), report)
 		}
@@ -269,8 +272,7 @@ func TestStitchedTraceByteDeterminism(t *testing.T) {
 // dropped either one would show as a short sum.
 func TestFederatedMetricsEqualWorkerSums(t *testing.T) {
 	s := startObsStack(t)
-	matrix := `{"bench":["MT","VA","BL"],"mode":["direct-store"],"config":{"prefetch_depth":[0,2]}}`
-	results, report, _ := runSweepNDJSON(t, s.base, matrix)
+	results, report, _ := runSweepNDJSON(t, s.base, spreadMatrix)
 	if report == nil || report.Failed != 0 || len(results) != 6 {
 		t.Fatalf("sweep: %d results, report %+v", len(results), report)
 	}

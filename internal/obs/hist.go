@@ -133,6 +133,16 @@ func (h *Histogram) Buckets() []Bucket {
 	return out
 }
 
+// Clone returns an independent copy of h (nil-safe), for rendering
+// outside the lock that guards h.
+func (h *Histogram) Clone() *Histogram {
+	if h == nil {
+		return nil
+	}
+	c := *h
+	return &c
+}
+
 // Merge folds other into h (nil-safe on both sides). Used by the serve
 // daemon to aggregate per-run histograms into process totals.
 func (h *Histogram) Merge(other *Histogram) {

@@ -1,67 +1,16 @@
 package serve
 
 import (
-	"fmt"
 	"net/http"
-	"strings"
 
 	"dstore/internal/obs"
-	"dstore/internal/stats"
 	"dstore/internal/store"
 )
 
-// metricDefs lists every exported metric in a fixed order, with its
-// Prometheus type. Both /metrics and /v1/stats render from this table
-// so the two views can never disagree on names.
-var metricDefs = []struct {
-	name, kind string
-}{
-	{"dstore_serve_cache_hits_total", "counter"},
-	{"dstore_serve_cache_misses_total", "counter"},
-	{"dstore_serve_cache_evictions_total", "counter"},
-	{"dstore_serve_cache_entries", "gauge"},
-	{"dstore_serve_snapshot_hits_total", "counter"},
-	{"dstore_serve_snapshot_misses_total", "counter"},
-	{"dstore_serve_snapshot_evictions_total", "counter"},
-	{"dstore_serve_snapshot_entries", "gauge"},
-	{"dstore_store_disk_hits_total", "counter"},
-	{"dstore_store_disk_misses_total", "counter"},
-	{"dstore_store_disk_writes_total", "counter"},
-	{"dstore_store_disk_evictions_total", "counter"},
-	{"dstore_store_disk_bytes", "gauge"},
-	{"dstore_store_disk_entries", "gauge"},
-	{"dstore_store_corrupt_entries", "gauge"},
-	{"dstore_serve_coalesced_total", "counter"},
-	{"dstore_serve_rejected_total", "counter"},
-	{"dstore_serve_jobs_executed_total", "counter"},
-	{"dstore_serve_jobs_failed_total", "counter"},
-	{"dstore_serve_jobs_cancelled_total", "counter"},
-	{"dstore_serve_jobs_panicked_total", "counter"},
-	{"dstore_serve_inflight_jobs", "gauge"},
-	{"dstore_serve_queue_capacity", "gauge"},
-	{"dstore_chaos_faults_injected_total", "counter"},
-	{"dstore_coherence_nacks_total", "counter"},
-	{"dstore_coherence_retries_total", "counter"},
-	{"dstore_sim_gpu_load_latency_ticks", "histogram"},
-	{"dstore_sim_cpu_store_latency_ticks", "histogram"},
-	{"dstore_sim_push_to_first_use_ticks", "histogram"},
-	{"dstore_serve_queue_wait_ns", "histogram"},
-	{"obs_spans_recorded_total", "counter"},
-	{"obs_spans_dropped_total", "counter"},
-}
-
-// histMetricIndex maps a histogram metric name to its obs.HistID slot
-// in the server aggregates.
-var histMetricIndex = map[string]int{
-	"dstore_sim_gpu_load_latency_ticks":  int(obs.HistGPULoadLat),
-	"dstore_sim_cpu_store_latency_ticks": int(obs.HistCPUStoreLat),
-	"dstore_sim_push_to_first_use_ticks": int(obs.HistPushToUse),
-}
-
-// snapshot materializes the current metric values as a stats.Set in
-// metricDefs order. Histogram metrics appear as their sample counts —
-// the full bucket breakdown is a /metrics-only rendering.
-func (s *Server) snapshot() *stats.Set {
+// metrics reads every source once and returns the daemon's metric
+// table in exposition order. It is the one place each metric is
+// declared: /metrics and /v1/stats both render this slice.
+func (s *Server) metrics() []obs.Metric {
 	hits, misses, evictions, size := s.cache.stats()
 	var snapHits, snapMisses, snapEvictions uint64
 	var snapSize int
@@ -72,100 +21,55 @@ func (s *Server) snapshot() *stats.Set {
 	if s.disk != nil {
 		disk = s.disk.Stats()
 	}
-	hists := s.histSnapshot()
+	hists, queueWait := s.histSnapshot()
 	s.mu.Lock()
 	inflight := len(s.inflight)
 	s.mu.Unlock()
-	values := map[string]uint64{
-		"dstore_serve_cache_hits_total":         hits,
-		"dstore_serve_cache_misses_total":       misses,
-		"dstore_serve_cache_evictions_total":    evictions,
-		"dstore_serve_cache_entries":            uint64(size),
-		"dstore_serve_snapshot_hits_total":      snapHits,
-		"dstore_serve_snapshot_misses_total":    snapMisses,
-		"dstore_serve_snapshot_evictions_total": snapEvictions,
-		"dstore_serve_snapshot_entries":         uint64(snapSize),
-		"dstore_store_disk_hits_total":          disk.Hits,
-		"dstore_store_disk_misses_total":        disk.Misses,
-		"dstore_store_disk_writes_total":        disk.Writes,
-		"dstore_store_disk_evictions_total":     disk.Evictions,
-		"dstore_store_disk_bytes":               uint64(disk.Bytes),
-		"dstore_store_disk_entries":             uint64(disk.Entries),
-		"dstore_store_corrupt_entries":          disk.Corrupt,
-		"dstore_serve_coalesced_total":          s.coalesced.Load(),
-		"dstore_serve_rejected_total":           s.rejected.Load(),
-		"dstore_serve_jobs_executed_total":      s.executed.Load(),
-		"dstore_serve_jobs_failed_total":        s.failed.Load(),
-		"dstore_serve_jobs_cancelled_total":     s.cancelled.Load(),
-		"dstore_serve_jobs_panicked_total":      s.panicked.Load(),
-		"dstore_serve_inflight_jobs":            uint64(inflight),
-		"dstore_serve_queue_capacity":           uint64(s.opt.QueueDepth),
-		"dstore_chaos_faults_injected_total":    s.chaosFaults.Load(),
-		"dstore_coherence_nacks_total":          s.chaosNacks.Load(),
-		"dstore_coherence_retries_total":        s.chaosRetries.Load(),
-	}
 	spansRecorded, spansDropped := s.rec.Counts()
-	values["obs_spans_recorded_total"] = spansRecorded
-	values["obs_spans_dropped_total"] = spansDropped
-	values["dstore_serve_queue_wait_ns"] = s.queueWaitSnapshot().Count()
-	for name, idx := range histMetricIndex { //dstore:allow-maprange values land in a map keyed identically
-		values[name] = hists[idx].Count()
+	return []obs.Metric{
+		obs.Counter("dstore_serve_cache_hits_total", hits),
+		obs.Counter("dstore_serve_cache_misses_total", misses),
+		obs.Counter("dstore_serve_cache_evictions_total", evictions),
+		obs.Gauge("dstore_serve_cache_entries", uint64(size)),
+		obs.Counter("dstore_serve_snapshot_hits_total", snapHits),
+		obs.Counter("dstore_serve_snapshot_misses_total", snapMisses),
+		obs.Counter("dstore_serve_snapshot_evictions_total", snapEvictions),
+		obs.Gauge("dstore_serve_snapshot_entries", uint64(snapSize)),
+		obs.Counter("dstore_store_disk_hits_total", disk.Hits),
+		obs.Counter("dstore_store_disk_misses_total", disk.Misses),
+		obs.Counter("dstore_store_disk_writes_total", disk.Writes),
+		obs.Counter("dstore_store_disk_evictions_total", disk.Evictions),
+		obs.Gauge("dstore_store_disk_bytes", uint64(disk.Bytes)),
+		obs.Gauge("dstore_store_disk_entries", uint64(disk.Entries)),
+		obs.Gauge("dstore_store_corrupt_entries", disk.Corrupt),
+		obs.Counter("dstore_serve_coalesced_total", s.coalesced.Load()),
+		obs.Counter("dstore_serve_rejected_total", s.rejected.Load()),
+		obs.Counter("dstore_serve_jobs_executed_total", s.executed.Load()),
+		obs.Counter("dstore_serve_jobs_failed_total", s.failed.Load()),
+		obs.Counter("dstore_serve_jobs_cancelled_total", s.cancelled.Load()),
+		obs.Counter("dstore_serve_jobs_panicked_total", s.panicked.Load()),
+		obs.Gauge("dstore_serve_inflight_jobs", uint64(inflight)),
+		obs.Gauge("dstore_serve_queue_capacity", uint64(s.opt.QueueDepth)),
+		obs.HistogramMetric("dstore_sim_gpu_load_latency_ticks", hists[obs.HistGPULoadLat]),
+		obs.HistogramMetric("dstore_sim_cpu_store_latency_ticks", hists[obs.HistCPUStoreLat]),
+		obs.HistogramMetric("dstore_sim_push_to_first_use_ticks", hists[obs.HistPushToUse]),
+		obs.HistogramMetric("dstore_serve_queue_wait_ns", queueWait),
+		obs.Counter("obs_spans_recorded_total", spansRecorded),
+		obs.Counter("obs_spans_dropped_total", spansDropped),
 	}
-	set := stats.NewSet()
-	for _, d := range metricDefs {
-		set.Counter(d.name).Add(values[d.name]) //dstore:allow-statskey Prometheus names from metricDefs
-	}
-	return set
 }
 
 // handleMetrics implements GET /metrics in the Prometheus text
-// exposition format. Counter and gauge metrics render one sample each;
-// histogram metrics render the full cumulative bucket series plus
-// _sum and _count, aggregated over every job the server has executed.
+// exposition format. The latency histograms aggregate every job the
+// server has executed.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	set := s.snapshot()
-	hists := s.histSnapshot()
-	var b strings.Builder
-	for _, d := range metricDefs {
-		if d.kind == "histogram" {
-			writeHistogram(&b, d.name, histogramFor(s, hists, d.name))
-			continue
-		}
-		//dstore:allow-statskey Prometheus names from metricDefs
-		fmt.Fprintf(&b, "# TYPE %s %s\n%s %d\n", d.name, d.kind, d.name, set.Get(d.name))
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = w.Write([]byte(b.String()))
+	obs.WriteProm(w, s.metrics())
 }
 
-// writeHistogram renders one histogram in the Prometheus exposition
-// format via the shared obs renderer (cumulative le buckets, +Inf,
-// _sum, _count — overflow bucket folded into +Inf).
-func writeHistogram(b *strings.Builder, name string, h *obs.Histogram) {
-	h.WriteProm(b, name)
-}
-
-// histogramFor resolves a histogram metric name to its source: the
-// per-run simulation aggregates, or a server-level histogram such as
-// queue wait.
-func histogramFor(s *Server, hists []*obs.Histogram, name string) *obs.Histogram {
-	if idx, ok := histMetricIndex[name]; ok {
-		return hists[idx]
-	}
-	if name == "dstore_serve_queue_wait_ns" {
-		return s.queueWaitSnapshot()
-	}
-	return nil
-}
-
-// handleStats implements GET /v1/stats: the same metrics as a JSON
-// object (stats.Set's ordered encoding).
+// handleStats implements GET /v1/stats: the same table as an ordered
+// JSON object.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	b, err := s.snapshot().MarshalJSON()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	_, _ = w.Write(b)
+	obs.WriteStats(w, s.metrics())
 }

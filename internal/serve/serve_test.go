@@ -437,3 +437,40 @@ func TestBenchmarksAndHealth(t *testing.T) {
 		t.Fatalf("/metrics: %d %s", code, b)
 	}
 }
+
+// TestJobPanicRecovered checks a panicking simulation becomes a failed
+// job carrying the stack trace while the worker stays alive for the
+// next job.
+func TestJobPanicRecovered(t *testing.T) {
+	calls := 0
+	stub := func(ctx context.Context, j *job) ([]byte, error) {
+		calls++
+		if calls == 1 {
+			panic("synthetic engine explosion")
+		}
+		return []byte(`{"stub":true}`), nil
+	}
+	base := startServer(t, testServer(t, Options{Workers: 1}, stub))
+
+	bad := post(t, base, `{"bench":"VA"}`)
+	if bad.code != http.StatusAccepted {
+		t.Fatalf("submit: %d", bad.code)
+	}
+	st := waitStatus(t, base, bad.ID, "failed", 10*time.Second)
+	if !strings.Contains(st.Error, "synthetic engine explosion") ||
+		!strings.Contains(st.Error, "goroutine") {
+		t.Fatalf("error = %q, want panic message with stack trace", st.Error)
+	}
+
+	// The same worker must survive to run the next job.
+	good := post(t, base, `{"bench":"NN"}`)
+	waitStatus(t, base, good.ID, "done", 10*time.Second)
+
+	m := metricsMap(t, base)
+	if m["dstore_serve_jobs_panicked_total"] != 1 {
+		t.Fatalf("panicked = %d, want 1", m["dstore_serve_jobs_panicked_total"])
+	}
+	if m["dstore_serve_jobs_failed_total"] != 1 {
+		t.Fatalf("failed = %d, want 1", m["dstore_serve_jobs_failed_total"])
+	}
+}

@@ -46,10 +46,6 @@ type Options struct {
 	// fails (the panic is caught per-job; the worker survives). Zero
 	// selects 10M events, far beyond any legitimate same-tick cascade.
 	StallGuardEvents uint64
-	// EnableChaos exposes POST /v1/chaos, which runs the fault-injection
-	// stress harness synchronously for soak testing. Off by default:
-	// chaos runs are expensive and not content-addressable.
-	EnableChaos bool
 	// SnapshotCacheEntries bounds the warm-prefix snapshot cache: jobs
 	// sharing a (benchmark, input, prefix-relevant config) warm-up
 	// phase restore the post-produce machine state instead of
@@ -207,11 +203,6 @@ type Server struct {
 	coalesced atomic.Uint64 // submissions attached to an in-flight job
 	rejected  atomic.Uint64 // 429s
 	panicked  atomic.Uint64 // jobs that panicked (caught; worker survived)
-
-	// Aggregates over /v1/chaos stress runs.
-	chaosFaults  atomic.Uint64
-	chaosNacks   atomic.Uint64
-	chaosRetries atomic.Uint64
 }
 
 // New starts a server: opt.Workers goroutines draining the job queue.
@@ -321,7 +312,7 @@ func newServer(opt Options, runFn func(context.Context, *job) ([]byte, error)) (
 	for i := range s.aggHists {
 		s.aggHists[i] = obs.NewHistogram(obs.HistID(i).String())
 	}
-	s.queueWait = obs.NewHistogram("dstore_serve_queue_wait_ns")
+	s.queueWait = obs.NewHistogram("queue_wait_ns")
 	s.rec = dtrace.New(dtrace.Options{
 		Cap:     opt.TraceSpanCap,
 		Clock:   opt.Clock,
@@ -335,7 +326,6 @@ func newServer(opt Options, runFn func(context.Context, *job) ([]byte, error)) (
 	s.mux.HandleFunc("GET /v1/traces/{tid}", s.handleTraceDump)
 	s.mux.HandleFunc("GET /v1/benchmarks", s.handleBenchmarks)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("POST /v1/chaos", s.handleChaos)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if opt.EnablePprof {
@@ -464,18 +454,16 @@ func (s *Server) mergeHists(hists []*obs.Histogram) {
 	}
 }
 
-// histSnapshot returns an isolated copy of the aggregate histograms so
-// /metrics can render without holding histMu.
-func (s *Server) histSnapshot() []*obs.Histogram {
+// histSnapshot copies the aggregate latency histograms and the
+// queue-wait histogram under one histMu hold, so a scrape renders
+// without the lock.
+func (s *Server) histSnapshot() (hists [obs.NumHists]*obs.Histogram, queueWait *obs.Histogram) {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()
-	out := make([]*obs.Histogram, len(s.aggHists))
 	for i, h := range s.aggHists {
-		c := obs.NewHistogram(h.Name())
-		c.Merge(h)
-		out[i] = c
+		hists[i] = h.Clone()
 	}
-	return out
+	return hists, s.queueWait.Clone()
 }
 
 // safeRun executes the job's simulation with per-job panic isolation: a
@@ -769,16 +757,6 @@ func (s *Server) handleTraceDump(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.rec.DumpTrace(tid))
-}
-
-// queueWaitSnapshot returns an isolated copy of the queue-wait
-// histogram for rendering.
-func (s *Server) queueWaitSnapshot() *obs.Histogram {
-	s.histMu.Lock()
-	defer s.histMu.Unlock()
-	c := obs.NewHistogram(s.queueWait.Name())
-	c.Merge(s.queueWait)
-	return c
 }
 
 // handleBenchmarks implements GET /v1/benchmarks: what can be

@@ -10,10 +10,9 @@ import "sort"
 // component means adding its key here — the analyzer's error message
 // points at this file.
 //
-// Dynamic keys (built from data, e.g. the Prometheus metric names of
-// the serve daemon and the fleet coordinator, which render from their
-// own metricDefs tables) are exempted at the call site with a
-// //dstore:allow-statskey annotation and are not listed here.
+// The daemons' Prometheus metrics are not stats counters: the serve
+// daemon and the fleet coordinator each declare theirs once, as
+// obs.Metric rows, and never pass those names through a Set.
 var knownKeys = map[string]bool{
 	// cache arrays (internal/cache)
 	"accesses":  true,
