@@ -69,7 +69,7 @@ test:
 
 .PHONY: race
 race:
-	$(GO) test -race ./internal/bench ./internal/sim ./internal/serve ./internal/chaos ./internal/coherence ./internal/store ./internal/fleet ./internal/modelcheck
+	$(GO) test -race ./internal/bench ./internal/sim ./internal/serve ./internal/chaos ./internal/coherence ./internal/store ./internal/fleet ./internal/modelcheck ./internal/obs/...
 
 # stress runs the seeded randomized coherence stress harness with the
 # heavy fault profile. Deterministic: the same SEED and PROFILE always

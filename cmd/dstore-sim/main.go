@@ -33,7 +33,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -237,10 +236,7 @@ func main() {
 	}
 }
 
-// writeObsOutputs exports whatever the observer collected. The trace
-// file is validated by re-reading it through encoding/json — the same
-// parse Perfetto performs — so a malformed trace fails the run instead
-// of failing later in the viewer.
+// writeObsOutputs exports whatever the observer collected.
 func writeObsOutputs(o *obs.Observer, traceF, timelineF string, hist bool, seriesF string) {
 	if o == nil {
 		return
@@ -248,19 +244,9 @@ func writeObsOutputs(o *obs.Observer, traceF, timelineF string, hist bool, serie
 	if traceF != "" {
 		f, err := os.Create(traceF)
 		failIf(err)
-		err = o.WriteTrace(f)
-		failIf(err)
+		failIf(o.WriteTrace(f))
 		failIf(f.Close())
-		raw, err := os.ReadFile(traceF)
-		failIf(err)
-		var parsed struct {
-			TraceEvents []map[string]any `json:"traceEvents"`
-		}
-		if err := json.Unmarshal(raw, &parsed); err != nil {
-			fmt.Fprintf(os.Stderr, "trace %s is not valid Chrome trace JSON: %v\n", traceF, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "trace: wrote %s (%d events, %d dropped)\n", traceF, len(parsed.TraceEvents), o.Dropped())
+		fmt.Fprintf(os.Stderr, "trace: wrote %s (%d events, %d dropped)\n", traceF, len(o.Events()), o.Dropped())
 	}
 	if timelineF != "" {
 		f, err := os.Create(timelineF)

@@ -122,9 +122,7 @@ type Options struct {
 	// Clock supplies distributed-tracing span timestamps (dtrace). Nil
 	// falls back to the recorder's monotonic sequence; the daemon
 	// injects a wall clock at the cmd layer.
-	Clock dtrace.Clock
-	// TraceSpanCap bounds the span ring (dtrace.DefaultCap when zero).
-	TraceSpanCap int
+	Clock obs.Clock
 	// FederationTimeout bounds the per-worker /metrics scrape and
 	// /v1/traces fetch during federation. Default 2s.
 	FederationTimeout time.Duration
@@ -266,7 +264,7 @@ func New(opt Options) (*Coordinator, error) {
 		client:      &http.Client{Timeout: opt.RequestTimeout, Transport: opt.Transport},
 		rng:         sim.NewRand(opt.Seed ^ 0xBACC0FF),
 		sweeps:      make(map[string]*sweepRun),
-		rec:         dtrace.New(dtrace.Options{Cap: opt.TraceSpanCap, Clock: opt.Clock, Process: opt.Name}),
+		rec:         dtrace.New(dtrace.Options{Clock: opt.Clock, Process: opt.Name}),
 		dispatchLat: obs.NewHistogram("dispatch_latency_ns"),
 		ctx:         ctx,
 		cancel:      cancel,

@@ -60,17 +60,12 @@ func (c *Coordinator) handleSweepTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		dumps = append(dumps, d)
 	}
-	out, err := dtrace.Stitch(s.trace, dumps)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "stitch trace: %v", err)
-		return
-	}
 	c.traceExports.Add(1)
 	if len(fetchErrs) > 0 {
 		w.Header().Set(traceErrorsHeader, joinURLs(fetchErrs))
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(out)
+	_ = dtrace.Stitch(w, s.trace, dumps) // only a client hang-up can fail it
 }
 
 // fetchWorkerTrace pulls one worker's span dump for a trace, bounded

@@ -1,19 +1,22 @@
 // Package dtrace is the fleet's distributed-tracing layer: a
 // deterministic, zero-dependency span recorder threaded through the
-// coordinator and every worker. It reuses the 32-byte packed
-// ring-buffer design the single-process observer proved (overwrite
-// oldest, count drops, nil-safe everywhere) and adds the two things a
-// fleet needs on top: a trace context that propagates across process
-// boundaries in HTTP headers, and exporters that stitch the per-process
-// rings into one multi-process Chrome trace.
+// coordinator and every worker. It reuses the single-process
+// observer's code, not just its design: spans are 32-byte packed
+// records in an obs.Ring (overwrite oldest, count drops), and Stitch
+// renders through obs.TraceWriter. On top it adds what a fleet needs:
+// a nil-safe Begin/End span API, a trace context that propagates
+// across process boundaries in HTTP headers, and the Dump wire form
+// that lets the coordinator stitch per-process rings into one
+// multi-process Chrome trace.
 //
 // Determinism contract: the package never reads the wall clock. Time
-// comes from an injected Clock (the daemons inject time.Now at the cmd
-// layer; tests inject stepped or constant clocks), and when no clock is
-// given the recorder falls back to a per-recorder monotonic sequence —
-// orderings stay meaningful, absolute values do not. Exported span
-// lists are sorted by value, not by arrival, so concurrent schedules
-// that record the same work produce byte-identical exports.
+// comes from an injected obs.Clock (the daemons inject time.Now at the
+// cmd layer; tests inject stepped or constant clocks), and when no
+// clock is given the recorder falls back to a per-recorder monotonic
+// sequence — orderings stay meaningful, absolute values do not.
+// Exported span lists are sorted by value, not by arrival, so
+// concurrent schedules that record the same work produce
+// byte-identical exports.
 package dtrace
 
 import (
@@ -22,6 +25,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"dstore/internal/obs"
 )
 
 // SpanKind identifies one lifecycle stage of a job or sweep.
@@ -142,20 +147,12 @@ func (s Span) less(o Span) bool {
 	return s.Flags < o.Flags
 }
 
-// Clock supplies span timestamps. The daemons inject a wall clock at
-// the cmd layer (internal packages stay wall-free); tests inject
-// stepped or constant clocks to pin exact output bytes.
-type Clock func() uint64
-
 // Options configures a Recorder.
 type Options struct {
-	// Cap bounds retained spans; the ring overwrites oldest beyond it.
-	// Defaults to 16384.
-	Cap int
 	// Clock supplies timestamps. Nil falls back to a per-recorder
 	// monotonic sequence: orderings hold, absolute values are call
 	// counts.
-	Clock Clock
+	Clock obs.Clock
 	// Process names this recorder's process row in stitched exports
 	// ("coordinator", "worker-0", ...). Defaults to "dstore".
 	Process string
@@ -165,35 +162,28 @@ type Options struct {
 // safe on a nil *Recorder (no-ops / zeros), so call sites need no
 // tracing-enabled branches.
 type Recorder struct {
-	clock   Clock
+	clock   obs.Clock
 	process string
 
 	step atomic.Uint64 // fallback clock
 	open atomic.Int64  // spans begun but not yet ended
 
-	mu       sync.Mutex
-	spans    []Span
-	head     int
-	wrapped  bool
-	recorded uint64
-	dropped  uint64
+	mu   sync.Mutex
+	ring obs.Ring[Span]
 }
 
-// DefaultCap is the default ring capacity (512 KiB of spans).
-const DefaultCap = 16384
+// ringCap is the number of spans a recorder retains (512 KiB).
+const ringCap = 16384
 
 // New returns a Recorder. Zero Options are usable.
 func New(opt Options) *Recorder {
-	if opt.Cap <= 0 {
-		opt.Cap = DefaultCap
-	}
 	if opt.Process == "" {
 		opt.Process = "dstore"
 	}
 	return &Recorder{
 		clock:   opt.Clock,
 		process: opt.Process,
-		spans:   make([]Span, 0, opt.Cap),
+		ring:    obs.NewRing[Span](ringCap),
 	}
 }
 
@@ -266,19 +256,8 @@ func (r *Recorder) Record(trace uint64, kind SpanKind, job uint32, arg uint16, s
 // record appends to the ring, overwriting oldest past capacity.
 func (r *Recorder) record(s Span) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.recorded++
-	if len(r.spans) < cap(r.spans) {
-		r.spans = append(r.spans, s)
-		return
-	}
-	r.spans[r.head] = s
-	r.head++
-	r.dropped++
-	if r.head == len(r.spans) {
-		r.head = 0
-		r.wrapped = true
-	}
+	r.ring.Add(s)
+	r.mu.Unlock()
 }
 
 // Spans returns the retained spans for one trace in export order
@@ -288,13 +267,14 @@ func (r *Recorder) Spans(trace uint64) []Span {
 		return nil
 	}
 	r.mu.Lock()
-	out := make([]Span, 0, len(r.spans))
-	for _, s := range r.spans {
+	all := r.ring.Snapshot()
+	r.mu.Unlock()
+	out := all[:0]
+	for _, s := range all {
 		if trace == 0 || s.Trace == trace {
 			out = append(out, s)
 		}
 	}
-	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
 	return out
 }
@@ -307,7 +287,7 @@ func (r *Recorder) Counts() (recorded, dropped uint64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.recorded, r.dropped
+	return r.ring.Recorded(), r.ring.Dropped()
 }
 
 // Open returns the number of spans begun but not yet ended (nil-safe).

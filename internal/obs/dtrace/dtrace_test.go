@@ -3,12 +3,38 @@ package dtrace
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"unsafe"
+
+	"dstore/internal/obs"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata goldens from current output")
+
+// newRecorder returns a recorder whose ring holds only capacity spans,
+// for tests that drive it past full.
+func newRecorder(capacity int, opt Options) *Recorder {
+	r := New(opt)
+	r.ring = obs.NewRing[Span](capacity)
+	return r
+}
+
+// stitch renders Stitch's document into memory.
+func stitch(t *testing.T, trace uint64, dumps []Dump) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := Stitch(&b, trace, dumps); err != nil {
+		t.Fatalf("Stitch: %v", err)
+	}
+	return b.Bytes()
+}
 
 // TestSpanSize pins the packed record at 32 bytes — the same budget
 // the single-process observer proved. Growing it silently doubles the
@@ -36,7 +62,7 @@ func TestNilRecorderSafe(t *testing.T) {
 }
 
 func TestZeroTraceRecordsNothing(t *testing.T) {
-	r := New(Options{Cap: 8})
+	r := New(Options{})
 	r.Begin(0, SpanSimulate, 0, 0).End(0)
 	r.Record(0, SpanVerify, 0, 0, 1, 2, 0)
 	if rec, _ := r.Counts(); rec != 0 {
@@ -49,7 +75,7 @@ func TestZeroTraceRecordsNothing(t *testing.T) {
 
 func TestBeginEndAndOpenInvariant(t *testing.T) {
 	var now uint64
-	r := New(Options{Cap: 8, Clock: func() uint64 { now += 10; return now }, Process: "w"})
+	r := New(Options{Clock: func() uint64 { now += 10; return now }, Process: "w"})
 	sp := r.Begin(7, SpanSimulate, 3, 2)
 	if r.Open() != 1 {
 		t.Fatalf("open = %d, want 1", r.Open())
@@ -69,7 +95,7 @@ func TestBeginEndAndOpenInvariant(t *testing.T) {
 }
 
 func TestRingOverwritesOldest(t *testing.T) {
-	r := New(Options{Cap: 4})
+	r := newRecorder(4, Options{})
 	for i := uint16(0); i < 6; i++ {
 		r.Record(1, SpanDispatch, uint32(i), i, uint64(i), 1, 0)
 	}
@@ -90,7 +116,7 @@ func TestRingOverwritesOldest(t *testing.T) {
 // multiset recorded in different orders exports identically.
 func TestSpansOrderIndependent(t *testing.T) {
 	mk := func(order []int) []Span {
-		r := New(Options{Cap: 16})
+		r := New(Options{})
 		all := []Span{
 			{Trace: 5, Start: 30, Dur: 1, Job: 1, Kind: SpanSimulate},
 			{Trace: 5, Start: 10, Dur: 2, Job: 0, Kind: SpanDispatch, Arg: 1},
@@ -119,7 +145,7 @@ func TestSpansOrderIndependent(t *testing.T) {
 }
 
 func TestRecorderConcurrencySafe(t *testing.T) {
-	r := New(Options{Cap: 64})
+	r := newRecorder(64, Options{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -200,23 +226,9 @@ func TestKindNames(t *testing.T) {
 // encoding/json (the Perfetto parse) and pins byte-identity across
 // dump orderings.
 func TestStitchDeterministic(t *testing.T) {
-	w0 := New(Options{Cap: 8, Process: "worker-0"})
-	w0.Record(3, SpanSimulate, 0, 0, 10, 5, 0)
-	w0.Record(3, SpanCacheLookup, 0, 0, 8, 1, FlagHit)
-	w1 := New(Options{Cap: 8, Process: "worker-1"})
-	w1.Record(3, SpanSimulate, 1, 0, 12, 6, FlagErr)
-	co := New(Options{Cap: 8, Process: "coordinator"})
-	co.Record(3, SpanExpand, JobNone, 2, 1, 2, 0)
-
-	dumps := []Dump{w0.DumpTrace(3), w1.DumpTrace(3), co.DumpTrace(3)}
-	out1, err := Stitch(3, dumps)
-	if err != nil {
-		t.Fatalf("Stitch: %v", err)
-	}
-	out2, err := Stitch(3, []Dump{dumps[2], dumps[0], dumps[1]})
-	if err != nil {
-		t.Fatalf("Stitch shuffled: %v", err)
-	}
+	dumps := stitchFixture()
+	out1 := stitch(t, 3, dumps)
+	out2 := stitch(t, 3, []Dump{dumps[2], dumps[0], dumps[1]})
 	if !bytes.Equal(out1, out2) {
 		t.Fatalf("stitch depends on dump order:\n%s\nvs\n%s", out1, out2)
 	}
@@ -257,8 +269,124 @@ func TestStitchDeterministic(t *testing.T) {
 	}
 }
 
+// stitchFixture is three processes' dumps of trace 3: two workers and
+// a coordinator, one span of them not tied to a job.
+func stitchFixture() []Dump {
+	w0 := New(Options{Process: "worker-0"})
+	w0.Record(3, SpanSimulate, 0, 0, 10, 5, 0)
+	w0.Record(3, SpanCacheLookup, 0, 0, 8, 1, FlagHit)
+	w1 := New(Options{Process: "worker-1"})
+	w1.Record(3, SpanSimulate, 1, 0, 12, 6, FlagErr)
+	co := New(Options{Process: "coordinator"})
+	co.Record(3, SpanExpand, JobNone, 2, 1, 2, 0)
+	return []Dump{w0.DumpTrace(3), w1.DumpTrace(3), co.DumpTrace(3)}
+}
+
+// chromeDoc is a decoded Chrome trace: the fields Perfetto reads from
+// each event, plus otherData.
+type chromeDoc struct {
+	TraceEvents []struct {
+		Name string            `json:"name"`
+		Cat  string            `json:"cat"`
+		Ph   string            `json:"ph"`
+		Ts   uint64            `json:"ts"`
+		Dur  uint64            `json:"dur"`
+		Pid  int               `json:"pid"`
+		Tid  int64             `json:"tid"`
+		Args map[string]string `json:"args"`
+	} `json:"traceEvents"`
+	OtherData map[string]string `json:"otherData"`
+}
+
+// requireXDur fails unless every complete ("X") event in a Chrome trace
+// carries an explicit dur, zero-length spans included.
+func requireXDur(t *testing.T, doc []byte) {
+	t.Helper()
+	var raw struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(doc, &raw); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	for _, ev := range raw.TraceEvents {
+		if _, ok := ev["dur"]; ev["ph"] == "X" && !ok {
+			t.Fatalf("complete event without dur: %v", ev)
+		}
+	}
+}
+
+// TestStitchGolden pins the stitched document for stitchFixture: first
+// as decoded events and otherData, then byte for byte.
+func TestStitchGolden(t *testing.T) {
+	got := stitch(t, 3, stitchFixture())
+	path := filepath.Join("testdata", "stitch.golden.json")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	var gotDoc, wantDoc chromeDoc
+	if err := json.Unmarshal(got, &gotDoc); err != nil {
+		t.Fatalf("stitched output is not valid JSON: %v", err)
+	}
+	if err := json.Unmarshal(want, &wantDoc); err != nil {
+		t.Fatalf("golden is not valid JSON: %v", err)
+	}
+	if !reflect.DeepEqual(gotDoc, wantDoc) {
+		t.Fatalf("stitched events differ from %s:\ngot  %+v\nwant %+v", path, gotDoc, wantDoc)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("stitched bytes differ from %s (same events):\ngot\n%s\nwant\n%s", path, got, want)
+	}
+	requireXDur(t, got)
+}
+
+// TestStitchZeroLengthSpansKeepDur proves zero-length spans (a cache
+// lookup or snapshot probe under a coarse clock) still export an
+// explicit "dur":0.
+func TestStitchZeroLengthSpansKeepDur(t *testing.T) {
+	r := New(Options{Clock: func() uint64 { return 7 }, Process: "w"})
+	r.Begin(5, SpanCacheLookup, 0, 0).End(FlagHit)
+	r.Begin(5, SpanSnapshot, 0, 0).End(0)
+	out := stitch(t, 5, []Dump{r.DumpTrace(5)})
+	if n := strings.Count(string(out), `"dur":0`); n < 2 {
+		t.Fatalf("zero-length spans exported %d explicit durs, want 2:\n%s", n, out)
+	}
+	requireXDur(t, out)
+}
+
+// TestRecordingAllocsPinned pins span recording at zero allocations:
+// on a nil recorder (tracing off) and into a full ring.
+func TestRecordingAllocsPinned(t *testing.T) {
+	var off *Recorder
+	full := newRecorder(4, Options{})
+	for i := 0; i < 8; i++ {
+		full.Record(1, SpanDispatch, uint32(i), 0, uint64(i), 1, 0)
+	}
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"nil Begin/End", func() { off.Begin(1, SpanSimulate, 0, 0).End(0) }},
+		{"nil Record", func() { off.Record(1, SpanVerify, 0, 0, 1, 2, 0) }},
+		{"full Begin/End", func() { full.Begin(1, SpanSimulate, 0, 0).End(0) }},
+		{"full Record", func() { full.Record(1, SpanVerify, 0, 0, 1, 2, 0) }},
+	} {
+		if a := testing.AllocsPerRun(100, tc.f); a != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", tc.name, a)
+		}
+	}
+	if _, dropped := full.Counts(); dropped == 0 {
+		t.Fatalf("ring never filled")
+	}
+}
+
 func TestDumpSeqStable(t *testing.T) {
-	r := New(Options{Cap: 8, Process: "w"})
+	r := New(Options{Process: "w"})
 	r.Record(2, SpanSimulate, 1, 0, 10, 1, 0)
 	r.Record(2, SpanSimulate, 0, 0, 5, 1, 0)
 	d1 := r.DumpTrace(2)

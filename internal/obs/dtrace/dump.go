@@ -1,10 +1,11 @@
 package dtrace
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
+	"io"
 	"sort"
+	"strconv"
+
+	"dstore/internal/obs"
 )
 
 // Dump is one process's spans for one trace — the wire form workers
@@ -63,76 +64,42 @@ func (r *Recorder) DumpTrace(trace uint64) Dump {
 	return d
 }
 
-// chromeEvent is one Chrome trace-event record. Field order is the
-// serialization order, which keeps stitched output byte-stable.
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Cat  string            `json:"cat,omitempty"`
-	Ph   string            `json:"ph"`
-	Ts   uint64            `json:"ts"`
-	Dur  uint64            `json:"dur"`
-	Pid  int               `json:"pid"`
-	Tid  int64             `json:"tid"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-// Stitch merges per-process dumps into one Chrome trace-event JSON
-// document: one named process row per node (metadata records first),
-// then every span as a complete ("X") event with tid = job index.
-// Processes render sorted by name and spans in dump order, so the
-// output is byte-deterministic given deterministic dumps — the
-// acceptance bar for trace exports. Timestamps pass through in the
-// recorder clock's unit (nanoseconds under the daemons' clock).
-func Stitch(trace uint64, dumps []Dump) ([]byte, error) {
+// Stitch streams per-process dumps to w as one Chrome trace-event JSON
+// document, through the same writer the simulator's tracer uses: one
+// named process row per node (metadata records first), then every span
+// as a complete ("X") event with tid = job index, then the summed drop
+// count and the trace ID as otherData. Processes render sorted by name
+// and spans in dump order, so the output is byte-deterministic given
+// deterministic dumps — the acceptance bar for trace exports.
+// Timestamps pass through in the recorder clock's unit (nanoseconds
+// under the daemons' clock).
+func Stitch(w io.Writer, trace uint64, dumps []Dump) error {
 	sorted := make([]Dump, len(dumps))
 	copy(sorted, dumps)
 	// Stable: two processes configured with the same name keep the
 	// caller's (deterministic) dump order instead of an arbitrary one.
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Process < sorted[j].Process })
 
-	var events []chromeEvent
+	tw := obs.NewTraceWriter(w)
 	for pid, d := range sorted {
-		events = append(events, chromeEvent{
-			Name: "process_name",
-			Ph:   "M",
-			Pid:  pid,
-			Args: map[string]string{"name": d.Process},
-		})
+		tw.Event(obs.TraceEvent{Name: "process_name", Ph: "M", Pid: pid, Args: [][2]string{{"name", d.Process}}})
 	}
 	var dropped uint64
 	for pid, d := range sorted {
 		dropped += d.Dropped
 		for _, s := range d.Spans {
-			ev := chromeEvent{
-				Name: s.Kind,
-				Cat:  "dtrace",
-				Ph:   "X",
-				Ts:   s.Start,
-				Dur:  s.Dur,
-				Pid:  pid,
-				Tid:  s.Job,
-				Args: map[string]string{
-					"arg":   fmt.Sprintf("%d", s.Arg),
-					"flags": fmt.Sprintf("%d", s.Flags),
+			tw.Event(obs.TraceEvent{
+				Name: s.Kind, Cat: "dtrace", Ph: "X",
+				Ts: s.Start, Dur: s.Dur, Pid: pid, Tid: s.Job,
+				Args: [][2]string{
+					{"arg", strconv.FormatUint(uint64(s.Arg), 10)},
+					{"flags", strconv.FormatUint(uint64(s.Flags), 10)},
 				},
-			}
-			events = append(events, ev)
+			})
 		}
 	}
-
-	var b bytes.Buffer
-	b.WriteString("{\"traceEvents\":[")
-	for i, ev := range events {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		enc, err := json.Marshal(ev)
-		if err != nil {
-			return nil, err
-		}
-		b.Write(enc)
-	}
-	fmt.Fprintf(&b, "],\"otherData\":{\"dropped\":\"%d\",\"trace\":\"%s\"}}", dropped, FormatTraceID(trace))
-	b.WriteByte('\n')
-	return b.Bytes(), nil
+	return tw.Close(
+		[2]string{"dropped", strconv.FormatUint(dropped, 10)},
+		[2]string{"trace", FormatTraceID(trace)},
+	)
 }

@@ -2,6 +2,12 @@
 // log-bucketed latency histograms and an epoch-windowed interval
 // sampler, all recording against simulated time.
 //
+// Its trace ring (Ring) and Chrome trace-event writer (TraceWriter) are
+// also the ones the fleet's span recorder, obs/dtrace, uses. Both are
+// generic over the clock domain: the Observer records simulation ticks,
+// dtrace records wall-clock nanoseconds, and the writer passes either
+// through unconverted.
+//
 // The layer is strictly passive. Recording never schedules events,
 // never mutates component state and never reads the wall clock, so a
 // run produces byte-identical Results whether or not an Observer is
@@ -26,7 +32,9 @@ import (
 // Clock reads host time in nanoseconds. The determinism contract bans
 // wall-clock reads inside internal packages, so the closure is injected
 // from cmd/ (which is exempt); internal code only ever calls it for
-// host-side phase timing, never for simulation results.
+// host-side phase timing and dtrace span timestamps, never for
+// simulation results. Tests inject stepped or constant clocks to pin
+// exact output bytes.
 type Clock func() uint64
 
 // Options selects which pillars an Observer records. The zero value
@@ -185,12 +193,8 @@ type Observer struct {
 	comps   []string
 	compIDs map[string]CompID
 
-	// Trace ring: ring holds the most recent events; once full, head is
-	// the next slot to overwrite (= the oldest event).
-	ring    []Event
-	head    int
-	wrapped bool
-	dropped uint64
+	// ring holds the most recent trace events.
+	ring Ring[Event]
 
 	// State namer injected by the wiring layer (coherence's StateName),
 	// so trace output uses protocol names without an import cycle.
@@ -215,7 +219,7 @@ func New(opt Options) *Observer {
 	}
 	o := &Observer{opt: opt, compIDs: make(map[string]CompID)}
 	if opt.Trace {
-		o.ring = make([]Event, 0, opt.TraceCap)
+		o.ring = NewRing[Event](opt.TraceCap)
 	}
 	if opt.Hist {
 		for i := range o.hists {
@@ -279,39 +283,13 @@ func (o *Observer) stateStr(s uint8) string {
 	return fmt.Sprintf("S%d", s)
 }
 
-// record appends to the ring, overwriting the oldest event once full.
-func (o *Observer) record(ev Event) {
-	if cap(o.ring) == 0 {
-		return
-	}
-	if len(o.ring) < cap(o.ring) {
-		o.ring = append(o.ring, ev)
-		return
-	}
-	o.ring[o.head] = ev
-	o.head++
-	if o.head == len(o.ring) {
-		o.head = 0
-	}
-	o.wrapped = true
-	o.dropped++
-}
-
 // Events returns the recorded events in chronological order (oldest
 // first). Nil-safe: returns nil.
 func (o *Observer) Events() []Event {
-	if o == nil || len(o.ring) == 0 {
+	if o == nil {
 		return nil
 	}
-	if !o.wrapped {
-		out := make([]Event, len(o.ring))
-		copy(out, o.ring)
-		return out
-	}
-	out := make([]Event, 0, len(o.ring))
-	out = append(out, o.ring[o.head:]...)
-	out = append(out, o.ring[:o.head]...)
-	return out
+	return o.ring.Snapshot()
 }
 
 // Dropped returns how many events the ring overwrote (nil-safe).
@@ -319,7 +297,7 @@ func (o *Observer) Dropped() uint64 {
 	if o == nil {
 		return 0
 	}
-	return o.dropped
+	return o.ring.Dropped()
 }
 
 // Msg records a protocol message send and counts it for the sampler.
@@ -332,7 +310,7 @@ func (o *Observer) Msg(now sim.Tick, from CompID, class MsgClass, addr memsys.Ad
 		o.sampler.cur.Msgs[class]++
 	}
 	if o.opt.Trace {
-		o.record(Event{When: now, Kind: EvMsg, Comp: from, Arg: uint8(class), Addr: addr, A: uint64(to)})
+		o.ring.Add(Event{When: now, Kind: EvMsg, Comp: from, Arg: uint8(class), Addr: addr, A: uint64(to)})
 	}
 }
 
@@ -341,7 +319,7 @@ func (o *Observer) StateChange(now sim.Tick, comp CompID, addr memsys.Addr, from
 	if o == nil || !o.opt.Trace {
 		return
 	}
-	o.record(Event{When: now, Kind: EvState, Comp: comp, Arg: from<<4 | to&0xf, Addr: addr})
+	o.ring.Add(Event{When: now, Kind: EvState, Comp: comp, Arg: from<<4 | to&0xf, Addr: addr})
 }
 
 // Push records a direct-store push leaving the CPU controller. Nil-safe.
@@ -349,7 +327,7 @@ func (o *Observer) Push(now sim.Tick, from CompID, addr memsys.Addr, to CompID) 
 	if o == nil || !o.opt.Trace {
 		return
 	}
-	o.record(Event{When: now, Kind: EvPush, Comp: from, Addr: addr, A: uint64(to)})
+	o.ring.Add(Event{When: now, Kind: EvPush, Comp: from, Addr: addr, A: uint64(to)})
 }
 
 // CacheAccess records a demand cache access (level 1 or 2) and, for GPU
@@ -379,7 +357,7 @@ func (o *Observer) CacheAccess(now sim.Tick, comp CompID, addr memsys.Addr, leve
 		if hit {
 			h = 1
 		}
-		o.record(Event{When: now, Kind: EvAccess, Comp: comp, Arg: level<<1 | h, Addr: addr})
+		o.ring.Add(Event{When: now, Kind: EvAccess, Comp: comp, Arg: level<<1 | h, Addr: addr})
 	}
 }
 
@@ -402,7 +380,7 @@ func (o *Observer) Latency(now sim.Tick, comp CompID, id HistID, addr memsys.Add
 		o.hists[id].Observe(uint64(d))
 	}
 	if o.opt.Trace {
-		o.record(Event{When: now, Kind: EvLat, Comp: comp, Arg: uint8(id), Addr: addr, A: uint64(d)})
+		o.ring.Add(Event{When: now, Kind: EvLat, Comp: comp, Arg: uint8(id), Addr: addr, A: uint64(d)})
 	}
 }
 

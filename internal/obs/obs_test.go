@@ -72,6 +72,43 @@ func TestRingWrap(t *testing.T) {
 	}
 }
 
+// TestRecordingAllocsPinned pins the recording hot path at zero
+// allocations: every recording method on a nil *Observer (observation
+// off), and each trace record into a full ring.
+func TestRecordingAllocsPinned(t *testing.T) {
+	var off *Observer
+	full := New(Options{Trace: true, TraceCap: 4})
+	c := full.Component("c")
+	for i := 0; i < 8; i++ {
+		full.Push(sim.Tick(i), c, 0x40, c)
+	}
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"nil Msg", func() { off.Msg(1, 0, MsgGETS, 0x100, 1) }},
+		{"nil StateChange", func() { off.StateChange(1, 0, 0x100, 0, 3) }},
+		{"nil Push", func() { off.Push(1, 0, 0x100, 1) }},
+		{"nil CacheAccess", func() { off.CacheAccess(1, 0, 0x100, 2, true, true) }},
+		{"nil PushInstalled", func() { off.PushInstalled(1, 0x100) }},
+		{"nil Latency", func() { off.Latency(1, 0, HistGPULoadLat, 0x100, 42) }},
+		{"nil Tick", func() { off.Tick(0, 100) }},
+		{"nil FinishRun", func() { off.FinishRun(100) }},
+		{"full Msg", func() { full.Msg(9, c, MsgGETS, 0x100, c) }},
+		{"full StateChange", func() { full.StateChange(9, c, 0x100, 0, 3) }},
+		{"full Push", func() { full.Push(9, c, 0x100, c) }},
+		{"full CacheAccess", func() { full.CacheAccess(9, c, 0x100, 2, true, true) }},
+		{"full Latency", func() { full.Latency(9, c, HistGPULoadLat, 0x100, 42) }},
+	} {
+		if a := testing.AllocsPerRun(100, tc.f); a != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", tc.name, a)
+		}
+	}
+	if full.Dropped() == 0 {
+		t.Fatalf("ring never filled")
+	}
+}
+
 // TestHistogramBuckets pins the log2 bucket boundaries: 0 alone, then
 // [2^(i-1), 2^i).
 func TestHistogramBuckets(t *testing.T) {

@@ -128,7 +128,7 @@ func waitStatus(t *testing.T, base, id, want string, timeout time.Duration) test
 	}
 }
 
-// metricsMap reads /v1/stats (the stats.Set JSON view of /metrics).
+// metricsMap reads /v1/stats (the JSON object view of /metrics).
 func metricsMap(t *testing.T, base string) map[string]uint64 {
 	t.Helper()
 	code, b := getRaw(t, base+"/v1/stats")

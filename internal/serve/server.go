@@ -67,9 +67,7 @@ type Options struct {
 	// Clock supplies distributed-tracing span timestamps. Nil falls
 	// back to the recorder's monotonic sequence; the daemon injects a
 	// wall clock at the cmd layer so internal packages stay wall-free.
-	Clock dtrace.Clock
-	// TraceSpanCap bounds the span ring (dtrace.DefaultCap when zero).
-	TraceSpanCap int
+	Clock obs.Clock
 	// EnablePprof registers the runtime profiling handlers under
 	// /debug/pprof/ on the server's own mux (the -pprof flag). Off by
 	// default: profiles expose internals and cost CPU to capture.
@@ -313,11 +311,7 @@ func newServer(opt Options, runFn func(context.Context, *job) ([]byte, error)) (
 		s.aggHists[i] = obs.NewHistogram(obs.HistID(i).String())
 	}
 	s.queueWait = obs.NewHistogram("queue_wait_ns")
-	s.rec = dtrace.New(dtrace.Options{
-		Cap:     opt.TraceSpanCap,
-		Clock:   opt.Clock,
-		Process: opt.Name,
-	})
+	s.rec = dtrace.New(dtrace.Options{Clock: opt.Clock, Process: opt.Name})
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleStatus)

@@ -78,27 +78,6 @@ func (s *Set) Dump() string {
 	return b.String()
 }
 
-// MarshalJSON encodes the set as a JSON object whose keys appear in
-// counter-creation order. The encoding is deterministic byte-for-byte
-// for a given set, so API responses built from it are diffable.
-func (s *Set) MarshalJSON() ([]byte, error) {
-	var b strings.Builder
-	b.WriteString("{")
-	for i, n := range s.names {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		key, err := json.Marshal(n)
-		if err != nil {
-			return nil, err
-		}
-		b.Write(key)
-		fmt.Fprintf(&b, ":%d", s.counters[n].Value())
-	}
-	b.WriteString("}")
-	return []byte(b.String()), nil
-}
-
 // Ratio returns a/b as a float, or 0 when b is zero. Miss rates and
 // speedups all come through here so a zero-access cache reads as a 0%
 // miss rate rather than NaN (matching how the paper plots zero bars for

@@ -220,46 +220,3 @@ func TestTableJSON(t *testing.T) {
 		t.Errorf("round trip: %+v", doc)
 	}
 }
-
-func TestSetMarshalJSON(t *testing.T) {
-	s := NewSet()
-	s.Counter("zulu").Add(3)
-	s.Counter("alpha").Add(1)
-	s.Counter("mid point").Add(2)
-
-	b, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Keys appear in creation order, not sorted, and the bytes are
-	// deterministic.
-	want := `{"zulu":3,"alpha":1,"mid point":2}`
-	if string(b) != want {
-		t.Fatalf("MarshalJSON = %s, want %s", b, want)
-	}
-	b2, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b2) != want {
-		t.Fatalf("second marshal diverged: %s", b2)
-	}
-	// The output round-trips as ordinary JSON.
-	var m map[string]uint64
-	if err := json.Unmarshal(b, &m); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if m["zulu"] != 3 || m["alpha"] != 1 || m["mid point"] != 2 {
-		t.Fatalf("round-trip mismatch: %v", m)
-	}
-}
-
-func TestSetMarshalJSONEmpty(t *testing.T) {
-	b, err := json.Marshal(NewSet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != "{}" {
-		t.Fatalf("empty set = %s, want {}", b)
-	}
-}
