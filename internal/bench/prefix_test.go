@@ -2,7 +2,13 @@ package bench
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -161,5 +167,45 @@ func TestSnapshotIneligible(t *testing.T) {
 	chaotic.Chaos = &core.ChaosConfig{}
 	if _, ok := PrefixKey("MM", chaotic, Small); ok {
 		t.Error("chaos run reported memoizable")
+	}
+}
+
+// snapshotGoldenFile pins the bytes of the post-produce snapshot, as
+// RunWithSnapshotContext stores it, by SHA-256 and length. The
+// round-trip tests only prove a snapshot restores to the same result;
+// this one proves the encoding itself has not moved (for example, the
+// line indices a controller's table writes). Regenerate deliberately
+// with
+//
+//	go test ./internal/bench -run SnapshotBytesGolden -update
+var snapshotGoldenFile = filepath.Join("testdata", "snapshot_small.txt")
+
+func TestSnapshotBytesGolden(t *testing.T) {
+	var b strings.Builder
+	for _, mode := range []core.Mode{core.ModeDirectStore, core.ModeCCSM} {
+		store := newMapStore()
+		if _, _, err := RunWithSnapshotContext(context.Background(), "MM", core.DefaultConfig(mode), Small, store); err != nil {
+			t.Fatal(err)
+		}
+		if len(store.m) != 1 {
+			t.Fatalf("MM %s: %d snapshots stored, want 1", mode, len(store.m))
+		}
+		for _, blob := range store.m { //dstore:allow-maprange one entry
+			sum := sha256.Sum256(blob)
+			fmt.Fprintf(&b, "MM %s %s sha256=%s len=%d\n", Small, mode, hex.EncodeToString(sum[:]), len(blob))
+		}
+	}
+	got := b.String()
+	if *updateTraces {
+		if err := os.WriteFile(snapshotGoldenFile, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(snapshotGoldenFile)
+	if err != nil {
+		t.Fatalf("%v (run with -update to generate)", err)
+	}
+	if got != string(want) {
+		t.Errorf("snapshot bytes drifted from %s:\n got:\n%s want:\n%s", snapshotGoldenFile, got, want)
 	}
 }

@@ -165,13 +165,12 @@ func regraph(g *trace.Graph, nodeBase, edgeBase memsys.Addr) *trace.Graph {
 func buildInitKernel(code string, lines []memsys.Addr) gpu.Kernel {
 	warps := autoWarps(len(lines))
 	chunks := trace.Chunk(lines, warps)
-	ws := make([]gpu.Warp, 0, len(chunks))
-	for _, chunk := range chunks {
-		ops := make([]gpu.WarpOp, 0, len(chunk))
-		for _, a := range chunk {
-			ops = append(ops, gpu.WarpOp{Kind: gpu.OpGlobalStore, Addr: a, Lines: 1})
-		}
-		ws = append(ws, gpu.Warp{Ops: ops})
+	store := []gpu.WarpOp{{Kind: gpu.OpGlobalStore, Lines: 1}}
+	ws := make([]gpu.Warp, len(chunks))
+	loops := make([]gpu.Loop, len(chunks))
+	for i, chunk := range chunks {
+		loops[i] = gpu.Loop{Body: store, Addrs: chunk}
+		ws[i] = gpu.Warp{Loops: loops[i : i+1 : i+1]}
 	}
 	return gpu.Kernel{Name: code + ".init", Warps: ws}
 }
@@ -180,7 +179,9 @@ func buildInitKernel(code string, lines []memsys.Addr) gpu.Kernel {
 // read sequence once per pass (rotating chunks across passes so reuse
 // lands in the L2, not the flash-invalidated L1s), interleaving the
 // profile's scratchpad staging and arithmetic, then performs its share
-// of the writes.
+// of the writes. Each pass is one gpu.Loop over a chunk and the writes
+// are one more; the per-line body is a single template shared by the
+// whole kernel, so no warp's op stream is ever written out.
 func buildKernel(p profile, in Input, k, passes int, readLines, outLines []memsys.Addr) gpu.Kernel {
 	warps := p.warps
 	if warps == 0 {
@@ -191,56 +192,33 @@ func buildKernel(p profile, in Input, k, passes int, readLines, outLines []memsy
 	sharedOps := p.sharedOpsPerLine[in]
 	gap := p.computePerLine[in]
 
-	// Per-read-line op footprint, for exact preallocation: the load
-	// itself, one repeated scratchpad op for the staging accesses, and
-	// the trailing compute gap.
-	perLine := 1
+	// Per-read-line body: the load itself, one repeated scratchpad op
+	// for the staging accesses, and the trailing compute gap.
+	load := []gpu.WarpOp{{Kind: gpu.OpGlobalLoad, Lines: 1}}
 	if p.stage && sharedOps > 0 {
-		perLine++
+		load = append(load, gpu.WarpOp{Kind: gpu.OpShared, Lines: sharedOps})
 	}
 	if gap > 0 {
-		perLine++
+		load = append(load, gpu.WarpOp{Kind: gpu.OpCompute, Gap: gap})
 	}
+	store := []gpu.WarpOp{{Kind: gpu.OpGlobalStore, Lines: 1}}
 
-	ws := make([]gpu.Warp, 0, warps)
-	for wi := 0; wi < warps; wi++ {
-		nops := 0
+	ws := make([]gpu.Warp, warps)
+	loops := make([]gpu.Loop, 0, warps*(passes+1))
+	for wi := range ws {
+		first := len(loops)
 		for pass := 0; pass < passes; pass++ {
-			nops += len(chunks[(wi+pass)%warps]) * perLine
+			loops = append(loops, gpu.Loop{Body: load, Addrs: chunks[(wi+pass)%warps]})
 		}
 		switch {
 		case len(outLines) > 0:
-			nops += len(outChunks[wi])
-		case p.writeFrac > 0:
-			nops += len(chunks[wi]) * p.writeFrac / 256
-		}
-		ops := make([]gpu.WarpOp, 0, nops)
-		for pass := 0; pass < passes; pass++ {
-			chunk := chunks[(wi+pass)%warps]
-			for _, a := range chunk {
-				ops = append(ops, gpu.WarpOp{Kind: gpu.OpGlobalLoad, Addr: a, Lines: 1})
-				if p.stage && sharedOps > 0 {
-					ops = append(ops, gpu.WarpOp{Kind: gpu.OpShared, Lines: sharedOps})
-				}
-				if gap > 0 {
-					ops = append(ops, gpu.WarpOp{Kind: gpu.OpCompute, Gap: gap})
-				}
-			}
-		}
-		switch {
-		case len(outLines) > 0:
-			for _, a := range outChunks[wi] {
-				ops = append(ops, gpu.WarpOp{Kind: gpu.OpGlobalStore, Addr: a, Lines: 1})
-			}
+			loops = append(loops, gpu.Loop{Body: store, Addrs: outChunks[wi]})
 		case p.writeFrac > 0:
 			// In-place updates over a slice of this warp's chunk.
 			chunk := chunks[wi]
-			n := len(chunk) * p.writeFrac / 256
-			for i := 0; i < n; i++ {
-				ops = append(ops, gpu.WarpOp{Kind: gpu.OpGlobalStore, Addr: chunk[i], Lines: 1})
-			}
+			loops = append(loops, gpu.Loop{Body: store, Addrs: chunk[:len(chunk)*p.writeFrac/256]})
 		}
-		ws = append(ws, gpu.Warp{Ops: ops})
+		ws[wi] = gpu.Warp{Loops: loops[first:len(loops):len(loops)]}
 	}
 	return gpu.Kernel{Name: fmt.Sprintf("%s.k%d", p.code, k), Warps: ws}
 }

@@ -49,6 +49,11 @@ type CtrlConfig struct {
 	// line exclusive-clean (M) instead of MM — the ablation for the
 	// paper's choice of MM as the install state (§III-F).
 	PushWriteThrough bool
+	// Slice is the controller's index among the 1<<L2.IndexShift
+	// line-interleaved GPU L2 slices. The controller is only ever sent
+	// the lines whose number modulo the slice count is Slice, and its
+	// line table holds only those. Zero for an unsliced controller.
+	Slice int
 }
 
 // Ctrl is a coherent cache controller speaking the Hammer protocol with
@@ -70,7 +75,7 @@ type Ctrl struct {
 	// version plus the in-flight writeback buffer and its staleness
 	// mark (see lineState). The staleness mark was found by the model
 	// checker: without it, a load after a remote store returns the
-	// pre-store data.
+	// pre-store data. A slice's table holds only the slice's own lines.
 	lines lineTab[lineState]
 	// wbCount tracks the number of lsWB entries (telemetry gauge).
 	wbCount int
@@ -131,6 +136,7 @@ func NewCtrl(engine *sim.Engine, cfg CtrlConfig, xbar interconnect.Network, mem 
 		mem:           mem,
 		l2:            cache.New(cfg.L2),
 		mshr:          cache.NewMSHR(cfg.MSHRs),
+		lines:         newLineTab[lineState](cfg.L2.IndexShift, uint64(cfg.Slice)),
 		remotePending: make(map[memsys.Addr][]*memsys.Request),
 		counters:      stats.NewSet(),
 	}
@@ -182,8 +188,9 @@ func (c *Ctrl) State(a memsys.Addr) State {
 	return st
 }
 
-// Ver returns the resident version of a line, or 0 (test hook).
-func (c *Ctrl) Ver(a memsys.Addr) uint64 { return c.lines.at(memsys.LineAlign(a)).ver }
+// Ver returns the resident version of a line, or 0: also for a line
+// another slice owns. It never allocates.
+func (c *Ctrl) Ver(a memsys.Addr) uint64 { return c.lines.get(memsys.LineAlign(a)).ver }
 
 // AttachDirectStore wires the CPU-side push path: the dedicated link
 // and the slice-routing function (paper §III-G).
@@ -284,14 +291,14 @@ func (c *Ctrl) processReq(req *memsys.Request, quiet bool) {
 				_, hit = c.l1.Lookup(line)
 			}
 			if hit {
-				req.Ver = c.lines.at(line).ver
+				req.Ver = c.lines.get(line).ver
 				c.complete(req, c.cfg.L1HitLat)
 				return
 			}
 		}
 		if st, hit := lookupL2(line); hit && Transition(st, EvLoadHit).OK {
 			c.fillL1(line)
-			req.Ver = c.lines.at(line).ver
+			req.Ver = c.lines.get(line).ver
 			c.complete(req, c.cfg.L1HitLat+c.cfg.L2HitLat)
 			return
 		}
@@ -732,7 +739,7 @@ func (c *Ctrl) receiveData(d DataMsg) {
 		st, _, ok := c.l2.Probe(line)
 		if w.Type == memsys.Load || w.Type == memsys.IFetch {
 			if ok {
-				w.Ver = c.lines.at(line).ver
+				w.Ver = c.lines.get(line).ver
 				c.fillL1(line)
 			} else {
 				w.Ver = fillVer

@@ -37,8 +37,9 @@ type MemCtrl struct {
 	// CheckInvariants evaluates (see registry.go); nil defaults to heap.
 	proto *Protocol
 
-	// busy and dramVer are dense per-line tables (see lineTab); queued
-	// stays a map — it only holds lines with a transaction collision.
+	// busy and dramVer are dense per-line tables over every line (see
+	// lineTab); queued stays a map — it only holds lines with a
+	// transaction collision.
 	busy      lineTab[*txn]
 	busyCount int
 	queued    map[memsys.Addr][]ReqMsg
@@ -148,8 +149,8 @@ func (m *MemCtrl) AttachObserver(o *obs.Observer) {
 }
 
 // MemVer returns the version memory holds for a line (the oracle's view
-// of DRAM contents).
-func (m *MemCtrl) MemVer(a memsys.Addr) uint64 { return *m.dramVer.at(memsys.LineAlign(a)) }
+// of DRAM contents). It never allocates.
+func (m *MemCtrl) MemVer(a memsys.Addr) uint64 { return m.dramVer.get(memsys.LineAlign(a)) }
 
 // ReceiveRequest is invoked when a request message arrives (the caller
 // has already paid the network delay).
@@ -167,7 +168,7 @@ func (m *MemCtrl) ReceiveRequest(req ReqMsg) {
 	}
 	line := memsys.LineAlign(req.Addr)
 	req.Addr = line
-	if *m.busy.at(line) != nil {
+	if m.busy.get(line) != nil {
 		m.queued[line] = append(m.queued[line], req)
 		return
 	}
@@ -271,7 +272,7 @@ func (m *MemCtrl) dramAccess(t *txn, write bool) {
 // ReceiveAck collects a probe acknowledgement.
 func (m *MemCtrl) ReceiveAck(a AckMsg) {
 	line := memsys.LineAlign(a.Addr)
-	t := *m.busy.at(line)
+	t := m.busy.get(line)
 	if t == nil {
 		panic(fmt.Sprintf("coherence: ack for idle line %#x", uint64(line)))
 	}
@@ -281,7 +282,7 @@ func (m *MemCtrl) ReceiveAck(a AckMsg) {
 // sendData answers the requester from memory with the core's grant: a
 // data message, or a control-sized grant when no data travels.
 func (m *MemCtrl) sendData(t *txn, class obs.MsgClass, size int) {
-	d := DataMsg{Addr: t.req.Addr, Ver: *m.dramVer.at(t.req.Addr), Grant: t.MemGrant()}
+	d := DataMsg{Addr: t.req.Addr, Ver: m.dramVer.get(t.req.Addr), Grant: t.MemGrant()}
 	requester := t.req.From
 	if m.obs != nil {
 		m.obs.Msg(m.engine.Now(), m.obsID, class, d.Addr, m.obs.Component(m.peerName(requester)))
@@ -294,7 +295,7 @@ func (m *MemCtrl) sendData(t *txn, class obs.MsgClass, size int) {
 // ReceiveUnblock records the requester's completion notice.
 func (m *MemCtrl) ReceiveUnblock(a memsys.Addr) {
 	line := memsys.LineAlign(a)
-	t := *m.busy.at(line)
+	t := m.busy.get(line)
 	if t == nil {
 		panic(fmt.Sprintf("coherence: unblock for idle line %#x", uint64(line)))
 	}
@@ -363,7 +364,7 @@ func (m *MemCtrl) watchdogScan() {
 	}
 	now := m.engine.Now()
 	for _, line := range m.busyLines() {
-		t := *m.busy.at(line)
+		t := m.busy.get(line)
 		if age := now - t.started; age > m.wdLimit {
 			m.wdTripped = true
 			err := fmt.Errorf(
@@ -384,11 +385,11 @@ func (m *MemCtrl) watchdogScan() {
 // number, which IS address order — no sort needed.
 func (m *MemCtrl) busyLines() []memsys.Addr {
 	lines := make([]memsys.Addr, 0, m.busyCount)
-	for i, t := range m.busy.v {
-		if t != nil {
-			lines = append(lines, memsys.Addr(uint64(i)<<memsys.LineShift))
+	m.busy.each(func(n uint64, t **txn) {
+		if *t != nil {
+			lines = append(lines, memsys.Addr(n<<memsys.LineShift))
 		}
-	}
+	})
 	return lines
 }
 
@@ -400,7 +401,7 @@ func (m *MemCtrl) TransactionDump() string {
 	now := m.engine.Now()
 	fmt.Fprintf(&b, "transaction dump at tick %d: %d in flight\n", now, m.busyCount)
 	for _, line := range m.busyLines() {
-		t := *m.busy.at(line)
+		t := m.busy.get(line)
 		fmt.Fprintf(&b,
 			"  line %#x: %s from %s, age %d, acks %d/%d, probesClean=%v dramDone=%v dataSent=%v, %d queued\n",
 			uint64(line), t.req.Type, m.peerName(t.req.From), now-t.started, t.AcksRecv, t.AcksWanted,

@@ -3,6 +3,7 @@ package coherence
 import (
 	"sort"
 
+	"dstore/internal/memsys"
 	"dstore/internal/sim"
 	"dstore/internal/snap"
 )
@@ -24,25 +25,25 @@ func (c *Ctrl) SnapshotTo(w *snap.Writer) {
 	w.I64(int64(c.portFree))
 	w.U32(uint32(c.wbCount))
 
-	// Sparse line table: count, then (line index, ver, wbVer, flags).
+	// Sparse line table: count, then (line number, ver, wbVer, flags)
+	// in ascending line order. Line numbers are global, so the stream
+	// does not depend on how a slice indexes its own lines.
 	n := 0
-	for i := range c.lines.v {
-		ls := &c.lines.v[i]
-		if ls.ver != 0 || ls.wbVer != 0 || ls.flags != 0 {
+	c.lines.each(func(_ uint64, ls *lineState) {
+		if *ls != (lineState{}) {
 			n++
 		}
-	}
+	})
 	w.U32(uint32(n))
-	for i := range c.lines.v {
-		ls := &c.lines.v[i]
-		if ls.ver == 0 && ls.wbVer == 0 && ls.flags == 0 {
-			continue
+	c.lines.each(func(line uint64, ls *lineState) {
+		if *ls == (lineState{}) {
+			return
 		}
-		w.U64(uint64(i))
+		w.U64(line)
 		w.U64(ls.ver)
 		w.U64(ls.wbVer)
 		w.U8(ls.flags)
-	}
+	})
 
 	w.Bool(c.l1 != nil)
 	if c.l1 != nil {
@@ -72,14 +73,19 @@ func (c *Ctrl) RestoreFrom(r *snap.Reader) {
 	c.portFree = sim.Tick(r.I64())
 	c.wbCount = int(r.U32())
 
-	c.lines = lineTab[lineState]{}
+	c.lines.pages = nil
 	n := r.U32()
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		idx := r.U64()
+		line := memsys.Addr(r.U64() << memsys.LineShift)
 		ver := r.U64()
 		wbVer := r.U64()
 		flags := r.U8()
 		if r.Err() != nil {
+			return
+		}
+		idx, ok := c.lines.local(line)
+		if !ok {
+			r.Failf("coherence %s: snapshot holds line %#x of another slice", c.name, uint64(line))
 			return
 		}
 		*c.lines.atIndex(idx) = lineState{ver: ver, wbVer: wbVer, flags: flags}
@@ -100,15 +106,6 @@ func (c *Ctrl) RestoreFrom(r *snap.Reader) {
 	c.counters.RestoreFrom(r)
 }
 
-// atIndex is at() addressed by line table index rather than line
-// address (the index is LineNum of the physical line address).
-func (t *lineTab[T]) atIndex(i uint64) *T {
-	if i >= uint64(len(t.v)) {
-		t.grow(i)
-	}
-	return &t.v[i]
-}
-
 // SnapshotTo serialises the ordering point: the memory version table
 // (sparse), the optional region directory and the counters. Open
 // transactions or queued collisions are in-flight events and mark the
@@ -119,19 +116,18 @@ func (m *MemCtrl) SnapshotTo(w *snap.Writer) {
 	w.Bool(m.busyCount == 0 && len(m.queued) == 0 && !m.wdArmed && !m.wdTripped)
 
 	n := 0
-	for _, v := range m.dramVer.v {
-		if v != 0 {
+	m.dramVer.each(func(_ uint64, v *uint64) {
+		if *v != 0 {
 			n++
 		}
-	}
+	})
 	w.U32(uint32(n))
-	for i, v := range m.dramVer.v {
-		if v == 0 {
-			continue
+	m.dramVer.each(func(line uint64, v *uint64) {
+		if *v != 0 {
+			w.U64(line)
+			w.U64(*v)
 		}
-		w.U64(uint64(i))
-		w.U64(v)
-	}
+	})
 
 	w.Bool(m.regions != nil)
 	if m.regions != nil {

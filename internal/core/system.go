@@ -384,6 +384,7 @@ func NewSystem(cfg Config) *System {
 			MSHRs:             cfg.SliceMSHRs,
 			BypassDirtyVictim: true,
 			PushWriteThrough:  cfg.PushWriteThrough,
+			Slice:             i,
 		}
 		if cfg.PrefetchDepth > 0 {
 			ctrlCfg.OnDemandMiss = func(line memsys.Addr) { s.prefetchAfter(i, line) }
@@ -599,8 +600,13 @@ func (s *System) Now() sim.Tick { return s.Engine.Now() }
 // no in-flight transactions). Call it after the system drains; a
 // non-nil error is a protocol bug.
 func (s *System) CheckCoherence() error {
-	var lines []memsys.Addr
-	for _, r := range s.Space.Regions() {
+	regions := s.Space.Regions()
+	n := uint64(0)
+	for _, r := range regions {
+		n += memsys.LinesCovering(r.Base, r.Size)
+	}
+	lines := make([]memsys.Addr, 0, n)
+	for _, r := range regions {
 		for va := memsys.LineAlign(r.Base); va < r.End(); va += memsys.LineSize {
 			if pa, ok := s.PT.Lookup(va); ok {
 				lines = append(lines, pa)

@@ -58,15 +58,30 @@ const (
 
 // WarpOp is one operation of a warp's instruction stream.
 type WarpOp struct {
-	Kind  OpKind
-	Addr  memsys.Addr // virtual; first line of the access
-	Lines int         // lines touched by global ops, repeats of OpShared (min 1)
-	Gap   sim.Tick    // compute duration for OpCompute
+	Kind OpKind
+	// Addr is the virtual address of the access's first line. In a
+	// Loop body it is an offset from the iteration's address.
+	Addr  memsys.Addr
+	Lines int      // lines touched by global ops, repeats of OpShared (min 1)
+	Gap   sim.Tick // compute duration for OpCompute
 }
 
-// Warp is a sequence of operations executed in order by one warp.
+// Loop is a compact instruction stream: Body runs once per address in
+// Addrs, in order, with each global op's Addr taken as an offset from
+// that address. A warp walking n lines with a k-op body is one Loop of
+// n addresses instead of n×k materialised ops, and the body can be
+// shared by every warp of a kernel. Execution is indistinguishable
+// from the same ops written out in full.
+type Loop struct {
+	Body  []WarpOp
+	Addrs []memsys.Addr
+}
+
+// Warp is the instruction stream of one warp: Ops in order, then each
+// of Loops in order. Either may be empty.
 type Warp struct {
-	Ops []WarpOp
+	Ops   []WarpOp
+	Loops []Loop
 }
 
 // Kernel is a named collection of warps dispatched together.
@@ -156,13 +171,24 @@ type warpCtx struct {
 	s *sm
 	// g duplicates s.g: exec is the hottest event in the simulator and
 	// the double pointer chase through a cold sm was measurable.
-	g            *GPU
-	ops          []WarpOp
-	pc           int
+	g *GPU
+	// op is the operation being executed, its Addr already rebased on
+	// the loop iteration's address. The loop cursor below locates the
+	// next one: body[pc] of iteration addrs[ai], then the remaining
+	// loops. A warp's plain Ops run as a first loop over onePass.
+	op           WarpOp
+	body         []WarpOp
+	addrs        []memsys.Addr
+	loops        []Loop
+	pc, ai       int
 	pendingLines int
 	// rep counts the accesses of the current OpShared already issued.
 	rep int
 }
+
+// onePass is the iteration list of a warp's plain Ops: one iteration
+// at offset zero.
+var onePass = []memsys.Addr{0}
 
 // loadReq carries one line of a global load from TLB translation to the
 // L1 lookup (and through MSHR-full retries). Pooled per SM.
@@ -194,7 +220,7 @@ type storeReq struct {
 // argument allocates nothing (pointer-shaped args box for free).
 func stepWarp(arg any, _ sim.Tick)     { arg.(*warpCtx).step() }
 func issueWarp(arg any, _ sim.Tick)    { arg.(*warpCtx).issue() }
-func execWarp(arg any, _ sim.Tick)     { w := arg.(*warpCtx); w.exec(&w.ops[w.pc-1]) }
+func execWarp(arg any, _ sim.Tick)     { w := arg.(*warpCtx); w.exec(&w.op) }
 func lineDoneWarp(arg any, _ sim.Tick) { arg.(*warpCtx).lineDone() }
 func loadLookup(arg any, _ sim.Tick)   { lr := arg.(*loadReq); lr.s.lookupLoad(lr, false) }
 func loadRetry(arg any, _ sim.Tick)    { lr := arg.(*loadReq); lr.s.lookupLoad(lr, true) }
@@ -313,12 +339,12 @@ func (g *GPU) Launch(k Kernel, done func()) {
 		g.flashed.Add(uint64(s.l1.InvalidateAll()))
 	}
 	// One contiguous arena for the kernel's warp contexts: warps step
-	// interleaved, so dense layout keeps the hot pc/pendingLines words
-	// of neighbouring warps on shared cache lines.
+	// interleaved, so dense layout keeps the hot cursor/pendingLines
+	// words of neighbouring warps on shared cache lines.
 	ctxs := make([]warpCtx, len(k.Warps))
-	for i := range k.Warps {
+	for i, wp := range k.Warps {
 		s := g.sms[i%len(g.sms)]
-		ctxs[i] = warpCtx{s: s, g: g, ops: k.Warps[i].Ops}
+		ctxs[i] = warpCtx{s: s, g: g, body: wp.Ops, addrs: onePass, loops: wp.Loops}
 		s.queue = append(s.queue, &ctxs[i])
 	}
 	for _, s := range g.sms {
@@ -326,11 +352,23 @@ func (g *GPU) Launch(k Kernel, done func()) {
 	}
 }
 
-// kernelUsesBarriers reports whether any warp contains an OpBarrier.
+// kernelUsesBarriers reports whether any warp contains an OpBarrier,
+// in its Ops or in a loop body.
 func kernelUsesBarriers(k Kernel) bool {
-	for _, w := range k.Warps {
-		for _, op := range w.Ops {
+	hasBarrier := func(ops []WarpOp) bool {
+		for _, op := range ops {
 			if op.Kind == OpBarrier {
+				return true
+			}
+		}
+		return false
+	}
+	for _, w := range k.Warps {
+		if hasBarrier(w.Ops) {
+			return true
+		}
+		for _, l := range w.Loops {
+			if hasBarrier(l.Body) {
 				return true
 			}
 		}
@@ -349,18 +387,36 @@ func (s *sm) fillActive() {
 }
 
 // step advances a warp to its next operation. The scheduled exec event
-// re-reads the operation from w.ops[w.pc-1], so no per-op closure is
-// needed; pc does not move again until the operation completes.
+// reads the operation from w.op, so no per-op closure is needed; w.op
+// does not change again until the operation completes.
 func (w *warpCtx) step() {
-	if w.pc >= len(w.ops) {
+	if !w.next() {
 		w.done()
 		return
 	}
-	w.pc++
 	w.issue()
 }
 
-// issue books the SM's next issue slot for the operation at pc-1.
+// next loads the warp's next operation into w.op, moving the loop
+// cursor on. It reports false once every loop is exhausted.
+func (w *warpCtx) next() bool {
+	for w.pc == len(w.body) {
+		w.pc = 0
+		w.ai++
+		for w.ai >= len(w.addrs) {
+			if len(w.loops) == 0 {
+				return false
+			}
+			w.body, w.addrs, w.loops, w.ai = w.loops[0].Body, w.loops[0].Addrs, w.loops[1:], 0
+		}
+	}
+	w.op = w.body[w.pc]
+	w.op.Addr += w.addrs[w.ai]
+	w.pc++
+	return true
+}
+
+// issue books the SM's next issue slot for the operation in w.op.
 func (w *warpCtx) issue() {
 	s := w.s
 	now := s.g.engine.Now()
@@ -402,7 +458,7 @@ func (w *warpCtx) exec(op *WarpOp) {
 	case OpGlobalStore:
 		if w.s.storesInFlight >= g.cfg.MaxStoresPerSM {
 			// Store pipeline full: the warp stalls until a slot frees.
-			// pc already points past op, so the retry re-executes it.
+			// w.op still holds the store, so the retry re-executes it.
 			g.engine.ScheduleArg(g.cfg.MSHRRetry, execWarp, w)
 			return
 		}

@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -13,6 +15,7 @@ import (
 	"dstore/internal/memsys"
 	"dstore/internal/mmu"
 	"dstore/internal/sim"
+	"dstore/internal/stats"
 )
 
 type rig struct {
@@ -443,6 +446,124 @@ func TestBarrierOverCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("barrier kernel above residency accepted (would deadlock)")
+		}
+	}()
+	r.g.Launch(Kernel{Name: "dead", Warps: warps}, nil)
+}
+
+// expand writes a warp's loops out as plain Ops: the form the loop
+// executor must be indistinguishable from.
+func expand(w Warp) Warp {
+	ops := append([]WarpOp(nil), w.Ops...)
+	for _, l := range w.Loops {
+		for _, a := range l.Addrs {
+			for _, op := range l.Body {
+				op.Addr += a
+				ops = append(ops, op)
+			}
+		}
+	}
+	return Warp{Ops: ops}
+}
+
+// loopKernel builds a kernel in loop form that exercises every op kind
+// a loop body can hold: two-line loads, repeated scratchpad ops and
+// compute gaps in one shared body, then a store loop whose body writes
+// three lines per address. One warp also carries plain Ops ahead of
+// its loops, and one has a loop with no addresses.
+func loopKernel() Kernel {
+	load := []WarpOp{
+		{Kind: OpGlobalLoad, Lines: 2},
+		{Kind: OpShared, Lines: 3},
+		{Kind: OpCompute, Gap: 5},
+	}
+	store := []WarpOp{
+		{Kind: OpGlobalStore, Lines: 1},
+		{Kind: OpGlobalStore, Addr: memsys.LineSize, Lines: 2},
+	}
+	var warps []Warp
+	for w := 0; w < 8; w++ {
+		var in, out []memsys.Addr
+		for i := 0; i < 6; i++ {
+			in = append(in, memsys.Addr(0x100000+((w*6+i)%20)*2*memsys.LineSize))
+			out = append(out, memsys.Addr(0x200000+(w*6+i)*4*memsys.LineSize))
+		}
+		wp := Warp{Loops: []Loop{{Body: load, Addrs: in}, {Body: store, Addrs: out}}}
+		switch w {
+		case 0:
+			wp.Ops = []WarpOp{{Kind: OpCompute, Gap: 11}, {Kind: OpGlobalLoad, Addr: 0x300000, Lines: 1}}
+		case 1:
+			wp.Loops = append([]Loop{{Body: load}}, wp.Loops...)
+		}
+		warps = append(warps, wp)
+	}
+	return Kernel{Name: "loops", Warps: warps}
+}
+
+// TestLoopMatchesExpandedOps: a kernel in loop form and the same kernel
+// written out as Ops give the same finish tick, event count, GPU
+// counters and cache counters, with the MSHR file and the store
+// pipeline both saturated.
+func TestLoopMatchesExpandedOps(t *testing.T) {
+	type outcome struct {
+		at     sim.Tick
+		events uint64
+		counts map[string]uint64
+	}
+	run := func(k Kernel, maxStores int) outcome {
+		r := newRig(t, 2, 4, 2)
+		r.g.cfg.MaxStoresPerSM = maxStores
+		o := outcome{counts: map[string]uint64{}}
+		o.at = r.launch(t, k)
+		o.events = r.e.Executed()
+		collect := func(prefix string, s *stats.Set) {
+			for _, n := range s.Names() {
+				o.counts[prefix+n] = s.Get(n)
+			}
+		}
+		collect("gpu.", r.g.Counters())
+		for i, l1 := range r.g.L1Caches() {
+			collect(fmt.Sprintf("l1.%d.", i), l1.Counters())
+		}
+		for i, sl := range r.slices {
+			collect(fmt.Sprintf("l2.%d.", i), sl.L2Cache().Counters())
+		}
+		return o
+	}
+	loops := loopKernel()
+	var flat Kernel
+	flat.Name = loops.Name
+	for _, w := range loops.Warps {
+		flat.Warps = append(flat.Warps, expand(w))
+	}
+	got, want := run(loops, 2), run(flat, 2)
+	if got.at != want.at || got.events != want.events || !reflect.DeepEqual(got.counts, want.counts) {
+		t.Errorf("loop form: tick %d, %d events, counters %v\nexpanded: tick %d, %d events, counters %v",
+			got.at, got.events, got.counts, want.at, want.events, want.counts)
+	}
+	if got.counts["gpu.l1_mshr_stalls"] == 0 {
+		t.Error("kernel never stalled on the L1 MSHR file")
+	}
+	if got.counts["gpu.shared_ops"] == 0 || got.counts["gpu.global_store_lines"] == 0 {
+		t.Error("kernel ran no scratchpad ops or no stores")
+	}
+	// The store pipeline filled: a deeper one runs fewer events.
+	if deep := run(loops, 1000); deep.events >= got.events {
+		t.Errorf("a 1000-deep store pipeline ran %d events, a 2-deep one %d: the shallow pipeline never filled",
+			deep.events, got.events)
+	}
+}
+
+func TestBarrierInLoopBodyOverCapacityPanics(t *testing.T) {
+	r := newRig(t, 1, 2, 4) // capacity: 1 SM x 2 warps
+	body := []WarpOp{{Kind: OpCompute, Gap: 1}, {Kind: OpBarrier}}
+	var warps []Warp
+	for i := 0; i < 3; i++ {
+		warps = append(warps, Warp{Loops: []Loop{{Body: body, Addrs: []memsys.Addr{0, 0}}}})
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("barrier in a loop body above residency accepted (would deadlock)")
 		}
 	}()
 	r.g.Launch(Kernel{Name: "dead", Warps: warps}, nil)
