@@ -50,14 +50,14 @@ reachability:
 	@echo "wrote internal/coherence/testdata/reachability.json"
 
 # modelcheck exhaustively explores the standard sweep of small
-# protocol configurations (~4.2M states across 7 configs, ~8s with the
-# parallel checker) and fails on any SWMR / data-value / MM-install
-# invariant violation, or if the sweep ever explores fewer states than
-# the committed floor (a shrinking sweep means rules silently stopped
-# firing).
+# protocol configurations (4,196,406 states across 7 configs, ~8 s with
+# two workers on a 2-CPU container) and fails on any SWMR / data-value /
+# MM-install invariant violation, or if the sweep explores fewer states
+# than the exact committed count (a shrinking sweep means rules silently
+# stopped firing).
 .PHONY: modelcheck
 modelcheck:
-	$(GO) run ./cmd/dstore-modelcheck -min-states 4000000
+	$(GO) run ./cmd/dstore-modelcheck -min-states 4196406
 
 .PHONY: build
 build:
@@ -107,12 +107,13 @@ serve-smoke:
 fleet-smoke:
 	$(GO) test ./internal/fleet -run '^(TestFleetFaultWalkthrough|TestFederatedMetricsEqualWorkerSums|TestStitchedTraceByteDeterminism)$$' -count=1
 
-# bench regenerates the event-kernel microbenchmarks. Compare against
-# the committed baseline in BENCH_sim_engine.txt before merging engine
+# bench runs the event-kernel microbenchmarks and the model checker's
+# whole-exploration benchmarks. Compare the kernel's against the
+# committed baseline in BENCH_sim_engine.txt before merging engine
 # changes.
 .PHONY: bench
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim ./internal/modelcheck
 
 .PHONY: baseline
 baseline:

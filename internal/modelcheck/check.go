@@ -120,12 +120,15 @@ type Options struct {
 	Coverage map[CoveragePair]bool
 }
 
-// checker is the per-run immutable context shared by workers.
+// checker is the per-run context shared by workers: the immutable
+// configuration and the two concurrent structures, the visited set and
+// the frontier block pool.
 type checker struct {
 	cfg   Config
 	proto coherence.Protocol
 	group []perm
 	table *fpTable
+	pool  blockPool
 	pushE coherence.Event
 }
 
@@ -136,17 +139,74 @@ const (
 	numExtra
 )
 
-// worker is one BFS worker's private scratch: the next-frontier chunk
-// it builds, its candidate violations, statistics, and a preallocated
-// LineView so invariant checking allocates nothing per state.
+// Frontier layout. A BFS level is a list of blocks of blockSize states
+// (1.3 MB each); workers claim chunk states at a time.
+const (
+	blockSize      = 4096
+	chunk          = 64
+	chunksPerBlock = blockSize / chunk
+)
+
+// block is a run of frontier states and their fingerprints, filled by
+// one worker. Slots past n hold former states or zeroes, so every slot
+// keeps the dead-message-slots-zero invariant copyLive relies on.
+type block struct {
+	n  int
+	fp [blockSize]uint64
+	st [blockSize]state
+}
+
+// blockPool is a run's frontier storage. Each worker fills its own
+// block and hands it to next, the level being built, once it is full;
+// at the level barrier the expanded level's blocks return to free. The
+// mutex is taken once per block, not per state.
+type blockPool struct {
+	mu   sync.Mutex
+	next []*block
+	free []*block
+}
+
+// swap hands full (if non-nil) to the next level and returns an empty
+// block, recycled when one is free.
+func (p *blockPool) swap(full *block) *block {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if full != nil {
+		p.next = append(p.next, full)
+	}
+	n := len(p.free)
+	if n == 0 {
+		return new(block)
+	}
+	b := p.free[n-1]
+	p.free = p.free[:n-1]
+	b.n = 0
+	return b
+}
+
+// worker is one BFS worker's private scratch: the frontier block it is
+// filling, its candidate violations, statistics, its recorder and a
+// preallocated LineView so invariant checking allocates nothing per
+// state.
 type worker struct {
 	view        coherence.LineView
 	counts      []uint64
-	next        []state
-	nextFP      []uint64
+	rec         recorder
+	cur         *block // nil until the worker keeps its first state of a level
 	cands       []cand
 	transitions int
 	scratch     state // successor buffer, reused across every expansion
+}
+
+// keep appends a newly visited state to the worker's current block.
+func (w *worker) keep(p *blockPool, s *state, fp uint64) {
+	if w.cur == nil || w.cur.n == blockSize {
+		w.cur = p.swap(w.cur)
+	}
+	b := w.cur
+	copyLive(&b.st[b.n], s)
+	b.fp[b.n] = fp
+	b.n++
 }
 
 // cand is one discovered violation, kept until the level barrier and
@@ -215,12 +275,15 @@ func newChecker(cfg Config) *checker {
 	}
 }
 
-func (c *checker) newWorker() *worker {
+// newWorker builds a worker whose recorder counts mm-install checks
+// (every push install the model fires) and feeds the optional coverage
+// set, guarded by covMu.
+func (c *checker) newWorker(coverage map[CoveragePair]bool, covMu *sync.Mutex) *worker {
 	names := make([]string, c.cfg.Agents)
 	for a := range names {
 		names[a] = fmt.Sprintf("agent%d", a)
 	}
-	return &worker{
+	w := &worker{
 		view: coherence.LineView{
 			N:           c.cfg.Agents,
 			States:      make([]coherence.State, c.cfg.Agents),
@@ -231,6 +294,17 @@ func (c *checker) newWorker() *worker {
 		},
 		counts: make([]uint64, len(c.proto.Invariants)+numExtra),
 	}
+	w.rec = func(agent, line int, st coherence.State, ev coherence.Event, next coherence.State) {
+		if ev == c.pushE {
+			w.counts[len(c.proto.Invariants)+extraMMInstall]++
+		}
+		if coverage != nil {
+			covMu.Lock()
+			coverage[CoveragePair{State: st, Event: ev}] = true
+			covMu.Unlock()
+		}
+	}
+	return w
 }
 
 // Check explores with default options (all cores).
@@ -258,25 +332,10 @@ func CheckOpts(cfg Config, opt Options) (*Result, error) {
 	c := newChecker(cfg)
 	res := &Result{Config: cfg, Workers: workers}
 
+	var covMu sync.Mutex
 	ws := make([]*worker, workers)
 	for i := range ws {
-		ws[i] = c.newWorker()
-	}
-
-	// Per-worker recorders count mm-install checks (every push install
-	// the model fires) and feed the optional coverage set.
-	var covMu sync.Mutex
-	recFor := func(w *worker) recorder {
-		return func(agent, line int, st coherence.State, ev coherence.Event, next coherence.State) {
-			if ev == c.pushE {
-				w.counts[len(c.proto.Invariants)+extraMMInstall]++
-			}
-			if opt.Coverage != nil {
-				covMu.Lock()
-				opt.Coverage[CoveragePair{State: st, Event: ev}] = true
-				covMu.Unlock()
-			}
-		}
+		ws[i] = c.newWorker(opt.Coverage, &covMu)
 	}
 
 	c.table.par = workers > 1
@@ -289,8 +348,8 @@ func CheckOpts(cfg Config, opt Options) (*Result, error) {
 		return res, nil
 	}
 
-	frontier := []state{init}
-	frontierFP := []uint64{initFP}
+	ws[0].keep(&c.pool, &init, initFP)
+	frontier := c.advance(nil, ws)
 	var best *cand
 	for depth := int32(0); len(frontier) > 0; depth++ {
 		var cursor atomic.Int64
@@ -299,47 +358,14 @@ func CheckOpts(cfg Config, opt Options) (*Result, error) {
 			wg.Add(1)
 			go func(w *worker) {
 				defer wg.Done()
-				rec := recFor(w)
 				for {
 					i := int(cursor.Add(1)) - 1
-					if i >= len(frontier) {
+					if i/chunksPerBlock >= len(frontier) {
 						return
 					}
-					s, pfp := &frontier[i], frontierFP[i]
-					emitted := 0
-					successorsInto(cfg, s, &w.scratch, false, rec, func(ns *state, _ string, viol string) {
-						emitted++
-						w.transitions++
-						if len(c.group) > 0 {
-							*ns = canonical(cfg, c.group, *ns)
-						}
-						fp := fpState(ns)
-						if c.table.insert(fp, pfp, depth+1) {
-							if viol == "" {
-								viol = c.checkState(w, ns)
-							}
-							if n := len(w.next); n < cap(w.next) {
-								// Reused frontier backing: every slot is either
-								// a former state or append-zeroed, so the dead-
-								// slots-zero invariant copyLive needs holds and
-								// the live-prefix copy is enough.
-								w.next = w.next[:n+1]
-								copyLive(&w.next[n], ns)
-							} else {
-								w.next = append(w.next, *ns)
-							}
-							w.nextFP = append(w.nextFP, fp)
-						}
-						if viol != "" {
-							w.cands = append(w.cands, cand{depth: depth + 1, msg: viol, st: *ns})
-						}
-					})
-					if emitted == 0 && workOutstanding(cfg, s) {
-						// Exact deadlock: work outstanding, no enabled step
-						// at all (the in-state heuristic can miss states
-						// whose remaining messages are all undeliverable).
-						w.cands = append(w.cands, cand{depth: depth, msg: "deadlock: work outstanding but no step enabled",
-							st: *s})
+					b, lo := frontier[i/chunksPerBlock], i%chunksPerBlock*chunk
+					for j := lo; j < min(lo+chunk, b.n); j++ {
+						c.expand(w, &b.st[j], b.fp[j], depth)
 					}
 				}
 			}(w)
@@ -355,29 +381,13 @@ func CheckOpts(cfg Config, opt Options) (*Result, error) {
 			}
 			w.cands = w.cands[:0]
 		}
-		var next []state
-		var nextFP []uint64
-		if len(ws) == 1 {
-			// Single worker: its chunk IS the next frontier — swap the
-			// backing arrays instead of copying ~300 bytes per state.
-			w := ws[0]
-			next, nextFP = w.next, w.nextFP
-			w.next, w.nextFP = frontier[:0], frontierFP[:0]
-		} else {
-			next, nextFP = frontier[:0], frontierFP[:0]
-			for _, w := range ws {
-				next = append(next, w.next...)
-				nextFP = append(nextFP, w.nextFP...)
-				w.next, w.nextFP = w.next[:0], w.nextFP[:0]
-			}
-		}
+		frontier = c.advance(frontier, ws)
 		if best != nil {
 			break
 		}
-		if len(next) > 0 {
+		if len(frontier) > 0 {
 			res.MaxDepth = int(depth) + 1
 		}
-		frontier, frontierFP = next, nextFP
 	}
 
 	res.States = c.table.count()
@@ -386,6 +396,52 @@ func CheckOpts(cfg Config, opt Options) (*Result, error) {
 		res.Violation = c.buildViolation(best, init, initFP)
 	}
 	return res, nil
+}
+
+// advance ends a BFS level: the expanded level's blocks return to the
+// free list, and the blocks built during it, full ones plus each
+// worker's partly filled one, become the new frontier.
+func (c *checker) advance(frontier []*block, ws []*worker) []*block {
+	p := &c.pool
+	p.free = append(p.free, frontier...)
+	frontier, p.next = p.next, frontier[:0]
+	for _, w := range ws {
+		if w.cur != nil {
+			frontier = append(frontier, w.cur)
+			w.cur = nil
+		}
+	}
+	return frontier
+}
+
+// expand visits every successor of frontier state s (fingerprint pfp,
+// at depth): canonicalise, insert into the visited set, check and keep
+// the new ones, and record candidate violations.
+func (c *checker) expand(w *worker, s *state, pfp uint64, depth int32) {
+	emitted := 0
+	successorsInto(c.cfg, s, &w.scratch, false, w.rec, func(ns *state, _ string, viol string) {
+		emitted++
+		w.transitions++
+		if len(c.group) > 0 {
+			*ns = canonical(c.cfg, c.group, *ns)
+		}
+		fp := fpState(ns)
+		if c.table.insert(fp, pfp, depth+1) {
+			if viol == "" {
+				viol = c.checkState(w, ns)
+			}
+			w.keep(&c.pool, ns, fp)
+		}
+		if viol != "" {
+			w.cands = append(w.cands, cand{depth: depth + 1, msg: viol, st: *ns})
+		}
+	})
+	if emitted == 0 && workOutstanding(c.cfg, s) {
+		// Exact deadlock: work outstanding, no enabled step at all (the
+		// in-state heuristic can miss states whose remaining messages
+		// are all undeliverable).
+		w.cands = append(w.cands, cand{depth: depth, msg: "deadlock: work outstanding but no step enabled", st: *s})
+	}
 }
 
 func (c *checker) mergeCounts(res *Result, ws []*worker) {

@@ -1,34 +1,91 @@
 package modelcheck
 
 import (
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
+
+	"dstore/internal/obs/obstest"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata goldens from current checker output")
+
+// sweepGolden pins the exploration of every standard-sweep
+// configuration, one line per config.
+const sweepGolden = "testdata/sweep.golden"
+
 // TestStandardSweepClean exhaustively explores every standard-sweep
-// configuration and requires zero invariant violations. Short mode
-// skips the two largest members (the deep heap line and the two-line
-// product) to stay fast; `make modelcheck` and CI run them all.
+// configuration at one and at two workers, requires zero invariant
+// violations, and compares states, transitions, depth and every
+// invariant count with testdata/sweep.golden. Short mode skips the two
+// largest members (the deep heap line and the two-line product) to
+// stay fast; `make modelcheck` and CI run them all. Under the race
+// detector only the two-worker run is made: the one-worker run has no
+// concurrency to check and would double the package's race time.
+//
+// Regenerate deliberately with: go test ./internal/modelcheck -run StandardSweepClean -update
 func TestStandardSweepClean(t *testing.T) {
+	if *update && testing.Short() {
+		t.Fatal("-update needs the full sweep; drop -short")
+	}
+	golden := map[string]string{}
+	if !*update {
+		raw, err := os.ReadFile(sweepGolden)
+		if err != nil {
+			t.Fatalf("%v (generate with -update)", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			if cfg, rec, ok := strings.Cut(line, " | "); ok {
+				golden[cfg] = rec
+			}
+		}
+	}
+	workerCounts := []int{1, 2}
+	if raceEnabled {
+		workerCounts = []int{2}
+	}
+	var lines []string
 	for _, cfg := range StandardSweep() {
-		cfg := cfg
 		t.Run(cfg.String(), func(t *testing.T) {
 			if testing.Short() && (cfg.Lines > 1 && cfg.MaxStores > 1 || cfg.Lines == 1 && cfg.Bypass) {
 				t.Skip("large configuration skipped in -short mode")
 			}
-			res, err := Check(cfg)
-			if err != nil {
-				t.Fatalf("Check(%s): %v", cfg, err)
+			for _, workers := range workerCounts {
+				res, err := CheckOpts(cfg, Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("Check(%s): %v", cfg, err)
+				}
+				if res.Violation != nil {
+					t.Fatalf("invariant violation:\n%s", res.Violation.Error())
+				}
+				got := sweepRecord(res)
+				switch {
+				case *update && workers == workerCounts[0]:
+					lines = append(lines, cfg.String()+" | "+got)
+				case *update:
+				case got != golden[cfg.String()]:
+					t.Errorf("workers=%d:\n got %s\nwant %s", workers, got, golden[cfg.String()])
+				}
 			}
-			if res.Violation != nil {
-				t.Fatalf("invariant violation:\n%s", res.Violation.Error())
-			}
-			if res.States < 2 {
-				t.Fatalf("suspiciously small state space: %d states", res.States)
-			}
-			t.Logf("%d states, %d transitions, depth %d", res.States, res.Transitions, res.MaxDepth)
 		})
 	}
+	if *update {
+		if err := os.WriteFile(sweepGolden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// sweepRecord renders the worker-count-independent part of a result.
+func sweepRecord(res *Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "states=%d transitions=%d max_depth=%d", res.States, res.Transitions, res.MaxDepth)
+	for _, inv := range res.Invariants {
+		fmt.Fprintf(&b, " %s=%d", inv.Name, inv.Checks)
+	}
+	return b.String()
 }
 
 // TestBypassNoWBBufRegression is the guarded PR 3 regression: with the
@@ -42,7 +99,7 @@ func TestBypassNoWBBufRegression(t *testing.T) {
 		Agents: 3, Lines: 1, MaxStores: 1, MaxEvicts: 1, MaxLoads: 2,
 		Bypass: true, Mutation: MutBypassNoWBBuf,
 	}
-	v := mustViolate(t, cfg)
+	v := mustViolate(t, cfg, "testdata/bypass-no-wbbuf.golden")
 	if !strings.Contains(v.Message, "data-value violation") {
 		t.Errorf("want a data-value violation, got: %s", v.Message)
 	}
@@ -56,7 +113,7 @@ func TestSkipInvalidateCaught(t *testing.T) {
 		Agents: 3, Lines: 1, MaxStores: 1, MaxEvicts: 1, MaxLoads: 2,
 		Mutation: MutSkipInvalidate,
 	}
-	v := mustViolate(t, cfg)
+	v := mustViolate(t, cfg, "testdata/skip-invalidate.golden")
 	if !strings.Contains(v.Message, "SWMR violation") {
 		t.Errorf("want a SWMR violation, got: %s", v.Message)
 	}
@@ -69,16 +126,17 @@ func TestPushInstallSCaught(t *testing.T) {
 		Agents: 3, Lines: 1, DirectLines: 1, MaxStores: 1, MaxEvicts: 1, MaxLoads: 1,
 		Mutation: MutPushInstallS,
 	}
-	v := mustViolate(t, cfg)
+	v := mustViolate(t, cfg, "testdata/push-install-s.golden")
 	if !strings.Contains(v.Message, "MM-install") {
 		t.Errorf("want the MM-install invariant, got: %s", v.Message)
 	}
 }
 
 // mustViolate checks cfg and requires a violation with a coherent
-// counterexample: non-empty, every step labelled, and a rendered
-// final state.
-func mustViolate(t *testing.T, cfg Config) *Violation {
+// counterexample: non-empty, every step labelled, a rendered final
+// state, and the full report equal to the golden file (regenerate
+// deliberately with -update).
+func mustViolate(t *testing.T, cfg Config, golden string) *Violation {
 	t.Helper()
 	res, err := Check(cfg)
 	if err != nil {
@@ -99,6 +157,7 @@ func mustViolate(t *testing.T, cfg Config) *Violation {
 	if v.Final == "" {
 		t.Errorf("violation has no final-state rendering")
 	}
+	obstest.Golden(t, golden, v.Error(), *update)
 	return v
 }
 

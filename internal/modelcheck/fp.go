@@ -17,7 +17,7 @@ import (
 // The price is a vanishing probability of a collision silently merging
 // two distinct states (and hiding whatever lies beyond one of them):
 // with n states the expected number of colliding pairs is about
-// n²/2^65 — under 7e-7 for the ~5M states of the standard sweep. The
+// n²/2^65 — under 5e-7 for the 4.2M states of the standard sweep. The
 // single-threaded exact checker caught its bugs long before this
 // scale; the fingerprint checker is what makes 2-GPU configs fit CI.
 

@@ -41,13 +41,6 @@ func successors(cfg Config, s *state, labels bool, rc recorder, emit func(ns *st
 // the exploration workers pass a long-lived buffer and the expansion
 // allocates nothing.
 func successorsInto(cfg Config, s, scratch *state, labels bool, rc recorder, emit func(ns *state, label, viol string)) {
-	lbl := func(format string, args ...any) string {
-		if !labels {
-			return ""
-		}
-		return fmt.Sprintf(format, args...)
-	}
-
 	// homeAgent involves a modulo; hoist it out of the agent×line scan.
 	var home [maxLines]uint8
 	for l := 0; l < cfg.Lines; l++ {
@@ -82,7 +75,7 @@ func successorsInto(cfg Config, s, scratch *state, labels bool, rc recorder, emi
 				}
 				ns.pend[a][l] = pendLoad
 				ns.send(msg{kind: kReq, line: uint8(l), a: uint8(coherence.GETS), b: uint8(a)})
-				emit(ns, lbl("agent%d: load miss line %d (GETS)", a, l), "")
+				emit(ns, lbl(labels, "agent%d: load miss line %d (GETS)", a, l), "")
 			}
 
 			// Stores (heap lines only; the direct region is written via
@@ -98,15 +91,15 @@ func successorsInto(cfg Config, s, scratch *state, labels bool, rc recorder, emi
 					ns.latest[l]++
 					ns.ver[a][l] = ns.latest[l]
 					ns.storesLeft--
-					emit(ns, lbl("agent%d: store hit line %d → v%d", a, l, ns.latest[l]), "")
+					emit(ns, lbl(labels, "agent%d: store hit line %d → v%d", a, l, ns.latest[l]), "")
 				} else {
 					// Upgrade from S or O (other copies must be invalidated
 					// first) or miss from I. Under the bypass-dirty-victim
 					// flavour a miss may also leave the fill unallocated:
 					// the store then writes through.
-					what := "store upgrade"
+					format := "agent%d: store upgrade line %d (GETX)"
 					if st == coherence.I {
-						what = "store miss"
+						format = "agent%d: store miss line %d (GETX)"
 					}
 					for _, p := range [2]uint8{pendStore, pendBypass} {
 						if p == pendBypass && (st != coherence.I || !cfg.Bypass) {
@@ -117,8 +110,8 @@ func successorsInto(cfg Config, s, scratch *state, labels bool, rc recorder, emi
 						ns.pend[a][l] = p
 						ns.storesLeft--
 						ns.send(msg{kind: kReq, line: uint8(l), a: uint8(coherence.GETX), b: uint8(a)})
-						emit(ns, lbl("agent%d: %s line %d (GETX)", a, what, l), "")
-						what = "bypass store miss"
+						emit(ns, lbl(labels, format, a, l), "")
+						format = "agent%d: bypass store miss line %d (GETX)"
 					}
 				}
 			}
@@ -141,10 +134,10 @@ func successorsInto(cfg Config, s, scratch *state, labels bool, rc recorder, emi
 					ns.wbStale[a][l] = 0
 					ns.send(msg{kind: kReq, line: uint8(l), a: uint8(coherence.WB), b: uint8(a), c: s.ver[a][l]})
 					ns.invalidate(a, l)
-					emit(ns, lbl("agent%d: evict dirty line %d (WB v%d)", a, l, s.ver[a][l]), "")
+					emit(ns, lbl(labels, "agent%d: evict dirty line %d (WB v%d)", a, l, s.ver[a][l]), "")
 				} else {
 					ns.invalidate(a, l)
-					emit(ns, lbl("agent%d: evict clean line %d", a, l), "")
+					emit(ns, lbl(labels, "agent%d: evict clean line %d", a, l), "")
 				}
 			}
 
@@ -167,7 +160,7 @@ func successorsInto(cfg Config, s, scratch *state, labels bool, rc recorder, emi
 						ns.pushVer[seq] = ns.latest[l]
 						ns.pushLine[seq] = uint8(l)
 						ns.send(msg{kind: kPutx, line: uint8(l), a: ns.latest[l], b: seq})
-						emit(ns, lbl("agent0: push line %d v%d (seq %d)", l, ns.latest[l], seq), "")
+						emit(ns, lbl(labels, "agent0: push line %d v%d (seq %d)", l, ns.latest[l], seq), "")
 					}
 				} else if !putxInFlight(s, l) {
 					// Fire-and-forget pushes ride a dedicated FIFO link:
@@ -177,7 +170,7 @@ func successorsInto(cfg Config, s, scratch *state, labels bool, rc recorder, emi
 					ns.latest[l]++
 					ns.storesLeft--
 					ns.send(msg{kind: kPutx, line: uint8(l), a: ns.latest[l]})
-					emit(ns, lbl("agent0: push line %d v%d", l, ns.latest[l]), "")
+					emit(ns, lbl(labels, "agent0: push line %d v%d", l, ns.latest[l]), "")
 				}
 			}
 
@@ -191,7 +184,7 @@ func successorsInto(cfg Config, s, scratch *state, labels bool, rc recorder, emi
 				}
 				ns.pend[a][l] = pendRemote
 				ns.send(msg{kind: kReq, line: uint8(l), a: uint8(coherence.RemoteLoad), b: uint8(a)})
-				emit(ns, lbl("agent0: remote load line %d", l), "")
+				emit(ns, lbl(labels, "agent0: remote load line %d", l), "")
 			}
 		}
 	}
@@ -206,9 +199,9 @@ func successorsInto(cfg Config, s, scratch *state, labels bool, rc recorder, emi
 		copyLive(ns, s)
 		applyTxn(cfg, ns, l, ns.txn[l].DramComplete())
 		if t.Typ == coherence.WB {
-			emit(ns, lbl("memctl: WB v%d line %d committed", t.ver, l), "")
+			emit(ns, lbl(labels, "memctl: WB v%d line %d committed", t.ver, l), "")
 		} else {
-			emit(ns, lbl("memctl: speculative DRAM read line %d done", l), "")
+			emit(ns, lbl(labels, "memctl: speculative DRAM read line %d done", l), "")
 		}
 	}
 
@@ -254,6 +247,19 @@ func successorsInto(cfg Config, s, scratch *state, labels bool, rc recorder, emi
 		label, viol := deliver(cfg, ns, m, variantNormal, labels, rc)
 		emit(ns, label, viol)
 	}
+}
+
+// lbl formats a step label when labels is on (trace replay) and
+// returns "" otherwise. Its callers pass only integers below 256 and
+// constant strings, whose interface conversions never allocate, so
+// label-less exploration allocates nothing here; the sites with
+// computed strings (state names, suffixes) test labels before
+// formatting.
+func lbl(labels bool, format string, args ...any) string {
+	if !labels {
+		return ""
+	}
+	return fmt.Sprintf(format, args...)
 }
 
 // Delivery variants for nondeterministic receive behaviour.
@@ -317,12 +323,6 @@ func probeCtx(s *state, a, l int) coherence.ProbeCtx {
 // from the packed state, writes the results back and turns the core's
 // effects into messages.
 func deliver(cfg Config, ns *state, m msg, variant int, labels bool, rc recorder) (label, viol string) {
-	lbl := func(format string, args ...any) string {
-		if !labels {
-			return ""
-		}
-		return fmt.Sprintf(format, args...)
-	}
 	l := int(m.line)
 	switch m.kind {
 	case kReq:
@@ -333,30 +333,30 @@ func deliver(cfg Config, ns *state, m msg, variant int, labels bool, rc recorder
 			}
 			ns.queue[l][ns.nq[l]] = e
 			ns.nq[l]++
-			return lbl("memctl: queue %s from agent%d line %d", coherence.ReqType(m.a), m.b, l), ""
+			return lbl(labels, "memctl: queue %s from agent%d line %d", coherence.ReqType(m.a), m.b, l), ""
 		}
 		startTxn(cfg, ns, l, e)
-		return lbl("memctl: start %s from agent%d line %d", coherence.ReqType(m.a), m.b, l), ""
+		return lbl(labels, "memctl: start %s from agent%d line %d", coherence.ReqType(m.a), m.b, l), ""
 
 	case kProbe:
-		return deliverProbe(ns, m, variant, lbl, rc), ""
+		return deliverProbe(ns, m, variant, labels, rc), ""
 
 	case kAck:
 		if ns.busy[l] == 0 {
 			panic("modelcheck: ack for idle line")
 		}
 		applyTxn(cfg, ns, l, ns.txn[l].Ack(m.b&fHadData != 0, m.b&fPresent != 0))
-		return lbl("memctl: ack from agent%d line %d", m.a, l), ""
+		return lbl(labels, "memctl: ack from agent%d line %d", m.a, l), ""
 
 	case kData:
-		return deliverData(cfg, ns, m, lbl, rc), ""
+		return deliverData(cfg, ns, m, labels, rc), ""
 
 	case kUnblock:
 		if ns.busy[l] == 0 {
 			panic("modelcheck: unblock for idle line")
 		}
 		applyTxn(cfg, ns, l, ns.txn[l].Unblock())
-		return lbl("memctl: unblock from agent%d line %d", m.a, l), ""
+		return lbl(labels, "memctl: unblock from agent%d line %d", m.a, l), ""
 
 	case kWBDone:
 		a := int(m.a)
@@ -364,10 +364,10 @@ func deliver(cfg Config, ns *state, m msg, variant int, labels bool, rc recorder
 			ns.wb[a][l] = 0
 			ns.wbStale[a][l] = 0
 		}
-		return lbl("agent%d: WB v%d line %d acknowledged", a, m.b, l), ""
+		return lbl(labels, "agent%d: WB v%d line %d acknowledged", a, m.b, l), ""
 
 	case kPutx:
-		return deliverPutx(cfg, ns, m, variant, lbl, rc)
+		return deliverPutx(cfg, ns, m, variant, labels, rc)
 
 	case kPushAck:
 		seq := m.a
@@ -375,12 +375,12 @@ func deliver(cfg Config, ns *state, m msg, variant int, labels bool, rc recorder
 			if ns.pushPend&(1<<seq) != 0 {
 				// Retry the still-pending push (chaos.go's retryPush).
 				ns.send(msg{kind: kPutx, line: ns.pushLine[seq], a: ns.pushVer[seq], b: seq})
-				return lbl("agent0: push seq %d NACKed, retrying", seq), ""
+				return lbl(labels, "agent0: push seq %d NACKed, retrying", seq), ""
 			}
-			return lbl("agent0: stale NACK for seq %d ignored", seq), ""
+			return lbl(labels, "agent0: stale NACK for seq %d ignored", seq), ""
 		}
 		ns.pushPend &^= 1 << seq
-		return lbl("agent0: push seq %d acknowledged", seq), ""
+		return lbl(labels, "agent0: push seq %d acknowledged", seq), ""
 	}
 	panic("modelcheck: unknown message kind")
 }
@@ -443,7 +443,7 @@ func finishTxn(cfg Config, ns *state, l int) {
 // deliverProbe answers a probe at agent m.b. The skip-invalidate
 // variant perturbs the core's result: the copy survives a reply that
 // invalidates it.
-func deliverProbe(ns *state, m msg, variant int, lbl func(string, ...any) string, rc recorder) string {
+func deliverProbe(ns *state, m msg, variant int, labels bool, rc recorder) string {
 	a, l := int(m.b), int(m.line)
 	kind := coherence.ProbeKind(m.a)
 	st := coherence.State(ns.st[a][l])
@@ -485,16 +485,19 @@ func deliverProbe(ns *state, m msg, variant int, lbl func(string, ...any) string
 		ns.send(msg{kind: kData, line: uint8(l), a: m.c, b: uint8(r.Grant), c: ver, d: d})
 	}
 	ns.send(msg{kind: kAck, line: uint8(l), a: uint8(a), b: flags, c: ver})
-	if r.FromWB {
-		return lbl("agent%d: %v line %d answered from wb buffer (v%d)", a, kind, l, ver)
+	switch {
+	case !labels:
+		return ""
+	case r.FromWB:
+		return fmt.Sprintf("agent%d: %v line %d answered from wb buffer (v%d)", a, kind, l, ver)
 	}
-	return lbl("agent%d: answer %v line %d (was %s)%s", a, kind, l, coherence.StateName(st), skipped)
+	return fmt.Sprintf("agent%d: answer %v line %d (was %s)%s", a, kind, l, coherence.StateName(st), skipped)
 }
 
 // deliverData completes agent m.a's outstanding miss. The
 // bypass-no-wbbuf mutation perturbs the core's write-through: the
 // write skips the writeback buffer.
-func deliverData(cfg Config, ns *state, m msg, lbl func(string, ...any) string, rc recorder) string {
+func deliverData(cfg Config, ns *state, m msg, labels bool, rc recorder) string {
 	a, l := int(m.a), int(m.line)
 	grant := coherence.State(m.b)
 	if grant == coherence.I {
@@ -504,7 +507,7 @@ func deliverData(cfg Config, ns *state, m msg, lbl func(string, ...any) string, 
 		}
 		ns.pend[a][l] = pendNone
 		ns.send(msg{kind: kUnblock, line: uint8(l), a: uint8(a)})
-		return lbl("agent%d: remote load line %d completes (v%d)", a, l, m.c)
+		return lbl(labels, "agent%d: remote load line %d completes (v%d)", a, l, m.c)
 	}
 	p := ns.pend[a][l]
 	if p == pendNone {
@@ -517,7 +520,7 @@ func deliverData(cfg Config, ns *state, m msg, lbl func(string, ...any) string, 
 	defer ns.send(msg{kind: kUnblock, line: uint8(l), a: uint8(a)})
 	switch f.Action {
 	case coherence.FillSuperseded:
-		return lbl("agent%d: fill line %d superseded by push", a, l)
+		return lbl(labels, "agent%d: fill line %d superseded by push", a, l)
 	case coherence.FillBypass:
 		// The bypassed store is the fill's only waiter.
 		if act, _ := coherence.StoreAfterFill(cur, cur != coherence.I, f); act != coherence.StoreWriteThrough {
@@ -530,7 +533,7 @@ func deliverData(cfg Config, ns *state, m msg, lbl func(string, ...any) string, 
 			ns.wbStale[a][l] = 0
 		}
 		ns.send(msg{kind: kReq, line: uint8(l), a: uint8(coherence.WB), b: uint8(a), c: v})
-		return lbl("agent%d: bypassed store line %d writes through v%d", a, l, v)
+		return lbl(labels, "agent%d: bypassed store line %d writes through v%d", a, l, v)
 	}
 	if !f.OK {
 		panic("modelcheck: illegal fill")
@@ -543,7 +546,10 @@ func deliverData(cfg Config, ns *state, m msg, lbl func(string, ...any) string, 
 	}
 	ns.ver[a][l] = m.c
 	if p == pendLoad {
-		return lbl("agent%d: fill line %d %s v%d", a, l, coherence.StateName(f.Next), m.c)
+		if !labels {
+			return ""
+		}
+		return fmt.Sprintf("agent%d: fill line %d %s v%d", a, l, coherence.StateName(f.Next), m.c)
 	}
 	// The waiting store commits on the exclusive fill.
 	act, next := coherence.StoreAfterFill(f.Next, true, f)
@@ -555,26 +561,26 @@ func deliverData(cfg Config, ns *state, m msg, lbl func(string, ...any) string, 
 	ns.dirty[a][l] = 1
 	ns.latest[l]++
 	ns.ver[a][l] = ns.latest[l]
-	return lbl("agent%d: exclusive fill line %d, store commits v%d", a, l, ns.latest[l])
+	return lbl(labels, "agent%d: exclusive fill line %d, store commits v%d", a, l, ns.latest[l])
 }
 
 // deliverPutx is the GPU slice's push receive: injected NACKs and, for
 // resilient pushes, duplicate suppression ahead of the install.
-func deliverPutx(cfg Config, ns *state, m msg, variant int, lbl func(string, ...any) string, rc recorder) (string, string) {
+func deliverPutx(cfg Config, ns *state, m msg, variant int, labels bool, rc recorder) (string, string) {
 	l := int(m.line)
 	ver, seq := m.a, m.b
 	if variant == variantNack {
 		ns.nackLeft--
 		ns.send(msg{kind: kPushAck, line: uint8(l), a: seq, b: fNack})
-		return lbl("gpu: NACK push seq %d line %d", seq, l), ""
+		return lbl(labels, "gpu: NACK push seq %d line %d", seq, l), ""
 	}
-	dup := ""
-	if variant == variantDup {
+	dup := "" // label suffix, set only when labels are on
+	if labels && variant == variantDup {
 		dup = " [duplicated]"
 	}
 	if seq != 0 && coherence.PushStale(ns.applied&(1<<seq) != 0, uint64(ver), uint64(ns.lastPushVer[l])) {
 		ns.send(msg{kind: kPushAck, line: uint8(l), a: seq})
-		return lbl("gpu: duplicate/stale push seq %d line %d re-acked%s", seq, l, dup), ""
+		return lbl(labels, "gpu: duplicate/stale push seq %d line %d re-acked%s", seq, l, dup), ""
 	}
 	viol := applyPush(cfg, ns, l, ver, rc)
 	if seq != 0 {
@@ -582,7 +588,7 @@ func deliverPutx(cfg Config, ns *state, m msg, variant int, lbl func(string, ...
 		ns.lastPushVer[l] = ver
 		ns.send(msg{kind: kPushAck, line: uint8(l), a: seq})
 	}
-	return lbl("gpu: push install line %d v%d (seq %d)%s", l, ver, seq, dup), viol
+	return lbl(labels, "gpu: push install line %d v%d (seq %d)%s", l, ver, seq, dup), viol
 }
 
 // applyPush installs a push at its homing slice (capacity is abstracted
