@@ -108,36 +108,9 @@ fleet-smoke:
 	$(GO) test ./internal/fleet -run '^(TestFleetFaultWalkthrough|TestFederatedMetricsEqualWorkerSums|TestStitchedTraceByteDeterminism)$$' -count=1
 
 # bench runs the event-kernel microbenchmarks and the model checker's
-# whole-exploration benchmarks. Compare the kernel's against the
-# committed baseline in BENCH_sim_engine.txt before merging engine
-# changes.
+# whole-exploration benchmarks, with -benchmem. Tests in internal/sim
+# pin every engine benchmark's allocs/op and B/op; the timings compare
+# two builds on one machine (e.g. with benchstat).
 .PHONY: bench
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim ./internal/modelcheck
-
-.PHONY: baseline
-baseline:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim | tee BENCH_sim_engine.txt
-
-# baseline-json regenerates the machine-readable performance baseline
-# (BENCH_coherence.json): the full Fig. 4 sweep run sequentially with
-# the event counter on (wall clock, events, events/sec), the recorded
-# seed-binary reference for the same sweep, and the engine
-# microbenchmarks lifted from BENCH_sim_engine.txt. SEED_FIG4_WALL is
-# the growth seed's wall seconds for the sweep, measured back-to-back
-# on the same machine; override it when re-measuring on new hardware
-# (or set it to 0 to omit the reference block).
-SEED_FIG4_WALL ?= 35.71
-.PHONY: baseline-json
-baseline-json: baseline
-	$(GO) run ./cmd/dstore-bench -baseline-json BENCH_coherence.json -seed-fig4-wall $(SEED_FIG4_WALL)
-
-# bench-diff is the microbenchmark regression guard: rerun the engine
-# benchmarks and compare against the committed baseline, warning on
-# any metric more than 10% worse. Warn-only for timing (wall clock on
-# a shared box is noisy); allocation metrics are deterministic, so
-# treat a B/op or allocs/op warning as a real regression.
-.PHONY: bench-diff
-bench-diff:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim > /tmp/dstore-bench-current.txt
-	$(GO) run ./cmd/dstore-benchdiff BENCH_sim_engine.txt /tmp/dstore-bench-current.txt

@@ -149,10 +149,6 @@ func main() {
 		traceF  = flag.String("trace", "", "with -bench: write per-mode Chrome traces (FILE.ccsm.json and FILE.ds.json)")
 		histOut = flag.Bool("hist", false, "with -bench: print latency histograms for both modes side by side")
 		seriesF = flag.String("timeseries", "", "with -bench: write per-mode time-series files (.csv or .json by extension)")
-
-		baselineJSON = flag.String("baseline-json", "", "run the Fig. 4 sweep sequentially and write the machine-readable performance baseline to this file")
-		engineBench  = flag.String("engine-bench", "BENCH_sim_engine.txt", "with -baseline-json: microbenchmark baseline to embed")
-		seedWall     = flag.Float64("seed-fig4-wall", 0, "with -baseline-json: the seed binary's wall seconds for the same sweep, for the recorded speedup")
 	)
 	flag.BoolVar(&timing, "timing", false, "report per-experiment wall clock on stderr")
 	flag.Parse()
@@ -160,7 +156,7 @@ func main() {
 	if *all {
 		*table1, *table2, *fig4, *fig5, *prefetch, *standalone = true, true, true, true, true, true
 	}
-	if !*table1 && !*table2 && !*fig4 && !*fig5 && !*prefetch && !*standalone && *one == "" && *baselineJSON == "" {
+	if !*table1 && !*table2 && !*fig4 && !*fig5 && !*prefetch && !*standalone && *one == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -191,10 +187,6 @@ func main() {
 	// mid-write; a second Ctrl-C falls back to the default handler.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
-
-	if *baselineJSON != "" {
-		fail(writeBaselineJSON(ctx, *baselineJSON, *engineBench, *seedWall))
-	}
 
 	if *table1 {
 		fmt.Println("TABLE I: SYSTEM CONFIGURATION")
@@ -260,7 +252,10 @@ func main() {
 	if *fig5 {
 		for _, in := range inputs {
 			if *asJSON {
-				continue // the fig4 JSON already carries the miss-rate fields
+				if !*fig4 { // else the fig4 JSON already carries the miss-rate fields
+					emitJSON(fmt.Sprintf("fig5-%s", in), byInput[in])
+				}
+				continue
 			}
 			fmt.Printf("FIG. 5 (%s inputs): GPU L2 miss rate\n", in)
 			fmt.Println(bench.Fig5Table(in, byInput[in]))

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"dstore/internal/benchfmt"
 	"dstore/internal/serve"
 )
 
@@ -308,17 +307,30 @@ func TestSweepStreamsResultsAndReport(t *testing.T) {
 		last, bestBytes = p.Ticks, p.Bytes
 	}
 	if report.BenchTextError != "" {
-		t.Fatalf("bench text failed its own round-trip: %s", report.BenchTextError)
+		t.Fatalf("a sweep result did not parse: %s", report.BenchTextError)
 	}
-	entries, err := benchfmt.ParseUnique(strings.NewReader(report.BenchText))
-	if err != nil {
-		t.Fatalf("report bench text does not parse: %v\n%s", err, report.BenchText)
+	// One bench-text line per job, and per benchmark line the fewest
+	// ticks any of its streamed results took.
+	if n := strings.Count(report.BenchText, "\n"); n != 4 {
+		t.Fatalf("bench text has %d lines, want 4:\n%s", n, report.BenchText)
 	}
-	if len(entries) != 4 {
-		t.Fatalf("bench text has %d entries, want 4:\n%s", len(entries), report.BenchText)
+	want := map[string]uint64{}
+	for _, o := range results {
+		var doc resultDoc
+		if err := json.Unmarshal(o.Result, &doc); err != nil {
+			t.Fatal(err)
+		}
+		name := "BenchmarkSweep/" + doc.Bench + "/" + doc.Mode + "/" + doc.Input
+		if cur, seen := want[name]; !seen || doc.Ticks < cur {
+			want[name] = doc.Ticks
+		}
 	}
-	if len(report.Best) == 0 {
-		t.Fatal("report has no best-per-benchmark table")
+	got := map[string]uint64{}
+	for _, b := range report.Best {
+		got[b.Name] = b.Ticks
+	}
+	if len(want) != 2 || len(report.Best) != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("best = %+v, want the minimum ticks per benchmark %v", report.Best, want)
 	}
 
 	// The report endpoint serves the same text.

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"dstore/internal/benchfmt"
 )
 
 // resultDoc mirrors the fields of the worker's canonical result
@@ -36,9 +34,8 @@ type FrontierPoint struct {
 	Bytes uint64 `json:"bytes"`
 }
 
-// BestEntry is the fastest configuration for one benchmark line,
-// derived by parsing the report's own benchmark text back through
-// internal/benchfmt — the same parser the regression differ trusts.
+// BestEntry is the fewest ticks any job of one benchmark line
+// (BenchText's name up to the job-ID segment) finished in.
 type BestEntry struct {
 	Name  string `json:"name"`
 	Ticks uint64 `json:"ticks"`
@@ -71,20 +68,16 @@ type Report struct {
 	Frontier []FrontierPoint `json:"frontier"`
 	Best     []BestEntry     `json:"best,omitempty"`
 	// BenchText is the sweep rendered in `go test -bench` text format
-	// (one line per job), directly usable as a dstore-benchdiff
-	// baseline.
+	// (one line per job), so benchstat and similar tools read it as is.
 	BenchText string `json:"bench_text"`
-	// BenchTextError reports a benchfmt round-trip failure — always
-	// empty unless the renderer and parser disagree, which a test
-	// pins.
+	// BenchTextError names a completed job whose result document did
+	// not parse, so it is missing from BenchText, Best and Frontier.
 	BenchTextError string `json:"bench_text_error,omitempty"`
 }
 
 // buildReport aggregates a finished sweep: per-worker load, the
-// (ticks, bytes) Pareto frontier, and the benchmark-text rendering —
-// which is then parsed back through internal/benchfmt to derive the
-// per-benchmark best table, so the report provably round-trips
-// through the same format the repo's regression tooling consumes.
+// (ticks, bytes) Pareto frontier, the benchmark-text rendering and,
+// per benchmark line, the fewest ticks.
 func (c *Coordinator) buildReport(sweepID string, total int, outcomes []Outcome) *Report {
 	rep := &Report{SweepID: sweepID, Total: total, Completed: len(outcomes)}
 	rep.Degraded = rep.Completed < rep.Total
@@ -102,6 +95,7 @@ func (c *Coordinator) buildReport(sweepID string, total int, outcomes []Outcome)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Index < ordered[j].Index })
 
 	var text strings.Builder
+	best := make(map[string]uint64)
 	for _, o := range ordered {
 		if o.Error != "" {
 			rep.Failed++
@@ -136,8 +130,16 @@ func (c *Coordinator) buildReport(sweepID string, total int, outcomes []Outcome)
 			},
 			index: o.Index,
 		})
-		fmt.Fprintf(&text, "BenchmarkSweep/%s/%s/%s/%.8s 1 %d ticks %d moved-bytes %g miss-rate\n",
-			doc.Bench, doc.Mode, doc.Input, o.ID, doc.Ticks, bytes, doc.MissRate)
+		group := fmt.Sprintf("BenchmarkSweep/%s/%s/%s", doc.Bench, doc.Mode, doc.Input)
+		fmt.Fprintf(&text, "%s/%.8s 1 %d ticks %d moved-bytes %g miss-rate\n",
+			group, o.ID, doc.Ticks, bytes, doc.MissRate)
+		if cur, seen := best[group]; !seen || doc.Ticks < cur {
+			best[group] = doc.Ticks
+		}
+	}
+	rep.BenchText = text.String()
+	for _, name := range sortedKeys(best) {
+		rep.Best = append(rep.Best, BestEntry{Name: name, Ticks: best[name]})
 	}
 
 	for _, u := range sortedKeys(byWorker) {
@@ -163,32 +165,6 @@ func (c *Coordinator) buildReport(sweepID string, total int, outcomes []Outcome)
 			bestBytes = p.Bytes
 			rep.Frontier = append(rep.Frontier, p.FrontierPoint)
 		}
-	}
-
-	rep.BenchText = text.String()
-	entries, err := benchfmt.ParseUnique(strings.NewReader(rep.BenchText))
-	if err != nil {
-		rep.BenchTextError = err.Error()
-		return rep
-	}
-	// Best-per-benchmark from the parsed-back text: group by the name
-	// minus the config hash segment, keep the minimum ticks.
-	best := make(map[string]uint64)
-	for _, e := range entries {
-		ticks, ok := e.Value("ticks")
-		if !ok {
-			continue
-		}
-		group := e.Name
-		if i := strings.LastIndex(group, "/"); i >= 0 {
-			group = group[:i]
-		}
-		if cur, seen := best[group]; !seen || uint64(ticks) < cur {
-			best[group] = uint64(ticks)
-		}
-	}
-	for _, name := range sortedKeys(best) {
-		rep.Best = append(rep.Best, BestEntry{Name: name, Ticks: best[name]})
 	}
 	return rep
 }
