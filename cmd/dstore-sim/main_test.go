@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,59 @@ import (
 
 	"dstore/internal/obs"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata goldens from current output")
+
+// runMain runs the CLI in process with the given arguments and returns
+// what it printed to stdout.
+func runMain(t *testing.T, args ...string) string {
+	t.Helper()
+	stdout, err := os.Create(filepath.Join(t.TempDir(), "stdout.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldArgs, oldOut, oldFlags := os.Args, os.Stdout, flag.CommandLine
+	os.Args = append([]string{"dstore-sim"}, args...)
+	os.Stdout = stdout
+	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	main()
+	os.Args, os.Stdout, flag.CommandLine = oldArgs, oldOut, oldFlags
+	if err := stdout.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(stdout.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestVerboseDumpGolden pins the -v output of MT small in both
+// coherence modes: the summary table and every layer's counter dump,
+// with its names, order, values and column alignment. Regenerate with
+// -update only for a deliberate change to a counter or the dump format.
+func TestVerboseDumpGolden(t *testing.T) {
+	for _, mode := range []string{"ccsm", "direct-store"} {
+		got := runMain(t, "-bench", "MT", "-input", "small", "-mode", mode, "-v")
+		path := filepath.Join("testdata", fmt.Sprintf("verbose_mt_small_%s.golden", mode))
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s: -v output differs from %s:\n%s", mode, path, got)
+		}
+	}
+}
 
 // TestObsExports runs the CLI in process with -trace, -timeline, -hist
 // and -timeseries together and checks that every export parses: the
@@ -22,20 +76,8 @@ func TestObsExports(t *testing.T) {
 	trace := filepath.Join(dir, "trace.json")
 	timeline := filepath.Join(dir, "timeline.txt")
 	series := filepath.Join(dir, "series.csv")
-	stdout, err := os.Create(filepath.Join(dir, "stdout.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	args, out := os.Args, os.Stdout
-	os.Args = []string{"dstore-sim", "-bench", "MT", "-input", "small", "-mode", "direct-store",
-		"-trace", trace, "-timeline", timeline, "-hist", "-timeseries", series}
-	os.Stdout = stdout
-	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
-	main()
-	os.Args, os.Stdout = args, out
-	if err := stdout.Close(); err != nil {
-		t.Fatal(err)
-	}
+	text := runMain(t, "-bench", "MT", "-input", "small", "-mode", "direct-store",
+		"-trace", trace, "-timeline", timeline, "-hist", "-timeseries", series)
 
 	read := func(path string) string {
 		t.Helper()
@@ -60,7 +102,6 @@ func TestObsExports(t *testing.T) {
 		t.Fatalf("timeline lacks its header or line sections:\n%.300s", tl)
 	}
 
-	text := read(stdout.Name())
 	for id := obs.HistID(0); id < obs.NumHists; id++ {
 		if !strings.Contains(text, id.String()+": count=") {
 			t.Errorf("stdout has no %s histogram:\n%s", id, text)
