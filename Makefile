@@ -11,8 +11,9 @@ check: vet lint tablecover build test race modelcheck bench-test
 vet:
 	$(GO) vet ./...
 
-# lint runs the repo's own analyzers (determinism contract, stats-key
-# registry, event-callback safety), plus staticcheck when installed.
+# lint runs the repo's own analyzers (determinism contract,
+# event-callback safety, hot-path allocations, protocol-table coverage,
+# span balance), plus staticcheck when installed.
 .PHONY: lint
 lint:
 	$(GO) run ./cmd/dstore-lint ./...

@@ -1,6 +1,6 @@
 // Command dstore-lint is the repo's static-analysis multichecker: it
-// runs the determinism, stats-key, event-safety, alloc-free,
-// tablecover and spanbalance analyzers from internal/analysis over
+// runs the determinism, event-safety, alloc-free, tablecover and
+// spanbalance analyzers from internal/analysis over
 // the packages matched by its arguments (default ./...) and exits
 // non-zero on any finding.
 //
@@ -25,7 +25,7 @@ func main() {
 	list := flag.Bool("list", false, "list available analyzers and exit")
 	flag.Parse()
 
-	all := []*analysis.Analyzer{analysis.Determinism, analysis.StatsKey, analysis.EventSafety, analysis.AllocFree, analysis.Tablecover, analysis.SpanBalance}
+	all := []*analysis.Analyzer{analysis.Determinism, analysis.EventSafety, analysis.AllocFree, analysis.Tablecover, analysis.SpanBalance}
 	if *list {
 		for _, a := range all {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)

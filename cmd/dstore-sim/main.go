@@ -216,23 +216,23 @@ func main() {
 
 	if *verbose {
 		fmt.Println("cpu controller:")
-		fmt.Print(indent(sys.CPUCtrl.Counters().Dump()))
+		fmt.Print(indent(sys.CPUCtrl.Counters().Rows().Dump()))
 		fmt.Println("cpu L2 array:")
-		fmt.Print(indent(sys.CPUCtrl.L2Cache().Counters().Dump()))
+		fmt.Print(indent(sys.CPUCtrl.L2Cache().Counters().Rows().Dump()))
 		for i, sl := range sys.Slices {
 			fmt.Printf("gpu L2 slice %d controller:\n", i)
-			fmt.Print(indent(sl.Counters().Dump()))
+			fmt.Print(indent(sl.Counters().Rows().Dump()))
 			fmt.Printf("gpu L2 slice %d array:\n", i)
-			fmt.Print(indent(sl.L2Cache().Counters().Dump()))
+			fmt.Print(indent(sl.L2Cache().Counters().Rows().Dump()))
 		}
 		fmt.Println("gpu:")
-		fmt.Print(indent(sys.GPU.Counters().Dump()))
+		fmt.Print(indent(sys.GPU.Counters().Rows().Dump()))
 		fmt.Println("memory controller:")
-		fmt.Print(indent(sys.Mem.Counters().Dump()))
+		fmt.Print(indent(sys.Mem.Counters().Rows().Dump()))
 		fmt.Println("dram:")
-		fmt.Print(indent(sys.DRAM.Counters().Dump()))
+		fmt.Print(indent(sys.DRAM.Counters().Rows().Dump()))
 		fmt.Println("core:")
-		fmt.Print(indent(sys.Core.Counters().Dump()))
+		fmt.Print(indent(sys.Core.Counters().Rows().Dump()))
 	}
 }
 

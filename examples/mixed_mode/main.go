@@ -60,7 +60,7 @@ func main() {
 	fmt.Println("\n== hybrid run ==")
 	fmt.Printf("scores: %d lines pushed over the dedicated network\n", sys.PushesReceived())
 	fmt.Printf("topk:   %d store went through CCSM (cacheable)\n",
-		sys.Core.Counters().Get("stores"))
+		sys.Core.Counters().Stores)
 
 	// GPU reads both: scores hit the pushed copies; topk pulls once via
 	// the conventional protocol.

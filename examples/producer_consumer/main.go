@@ -64,9 +64,9 @@ func main() {
 		}
 		t = sys.RunCPU(rb)
 		fmt.Printf("readback: %6d ticks, CPU remote loads %d\n",
-			t, sys.Core.Counters().Get("remote_loads"))
+			t, sys.Core.Counters().RemoteLoads)
+		mem := sys.Mem.Counters()
 		fmt.Printf("memory controller: %d requests, %d probes, %d from peer caches, %d from DRAM\n\n",
-			sys.Mem.Counters().Get("requests"), sys.Mem.Counters().Get("probes_sent"),
-			sys.Mem.Counters().Get("data_from_peer"), sys.Mem.Counters().Get("data_from_dram"))
+			mem.Requests, mem.ProbesSent, mem.DataFromPeer, mem.DataFromDRAM)
 	}
 }

@@ -12,7 +12,6 @@
 //	//dstore:allow-wallclock <why>   — wall-clock read is intentional
 //	//dstore:allow-rand <why>        — nondeterministic rand is intentional
 //	//dstore:allow-maprange <why>    — map iteration order cannot escape
-//	//dstore:allow-statskey <why>    — dynamic stats counter key
 //	//dstore:allow-reentry <why>     — callback re-enters the engine
 //	//dstore:allow-loopcapture <why> — loop-variable capture is intended
 //	//dstore:allow-alloc <why>       — hot-path allocation is intentional

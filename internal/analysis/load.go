@@ -147,7 +147,7 @@ func goList(dir string, args []string) ([]listedPackage, error) {
 }
 
 // funcRef is a resolved callee: enough identity to match "time.Now"
-// or "(*dstore/internal/stats.Set).Counter" without importing the
+// or "(*dstore/internal/sim.Engine).Step" without importing the
 // target packages.
 type funcRef struct {
 	PkgPath string // declaring package import path

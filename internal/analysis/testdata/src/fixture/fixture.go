@@ -12,7 +12,6 @@ import (
 
 	"dstore/internal/obs/dtrace"
 	"dstore/internal/sim"
-	"dstore/internal/stats"
 )
 
 // WallClock reads the wall clock: determinism finding.
@@ -45,25 +44,6 @@ func MapRange(m map[string]int) int {
 	return total
 }
 
-// BadKey passes an unregistered literal key: statskey finding with a
-// did-you-mean hint ("hitz" ~ "hits").
-func BadKey(s *stats.Set) {
-	s.Counter("hitz").Inc()
-}
-
-// DynamicKey passes a non-literal key: statskey finding on the first
-// call; the second is annotated and clean.
-func DynamicKey(s *stats.Set, name string) uint64 {
-	v := s.Get(name)
-	v += s.Get(name) //dstore:allow-statskey fixture: annotated twin
-	return v
-}
-
-// GoodKey uses a registered literal key: no finding.
-func GoodKey(s *stats.Set) {
-	s.Counter("hits").Inc()
-}
-
 // Reenter schedules a callback that re-enters the run loop:
 // eventsafety finding.
 func Reenter(eng *sim.Engine) {
@@ -94,13 +74,6 @@ func LoopCapture(eng *sim.Engine, xs []int) {
 			_ = i
 		})
 	}
-}
-
-// BadKeyTyped passes a typo of one of the per-type memory-controller
-// request keys: statskey finding with a did-you-mean hint
-// ("requests_getz" ~ "requests_gets").
-func BadKeyTyped(s *stats.Set) {
-	s.Counter("requests_getz").Inc()
 }
 
 // FakeMsg looks like a protocol message type to the allocfree

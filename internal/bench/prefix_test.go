@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -167,6 +168,41 @@ func TestSnapshotIneligible(t *testing.T) {
 	chaotic.Chaos = &core.ChaosConfig{}
 	if _, ok := PrefixKey("MM", chaotic, Small); ok {
 		t.Error("chaos run reported memoizable")
+	}
+}
+
+// TestSnapshotRestoreRejectsUnknownCounter corrupts one counter name in
+// MM small's post-produce snapshot, keeping its length so the stream
+// still decodes, and checks that restore fails on it instead of
+// creating a stray counter and leaving the declared one at its old
+// value.
+func TestSnapshotRestoreRejectsUnknownCounter(t *testing.T) {
+	cfg := core.DefaultConfig(core.ModeDirectStore)
+	store := newMapStore()
+	if _, _, err := RunWithSnapshotContext(context.Background(), "MM", cfg, Small, store); err != nil {
+		t.Fatal(err)
+	}
+	var blob []byte
+	for _, b := range store.m { //dstore:allow-maprange one entry
+		blob = b
+	}
+	restore := func(data []byte) error {
+		sys := core.NewSystem(cfg)
+		if _, err := Build(sys, "MM", Small); err != nil {
+			t.Fatal(err)
+		}
+		return sys.RestoreSnapshot(data)
+	}
+	if err := restore(blob); err != nil {
+		t.Fatalf("intact snapshot: %v", err)
+	}
+	name, typo := []byte("total_latency"), []byte("total_latencz")
+	if n := bytes.Count(blob, name); n != 1 {
+		t.Fatalf("snapshot holds %q %d times, want once", name, n)
+	}
+	err := restore(bytes.Replace(blob, name, typo, 1))
+	if err == nil || !strings.Contains(err.Error(), `"total_latencz"`) {
+		t.Errorf("restore of a snapshot with a renamed counter: error %v, want one naming it", err)
 	}
 }
 

@@ -82,12 +82,7 @@ type Cache struct {
 	tags   []uint64
 	policy replacementPolicy
 
-	counters *stats.Set
-	accesses *stats.Counter
-	hits     *stats.Counter
-	misses   *stats.Counter
-	evicts   *stats.Counter
-	wbacks   *stats.Counter
+	ctr Counters
 
 	// accessHook, when non-nil, observes every demand access
 	// (SetAccessHook). It mirrors the accesses/hits/misses counters
@@ -112,12 +107,11 @@ func New(cfg Config) *Cache {
 		cfg.Policy = PolicyLRU
 	}
 	c := &Cache{
-		cfg:      cfg,
-		numSets:  numSets,
-		setMask:  uint64(numSets - 1),
-		lines:    make([]Line, numSets*cfg.Ways),
-		tags:     make([]uint64, numSets*cfg.Ways),
-		counters: stats.NewSet(),
+		cfg:     cfg,
+		numSets: numSets,
+		setMask: uint64(numSets - 1),
+		lines:   make([]Line, numSets*cfg.Ways),
+		tags:    make([]uint64, numSets*cfg.Ways),
 	}
 	for i := range c.tags {
 		c.tags[i] = tagInvalid
@@ -134,11 +128,6 @@ func New(cfg Config) *Cache {
 	default:
 		panic(fmt.Sprintf("cache %s: unknown policy %q", cfg.Name, cfg.Policy))
 	}
-	c.accesses = c.counters.Counter("accesses")
-	c.hits = c.counters.Counter("hits")
-	c.misses = c.counters.Counter("misses")
-	c.evicts = c.counters.Counter("evictions")
-	c.wbacks = c.counters.Counter("writebacks")
 	return c
 }
 
@@ -154,9 +143,27 @@ func (c *Cache) Ways() int { return c.cfg.Ways }
 // CapacityLines returns the total number of lines the array can hold.
 func (c *Cache) CapacityLines() int { return c.numSets * c.cfg.Ways }
 
-// Counters exposes the statistics set (accesses, hits, misses,
-// evictions, writebacks).
-func (c *Cache) Counters() *stats.Set { return c.counters }
+// Counters are one cache array's event counts.
+type Counters struct {
+	Accesses, Hits, Misses, Evictions, Writebacks uint64
+}
+
+// Rows lists the counters by name, in dump and snapshot order.
+func (c *Counters) Rows() stats.Rows {
+	return stats.Rows{
+		{Name: "accesses", N: &c.Accesses},
+		{Name: "hits", N: &c.Hits},
+		{Name: "misses", N: &c.Misses},
+		{Name: "evictions", N: &c.Evictions},
+		{Name: "writebacks", N: &c.Writebacks},
+	}
+}
+
+// Get returns the named counter; an undeclared name panics.
+func (c *Counters) Get(name string) uint64 { return c.Rows().Get(name) }
+
+// Counters exposes the array's counters.
+func (c *Cache) Counters() *Counters { return &c.ctr }
 
 func (c *Cache) setOf(a memsys.Addr) int {
 	return int((memsys.LineNum(a) >> c.cfg.IndexShift) & c.setMask)
@@ -188,16 +195,16 @@ func (c *Cache) find(a memsys.Addr) (set, way int, ok bool) {
 // miss, updates replacement state on a hit, and returns the line's
 // protocol state.
 func (c *Cache) Lookup(a memsys.Addr) (state uint8, hit bool) {
-	c.accesses.Inc()
+	c.ctr.Accesses++
 	set, way, ok := c.find(a)
 	if !ok {
-		c.misses.Inc()
+		c.ctr.Misses++
 		if c.accessHook != nil {
 			c.accessHook(a, false)
 		}
 		return 0, false
 	}
-	c.hits.Inc()
+	c.ctr.Hits++
 	c.policy.touch(set, way)
 	if c.accessHook != nil {
 		c.accessHook(a, true)
@@ -344,9 +351,9 @@ func (c *Cache) Insert(a memsys.Addr, state uint8, dirty bool) (v Victim, evicte
 			Dirty: old.Dirty,
 		}
 		evicted = true
-		c.evicts.Inc()
+		c.ctr.Evictions++
 		if old.Dirty {
-			c.wbacks.Inc()
+			c.ctr.Writebacks++
 		}
 	}
 	*c.line(set, way) = Line{Tag: memsys.LineNum(a), State: state, Dirty: dirty}

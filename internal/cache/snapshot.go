@@ -61,7 +61,7 @@ func (c *Cache) SnapshotTo(w *snap.Writer) {
 		w.U8(snapPolicyRandom)
 		w.U64(p.rng.State())
 	}
-	c.counters.SnapshotTo(w)
+	c.ctr.Rows().SnapshotTo(w)
 }
 
 // RestoreFrom overwrites the array from a snapshot. Geometry and
@@ -136,5 +136,5 @@ func (c *Cache) RestoreFrom(r *snap.Reader) {
 		}
 		p.rng.SetState(r.U64())
 	}
-	c.counters.RestoreFrom(r)
+	c.ctr.Rows().RestoreFrom(r)
 }

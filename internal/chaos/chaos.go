@@ -122,42 +122,41 @@ type FaultPlan struct {
 	prof Profile
 	rng  *sim.Rand
 
-	counters    *stats.Set
-	injected    *stats.Counter
-	netJitter   *stats.Counter
-	pushDrops   *stats.Counter
-	pushDups    *stats.Counter
-	pushJitter  *stats.Counter
-	stalls      *stats.Counter
-	nacks       *stats.Counter
-	skippedInvs *stats.Counter
+	ctr Counters
 }
 
 // NewFaultPlan binds a profile to a seed.
 func NewFaultPlan(seed uint64, prof Profile) *FaultPlan {
-	f := &FaultPlan{
-		seed:     seed,
-		prof:     prof,
-		rng:      sim.NewRand(seed),
-		counters: stats.NewSet(),
-	}
-	f.injected = f.counters.Counter("faults_injected")
-	f.netJitter = f.counters.Counter("net_jitter")
-	f.pushDrops = f.counters.Counter("push_drops")
-	f.pushDups = f.counters.Counter("push_dups")
-	f.pushJitter = f.counters.Counter("push_jitter")
-	f.stalls = f.counters.Counter("ctrl_stalls")
-	f.nacks = f.counters.Counter("push_nacks")
-	f.skippedInvs = f.counters.Counter("skipped_invalidates")
-	return f
+	return &FaultPlan{seed: seed, prof: prof, rng: sim.NewRand(seed)}
 }
 
-// Counters exposes the per-class fault counts (plus the
-// "faults_injected" total).
-func (f *FaultPlan) Counters() *stats.Set { return f.counters }
+// Counters are a fault plan's per-class fault counts plus their
+// FaultsInjected total.
+type Counters struct {
+	FaultsInjected                             uint64
+	NetJitter, PushDrops, PushDups, PushJitter uint64
+	CtrlStalls, PushNacks, SkippedInvalidates  uint64
+}
 
-// Injected returns the total faults injected so far.
-func (f *FaultPlan) Injected() uint64 { return f.injected.Value() }
+// Rows lists the counters by name.
+func (c *Counters) Rows() stats.Rows {
+	return stats.Rows{
+		{Name: "faults_injected", N: &c.FaultsInjected},
+		{Name: "net_jitter", N: &c.NetJitter},
+		{Name: "push_drops", N: &c.PushDrops},
+		{Name: "push_dups", N: &c.PushDups},
+		{Name: "push_jitter", N: &c.PushJitter},
+		{Name: "ctrl_stalls", N: &c.CtrlStalls},
+		{Name: "push_nacks", N: &c.PushNacks},
+		{Name: "skipped_invalidates", N: &c.SkippedInvalidates},
+	}
+}
+
+// Get returns the named counter; an undeclared name panics.
+func (c *Counters) Get(name string) uint64 { return c.Rows().Get(name) }
+
+// Counters exposes the fault counts.
+func (f *FaultPlan) Counters() *Counters { return &f.ctr }
 
 // Profile returns the plan's profile.
 func (f *FaultPlan) Profile() Profile { return f.prof }
@@ -169,12 +168,12 @@ func (f *FaultPlan) Seed() uint64 { return f.seed }
 // Probability-zero faults consume no PRNG state, so enabling one fault
 // class does not shift another class's schedule between profiles that
 // share the remaining settings.
-func (f *FaultPlan) draw(p float64, class *stats.Counter) bool {
+func (f *FaultPlan) draw(p float64, class *uint64) bool {
 	if p <= 0 || !f.rng.Bool(p) {
 		return false
 	}
-	f.injected.Inc()
-	class.Inc()
+	f.ctr.FaultsInjected++
+	*class++
 	return true
 }
 
@@ -190,16 +189,16 @@ func (f *FaultPlan) magnitude(max sim.Tick) sim.Tick {
 func (f *FaultPlan) Hooks() *coherence.ChaosHooks {
 	return &coherence.ChaosHooks{
 		StallTicks: func() sim.Tick {
-			if !f.draw(f.prof.StallProb, f.stalls) {
+			if !f.draw(f.prof.StallProb, &f.ctr.CtrlStalls) {
 				return 0
 			}
 			return f.magnitude(f.prof.StallMax)
 		},
 		NackPush: func() bool {
-			return f.draw(f.prof.NackProb, f.nacks)
+			return f.draw(f.prof.NackProb, &f.ctr.PushNacks)
 		},
 		SkipInvalidate: func() bool {
-			return f.draw(f.prof.SkipInvalidateProb, f.skippedInvs)
+			return f.draw(f.prof.SkipInvalidateProb, &f.ctr.SkippedInvalidates)
 		},
 	}
 }
@@ -248,9 +247,7 @@ type chaosNet struct {
 func (n *chaosNet) Name() string                        { return n.inner.Name() }
 func (n *chaosNet) Port(name string) interconnect.Port  { return n.inner.Port(name) }
 func (n *chaosNet) PortName(p interconnect.Port) string { return n.inner.PortName(p) }
-func (n *chaosNet) Counters() *stats.Set                { return n.inner.Counters() }
-func (n *chaosNet) TotalBytes() uint64                  { return n.inner.TotalBytes() }
-func (n *chaosNet) TotalMessages() uint64               { return n.inner.TotalMessages() }
+func (n *chaosNet) Counters() *interconnect.Counters    { return n.inner.Counters() }
 
 func (n *chaosNet) Send(src, dst interconnect.Port, size int, deliver func(now sim.Tick)) sim.Tick {
 	if deliver == nil {
@@ -259,7 +256,7 @@ func (n *chaosNet) Send(src, dst interconnect.Port, size int, deliver func(now s
 	key := [2]interconnect.Port{src, dst}
 	return n.inner.Send(src, dst, size, func(arr sim.Tick) {
 		at := arr
-		if n.f.draw(n.f.prof.NetJitterProb, n.f.netJitter) {
+		if n.f.draw(n.f.prof.NetJitterProb, &n.f.ctr.NetJitter) {
 			at += n.f.magnitude(n.f.prof.NetJitterMax)
 		}
 		if last := n.lastPair[key]; at < last {
@@ -294,19 +291,19 @@ type chaosDirect struct {
 	f      *FaultPlan
 }
 
-func (d *chaosDirect) Name() string         { return d.inner.Name() }
-func (d *chaosDirect) Counters() *stats.Set { return d.inner.Counters() }
+func (d *chaosDirect) Name() string                     { return d.inner.Name() }
+func (d *chaosDirect) Counters() *interconnect.Counters { return d.inner.Counters() }
 
 func (d *chaosDirect) Send(size int, deliver func(now sim.Tick)) sim.Tick {
 	if deliver == nil {
 		return d.inner.Send(size, nil)
 	}
-	if d.f.draw(d.f.prof.PushDropProb, d.f.pushDrops) {
+	if d.f.draw(d.f.prof.PushDropProb, &d.f.ctr.PushDrops) {
 		// The message occupies the link and then vanishes in flight.
 		return d.inner.Send(size, nil)
 	}
 	wrapped := func(arr sim.Tick) {
-		if d.f.draw(d.f.prof.PushJitterProb, d.f.pushJitter) {
+		if d.f.draw(d.f.prof.PushJitterProb, &d.f.ctr.PushJitter) {
 			at := arr + d.f.magnitude(d.f.prof.PushJitterMax)
 			d.engine.ScheduleAt(at, func() { deliver(at) })
 			return
@@ -314,7 +311,7 @@ func (d *chaosDirect) Send(size int, deliver func(now sim.Tick)) sim.Tick {
 		deliver(arr)
 	}
 	arrival := d.inner.Send(size, wrapped)
-	if d.f.draw(d.f.prof.PushDupProb, d.f.pushDups) {
+	if d.f.draw(d.f.prof.PushDupProb, &d.f.ctr.PushDups) {
 		d.inner.Send(size, wrapped)
 	}
 	return arrival

@@ -276,7 +276,7 @@ func (r *stressRun) runRound() {
 	r.checkQuiescent()
 	nacks, retries := r.pushCounts()
 	fmt.Fprintf(&r.transcript, "round %2d: ops=%d kernel=%v tick=%d faults=%d nacks=%d retries=%d\n",
-		r.round, perAgent*r.cfg.Agents, kernel, r.sys.Now(), r.plan.Injected(), nacks, retries)
+		r.round, perAgent*r.cfg.Agents, kernel, r.sys.Now(), r.plan.Counters().FaultsInjected, nacks, retries)
 }
 
 // drain runs the engine to quiescence, converting panics (the engine's
@@ -510,8 +510,8 @@ func (r *stressRun) commitRegion(region string, pas []memsys.Addr, committed []u
 // pushCounts sums the controllers' push NACK and retry counters.
 func (r *stressRun) pushCounts() (nacks, retries uint64) {
 	for _, c := range r.ctrls() {
-		nacks += c.Counters().Get("push_nacks")
-		retries += c.Counters().Get("push_retries")
+		nacks += c.Counters().PushNacks
+		retries += c.Counters().PushRetries
 	}
 	return nacks, retries
 }
@@ -523,7 +523,7 @@ func (r *stressRun) finish() *StressResult {
 		Violations:     r.violations,
 		Ops:            r.opsIssued,
 		Ticks:          r.sys.Now(),
-		FaultsInjected: r.plan.Injected(),
+		FaultsInjected: r.plan.Counters().FaultsInjected,
 		Nacks:          nacks,
 		Retries:        retries,
 	}

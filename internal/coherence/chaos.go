@@ -156,7 +156,7 @@ func (c *Ctrl) retryPush(pp *pendingPush) {
 		return
 	}
 	pp.attempt++
-	c.pushRetries.Inc()
+	c.ctr.PushRetries++
 	c.sendPushAttempt(pp)
 }
 
@@ -205,7 +205,7 @@ func (c *Ctrl) receivePushAck(a PushAckMsg) {
 		return // duplicate ack from a retry whose original also landed
 	}
 	if a.Nack {
-		c.pushNacks.Inc()
+		c.ctr.PushNacks++
 		pp.gen++
 		c.armPushTimer(pp, c.res.PushTimeout<<uint(pp.attempt))
 		return

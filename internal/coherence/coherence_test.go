@@ -601,7 +601,7 @@ func TestDirectOverXbarAblation(t *testing.T) {
 	}, xbar, mem)
 	direct := interconnect.NewLink(e, "direct", 20, 32)
 	cpu.AttachDirectStore(direct, func(memsys.Addr) *Ctrl { return gpu })
-	before := xbar.TotalBytes()
+	before := xbar.Counters().Bytes
 	done := false
 	cpu.Access(&memsys.Request{Type: memsys.RemoteStore, Addr: line0, Ver: 5,
 		Done: func(sim.Tick) { done = true }})
@@ -612,7 +612,7 @@ func TestDirectOverXbarAblation(t *testing.T) {
 	if direct.Counters().Get("messages") != 0 {
 		t.Error("ablation still used the dedicated link")
 	}
-	if xbar.TotalBytes() == before {
+	if xbar.Counters().Bytes == before {
 		t.Error("push bytes did not ride the crossbar")
 	}
 	if gpu.State(line0) != MM || gpu.Ver(line0) != 5 {

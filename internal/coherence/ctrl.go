@@ -107,18 +107,7 @@ type Ctrl struct {
 	obsID  obs.CompID
 	obsMem obs.CompID
 
-	counters     *stats.Set
-	probesRecv   *stats.Counter
-	wbSent       *stats.Counter
-	pushesRecv   *stats.Counter
-	directStores *stats.Counter
-	remoteLoads  *stats.Counter
-	mshrStalls   *stats.Counter
-	upgrades     *stats.Counter
-	pushOverflow *stats.Counter
-	bypasses     *stats.Counter
-	pushNacks    *stats.Counter
-	pushRetries  *stats.Counter
+	ctr CtrlCounters
 }
 
 // NewCtrl builds a controller, creating its cache arrays, and registers
@@ -138,22 +127,10 @@ func NewCtrl(engine *sim.Engine, cfg CtrlConfig, xbar interconnect.Network, mem 
 		mshr:          cache.NewMSHR(cfg.MSHRs),
 		lines:         newLineTab[lineState](cfg.L2.IndexShift, uint64(cfg.Slice)),
 		remotePending: make(map[memsys.Addr][]*memsys.Request),
-		counters:      stats.NewSet(),
 	}
 	if cfg.L1 != nil {
 		c.l1 = cache.New(*cfg.L1)
 	}
-	c.probesRecv = c.counters.Counter("probes_received")
-	c.wbSent = c.counters.Counter("writebacks_sent")
-	c.pushesRecv = c.counters.Counter("pushes_received")
-	c.directStores = c.counters.Counter("direct_stores")
-	c.remoteLoads = c.counters.Counter("remote_loads")
-	c.mshrStalls = c.counters.Counter("mshr_stalls")
-	c.upgrades = c.counters.Counter("upgrades")
-	c.pushOverflow = c.counters.Counter("pushes_overflowed")
-	c.bypasses = c.counters.Counter("fill_bypasses")
-	c.pushNacks = c.counters.Counter("push_nacks")
-	c.pushRetries = c.counters.Counter("push_retries")
 	mem.AddPeer(c)
 	return c
 }
@@ -161,8 +138,35 @@ func NewCtrl(engine *sim.Engine, cfg CtrlConfig, xbar interconnect.Network, mem 
 // Name returns the controller's network port name.
 func (c *Ctrl) Name() string { return c.name }
 
-// Counters exposes the controller's statistics.
-func (c *Ctrl) Counters() *stats.Set { return c.counters }
+// CtrlCounters are a cache controller's protocol event counts.
+type CtrlCounters struct {
+	ProbesReceived, WritebacksSent, PushesReceived, DirectStores uint64
+	RemoteLoads, MSHRStalls, Upgrades, PushesOverflowed          uint64
+	FillBypasses, PushNacks, PushRetries                         uint64
+}
+
+// Rows lists the counters by name, in dump and snapshot order.
+func (c *CtrlCounters) Rows() stats.Rows {
+	return stats.Rows{
+		{Name: "probes_received", N: &c.ProbesReceived},
+		{Name: "writebacks_sent", N: &c.WritebacksSent},
+		{Name: "pushes_received", N: &c.PushesReceived},
+		{Name: "direct_stores", N: &c.DirectStores},
+		{Name: "remote_loads", N: &c.RemoteLoads},
+		{Name: "mshr_stalls", N: &c.MSHRStalls},
+		{Name: "upgrades", N: &c.Upgrades},
+		{Name: "pushes_overflowed", N: &c.PushesOverflowed},
+		{Name: "fill_bypasses", N: &c.FillBypasses},
+		{Name: "push_nacks", N: &c.PushNacks},
+		{Name: "push_retries", N: &c.PushRetries},
+	}
+}
+
+// Get returns the named counter; an undeclared name panics.
+func (c *CtrlCounters) Get(name string) uint64 { return c.Rows().Get(name) }
+
+// Counters exposes the controller's counters.
+func (c *Ctrl) Counters() *CtrlCounters { return &c.ctr }
 
 // L2Cache exposes the protocol-level array (for statistics: accesses,
 // hits, misses, evictions).
@@ -312,7 +316,7 @@ func (c *Ctrl) processReq(req *memsys.Request, quiet bool) {
 			// holds a copy, so the controller upgrades locally).
 			c.commitStore(line, st, out.Next, req, c.cfg.L1HitLat+c.cfg.L2HitLat)
 		case hit: // S or O: must invalidate other copies first
-			c.upgrades.Inc()
+			c.ctr.Upgrades++
 			c.missPath(req, line, true)
 		default:
 			c.missPath(req, line, true)
@@ -386,7 +390,7 @@ func (c *Ctrl) missPath(req *memsys.Request, line memsys.Addr, wantX bool) {
 		return
 	}
 	if c.mshr.Full() {
-		c.mshrStalls.Inc()
+		c.ctr.MSHRStalls++
 		c.stalled.push(req)
 		return
 	}
@@ -441,7 +445,7 @@ func (c *Ctrl) RemoteLoad(req *memsys.Request) {
 // remoteLoadStart runs a remote load once its port slot arrives.
 func (c *Ctrl) remoteLoadStart(req *memsys.Request) {
 	line := memsys.LineAlign(req.Addr)
-	c.remoteLoads.Inc()
+	c.ctr.RemoteLoads++
 	waiting := c.remotePending[line]
 	c.remotePending[line] = append(waiting, req)
 	if len(waiting) > 0 {
@@ -464,7 +468,7 @@ func (c *Ctrl) processDirectStore(req *memsys.Request, line memsys.Addr) {
 	if c.directLink == nil || c.pushTarget == nil {
 		panic(fmt.Sprintf("coherence %s: direct store issued but no direct network attached", c.name))
 	}
-	c.directStores.Inc()
+	c.ctr.DirectStores++
 	// Remote store from I/S/M/MM always ends in I locally (bold
 	// transitions in Fig. 3) — one row of the shared table, consulted so
 	// tablecover ties this handler to its declared transitions. The
@@ -541,11 +545,11 @@ func (c *Ctrl) ReceivePutx(p PutxMsg, req *memsys.Request) {
 // applyPutx performs the install itself, shared between the
 // fire-and-forget and resilient paths.
 func (c *Ctrl) applyPutx(p PutxMsg) {
-	c.pushesRecv.Inc()
+	c.ctr.PushesReceived++
 	line := p.Addr
 	e, pending := c.mshr.Lookup(line)
 	if !pending && c.l2.SetFull(line) {
-		c.pushOverflow.Inc()
+		c.ctr.PushesOverflowed++
 		c.writeBack(line, p.Ver)
 		return
 	}
@@ -584,7 +588,7 @@ func (c *Ctrl) installLine(line memsys.Addr, st State, dirty bool, ver uint64) {
 	vv := vls.ver
 	vls.ver = 0
 	if v.Dirty {
-		c.wbSent.Inc()
+		c.ctr.WritebacksSent++
 		c.writeBack(v.Addr, vv)
 	}
 }
@@ -615,7 +619,7 @@ func (c *Ctrl) writeBack(line memsys.Addr, ver uint64) {
 // receiveProbe answers the memory controller's probe after the array
 // lookup delay, plus any injected controller stall.
 func (c *Ctrl) receiveProbe(p ProbeMsg) {
-	c.probesRecv.Inc()
+	c.ctr.ProbesReceived++
 	pk := c.mem.pkt(pkAnswerProbe)
 	pk.c, pk.probe = c, p
 	c.engine.ScheduleArg(c.cfg.L2HitLat+c.stallTicks(), runPkt, pk)
@@ -723,7 +727,7 @@ func (c *Ctrl) receiveData(d DataMsg) {
 	f := ApplyFill(prev, grant, d.Owned, superseded, bypass)
 	switch f.Action {
 	case FillBypass:
-		c.bypasses.Inc()
+		c.ctr.FillBypasses++
 	case FillInstall:
 		if !f.OK {
 			panic(fmt.Sprintf("coherence %s: fill %s illegal from %s", c.name, StateName(grant), StateName(prev)))

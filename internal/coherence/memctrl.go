@@ -67,16 +67,7 @@ type MemCtrl struct {
 	obs   *obs.Observer
 	obsID obs.CompID
 
-	counters  *stats.Set
-	requests  *stats.Counter
-	reqGETS   *stats.Counter
-	reqGETX   *stats.Counter
-	reqWB     *stats.Counter
-	reqRemote *stats.Counter
-	probes    *stats.Counter
-	wbs       *stats.Counter
-	fromPeer  *stats.Counter
-	fromDRAM  *stats.Counter
+	ctr MemCounters
 }
 
 // txn is one in-flight transaction: the request it serves, its age for
@@ -95,7 +86,7 @@ type txn struct {
 // set per line, as ports of xbar.
 func NewMemCtrl(engine *sim.Engine, name string, xbar interconnect.Network, d *dram.DRAM,
 	probeTargets func(addr memsys.Addr, requester interconnect.Port) []interconnect.Port) *MemCtrl {
-	m := &MemCtrl{
+	return &MemCtrl{
 		engine:       engine,
 		name:         name,
 		port:         xbar.Port(name),
@@ -103,25 +94,39 @@ func NewMemCtrl(engine *sim.Engine, name string, xbar interconnect.Network, d *d
 		dram:         d,
 		probeTargets: probeTargets,
 		queued:       make(map[memsys.Addr][]ReqMsg),
-		counters:     stats.NewSet(),
 	}
-	m.requests = m.counters.Counter("requests")
-	m.reqGETS = m.counters.Counter("requests_gets")
-	m.reqGETX = m.counters.Counter("requests_getx")
-	m.reqWB = m.counters.Counter("requests_wb")
-	m.reqRemote = m.counters.Counter("requests_remote_load")
-	m.probes = m.counters.Counter("probes_sent")
-	m.wbs = m.counters.Counter("writebacks")
-	m.fromPeer = m.counters.Counter("data_from_peer")
-	m.fromDRAM = m.counters.Counter("data_from_dram")
-	return m
 }
 
 // Name returns the controller's crossbar port name.
 func (m *MemCtrl) Name() string { return m.name }
 
-// Counters exposes the controller's statistics.
-func (m *MemCtrl) Counters() *stats.Set { return m.counters }
+// MemCounters are the memory controller's request and data-source counts.
+type MemCounters struct {
+	Requests                                                   uint64
+	RequestsGETS, RequestsGETX, RequestsWB, RequestsRemoteLoad uint64
+	ProbesSent, Writebacks, DataFromPeer, DataFromDRAM         uint64
+}
+
+// Rows lists the counters by name, in dump and snapshot order.
+func (c *MemCounters) Rows() stats.Rows {
+	return stats.Rows{
+		{Name: "requests", N: &c.Requests},
+		{Name: "requests_gets", N: &c.RequestsGETS},
+		{Name: "requests_getx", N: &c.RequestsGETX},
+		{Name: "requests_wb", N: &c.RequestsWB},
+		{Name: "requests_remote_load", N: &c.RequestsRemoteLoad},
+		{Name: "probes_sent", N: &c.ProbesSent},
+		{Name: "writebacks", N: &c.Writebacks},
+		{Name: "data_from_peer", N: &c.DataFromPeer},
+		{Name: "data_from_dram", N: &c.DataFromDRAM},
+	}
+}
+
+// Get returns the named counter; an undeclared name panics.
+func (c *MemCounters) Get(name string) uint64 { return c.Rows().Get(name) }
+
+// Counters exposes the controller's counters.
+func (m *MemCtrl) Counters() *MemCounters { return &m.ctr }
 
 // AddPeer registers a cache controller so probes and data can be
 // delivered to it.
@@ -155,16 +160,16 @@ func (m *MemCtrl) MemVer(a memsys.Addr) uint64 { return m.dramVer.get(memsys.Lin
 // ReceiveRequest is invoked when a request message arrives (the caller
 // has already paid the network delay).
 func (m *MemCtrl) ReceiveRequest(req ReqMsg) {
-	m.requests.Inc()
+	m.ctr.Requests++
 	switch req.Type {
 	case GETS:
-		m.reqGETS.Inc()
+		m.ctr.RequestsGETS++
 	case GETX:
-		m.reqGETX.Inc()
+		m.ctr.RequestsGETX++
 	case WB:
-		m.reqWB.Inc()
+		m.ctr.RequestsWB++
 	case RemoteLoad:
-		m.reqRemote.Inc()
+		m.ctr.RequestsRemoteLoad++
 	}
 	line := memsys.LineAlign(req.Addr)
 	req.Addr = line
@@ -212,7 +217,7 @@ func (m *MemCtrl) start(req ReqMsg) {
 func (m *MemCtrl) apply(t *txn, eff TxnEffect, targets []interconnect.Port) {
 	line := t.req.Addr
 	if eff&TxDramWrite != 0 {
-		m.wbs.Inc()
+		m.ctr.Writebacks++
 		*m.dramVer.at(line) = t.req.Ver
 		m.dramAccess(t, true)
 	}
@@ -225,7 +230,7 @@ func (m *MemCtrl) apply(t *txn, eff TxnEffect, targets []interconnect.Port) {
 			panic(fmt.Sprintf("coherence: no probe kind for %v", t.req.Type))
 		}
 		for _, tgt := range targets {
-			m.probes.Inc()
+			m.ctr.ProbesSent++
 			if m.obs != nil {
 				m.obs.Msg(m.engine.Now(), m.obsID, obs.MsgProbe, line, m.obs.Component(m.peerName(tgt)))
 			}
@@ -238,7 +243,7 @@ func (m *MemCtrl) apply(t *txn, eff TxnEffect, targets []interconnect.Port) {
 	if eff&TxOwnerData != 0 {
 		// Owner-to-requester transfer already in flight (Hammer is
 		// 3-hop); the speculative DRAM read, if any, is discarded.
-		m.fromPeer.Inc()
+		m.ctr.DataFromPeer++
 	}
 	if eff&TxGrant != 0 {
 		// No owner: the simulator's stores are line-granular, so the
@@ -247,7 +252,7 @@ func (m *MemCtrl) apply(t *txn, eff TxnEffect, targets []interconnect.Port) {
 		m.sendData(t, obs.MsgGrant, interconnect.CtrlMsgBytes)
 	}
 	if eff&TxMemData != 0 {
-		m.fromDRAM.Inc()
+		m.ctr.DataFromDRAM++
 		m.sendData(t, obs.MsgData, interconnect.DataMsgBytes)
 	}
 	if eff&TxWBDone != 0 {

@@ -28,10 +28,7 @@ type RegionDirectory struct {
 	owner  map[uint64]string
 	shared map[uint64]bool
 
-	counters   *stats.Set
-	claims     *stats.Counter
-	filtered   *stats.Counter
-	downgrades *stats.Counter
+	ctr RegionCounters
 }
 
 // NewRegionDirectory builds a directory tracking regions of
@@ -42,21 +39,33 @@ func NewRegionDirectory(shift uint, groupOf func(string) string) *RegionDirector
 	if groupOf == nil {
 		groupOf = func(n string) string { return n }
 	}
-	r := &RegionDirectory{
-		shift:    shift,
-		groupOf:  groupOf,
-		owner:    make(map[uint64]string),
-		shared:   make(map[uint64]bool),
-		counters: stats.NewSet(),
+	return &RegionDirectory{
+		shift:   shift,
+		groupOf: groupOf,
+		owner:   make(map[uint64]string),
+		shared:  make(map[uint64]bool),
 	}
-	r.claims = r.counters.Counter("regions_claimed")
-	r.filtered = r.counters.Counter("probes_filtered")
-	r.downgrades = r.counters.Counter("region_downgrades")
-	return r
 }
 
-// Counters exposes claim/filter/downgrade counts.
-func (r *RegionDirectory) Counters() *stats.Set { return r.counters }
+// RegionCounters are the probe filter's claim, filter and downgrade counts.
+type RegionCounters struct {
+	RegionsClaimed, ProbesFiltered, RegionDowngrades uint64
+}
+
+// Rows lists the counters by name, in dump and snapshot order.
+func (c *RegionCounters) Rows() stats.Rows {
+	return stats.Rows{
+		{Name: "regions_claimed", N: &c.RegionsClaimed},
+		{Name: "probes_filtered", N: &c.ProbesFiltered},
+		{Name: "region_downgrades", N: &c.RegionDowngrades},
+	}
+}
+
+// Get returns the named counter; an undeclared name panics.
+func (c *RegionCounters) Get(name string) uint64 { return c.Rows().Get(name) }
+
+// Counters exposes the directory's counters.
+func (r *RegionDirectory) Counters() *RegionCounters { return &r.ctr }
 
 func (r *RegionDirectory) region(a memsys.Addr) uint64 { return uint64(a) >> r.shift }
 
@@ -78,17 +87,17 @@ func (r *RegionDirectory) Filter(addr memsys.Addr, requester string, ty ReqType)
 	switch {
 	case !owned:
 		r.owner[reg] = requester
-		r.claims.Inc()
-		r.filtered.Inc()
+		r.ctr.RegionsClaimed++
+		r.ctr.ProbesFiltered++
 		return true
 	case owner == requester:
-		r.filtered.Inc()
+		r.ctr.ProbesFiltered++
 		return true
 	default:
 		// Second agent touches the region: broadcast this and every
 		// later request.
 		r.shared[reg] = true
-		r.downgrades.Inc()
+		r.ctr.RegionDowngrades++
 		return false
 	}
 }

@@ -50,7 +50,7 @@ func (c *Ctrl) SnapshotTo(w *snap.Writer) {
 		c.l1.SnapshotTo(w)
 	}
 	c.l2.SnapshotTo(w)
-	c.counters.SnapshotTo(w)
+	c.ctr.Rows().SnapshotTo(w)
 }
 
 // RestoreFrom overwrites the controller's state from a snapshot taken
@@ -103,7 +103,7 @@ func (c *Ctrl) RestoreFrom(r *snap.Reader) {
 		c.l1.RestoreFrom(r)
 	}
 	c.l2.RestoreFrom(r)
-	c.counters.RestoreFrom(r)
+	c.ctr.Rows().RestoreFrom(r)
 }
 
 // SnapshotTo serialises the ordering point: the memory version table
@@ -133,7 +133,7 @@ func (m *MemCtrl) SnapshotTo(w *snap.Writer) {
 	if m.regions != nil {
 		m.regions.SnapshotTo(w)
 	}
-	m.counters.SnapshotTo(w)
+	m.ctr.Rows().SnapshotTo(w)
 }
 
 // RestoreFrom overwrites the ordering point's state from a snapshot.
@@ -173,7 +173,7 @@ func (m *MemCtrl) RestoreFrom(r *snap.Reader) {
 	if m.regions != nil {
 		m.regions.RestoreFrom(r)
 	}
-	m.counters.RestoreFrom(r)
+	m.ctr.Rows().RestoreFrom(r)
 }
 
 // SnapshotTo serialises the probe filter's ownership state (sorted by
@@ -201,7 +201,7 @@ func (d *RegionDirectory) SnapshotTo(w *snap.Writer) {
 	for _, reg := range shared {
 		w.U64(reg)
 	}
-	d.counters.SnapshotTo(w)
+	d.ctr.Rows().SnapshotTo(w)
 }
 
 // RestoreFrom overwrites the probe filter's state from a snapshot.
@@ -218,5 +218,5 @@ func (d *RegionDirectory) RestoreFrom(r *snap.Reader) {
 	for i := uint32(0); i < ns && r.Err() == nil; i++ {
 		d.shared[r.U64()] = true
 	}
-	d.counters.RestoreFrom(r)
+	d.ctr.Rows().RestoreFrom(r)
 }

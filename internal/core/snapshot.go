@@ -89,7 +89,7 @@ func (s *System) Snapshot() ([]byte, error) {
 	s.snapshotNet(w)
 	s.Direct.SnapshotTo(w)
 	s.DRAM.SnapshotTo(w)
-	s.counters.SnapshotTo(w)
+	s.ctr.Rows().SnapshotTo(w)
 	return w.Bytes(), nil
 }
 
@@ -168,6 +168,6 @@ func (s *System) RestoreSnapshot(data []byte) error {
 	}
 	s.Direct.RestoreFrom(r)
 	s.DRAM.RestoreFrom(r)
-	s.counters.RestoreFrom(r)
+	s.ctr.Rows().RestoreFrom(r)
 	return r.Done()
 }

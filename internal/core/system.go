@@ -267,22 +267,19 @@ type System struct {
 	Direct *interconnect.Link
 	DRAM   *dram.DRAM
 
-	prefetches *stats.Counter
-	counters   *stats.Set
+	ctr Counters
 }
 
 // NewSystem builds a machine from cfg.
 func NewSystem(cfg Config) *System {
 	engine := sim.NewEngine()
 	s := &System{
-		Cfg:      cfg,
-		Engine:   engine,
-		Space:    memalloc.NewSpace(),
-		PT:       mmu.NewPageTable(cfg.MemBytes),
-		Vers:     &cpu.VersionSource{},
-		counters: stats.NewSet(),
+		Cfg:    cfg,
+		Engine: engine,
+		Space:  memalloc.NewSpace(),
+		PT:     mmu.NewPageTable(cfg.MemBytes),
+		Vers:   &cpu.VersionSource{},
 	}
-	s.prefetches = s.counters.Counter("l2_prefetches_issued")
 	if cfg.StallGuardEvents != 0 {
 		engine.SetStallGuard(cfg.StallGuardEvents)
 	}
@@ -483,13 +480,28 @@ func NewSystem(cfg Config) *System {
 func (s *System) prefetchAfter(_ int, line memsys.Addr) {
 	for d := 1; d <= s.Cfg.PrefetchDepth; d++ {
 		next := line + memsys.Addr(d)*memsys.LineSize
-		s.prefetches.Inc()
+		s.ctr.L2PrefetchesIssued++
 		s.Slices[memsys.SliceFor(next, s.Cfg.GPUL2Slices)].Prefetch(next)
 	}
 }
 
+// Counters are the machine-level counts no single layer owns.
+type Counters struct {
+	L2PrefetchesIssued uint64
+}
+
+// Rows lists the counters by name, in dump and snapshot order.
+func (c *Counters) Rows() stats.Rows {
+	return stats.Rows{
+		{Name: "l2_prefetches_issued", N: &c.L2PrefetchesIssued},
+	}
+}
+
+// Get returns the named counter; an undeclared name panics.
+func (c *Counters) Get(name string) uint64 { return c.Rows().Get(name) }
+
 // Counters exposes system-level counters (prefetches issued).
-func (s *System) Counters() *stats.Set { return s.counters }
+func (s *System) Counters() *Counters { return &s.ctr }
 
 // AllocShared allocates a buffer the GPU will consume. In the
 // direct-store modes it lands in the reserved region (what the
@@ -620,7 +632,7 @@ func (s *System) CheckCoherence() error {
 func (s *System) GPUL2Accesses() uint64 {
 	var n uint64
 	for _, sl := range s.Slices {
-		n += sl.L2Cache().Counters().Get("accesses")
+		n += sl.L2Cache().Counters().Accesses
 	}
 	return n
 }
@@ -629,7 +641,7 @@ func (s *System) GPUL2Accesses() uint64 {
 func (s *System) GPUL2Misses() uint64 {
 	var n uint64
 	for _, sl := range s.Slices {
-		n += sl.L2Cache().Counters().Get("misses")
+		n += sl.L2Cache().Counters().Misses
 	}
 	return n
 }
@@ -644,17 +656,17 @@ func (s *System) GPUL2MissRate() float64 {
 func (s *System) PushesReceived() uint64 {
 	var n uint64
 	for _, sl := range s.Slices {
-		n += sl.Counters().Get("pushes_received")
+		n += sl.Counters().PushesReceived
 	}
 	return n
 }
 
 // CoherenceTrafficBytes returns bytes moved over the shared crossbar
 // (the CCSM network); direct-network bytes are reported separately.
-func (s *System) CoherenceTrafficBytes() uint64 { return s.Net.TotalBytes() }
+func (s *System) CoherenceTrafficBytes() uint64 { return s.Net.Counters().Bytes }
 
 // DirectTrafficBytes returns bytes moved over the dedicated network.
-func (s *System) DirectTrafficBytes() uint64 { return s.Direct.Counters().Get("bytes") }
+func (s *System) DirectTrafficBytes() uint64 { return s.Direct.Counters().Bytes }
 
 // Table1 renders the system configuration in the shape of the paper's
 // Table I.

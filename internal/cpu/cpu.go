@@ -119,14 +119,8 @@ type Core struct {
 	loadReq   memsys.Request
 	storePool []*cpuStore
 
-	counters     *stats.Set
-	loads        *stats.Counter
-	storesC      *stats.Counter
-	remoteStores *stats.Counter
-	remoteLoadsC *stats.Counter
-	sbStallTicks *stats.Counter
-	fences       *stats.Counter
-	finishedAt   sim.Tick
+	ctr        Counters
+	finishedAt sim.Tick
 }
 
 // New builds a core over its TLB and cache controller.
@@ -135,12 +129,11 @@ func New(engine *sim.Engine, cfg Config, tlb *mmu.TLB, ctrl *coherence.Ctrl, ver
 		panic(fmt.Sprintf("cpu %s: non-positive store buffer", cfg.Name))
 	}
 	c := &Core{
-		engine:   engine,
-		cfg:      cfg,
-		tlb:      tlb,
-		ctrl:     ctrl,
-		vers:     vers,
-		counters: stats.NewSet(),
+		engine: engine,
+		cfg:    cfg,
+		tlb:    tlb,
+		ctrl:   ctrl,
+		vers:   vers,
 	}
 	c.stepFn = c.step
 	c.fenceFn = c.fence
@@ -148,17 +141,32 @@ func New(engine *sim.Engine, cfg Config, tlb *mmu.TLB, ctrl *coherence.Ctrl, ver
 	c.executeFn = c.execute
 	c.loadReq.Type = memsys.Load
 	c.loadReq.Done = func(sim.Tick) { c.step() }
-	c.loads = c.counters.Counter("loads")
-	c.storesC = c.counters.Counter("stores")
-	c.remoteStores = c.counters.Counter("remote_stores")
-	c.remoteLoadsC = c.counters.Counter("remote_loads")
-	c.sbStallTicks = c.counters.Counter("store_buffer_stall_ticks")
-	c.fences = c.counters.Counter("fence_stall_ticks")
 	return c
 }
 
-// Counters exposes the core's statistics.
-func (c *Core) Counters() *stats.Set { return c.counters }
+// Counters are the core's memory-operation and stall counts.
+type Counters struct {
+	Loads, Stores, RemoteStores, RemoteLoads uint64
+	StoreBufferStallTicks, FenceStallTicks   uint64
+}
+
+// Rows lists the counters by name, in dump and snapshot order.
+func (c *Counters) Rows() stats.Rows {
+	return stats.Rows{
+		{Name: "loads", N: &c.Loads},
+		{Name: "stores", N: &c.Stores},
+		{Name: "remote_stores", N: &c.RemoteStores},
+		{Name: "remote_loads", N: &c.RemoteLoads},
+		{Name: "store_buffer_stall_ticks", N: &c.StoreBufferStallTicks},
+		{Name: "fence_stall_ticks", N: &c.FenceStallTicks},
+	}
+}
+
+// Get returns the named counter; an undeclared name panics.
+func (c *Counters) Get(name string) uint64 { return c.Rows().Get(name) }
+
+// Counters exposes the core's counters.
+func (c *Core) Counters() *Counters { return &c.ctr }
 
 // AttachObserver connects the core to the observability layer: store
 // completions (issue to coherence completion, including the direct-
@@ -224,7 +232,7 @@ func (c *Core) step() {
 // fence stalls until the store buffer drains, then proceeds.
 func (c *Core) fence() {
 	if c.sbInFlight > 0 {
-		c.fences.Inc()
+		c.ctr.FenceStallTicks++
 		c.engine.Schedule(1, c.fenceFn)
 		return
 	}
@@ -253,16 +261,16 @@ func (c *Core) execute() {
 		c.loadReq.Ver = 0
 		if direct {
 			// Uncacheable read from the GPU-homed region.
-			c.remoteLoadsC.Inc()
+			c.ctr.RemoteLoads++
 			c.ctrl.RemoteLoad(&c.loadReq)
 			return
 		}
-		c.loads.Inc()
+		c.ctr.Loads++
 		c.ctrl.Access(&c.loadReq)
 	case memsys.Store:
 		if c.sbInFlight >= c.cfg.StoreBufferEntries {
 			// Store buffer full: retry each tick until a slot frees.
-			c.sbStallTicks.Inc()
+			c.ctr.StoreBufferStallTicks++
 			c.engine.Schedule(1, c.executeFn)
 			return
 		}
@@ -271,9 +279,9 @@ func (c *Core) execute() {
 		ty := memsys.Store
 		if direct && c.cfg.DirectStoreEnabled {
 			ty = memsys.RemoteStore
-			c.remoteStores.Inc()
+			c.ctr.RemoteStores++
 		} else {
-			c.storesC.Inc()
+			c.ctr.Stores++
 		}
 		var s *cpuStore
 		if n := len(c.storePool); n > 0 {

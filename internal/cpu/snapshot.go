@@ -23,7 +23,7 @@ func (c *Core) SnapshotTo(w *snap.Writer) {
 	w.Tag("core")
 	w.Bool(!c.running && c.sbInFlight == 0 && !c.sbWaiting)
 	c.tlb.SnapshotTo(w)
-	c.counters.SnapshotTo(w)
+	c.ctr.Rows().SnapshotTo(w)
 }
 
 // RestoreFrom overwrites the core's state from a snapshot.
@@ -40,5 +40,5 @@ func (c *Core) RestoreFrom(r *snap.Reader) {
 		return
 	}
 	c.tlb.RestoreFrom(r)
-	c.counters.RestoreFrom(r)
+	c.ctr.Rows().RestoreFrom(r)
 }

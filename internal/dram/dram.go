@@ -71,12 +71,7 @@ type DRAM struct {
 
 	sched *frfcfs // nil under SchedSimple
 
-	counters  *stats.Set
-	reads     *stats.Counter
-	writes    *stats.Counter
-	rowHits   *stats.Counter
-	rowMisses *stats.Counter
-	totalLat  *stats.Counter
+	ctr Counters
 }
 
 // New builds a DRAM model attached to the event engine.
@@ -92,22 +87,35 @@ func New(engine *sim.Engine, cfg Config) *DRAM {
 		engine:   engine,
 		totBanks: cfg.Channels * cfg.Ranks * cfg.Banks,
 		busFree:  make([]sim.Tick, cfg.Channels),
-		counters: stats.NewSet(),
 	}
 	d.banks = make([]bank, d.totBanks)
 	if cfg.Scheduler == SchedFRFCFS {
 		d.sched = &frfcfs{d: d}
 	}
-	d.reads = d.counters.Counter("reads")
-	d.writes = d.counters.Counter("writes")
-	d.rowHits = d.counters.Counter("row_hits")
-	d.rowMisses = d.counters.Counter("row_misses")
-	d.totalLat = d.counters.Counter("total_latency")
 	return d
 }
 
-// Counters exposes the statistics set.
-func (d *DRAM) Counters() *stats.Set { return d.counters }
+// Counters are the DRAM's access, row-buffer and latency counts.
+type Counters struct {
+	Reads, Writes, RowHits, RowMisses, TotalLatency uint64
+}
+
+// Rows lists the counters by name, in dump and snapshot order.
+func (c *Counters) Rows() stats.Rows {
+	return stats.Rows{
+		{Name: "reads", N: &c.Reads},
+		{Name: "writes", N: &c.Writes},
+		{Name: "row_hits", N: &c.RowHits},
+		{Name: "row_misses", N: &c.RowMisses},
+		{Name: "total_latency", N: &c.TotalLatency},
+	}
+}
+
+// Get returns the named counter; an undeclared name panics.
+func (c *Counters) Get(name string) uint64 { return c.Rows().Get(name) }
+
+// Counters exposes the DRAM's counters.
+func (d *DRAM) Counters() *Counters { return &d.ctr }
 
 // mapAddr decomposes a line address into (channel, bank index, row).
 // Lines interleave across banks so streaming accesses spread load; rows
@@ -161,13 +169,13 @@ func (d *DRAM) serviceNow(a memsys.Addr, write bool, fn func(arg any, now sim.Ti
 	var lat sim.Tick
 	switch {
 	case b.hasOpenRow && b.openRow == row:
-		d.rowHits.Inc()
+		d.ctr.RowHits++
 		lat = d.cfg.TCAS
 	case b.hasOpenRow:
-		d.rowMisses.Inc()
+		d.ctr.RowMisses++
 		lat = d.cfg.TRP + d.cfg.TRCD + d.cfg.TCAS
 	default:
-		d.rowMisses.Inc()
+		d.ctr.RowMisses++
 		lat = d.cfg.TRCD + d.cfg.TCAS
 	}
 	b.openRow = row
@@ -184,11 +192,11 @@ func (d *DRAM) serviceNow(a memsys.Addr, write bool, fn func(arg any, now sim.Ti
 	b.busyUntil = finish
 
 	if write {
-		d.writes.Inc()
+		d.ctr.Writes++
 	} else {
-		d.reads.Inc()
+		d.ctr.Reads++
 	}
-	d.totalLat.Add(uint64(finish - now))
+	d.ctr.TotalLatency += uint64(finish - now)
 
 	if fn != nil {
 		d.engine.ScheduleArgAt(finish, fn, arg)
@@ -198,11 +206,11 @@ func (d *DRAM) serviceNow(a memsys.Addr, write bool, fn func(arg any, now sim.Ti
 
 // AvgLatency returns the mean access latency in ticks so far.
 func (d *DRAM) AvgLatency() float64 {
-	n := d.reads.Value() + d.writes.Value()
-	return stats.Ratio(d.totalLat.Value(), n)
+	n := d.ctr.Reads + d.ctr.Writes
+	return stats.Ratio(d.ctr.TotalLatency, n)
 }
 
 // RowHitRate returns the fraction of accesses that hit an open row.
 func (d *DRAM) RowHitRate() float64 {
-	return stats.Ratio(d.rowHits.Value(), d.rowHits.Value()+d.rowMisses.Value())
+	return stats.Ratio(d.ctr.RowHits, d.ctr.RowHits+d.ctr.RowMisses)
 }

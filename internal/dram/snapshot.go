@@ -30,7 +30,7 @@ func (d *DRAM) SnapshotTo(w *snap.Writer) {
 	} else {
 		w.Bool(false)
 	}
-	d.counters.SnapshotTo(w)
+	d.ctr.Rows().SnapshotTo(w)
 }
 
 // RestoreFrom overwrites timing state from a snapshot taken on an
@@ -73,5 +73,5 @@ func (d *DRAM) RestoreFrom(r *snap.Reader) {
 		d.sched.draining = r.Bool()
 		d.sched.seq = r.U64()
 	}
-	d.counters.RestoreFrom(r)
+	d.ctr.Rows().RestoreFrom(r)
 }

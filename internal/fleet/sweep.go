@@ -395,8 +395,10 @@ func (c *Coordinator) runSweep(s *sweepRun, jobs []sweepJob) {
 	if rep.Degraded {
 		c.sweepsDegraded.Add(1)
 	}
-	s.finish(rep)
+	// Count the sweep before finish hands its report to the watchers,
+	// so a client that has read the report scrapes it as completed.
 	c.sweepsDone.Add(1)
+	s.finish(rep)
 }
 
 // handleSweepSubmit implements POST /v1/sweeps: expand the matrix,

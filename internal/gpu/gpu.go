@@ -138,14 +138,7 @@ type GPU struct {
 	obs   *obs.Observer
 	obsID obs.CompID
 
-	counters     *stats.Set
-	kernels      *stats.Counter
-	globalLoads  *stats.Counter
-	globalStores *stats.Counter
-	sharedOps    *stats.Counter
-	flashed      *stats.Counter
-	mshrStalls   *stats.Counter
-	barriers     *stats.Counter
+	ctr Counters
 }
 
 type sm struct {
@@ -252,7 +245,6 @@ func New(engine *sim.Engine, cfg Config, tlb *mmu.TLB, vers *cpu.VersionSource,
 		sliceFor: sliceFor,
 		tlb:      tlb,
 		vers:     vers,
-		counters: stats.NewSet(),
 	}
 	for i := 0; i < cfg.SMs; i++ {
 		l1cfg := cfg.L1
@@ -263,18 +255,33 @@ func New(engine *sim.Engine, cfg Config, tlb *mmu.TLB, vers *cpu.VersionSource,
 			l1: cache.New(l1cfg),
 		})
 	}
-	g.kernels = g.counters.Counter("kernel_launches")
-	g.globalLoads = g.counters.Counter("global_load_lines")
-	g.globalStores = g.counters.Counter("global_store_lines")
-	g.sharedOps = g.counters.Counter("shared_ops")
-	g.flashed = g.counters.Counter("l1_lines_flash_invalidated")
-	g.mshrStalls = g.counters.Counter("l1_mshr_stalls")
-	g.barriers = g.counters.Counter("barrier_arrivals")
 	return g
 }
 
-// Counters exposes the GPU's statistics.
-func (g *GPU) Counters() *stats.Set { return g.counters }
+// Counters are the SM array's kernel, memory-operation and stall counts.
+type Counters struct {
+	KernelLaunches, GlobalLoadLines, GlobalStoreLines, SharedOps uint64
+	L1LinesFlashInvalidated, L1MSHRStalls, BarrierArrivals       uint64
+}
+
+// Rows lists the counters by name, in dump and snapshot order.
+func (c *Counters) Rows() stats.Rows {
+	return stats.Rows{
+		{Name: "kernel_launches", N: &c.KernelLaunches},
+		{Name: "global_load_lines", N: &c.GlobalLoadLines},
+		{Name: "global_store_lines", N: &c.GlobalStoreLines},
+		{Name: "shared_ops", N: &c.SharedOps},
+		{Name: "l1_lines_flash_invalidated", N: &c.L1LinesFlashInvalidated},
+		{Name: "l1_mshr_stalls", N: &c.L1MSHRStalls},
+		{Name: "barrier_arrivals", N: &c.BarrierArrivals},
+	}
+}
+
+// Get returns the named counter; an undeclared name panics.
+func (c *Counters) Get(name string) uint64 { return c.Rows().Get(name) }
+
+// Counters exposes the GPU's counters.
+func (g *GPU) Counters() *Counters { return &g.ctr }
 
 // AttachObserver connects the SM array to the observability layer:
 // global-load completions feed the GPU load-latency histogram, and
@@ -332,11 +339,11 @@ func (g *GPU) Launch(k Kernel, done func()) {
 			g.cfg.Name, k.Name, len(k.Warps), g.cfg.SMs*g.cfg.MaxWarpsPerSM))
 	}
 	g.running = true
-	g.kernels.Inc()
+	g.ctr.KernelLaunches++
 	g.kernelDone = done
 	g.warpsLeft = len(k.Warps)
 	for _, s := range g.sms {
-		g.flashed.Add(uint64(s.l1.InvalidateAll()))
+		g.ctr.L1LinesFlashInvalidated += uint64(s.l1.InvalidateAll())
 	}
 	// One contiguous arena for the kernel's warp contexts: warps step
 	// interleaved, so dense layout keeps the hot cursor/pendingLines
@@ -434,7 +441,7 @@ func (w *warpCtx) exec(op *WarpOp) {
 	case OpCompute:
 		g.engine.ScheduleArg(op.Gap, stepWarp, w)
 	case OpShared:
-		g.sharedOps.Inc()
+		g.ctr.SharedOps++
 		if w.rep++; w.rep < op.Lines {
 			g.engine.ScheduleArg(g.cfg.SharedLat, issueWarp, w)
 			return
@@ -446,13 +453,13 @@ func (w *warpCtx) exec(op *WarpOp) {
 		if lines < 1 {
 			lines = 1
 		}
-		g.globalLoads.Add(uint64(lines))
+		g.ctr.GlobalLoadLines += uint64(lines)
 		w.pendingLines = lines
 		for i := 0; i < lines; i++ {
 			w.s.serveLoad(w, op.Addr+memsys.Addr(i)*memsys.LineSize)
 		}
 	case OpBarrier:
-		g.barriers.Inc()
+		g.ctr.BarrierArrivals++
 		g.barrierWaiters = append(g.barrierWaiters, w)
 		g.checkBarrierRelease()
 	case OpGlobalStore:
@@ -466,7 +473,7 @@ func (w *warpCtx) exec(op *WarpOp) {
 		if lines < 1 {
 			lines = 1
 		}
-		g.globalStores.Add(uint64(lines))
+		g.ctr.GlobalStoreLines += uint64(lines)
 		for i := 0; i < lines; i++ {
 			w.s.issueStore(op.Addr + memsys.Addr(i)*memsys.LineSize)
 		}
@@ -569,7 +576,7 @@ func (s *sm) lookupLoad(lr *loadReq, retry bool) {
 		}
 	}
 	if len(s.fills) >= g.cfg.MSHRsPerSM {
-		g.mshrStalls.Inc()
+		g.ctr.L1MSHRStalls++
 		g.engine.ScheduleArg(g.cfg.MSHRRetry, loadRetry, lr)
 		return
 	}

@@ -516,17 +516,17 @@ func TestLoopMatchesExpandedOps(t *testing.T) {
 		o := outcome{counts: map[string]uint64{}}
 		o.at = r.launch(t, k)
 		o.events = r.e.Executed()
-		collect := func(prefix string, s *stats.Set) {
-			for _, n := range s.Names() {
-				o.counts[prefix+n] = s.Get(n)
+		collect := func(prefix string, rs stats.Rows) {
+			for _, row := range rs {
+				o.counts[prefix+row.Name] = *row.N
 			}
 		}
-		collect("gpu.", r.g.Counters())
+		collect("gpu.", r.g.Counters().Rows())
 		for i, l1 := range r.g.L1Caches() {
-			collect(fmt.Sprintf("l1.%d.", i), l1.Counters())
+			collect(fmt.Sprintf("l1.%d.", i), l1.Counters().Rows())
 		}
 		for i, sl := range r.slices {
-			collect(fmt.Sprintf("l2.%d.", i), sl.L2Cache().Counters())
+			collect(fmt.Sprintf("l2.%d.", i), sl.L2Cache().Counters().Rows())
 		}
 		return o
 	}

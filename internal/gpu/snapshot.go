@@ -22,7 +22,7 @@ func (g *GPU) SnapshotTo(w *snap.Writer) {
 		quiet = quiet && s.storesInFlight == 0 && len(s.fills) == 0 && len(s.queue) == 0 && s.active == 0
 	}
 	w.Bool(quiet)
-	virgin := quiet && g.kernels.Value() == 0
+	virgin := quiet && g.ctr.KernelLaunches == 0
 	w.Bool(virgin)
 	if virgin {
 		return
@@ -33,7 +33,7 @@ func (g *GPU) SnapshotTo(w *snap.Writer) {
 		s.l1.SnapshotTo(w)
 	}
 	g.tlb.SnapshotTo(w)
-	g.counters.SnapshotTo(w)
+	g.ctr.Rows().SnapshotTo(w)
 }
 
 // RestoreFrom overwrites the GPU's state from a snapshot.
@@ -63,5 +63,5 @@ func (g *GPU) RestoreFrom(r *snap.Reader) {
 		s.l1.RestoreFrom(r)
 	}
 	g.tlb.RestoreFrom(r)
-	g.counters.RestoreFrom(r)
+	g.ctr.Rows().RestoreFrom(r)
 }

@@ -37,10 +37,32 @@ type DirectPort interface {
 	// arrival. Hot senders pass a static function and a pooled argument
 	// instead of capturing state in a fresh closure per message.
 	SendArg(size int, fn func(arg any, now sim.Tick), arg any) sim.Tick
-	Counters() *stats.Set
+	Counters() *Counters
 }
 
 var _ DirectPort = (*Link)(nil)
+
+// Counters are a network's traffic counts. Only a Ring counts hops, and
+// only a Ring's rows list them.
+type Counters struct {
+	Messages, Bytes, Hops uint64
+	listHops              bool
+}
+
+// Rows lists the counters by name, in dump and snapshot order.
+func (c *Counters) Rows() stats.Rows {
+	rs := stats.Rows{
+		{Name: "messages", N: &c.Messages},
+		{Name: "bytes", N: &c.Bytes},
+	}
+	if c.listHops {
+		rs = append(rs, stats.Row{Name: "hops", N: &c.Hops})
+	}
+	return rs
+}
+
+// Get returns the named counter; an undeclared name panics.
+func (c *Counters) Get(name string) uint64 { return c.Rows().Get(name) }
 
 // Link is a unidirectional point-to-point channel with a fixed
 // propagation latency and a serialisation bandwidth. Sends that overlap
@@ -52,31 +74,20 @@ type Link struct {
 	bytesPerTick int
 	nextFree     sim.Tick
 
-	counters *stats.Set
-	messages *stats.Counter
-	bytes    *stats.Counter
+	ctr Counters
 }
 
 // NewLink builds a link. bytesPerTick <= 0 means infinite bandwidth
 // (pure latency).
 func NewLink(engine *sim.Engine, name string, latency sim.Tick, bytesPerTick int) *Link {
-	l := &Link{
-		name:         name,
-		engine:       engine,
-		latency:      latency,
-		bytesPerTick: bytesPerTick,
-		counters:     stats.NewSet(),
-	}
-	l.messages = l.counters.Counter("messages")
-	l.bytes = l.counters.Counter("bytes")
-	return l
+	return &Link{name: name, engine: engine, latency: latency, bytesPerTick: bytesPerTick}
 }
 
 // Name returns the link's name.
 func (l *Link) Name() string { return l.name }
 
 // Counters exposes messages/bytes counters.
-func (l *Link) Counters() *stats.Set { return l.counters }
+func (l *Link) Counters() *Counters { return &l.ctr }
 
 // serialisation returns the bus occupancy of a message of size bytes.
 func serialisation(size, bytesPerTick int) sim.Tick {
@@ -98,8 +109,8 @@ func (l *Link) reserve(size int) sim.Tick {
 	}
 	occ := serialisation(size, l.bytesPerTick)
 	l.nextFree = start + occ
-	l.messages.Inc()
-	l.bytes.Add(uint64(size))
+	l.ctr.Messages++
+	l.ctr.Bytes += uint64(size)
 	return start + occ + l.latency
 }
 
@@ -139,9 +150,7 @@ type Crossbar struct {
 	ports        []xbarPort
 	byName       map[string]Port
 
-	counters *stats.Set
-	messages *stats.Counter
-	bytes    *stats.Counter
+	ctr Counters
 }
 
 // xbarPort is one crossbar endpoint's arbitration state. inUsed and
@@ -156,24 +165,20 @@ type xbarPort struct {
 // NewCrossbar builds a crossbar with the given hop latency and per-port
 // bandwidth.
 func NewCrossbar(engine *sim.Engine, name string, latency sim.Tick, bytesPerTick int) *Crossbar {
-	x := &Crossbar{
+	return &Crossbar{
 		name:         name,
 		engine:       engine,
 		latency:      latency,
 		bytesPerTick: bytesPerTick,
 		byName:       make(map[string]Port),
-		counters:     stats.NewSet(),
 	}
-	x.messages = x.counters.Counter("messages")
-	x.bytes = x.counters.Counter("bytes")
-	return x
 }
 
 // Name returns the crossbar's name.
 func (x *Crossbar) Name() string { return x.name }
 
 // Counters exposes messages/bytes counters.
-func (x *Crossbar) Counters() *stats.Set { return x.counters }
+func (x *Crossbar) Counters() *Counters { return &x.ctr }
 
 // Port resolves a named endpoint, registering it on first use.
 func (x *Crossbar) Port(name string) Port {
@@ -206,8 +211,8 @@ func (x *Crossbar) reserve(src, dst Port, size int) sim.Tick {
 	busyUntil := start + serialisation(size, x.bytesPerTick)
 	in.inFree, in.inUsed = busyUntil, true
 	out.outFree, out.outUsed = busyUntil, true
-	x.messages.Inc()
-	x.bytes.Add(uint64(size))
+	x.ctr.Messages++
+	x.ctr.Bytes += uint64(size)
 	return busyUntil + x.latency
 }
 
@@ -230,9 +235,3 @@ func (x *Crossbar) SendArg(src, dst Port, size int, fn func(arg any, now sim.Tic
 	}
 	return arrival
 }
-
-// TotalBytes returns all bytes ever sent through the crossbar.
-func (x *Crossbar) TotalBytes() uint64 { return x.bytes.Value() }
-
-// TotalMessages returns all messages ever sent through the crossbar.
-func (x *Crossbar) TotalMessages() uint64 { return x.messages.Value() }

@@ -110,8 +110,8 @@ func TestCrossbarTrafficTotals(t *testing.T) {
 	x := NewCrossbar(e, "x", 1, 0)
 	x.Send(x.Port("a"), x.Port("b"), DataMsgBytes, nil)
 	x.Send(x.Port("a"), x.Port("b"), CtrlMsgBytes, nil)
-	if x.TotalMessages() != 2 || x.TotalBytes() != DataMsgBytes+CtrlMsgBytes {
-		t.Errorf("totals msgs=%d bytes=%d", x.TotalMessages(), x.TotalBytes())
+	if x.Counters().Messages != 2 || x.Counters().Bytes != DataMsgBytes+CtrlMsgBytes {
+		t.Errorf("totals msgs=%d bytes=%d", x.Counters().Messages, x.Counters().Bytes)
 	}
 }
 
@@ -168,7 +168,7 @@ func TestPropertyCrossbarConservation(t *testing.T) {
 			x.Send(x.Port(src), x.Port(dst), size, nil)
 			wantBytes += uint64(size)
 		}
-		return x.TotalMessages() == uint64(len(sizes)) && x.TotalBytes() == wantBytes
+		return x.Counters().Messages == uint64(len(sizes)) && x.Counters().Bytes == wantBytes
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

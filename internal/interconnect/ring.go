@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dstore/internal/sim"
-	"dstore/internal/stats"
 )
 
 // Network is the interface the coherence layer sends messages over;
@@ -23,9 +22,7 @@ type Network interface {
 	// arrival, letting hot senders pass a static function plus a pooled
 	// argument instead of a fresh closure per message.
 	SendArg(src, dst Port, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick
-	Counters() *stats.Set
-	TotalBytes() uint64
-	TotalMessages() uint64
+	Counters() *Counters
 }
 
 var (
@@ -49,10 +46,7 @@ type Ring struct {
 	cwFree  []sim.Tick
 	ccwFree []sim.Tick
 
-	counters *stats.Set
-	messages *stats.Counter
-	bytes    *stats.Counter
-	hops     *stats.Counter
+	ctr Counters
 }
 
 // NewRing builds a ring over the named nodes in the given cyclic order.
@@ -69,7 +63,7 @@ func NewRing(engine *sim.Engine, name string, nodes []string, hopLat sim.Tick, b
 		bytesPerTick: bytesPerTick,
 		cwFree:       make([]sim.Tick, len(nodes)),
 		ccwFree:      make([]sim.Tick, len(nodes)),
-		counters:     stats.NewSet(),
+		ctr:          Counters{listHops: true},
 	}
 	for i, n := range nodes {
 		if _, dup := r.index[n]; dup {
@@ -77,9 +71,6 @@ func NewRing(engine *sim.Engine, name string, nodes []string, hopLat sim.Tick, b
 		}
 		r.index[n] = i
 	}
-	r.messages = r.counters.Counter("messages")
-	r.bytes = r.counters.Counter("bytes")
-	r.hops = r.counters.Counter("hops")
 	return r
 }
 
@@ -87,13 +78,7 @@ func NewRing(engine *sim.Engine, name string, nodes []string, hopLat sim.Tick, b
 func (r *Ring) Name() string { return r.name }
 
 // Counters exposes messages/bytes/hops counters.
-func (r *Ring) Counters() *stats.Set { return r.counters }
-
-// TotalBytes returns all bytes ever sent.
-func (r *Ring) TotalBytes() uint64 { return r.bytes.Value() }
-
-// TotalMessages returns all messages ever sent.
-func (r *Ring) TotalMessages() uint64 { return r.messages.Value() }
+func (r *Ring) Counters() *Counters { return &r.ctr }
 
 // Port resolves a ring node to its port, its position in the ring
 // order. Naming a node the ring was not built with panics.
@@ -181,8 +166,8 @@ func (r *Ring) reserve(src, dst Port, size int) sim.Tick {
 		t += r.hopLat
 	}
 
-	r.messages.Inc()
-	r.bytes.Add(uint64(size))
-	r.hops.Add(uint64(hopsLeft))
+	r.ctr.Messages++
+	r.ctr.Bytes += uint64(size)
+	r.ctr.Hops += uint64(hopsLeft)
 	return t
 }

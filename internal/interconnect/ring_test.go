@@ -75,10 +75,10 @@ func TestRingCounters(t *testing.T) {
 	r := newRing4(e)
 	r.Send(r.Port("a"), r.Port("c"), CtrlMsgBytes, nil) // 2 hops
 	r.Send(r.Port("a"), r.Port("b"), DataMsgBytes, nil) // 1 hop
-	if r.TotalMessages() != 2 {
+	if r.Counters().Messages != 2 {
 		t.Error("message count wrong")
 	}
-	if r.TotalBytes() != CtrlMsgBytes+DataMsgBytes {
+	if r.Counters().Bytes != CtrlMsgBytes+DataMsgBytes {
 		t.Error("byte count wrong")
 	}
 	if r.Counters().Get("hops") != 3 {

@@ -12,7 +12,7 @@ func (l *Link) SnapshotTo(w *snap.Writer) {
 	w.Tag("link")
 	w.String(l.name)
 	w.I64(int64(l.nextFree))
-	l.counters.SnapshotTo(w)
+	l.ctr.Rows().SnapshotTo(w)
 }
 
 // RestoreFrom overwrites the link's state from a snapshot.
@@ -25,7 +25,7 @@ func (l *Link) RestoreFrom(r *snap.Reader) {
 		return
 	}
 	l.nextFree = sim.Tick(r.I64())
-	l.counters.RestoreFrom(r)
+	l.ctr.Rows().RestoreFrom(r)
 }
 
 // snapshotPorts serialises one direction's port free times in the
@@ -84,7 +84,7 @@ func (x *Crossbar) SnapshotTo(w *snap.Writer) {
 	w.String(x.name)
 	x.snapshotPorts(w, false)
 	x.snapshotPorts(w, true)
-	x.counters.SnapshotTo(w)
+	x.ctr.Rows().SnapshotTo(w)
 }
 
 // RestoreFrom overwrites the crossbar's state from a snapshot.
@@ -98,7 +98,7 @@ func (x *Crossbar) RestoreFrom(r *snap.Reader) {
 	}
 	x.restorePorts(r, false)
 	x.restorePorts(r, true)
-	x.counters.RestoreFrom(r)
+	x.ctr.Rows().RestoreFrom(r)
 }
 
 // SnapshotTo serialises per-directed-link arbitration state and
@@ -111,7 +111,7 @@ func (g *Ring) SnapshotTo(w *snap.Writer) {
 		w.I64(int64(g.cwFree[i]))
 		w.I64(int64(g.ccwFree[i]))
 	}
-	g.counters.SnapshotTo(w)
+	g.ctr.Rows().SnapshotTo(w)
 }
 
 // RestoreFrom overwrites the ring's state from a snapshot taken on a
@@ -131,5 +131,5 @@ func (g *Ring) RestoreFrom(r *snap.Reader) {
 		g.cwFree[i] = sim.Tick(r.I64())
 		g.ccwFree[i] = sim.Tick(r.I64())
 	}
-	g.counters.RestoreFrom(r)
+	g.ctr.Rows().RestoreFrom(r)
 }

@@ -8,7 +8,6 @@ import (
 	"dstore/internal/memalloc"
 	"dstore/internal/memsys"
 	"dstore/internal/snap"
-	"dstore/internal/stats"
 )
 
 // refTLB is the linear-scan true-LRU TLB the recency list replaced:
@@ -21,38 +20,31 @@ type refTLB struct {
 	pt      *PageTable
 	entries []refEntry
 	clock   uint64
-	set     *stats.Set
-	hits    *stats.Counter
-	misses  *stats.Counter
-	directs *stats.Counter
+	ctr     TLBCounters
 }
 
 type refEntry struct{ vpn, pfn, used uint64 }
 
 func newRefTLB(name string, size int) *refTLB {
-	r := &refTLB{name: name, size: size, pt: NewPageTable(1 << 30), set: stats.NewSet()}
-	r.hits = r.set.Counter("hits")
-	r.misses = r.set.Counter("misses")
-	r.directs = r.set.Counter("direct_detected")
-	return r
+	return &refTLB{name: name, size: size, pt: NewPageTable(1 << 30)}
 }
 
 // translate returns whether va hit, and the evicted vpn on a miss that
 // replaced an entry.
 func (r *refTLB) translate(va memsys.Addr) (hit bool, victim uint64, evicted bool) {
 	if va >= memalloc.DirectStoreBase && va < memalloc.DirectStoreLimit {
-		r.directs.Inc()
+		r.ctr.DirectDetected++
 	}
 	vpn := uint64(va) >> PageShift
 	r.clock++
 	for i := range r.entries {
 		if r.entries[i].vpn == vpn {
-			r.hits.Inc()
+			r.ctr.Hits++
 			r.entries[i].used = r.clock
 			return true, 0, false
 		}
 	}
-	r.misses.Inc()
+	r.ctr.Misses++
 	pa, err := r.pt.EnsureMapped(va)
 	if err != nil {
 		panic(err)
@@ -84,7 +76,7 @@ func (r *refTLB) snapshot() []byte {
 		w.U64(e.pfn)
 		w.U64(e.used)
 	}
-	r.set.SnapshotTo(&w)
+	r.ctr.Rows().SnapshotTo(&w)
 	return w.Bytes()
 }
 

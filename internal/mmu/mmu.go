@@ -112,10 +112,7 @@ type TLB struct {
 	head, tail int32
 	clock      uint64
 
-	counters *stats.Set
-	hits     *stats.Counter
-	misses   *stats.Counter
-	directs  *stats.Counter
+	ctr TLBCounters
 }
 
 // NewTLB builds a TLB over the given page table.
@@ -126,15 +123,28 @@ func NewTLB(pt *PageTable, cfg Config) *TLB {
 	if cfg.DirectLimit < cfg.DirectBase {
 		panic(fmt.Sprintf("mmu %s: inverted direct-store range", cfg.Name))
 	}
-	t := &TLB{cfg: cfg, pt: pt, index: make(map[uint64]int32, cfg.Entries), head: -1, tail: -1, counters: stats.NewSet()}
-	t.hits = t.counters.Counter("hits")
-	t.misses = t.counters.Counter("misses")
-	t.directs = t.counters.Counter("direct_detected")
-	return t
+	return &TLB{cfg: cfg, pt: pt, index: make(map[uint64]int32, cfg.Entries), head: -1, tail: -1}
 }
 
+// TLBCounters are a TLB's hit, miss and direct-store detection counts.
+type TLBCounters struct {
+	Hits, Misses, DirectDetected uint64
+}
+
+// Rows lists the counters by name, in dump and snapshot order.
+func (c *TLBCounters) Rows() stats.Rows {
+	return stats.Rows{
+		{Name: "hits", N: &c.Hits},
+		{Name: "misses", N: &c.Misses},
+		{Name: "direct_detected", N: &c.DirectDetected},
+	}
+}
+
+// Get returns the named counter; an undeclared name panics.
+func (c *TLBCounters) Get(name string) uint64 { return c.Rows().Get(name) }
+
 // Counters exposes hit/miss/direct-detection counters.
-func (t *TLB) Counters() *stats.Set { return t.counters }
+func (t *TLB) Counters() *TLBCounters { return &t.ctr }
 
 // IsDirect is the detector: a pure high-order-address comparison, the
 // "small overhead [that] can be done by wiring to a logic gate" of
@@ -176,12 +186,12 @@ func (t *TLB) pushFront(i int32) {
 func (t *TLB) Translate(va memsys.Addr) (pa memsys.Addr, lat sim.Tick, direct bool, err error) {
 	direct = t.IsDirect(va)
 	if direct {
-		t.directs.Inc()
+		t.ctr.DirectDetected++
 	}
 	vpn := uint64(va) >> PageShift
 	t.clock++
 	if i, ok := t.index[vpn]; ok {
-		t.hits.Inc()
+		t.ctr.Hits++
 		t.entries[i].used = t.clock
 		if i != t.head {
 			t.unlink(i)
@@ -190,7 +200,7 @@ func (t *TLB) Translate(va memsys.Addr) (pa memsys.Addr, lat sim.Tick, direct bo
 		pfn := t.entries[i].pfn
 		return memsys.Addr(pfn<<PageShift | uint64(va)&(PageSize-1)), t.cfg.HitLatency, direct, nil
 	}
-	t.misses.Inc()
+	t.ctr.Misses++
 	pa, err = t.pt.EnsureMapped(va)
 	if err != nil {
 		return 0, 0, direct, err
@@ -214,5 +224,5 @@ func (t *TLB) Translate(va memsys.Addr) (pa memsys.Addr, lat sim.Tick, direct bo
 
 // HitRate returns the TLB hit fraction so far.
 func (t *TLB) HitRate() float64 {
-	return stats.Ratio(t.hits.Value(), t.hits.Value()+t.misses.Value())
+	return stats.Ratio(t.ctr.Hits, t.ctr.Hits+t.ctr.Misses)
 }

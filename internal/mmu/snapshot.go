@@ -60,7 +60,7 @@ func (t *TLB) SnapshotTo(w *snap.Writer) {
 		w.U64(e.pfn)
 		w.U64(e.used)
 	}
-	t.counters.SnapshotTo(w)
+	t.ctr.Rows().SnapshotTo(w)
 }
 
 // RestoreFrom overwrites the TLB from a snapshot. The snapshot must
@@ -92,7 +92,7 @@ func (t *TLB) RestoreFrom(r *snap.Reader) {
 		t.index[e.vpn] = int32(len(t.entries) - 1)
 	}
 	t.relink()
-	t.counters.RestoreFrom(r)
+	t.ctr.Rows().RestoreFrom(r)
 }
 
 // relink rebuilds the recency list from the used stamps: entries

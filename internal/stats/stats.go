@@ -1,6 +1,6 @@
-// Package stats provides the counters and summary math used to report
-// simulation results, plus fixed-width table rendering for the
-// paper-figure regeneration harness.
+// Package stats provides the named-counter helpers and summary math
+// used to report simulation results, plus fixed-width table rendering
+// for the paper-figure regeneration harness.
 package stats
 
 import (
@@ -9,73 +9,84 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"dstore/internal/snap"
 )
 
-// Counter is a named monotonically increasing count. The zero value is
-// ready to use.
-type Counter struct {
-	n uint64
+// Row names one field of a layer's counter struct. Each layer lists
+// its rows once, in a Rows method on that struct; everything that
+// handles counters by name (dumps, snapshots, the benchmark's reads)
+// goes through that list, while the simulator itself increments and
+// reads the fields.
+type Row struct {
+	Name string
+	N    *uint64
 }
 
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
+// Rows is one layer's counter list, in the order the layer dumps and
+// snapshots its counters.
+type Rows []Row
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
-// Set is an ordered collection of named counters. Components expose one
-// so the harness can dump everything uniformly.
-type Set struct {
-	names    []string
-	counters map[string]*Counter
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set {
-	return &Set{counters: make(map[string]*Counter)}
-}
-
-// Counter returns the counter with the given name, creating it on first
-// use. Creation order is preserved for dumping.
-func (s *Set) Counter(name string) *Counter {
-	if c, ok := s.counters[name]; ok {
-		return c
+// Get returns the value of the named counter. It panics on a name the
+// list does not declare, so a misspelt read fails at once instead of
+// reporting zero forever.
+func (rs Rows) Get(name string) uint64 {
+	for _, r := range rs {
+		if r.Name == name {
+			return *r.N
+		}
 	}
-	c := &Counter{}
-	s.counters[name] = c
-	s.names = append(s.names, name)
-	return c
+	panic(fmt.Sprintf("stats: no counter %q in %s", name, rs.names()))
 }
 
-// Get returns the value of a named counter, or zero if it was never
-// created.
-func (s *Set) Get(name string) uint64 {
-	if c, ok := s.counters[name]; ok {
-		return c.Value()
-	}
-	return 0
-}
-
-// Names returns the counter names in creation order.
-func (s *Set) Names() []string {
-	out := make([]string, len(s.names))
-	copy(out, s.names)
-	return out
-}
-
-// Dump renders "name value" lines in creation order.
-func (s *Set) Dump() string {
+// Dump renders "name value" lines in order.
+func (rs Rows) Dump() string {
 	var b strings.Builder
-	for _, n := range s.names {
-		fmt.Fprintf(&b, "%-32s %d\n", n, s.counters[n].Value())
+	for _, r := range rs {
+		fmt.Fprintf(&b, "%-32s %d\n", r.Name, *r.N)
 	}
 	return b.String()
+}
+
+// SnapshotTo serialises every counter, name and value, in order.
+func (rs Rows) SnapshotTo(w *snap.Writer) {
+	w.Tag("stats")
+	w.U32(uint32(len(rs)))
+	for _, r := range rs {
+		w.String(r.Name)
+		w.U64(*r.N)
+	}
+}
+
+// RestoreFrom overwrites the counters from a snapshot. The section must
+// list exactly these counters in this order: a different count or any
+// other name fails the reader, because restoring a snapshot of another
+// counter layout would leave some counters at their old values.
+func (rs Rows) RestoreFrom(r *snap.Reader) {
+	r.Tag("stats")
+	if n := r.U32(); r.Err() == nil && n != uint32(len(rs)) {
+		r.Failf("stats: snapshot has %d counters, want %d (%s)", n, len(rs), rs.names())
+		return
+	}
+	for _, row := range rs {
+		name, v := r.String(), r.U64()
+		if r.Err() != nil {
+			return
+		}
+		if name != row.Name {
+			r.Failf("stats: snapshot counter %q where %q is declared", name, row.Name)
+			return
+		}
+		*row.N = v
+	}
+}
+
+func (rs Rows) names() string {
+	ns := make([]string, len(rs))
+	for i, r := range rs {
+		ns[i] = r.Name
+	}
+	return strings.Join(ns, ", ")
 }
 
 // Ratio returns a/b as a float, or 0 when b is zero. Miss rates and
