@@ -52,7 +52,6 @@ func main() {
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "worker health-probe period")
 		probeTimeout  = flag.Duration("probe-timeout", 2*time.Second, "health-probe round bound")
 		reqTimeout    = flag.Duration("request-timeout", 30*time.Second, "per-call timeout to a worker")
-		pollInterval  = flag.Duration("poll-interval", 20*time.Millisecond, "status-poll period for accepted jobs")
 		jobDeadline   = flag.Duration("job-deadline", 5*time.Minute, "end-to-end bound per job including failover")
 		seed          = flag.Uint64("seed", 1, "seed for operational randomness (probe jitter, backoff jitter)")
 		failThresh    = flag.Int("failure-threshold", 3, "consecutive failures before a worker's breaker opens")
@@ -76,7 +75,6 @@ func main() {
 		ProbeInterval:      *probeInterval,
 		ProbeTimeout:       *probeTimeout,
 		RequestTimeout:     *reqTimeout,
-		PollInterval:       *pollInterval,
 		JobDeadline:        *jobDeadline,
 		Seed:               *seed,
 		FailureThreshold:   *failThresh,

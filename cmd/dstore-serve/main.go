@@ -13,7 +13,8 @@
 //
 //	POST /v1/runs            submit {"bench":"MM","mode":"direct-store","input":"small"}
 //	GET  /v1/runs/{id}       job status (+ result once done)
-//	GET  /v1/runs/{id}/result raw canonical result document
+//	GET  /v1/runs/{id}/result raw canonical result document; waits up to
+//	                          serve.ResultWait (1s) for an in-flight job
 //	GET  /v1/benchmarks      what can be submitted
 //	GET  /healthz            liveness
 //	GET  /metrics            Prometheus counters; /v1/stats is the JSON view

@@ -16,6 +16,7 @@
 package chaosnet
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -251,7 +252,7 @@ func (p *Proxy) forward(r *http.Request) (int, http.Header, []byte, error) {
 	u := *p.upstream
 	u.Path = r.URL.Path
 	u.RawQuery = r.URL.RawQuery
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, u.String(), readerOf(reqBody))
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, u.String(), bytes.NewReader(reqBody))
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -296,27 +297,11 @@ func flipResultBit(body []byte) []byte {
 	out := make([]byte, len(body))
 	copy(out, body)
 	at := len(out) / 2
-	if i := indexOf(out, []byte(`"result":`)); i >= 0 && i+12 < len(out) {
+	if i := bytes.Index(out, []byte(`"result":`)); i >= 0 && i+12 < len(out) {
 		at = i + 12
 	}
 	out[at] ^= 0x01
 	return out
-}
-
-func indexOf(b, sub []byte) int {
-	for i := 0; i+len(sub) <= len(b); i++ {
-		match := true
-		for j := range sub {
-			if b[i+j] != sub[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return i
-		}
-	}
-	return -1
 }
 
 func copyHeaders(dst http.Header, src http.Header) {
@@ -325,19 +310,4 @@ func copyHeaders(dst http.Header, src http.Header) {
 			dst[k] = append(dst[k], v)
 		}
 	}
-}
-
-// readerOf mirrors fleet's helper; a tiny local copy keeps the
-// package dependency-light.
-func readerOf(b []byte) io.Reader { return &sliceReader{b: b} }
-
-type sliceReader struct{ b []byte }
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }

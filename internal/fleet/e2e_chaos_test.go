@@ -51,7 +51,7 @@ func TestFleetChaosE2E(t *testing.T) {
 		"-workers", workers[0].url + "," + workers[1].url + "," + phs.URL,
 		"-journal", journalDir,
 		"-probe-interval", "300ms", "-probe-timeout", "2s",
-		"-poll-interval", "5ms", "-sweep-workers", "32",
+		"-sweep-workers", "32",
 		"-failure-threshold", "2", "-breaker-cooldown", "500ms",
 		"-quarantine-cooldown", "2s",
 		"-backoff-base", "20ms", "-backoff-max", "200ms",

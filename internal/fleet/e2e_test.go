@@ -43,7 +43,7 @@ func TestFleetE2E(t *testing.T) {
 		"-addr", "127.0.0.1:0",
 		"-workers", workers[0].url+","+workers[1].url,
 		"-probe-interval", "300ms", "-probe-timeout", "2s",
-		"-poll-interval", "5ms", "-sweep-workers", "64")
+		"-sweep-workers", "64")
 	resp, err := client.Post(coord.url+"/v1/workers", "application/json",
 		strings.NewReader(fmt.Sprintf(`{"url":%q}`, workers[2].url)))
 	if err != nil {
@@ -349,31 +349,34 @@ func runToDone(t *testing.T, c *http.Client, base, spec string) (string, []byte)
 	default:
 		t.Fatalf("submit %s: %d: %s", spec, resp.StatusCode, body)
 	}
-	deadline := time.Now().Add(2 * time.Minute) //dstore:allow-wallclock test polling deadline
+	b, err := awaitBody(c, base, rr.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rr.ID, b
+}
+
+// awaitBody GETs a job's result until the worker stops answering that
+// the job is in flight; each GET already waits up to serve.ResultWait.
+func awaitBody(c *http.Client, base, id string) ([]byte, error) {
 	for {
+		resp, err := c.Get(base + "/v1/runs/" + id + "/result")
+		if err != nil {
+			return nil, err
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		if resp.StatusCode == http.StatusOK {
+			return b, nil
+		}
 		var st runResp
-		if err := getJSONInto(c, base+"/v1/runs/"+rr.ID, &st); err != nil {
-			t.Fatal(err)
+		if resp.StatusCode != http.StatusConflict || json.Unmarshal(b, &st) != nil ||
+			(st.Status != "queued" && st.Status != "running") {
+			return nil, fmt.Errorf("job %s: %d: %s", id, resp.StatusCode, b)
 		}
-		if st.Status == "done" {
-			if len(st.Result) > 0 {
-				return rr.ID, st.Result
-			}
-			resp, err := c.Get(base + "/v1/runs/" + rr.ID + "/result")
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			return rr.ID, b
-		}
-		if st.Status == "failed" || st.Status == "cancelled" {
-			t.Fatalf("job %s: %s: %s", rr.ID, st.Status, st.Error)
-		}
-		if time.Now().After(deadline) { //dstore:allow-wallclock test polling deadline
-			t.Fatalf("job %s still %q", rr.ID, st.Status)
-		}
-		time.Sleep(10 * time.Millisecond) //dstore:allow-wallclock test polling
 	}
 }
 
@@ -428,31 +431,10 @@ func oracleRun(t *testing.T, c *http.Client, base string, o Outcome) (string, []
 		if resp.StatusCode == http.StatusOK {
 			return rr.ID, rr.Result
 		}
-		// Accepted: poll to done.
-		for {
-			var st runResp
-			if err := getJSONInto(c, base+"/v1/runs/"+rr.ID, &st); err != nil {
-				t.Error(err)
-				return rr.ID, nil
-			}
-			switch st.Status {
-			case "done":
-				if len(st.Result) > 0 {
-					return rr.ID, st.Result
-				}
-				resp, err := c.Get(base + "/v1/runs/" + rr.ID + "/result")
-				if err != nil {
-					t.Error(err)
-					return rr.ID, nil
-				}
-				b, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				return rr.ID, b
-			case "failed", "cancelled":
-				t.Errorf("oracle job %s: %s: %s", rr.ID, st.Status, st.Error)
-				return rr.ID, nil
-			}
-			time.Sleep(5 * time.Millisecond) //dstore:allow-wallclock oracle polling
+		b, err := awaitBody(c, base, rr.ID)
+		if err != nil {
+			t.Errorf("oracle %v", err)
 		}
+		return rr.ID, b
 	}
 }

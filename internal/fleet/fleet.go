@@ -21,6 +21,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -66,12 +67,10 @@ type Options struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe round. Default 2s.
 	ProbeTimeout time.Duration
-	// RequestTimeout bounds each individual HTTP call to a worker.
-	// Default 30s.
+	// RequestTimeout bounds each individual HTTP call to a worker. It
+	// must exceed serve.ResultWait, the longest a worker holds a result
+	// request. Default 30s.
 	RequestTimeout time.Duration
-	// PollInterval is the status-poll period while a worker simulates
-	// an accepted job. Default 20ms.
-	PollInterval time.Duration
 	// JobDeadline bounds one job end to end: submission, queueing,
 	// simulation and every failover retry. Default 5m.
 	JobDeadline time.Duration
@@ -153,9 +152,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 20 * time.Millisecond
 	}
 	if o.JobDeadline <= 0 {
 		o.JobDeadline = 5 * time.Minute
@@ -254,10 +250,14 @@ type Coordinator struct {
 
 // New builds a coordinator over the static worker list, resumes any
 // incomplete sweep journals under Options.JournalDir, and starts the
-// health-probe loop. An unparseable worker URL or an unreadable
-// journal directory is a construction error.
+// health-probe loop. An unparseable worker URL, a RequestTimeout not
+// above serve.ResultWait, or an unreadable journal directory is a
+// construction error.
 func New(opt Options) (*Coordinator, error) {
 	opt = opt.withDefaults()
+	if opt.RequestTimeout <= serve.ResultWait {
+		return nil, fmt.Errorf("fleet: request timeout %v must exceed the worker result wait %v", opt.RequestTimeout, serve.ResultWait)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		opt:         opt,
@@ -407,7 +407,7 @@ func (c *Coordinator) do(ctx context.Context, method, url string, body []byte) (
 func (c *Coordinator) doT(ctx context.Context, method, url string, body []byte, tc traceCtx) (int, http.Header, []byte, error) {
 	var rd io.Reader
 	if body != nil {
-		rd = readerOf(body)
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
@@ -427,20 +427,6 @@ func (c *Coordinator) doT(ctx context.Context, method, url string, body []byte, 
 		return 0, nil, nil, err
 	}
 	return resp.StatusCode, resp.Header, b, nil
-}
-
-// readerOf avoids importing bytes just for one constructor call site.
-func readerOf(b []byte) io.Reader { return &sliceReader{b: b} }
-
-type sliceReader struct{ b []byte }
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }
 
 // runResp mirrors the worker's run-response envelope.
@@ -633,8 +619,8 @@ func retryAfterHint(v string, max time.Duration) time.Duration {
 }
 
 // runOn pushes one job through one worker: submit, honour
-// backpressure, poll to completion, fetch and digest-verify the
-// result.
+// backpressure, then take the result from the submission's cache hit
+// or from awaitResult, digest-verified either way.
 func (c *Coordinator) runOn(ctx context.Context, base, id string, spec []byte, tc traceCtx) (*jobOutcome, error) {
 	for {
 		code, hdr, body, err := c.doT(ctx, http.MethodPost, base+"/v1/runs", spec, tc)
@@ -670,40 +656,37 @@ func (c *Coordinator) runOn(ctx context.Context, base, id string, spec []byte, t
 	}
 }
 
-// awaitResult polls an accepted job to completion on one worker and
-// returns its canonical result document, digest-verified.
+// awaitResult waits for an accepted job on one worker and returns its
+// canonical result document, digest-verified. The worker holds each
+// GET of the result path for up to serve.ResultWait and answers 409
+// with the live status if the job is still queued or running, so the
+// next GET goes out at once. A worker that answers in flight sooner
+// (one built before /result waited) is asked at most every
+// ResultWait/2 instead of back to back.
 func (c *Coordinator) awaitResult(ctx context.Context, base, id string, tc traceCtx) (*jobOutcome, error) {
 	for {
-		code, hdr, body, err := c.do(ctx, http.MethodGet, base+"/v1/runs/"+id, nil)
+		//dstore:allow-wallclock result pacing is operational, never part of a simulation result
+		t0 := time.Now()
+		code, hdr, body, err := c.do(ctx, http.MethodGet, base+"/v1/runs/"+id+"/result", nil)
 		if err != nil {
 			return nil, err
 		}
-		if code != http.StatusOK {
-			return nil, fmt.Errorf("fleet: status of %.8s on %s: %d: %s", id, base, code, body)
+		if code == http.StatusOK {
+			if err := c.verifyTraced(base, hdr, body, tc); err != nil {
+				return nil, err
+			}
+			return &jobOutcome{body: body, worker: base}, nil
 		}
 		var rr runResp
-		if err := json.Unmarshal(body, &rr); err != nil {
-			return nil, fmt.Errorf("fleet: %s returned unparseable status: %v", base, err)
+		if code != http.StatusConflict || json.Unmarshal(body, &rr) != nil {
+			return nil, fmt.Errorf("fleet: result of %.8s on %s: %d: %s", id, base, code, body)
 		}
 		switch rr.Status {
-		case "done":
-			if len(rr.Result) > 0 {
-				if err := c.verifyTraced(base, hdr, rr.Result, tc); err != nil {
-					return nil, err
-				}
-				return &jobOutcome{body: rr.Result, worker: base, cached: rr.Cached}, nil
-			}
-			code, rhdr, res, err := c.do(ctx, http.MethodGet, base+"/v1/runs/"+id+"/result", nil)
-			if err != nil {
+		case "queued", "running":
+			//dstore:allow-wallclock result pacing is operational
+			if err := sleepCtx(ctx, serve.ResultWait/2-time.Since(t0)); err != nil {
 				return nil, err
 			}
-			if code != http.StatusOK {
-				return nil, fmt.Errorf("fleet: result of %.8s on %s: %d: %s", id, base, code, res)
-			}
-			if err := c.verifyTraced(base, rhdr, res, tc); err != nil {
-				return nil, err
-			}
-			return &jobOutcome{body: res, worker: base}, nil
 		case "failed":
 			// Deterministic: the same spec fails identically on every
 			// replica, so don't burn the fleet retrying it.
@@ -712,9 +695,8 @@ func (c *Coordinator) awaitResult(ctx context.Context, base, id string, tc trace
 			// Shutdown or per-job timeout on that worker — another
 			// replica may well complete it.
 			return nil, fmt.Errorf("fleet: job %.8s cancelled on %s: %s", id, base, rr.Error)
-		}
-		if err := sleepCtx(ctx, c.opt.PollInterval); err != nil {
-			return nil, err
+		default:
+			return nil, fmt.Errorf("fleet: result of %.8s on %s: unexpected status %q", id, base, rr.Status)
 		}
 	}
 }
@@ -722,7 +704,7 @@ func (c *Coordinator) awaitResult(ctx context.Context, base, id string, tc trace
 // canonicalizeSpec parses a submitted job spec and returns its
 // normalized form, canonical serialization and content-addressed ID.
 func canonicalizeSpec(raw []byte) (serve.JobSpec, []byte, string, error) {
-	dec := json.NewDecoder(readerOf(raw))
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	var spec serve.JobSpec
 	if err := dec.Decode(&spec); err != nil {
@@ -777,8 +759,8 @@ func (c *Coordinator) shedLoad(w http.ResponseWriter) bool {
 // handleSubmit implements POST /v1/runs at the fleet level: validate
 // and canonicalize the spec locally (a bad spec never reaches a
 // worker), route by hash ring, and answer synchronously with the
-// worker's result — the coordinator absorbs the poll loop so clients
-// see one round trip.
+// worker's result — the coordinator absorbs the wait so clients see
+// one round trip.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if c.shedLoad(w) {
 		return

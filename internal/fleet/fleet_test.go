@@ -3,6 +3,8 @@ package fleet
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +12,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,9 +37,6 @@ func startCoord(t *testing.T, opt Options) (string, *Coordinator) {
 	t.Helper()
 	if opt.ProbeInterval == 0 {
 		opt.ProbeInterval = time.Hour
-	}
-	if opt.PollInterval == 0 {
-		opt.PollInterval = 2 * time.Millisecond
 	}
 	c, err := New(opt)
 	if err != nil {
@@ -114,6 +114,9 @@ func TestProxySingleJobAndCacheAffinity(t *testing.T) {
 	if err := json.Unmarshal(b1, &rr1); err != nil || rr1.Status != "done" || len(rr1.Result) == 0 {
 		t.Fatalf("proxy response: %v %s", err, b1)
 	}
+	if rr1.Cached {
+		t.Fatal("first submission reported as a cache hit; the worker simulated it")
+	}
 	owner := resp1.Header.Get("X-Dstore-Worker")
 	if owner != w1 && owner != w2 {
 		t.Fatalf("X-Dstore-Worker = %q, want one of the fleet", owner)
@@ -156,6 +159,54 @@ func TestProxyBadSpecRejectedLocally(t *testing.T) {
 	}
 	if got := c.dispatched.Load(); got != 0 {
 		t.Fatalf("bad spec reached the dispatch path (%d dispatches)", got)
+	}
+}
+
+// TestNewRejectsRequestTimeoutWithinResultWait: a per-call timeout
+// that a worker's result wait can outlast would fail every job still
+// simulating as a worker error and trip its breaker.
+func TestNewRejectsRequestTimeoutWithinResultWait(t *testing.T) {
+	for _, d := range []time.Duration{500 * time.Millisecond, serve.ResultWait} {
+		if c, err := New(Options{RequestTimeout: d}); err == nil {
+			c.Close()
+			t.Fatalf("New accepted RequestTimeout %v, not above serve.ResultWait %v", d, serve.ResultWait)
+		}
+	}
+}
+
+// TestAwaitResultPacesWorkerThatDoesNotWait: a worker that answers an
+// in-flight 409 at once, without holding the GET for serve.ResultWait,
+// is asked again only after a pause, not back to back.
+func TestAwaitResultPacesWorkerThatDoesNotWait(t *testing.T) {
+	const doc = `{"bench":"MT"}`
+	var gets atomic.Int32
+	w := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost:
+			w.WriteHeader(http.StatusAccepted)
+			_, _ = w.Write([]byte(`{"status":"queued"}`))
+		case gets.Add(1) == 1:
+			w.WriteHeader(http.StatusConflict)
+			_, _ = w.Write([]byte(`{"status":"running"}`))
+		default:
+			sum := sha256.Sum256([]byte(doc))
+			w.Header().Set(serve.ResultDigestHeader, hex.EncodeToString(sum[:]))
+			_, _ = w.Write([]byte(doc))
+		}
+	}))
+	t.Cleanup(w.Close)
+	base, _ := startCoord(t, Options{Workers: []string{w.URL}})
+	t0 := time.Now()
+	resp, b := postBody(t, base+"/v1/runs", specMT, nil)
+	elapsed := time.Since(t0)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(b), doc) {
+		t.Fatalf("submit: %d: %s", resp.StatusCode, b)
+	}
+	if n := gets.Load(); n != 2 {
+		t.Fatalf("%d result GETs, want 2", n)
+	}
+	if elapsed < serve.ResultWait/2 {
+		t.Fatalf("second result GET after %v, want a pause of about %v", elapsed, serve.ResultWait/2)
 	}
 }
 
@@ -282,6 +333,9 @@ func TestSweepStreamsResultsAndReport(t *testing.T) {
 		if o.Error != "" {
 			t.Fatalf("sweep job %.8s failed: %s", o.ID, o.Error)
 		}
+		if o.Cached {
+			t.Fatalf("sweep job %.8s reported cached on a fresh fleet", o.ID)
+		}
 		// Every result must agree byte-for-byte with asking the owning
 		// worker directly.
 		code, direct := getBody(t, o.Worker+"/v1/runs/"+o.ID+"/result")
@@ -292,7 +346,7 @@ func TestSweepStreamsResultsAndReport(t *testing.T) {
 	if report == nil {
 		t.Fatal("stream ended without a report event")
 	}
-	if report.SweepID != sweepID || report.Total != 4 || report.Completed != 4 || report.Failed != 0 {
+	if report.SweepID != sweepID || report.Total != 4 || report.Completed != 4 || report.Failed != 0 || report.Cached != 0 {
 		t.Fatalf("report totals: %+v", report)
 	}
 	if len(report.Frontier) == 0 {

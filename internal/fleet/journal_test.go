@@ -150,7 +150,6 @@ func TestSweepJournalCrashResume(t *testing.T) {
 		Workers:       []string{w},
 		JournalDir:    dir,
 		SweepWorkers:  1, // serialize so the crash point is mid-sweep
-		PollInterval:  2 * time.Millisecond,
 		ProbeInterval: time.Hour,
 	}
 	matrix := `{"bench":["MT","VA"],"mode":["direct-store"],"config":{"prefetch_depth":[0,1,2],"sms":[2,4]}}`

@@ -178,7 +178,6 @@ func startObsStack(t *testing.T) *obsStack {
 		Transport:     ht,
 		SweepWorkers:  1,
 		ProbeInterval: time.Hour,
-		PollInterval:  time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -398,13 +398,104 @@ func TestBadRequestsAndLookups(t *testing.T) {
 	if r := get(t, base+"/v1/runs/deadbeef"); r.code != http.StatusNotFound {
 		t.Fatalf("unknown id = %d, want 404", r.code)
 	}
-	// Result of an in-flight job is 409 with the live status.
+	// Result of an in-flight job is 409 with the live status, once
+	// ResultWait expires.
 	sub := post(t, base, `{"bench":"VA"}`)
 	<-started
 	code, body := getRaw(t, base+"/v1/runs/"+sub.ID+"/result")
 	if code != http.StatusConflict {
 		t.Fatalf("in-flight result = %d (%s), want 409", code, body)
 	}
+}
+
+// parkedResult issues GET /result for id, lets it park on the
+// in-flight job, runs act to move the job out of flight, and returns
+// the answer. It fails the test unless the answer arrives well before
+// ResultWait, i.e. on the job's exit rather than on the wait's expiry.
+func parkedResult(t *testing.T, base, id string, act func()) (int, []byte) {
+	t.Helper()
+	type answer struct {
+		code int
+		body []byte
+		err  error
+	}
+	got := make(chan answer, 1)
+	start := time.Now()
+	go func() {
+		resp, err := http.Get(base + "/v1/runs/" + id + "/result")
+		if err != nil {
+			got <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		got <- answer{resp.StatusCode, b, err}
+	}()
+	time.Sleep(50 * time.Millisecond) // let the GET reach the handler and park
+	act()
+	a := <-got
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if took := time.Since(start); took >= ResultWait/2 {
+		t.Fatalf("GET /result answered after %v; want the job's exit, well before ResultWait (%v)", took, ResultWait)
+	}
+	return a.code, a.body
+}
+
+// TestResultWaitsForInflightJob checks that GET /result on a queued or
+// running job answers as soon as the job leaves flight, on each exit:
+// the run succeeds, the run fails, or Shutdown cancels the job while
+// it is still queued.
+func TestResultWaitsForInflightJob(t *testing.T) {
+	t.Run("done", func(t *testing.T) {
+		release := make(chan struct{})
+		stub, started := blockingStub(release)
+		base := startServer(t, testServer(t, Options{Workers: 1}, stub))
+		sub := post(t, base, `{"bench":"VA"}`)
+		<-started
+		code, body := parkedResult(t, base, sub.ID, func() { close(release) })
+		if code != http.StatusOK || string(body) != `{"stub":"VA"}` {
+			t.Fatalf("result = %d %s, want 200 with the job's body", code, body)
+		}
+	})
+	t.Run("failed", func(t *testing.T) {
+		release := make(chan struct{})
+		stub, started := blockingStub(release)
+		failing := func(ctx context.Context, j *job) ([]byte, error) {
+			if _, err := stub(ctx, j); err != nil {
+				return nil, err
+			}
+			return nil, fmt.Errorf("synthetic simulation failure")
+		}
+		base := startServer(t, testServer(t, Options{Workers: 1}, failing))
+		sub := post(t, base, `{"bench":"VA"}`)
+		<-started
+		code, body := parkedResult(t, base, sub.ID, func() { close(release) })
+		if code != http.StatusConflict || !strings.Contains(string(body), `"status":"failed"`) {
+			t.Fatalf("result = %d %s, want 409 failed", code, body)
+		}
+	})
+	t.Run("cancelled", func(t *testing.T) {
+		release := make(chan struct{})
+		stub, started := blockingStub(release)
+		srv := testServer(t, Options{Workers: 1, QueueDepth: 4}, stub)
+		base := startServer(t, srv)
+		post(t, base, `{"bench":"VA"}`)
+		<-started // VA holds the only worker, so NN stays queued
+		queued := post(t, base, `{"bench":"NN"}`)
+		errc := make(chan error, 1)
+		code, body := parkedResult(t, base, queued.ID, func() {
+			go func() { errc <- srv.Shutdown(context.Background()) }()
+		})
+		close(release)
+		if err := <-errc; err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+		if code != http.StatusConflict || !strings.Contains(string(body), `"status":"cancelled"`) {
+			t.Fatalf("result = %d %s, want 409 cancelled", code, body)
+		}
+	})
 }
 
 // TestBenchmarksAndHealth checks the discovery and liveness endpoints.

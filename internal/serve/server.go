@@ -142,6 +142,10 @@ type job struct {
 	// the status response for observability; the Result is
 	// byte-identical either way).
 	snapRestored bool
+	// done is closed exactly once, when the job leaves inflight
+	// (finished, failed, cancelled or drained by Shutdown), waking
+	// GET /result requests parked on it.
+	done chan struct{}
 }
 
 // maxFailures bounds the recently-failed map; older failures fall off
@@ -412,6 +416,9 @@ func (s *Server) runJob(j *job) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Deferred after the unlock, so it runs while s.mu is still held:
+	// waiters wake to the cache entry or failure record written below.
+	defer close(j.done)
 	j.finished = time.Now() //dstore:allow-wallclock job metadata only, never in a Result
 	delete(s.inflight, j.id)
 	if err != nil {
@@ -507,6 +514,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				delete(s.inflight, j.id)
 				s.cancelled.Add(1)
 				s.recordFailureLocked(j)
+				close(j.done)
 			default:
 				break drain
 			}
@@ -642,7 +650,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	//dstore:allow-wallclock job metadata only, never in a Result
 	j := &job{id: id, spec: norm, cfg: cfg, status: statusQueued, submitted: time.Now(),
-		trace: trace, jobIdx: jobIdx, submitNS: s.rec.Now()}
+		trace: trace, jobIdx: jobIdx, submitNS: s.rec.Now(), done: make(chan struct{})}
 	if trace != 0 {
 		s.rec.Record(trace, dtrace.SpanCacheLookup, jobIdx, 0, j.submitNS, 0, 0)
 	}
@@ -688,10 +696,31 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeError(w, http.StatusNotFound, "unknown run %q", id)
 }
 
+// ResultWait bounds how long GET /v1/runs/{id}/result holds a request
+// for a queued or running job. The request returns as soon as the job
+// finishes; if the wait expires first it answers 409 with the live
+// status, and the caller waits again by re-issuing the GET.
+const ResultWait = time.Second
+
 // handleResult implements GET /v1/runs/{id}/result: the raw canonical
-// result document, byte-identical across repeated identical jobs.
+// result document, byte-identical across repeated identical jobs. For
+// an in-flight job it first waits up to ResultWait for the job to
+// finish.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	s.mu.Lock()
+	j := s.inflight[id]
+	s.mu.Unlock()
+	if j != nil {
+		//dstore:allow-wallclock the result wait is request pacing, never in a Result
+		t := time.NewTimer(ResultWait)
+		select {
+		case <-j.done:
+		case <-r.Context().Done():
+		case <-t.C:
+		}
+		t.Stop()
+	}
 	if body, ok := s.cache.lookup(id); ok {
 		w.Header().Set("Content-Type", "application/json")
 		setResultDigest(w, body)
