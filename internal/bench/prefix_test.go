@@ -245,3 +245,56 @@ func TestSnapshotBytesGolden(t *testing.T) {
 		t.Errorf("snapshot bytes drifted from %s:\n got:\n%s want:\n%s", snapshotGoldenFile, got, want)
 	}
 }
+
+// TestSnapshotRestoreFailureRunsCold gives RunWithSnapshotContext a
+// store whose entry for the job cannot be restored (a renamed counter,
+// then a truncated stream). The run must fall back to a cold run with
+// the uninterrupted Result, report no restore, and overwrite the entry
+// with a good snapshot that the next run restores.
+func TestSnapshotRestoreFailureRunsCold(t *testing.T) {
+	cfg := core.DefaultConfig(core.ModeDirectStore)
+	key, ok := PrefixKey("MM", cfg, Small)
+	if !ok {
+		t.Fatal("MM small should be memoizable")
+	}
+	cold, err := RunWithConfig("MM", cfg, Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := newMapStore()
+	if _, _, err := RunWithSnapshotContext(context.Background(), "MM", cfg, Small, seed); err != nil {
+		t.Fatal(err)
+	}
+	good := seed.m[key]
+	if good == nil {
+		t.Fatal("seed run stored no snapshot under the job's prefix key")
+	}
+	bad := map[string][]byte{
+		"renamed counter": bytes.Replace(good, []byte("total_latency"), []byte("total_latencz"), 1),
+		"truncated":       good[:len(good)/2],
+	}
+	for _, name := range []string{"renamed counter", "truncated"} {
+		store := newMapStore()
+		store.m[key] = bad[name]
+		got, restored, err := RunWithSnapshotContext(context.Background(), "MM", cfg, Small, store)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if restored {
+			t.Errorf("%s: run reported a restore from an unrestorable snapshot", name)
+		}
+		if !reflect.DeepEqual(cold, got) {
+			t.Errorf("%s: fallback result diverged from the cold run:\ncold: %+v\ngot:  %+v", name, cold, got)
+		}
+		if !bytes.Equal(store.m[key], good) {
+			t.Errorf("%s: store was not refreshed with a good snapshot", name)
+		}
+		again, restored, err := RunWithSnapshotContext(context.Background(), "MM", cfg, Small, store)
+		if err != nil || !restored {
+			t.Errorf("%s: next run restored=%v err=%v, want a restore", name, restored, err)
+		}
+		if !reflect.DeepEqual(cold, again) {
+			t.Errorf("%s: restored result diverged from the cold run", name)
+		}
+	}
+}
