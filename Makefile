@@ -108,6 +108,14 @@ serve-smoke:
 fleet-smoke:
 	$(GO) test ./internal/fleet -run '^(TestFleetFaultWalkthrough|TestFederatedMetricsEqualWorkerSums|TestStitchedTraceByteDeterminism)$$' -count=1
 
+# loc prints the two line counts each CHANGES.md entry reports:
+# non-test Go outside benchmark/ (the frozen benchmark module) and test
+# Go outside benchmark/. Untracked build output is never counted.
+.PHONY: loc
+loc:
+	@git ls-files -co --exclude-standard -- '*.go' ':!:benchmark/*' | grep -v '_test\.go$$' | xargs cat | wc -l | xargs echo "non-test Go lines outside benchmark/:"
+	@git ls-files -co --exclude-standard -- '*_test.go' ':!:benchmark/*' | xargs cat | wc -l | xargs echo "test Go lines outside benchmark/:"
+
 # bench runs the event-kernel microbenchmarks and the model checker's
 # whole-exploration benchmarks, with -benchmem. Tests in internal/sim
 # pin every engine benchmark's allocs/op and B/op; the timings compare

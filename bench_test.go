@@ -11,11 +11,22 @@
 package dstore
 
 import (
+	"context"
 	"testing"
 
 	"dstore/internal/bench"
 	"dstore/internal/core"
 )
+
+// compareWith runs one benchmark under two explicit configurations
+// (baseline first) as a one-job sweep.
+func compareWith(code string, in Input, base, ds core.Config) (BenchComparison, error) {
+	cs, err := bench.SweepWithConfigs([]bench.SweepJob{{Code: code, In: in, Base: base, DS: ds}}, bench.SweepOptions{Workers: 1})
+	if err != nil {
+		return BenchComparison{}, err
+	}
+	return cs[0], nil
+}
 
 // BenchmarkTable1Config regenerates Table I (system configuration).
 func BenchmarkTable1Config(b *testing.B) {
@@ -96,7 +107,7 @@ func BenchmarkPrefetchComparison(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pfc, err := bench.CompareWithConfigs("NN", bench.Small, pf,
+		pfc, err := compareWith("NN", bench.Small, pf,
 			core.DefaultConfig(core.ModeDirectStore))
 		if err != nil {
 			b.Fatal(err)
@@ -113,7 +124,7 @@ func BenchmarkPrefetchComparison(b *testing.B) {
 func BenchmarkStandaloneMode(b *testing.B) {
 	var s float64
 	for i := 0; i < b.N; i++ {
-		c, err := bench.CompareWithConfigs("BL", bench.Small,
+		c, err := compareWith("BL", bench.Small,
 			core.DefaultConfig(core.ModeCCSM), core.DefaultConfig(core.ModeStandalone))
 		if err != nil {
 			b.Fatal(err)
@@ -135,7 +146,7 @@ func ablation(b *testing.B, mutate func(*core.Config)) {
 		}
 		cfg := core.DefaultConfig(core.ModeDirectStore)
 		mutate(&cfg)
-		mod, err := bench.CompareWithConfigs("NN", bench.Small,
+		mod, err := compareWith("NN", bench.Small,
 			core.DefaultConfig(core.ModeCCSM), cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -215,11 +226,11 @@ func BenchmarkAblationDirectBandwidth(b *testing.B) {
 		n.DirectBW = 16
 		w := core.DefaultConfig(core.ModeDirectStore)
 		w.DirectBW = 64
-		cn, err := bench.CompareWithConfigs("NN", bench.Small, core.DefaultConfig(core.ModeCCSM), n)
+		cn, err := compareWith("NN", bench.Small, core.DefaultConfig(core.ModeCCSM), n)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cw, err := bench.CompareWithConfigs("NN", bench.Small, core.DefaultConfig(core.ModeCCSM), w)
+		cw, err := compareWith("NN", bench.Small, core.DefaultConfig(core.ModeCCSM), w)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,7 +251,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ticks = w.Run(sys)
+		if _, err := w.RunPhaseRangeContext(context.Background(), sys, 0, w.Phases()); err != nil {
+			b.Fatal(err)
+		}
+		ticks = sys.Now()
 		events = sys.Engine.Executed()
 	}
 	b.ReportMetric(float64(events), "events/run")
@@ -259,7 +273,7 @@ func BenchmarkAblationSRRIP(b *testing.B) {
 		}
 		cfg := core.DefaultConfig(core.ModeDirectStore)
 		cfg.GPUL2Policy = "srrip"
-		mod, err := bench.CompareWithConfigs("VA", bench.Big,
+		mod, err := compareWith("VA", bench.Big,
 			core.DefaultConfig(core.ModeCCSM), cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -283,7 +297,7 @@ func BenchmarkAblationRingNoC(b *testing.B) {
 		cfg.NoC = "ring"
 		ccsm := core.DefaultConfig(core.ModeCCSM)
 		ccsm.NoC = "ring"
-		mod, err := bench.CompareWithConfigs("BL", bench.Small, ccsm, cfg)
+		mod, err := compareWith("BL", bench.Small, ccsm, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -307,7 +321,7 @@ func BenchmarkRegionCoherenceBaseline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		h, err := bench.CompareWithConfigs("NN", bench.Small, hsc,
+		h, err := compareWith("NN", bench.Small, hsc,
 			core.DefaultConfig(core.ModeDirectStore))
 		if err != nil {
 			b.Fatal(err)

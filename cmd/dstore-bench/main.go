@@ -199,32 +199,28 @@ func main() {
 	if *one != "" {
 		obsWanted := *traceF != "" || *histOut || *seriesF != ""
 		for _, in := range inputs {
-			base := core.DefaultConfig(core.ModeCCSM)
-			ds := core.DefaultConfig(core.ModeDirectStore)
+			job := bench.SweepJob{Code: *one, In: in,
+				Base: core.DefaultConfig(core.ModeCCSM),
+				DS:   core.DefaultConfig(core.ModeDirectStore)}
 			if obsWanted {
-				base.Obs = obs.New(obs.Options{Trace: *traceF != "", Hist: *histOut, TimeSeries: *seriesF != ""})
-				ds.Obs = obs.New(obs.Options{Trace: *traceF != "", Hist: *histOut, TimeSeries: *seriesF != ""})
+				job.Base.Obs = obs.New(obs.Options{Trace: *traceF != "", Hist: *histOut, TimeSeries: *seriesF != ""})
+				job.DS.Obs = obs.New(obs.Options{Trace: *traceF != "", Hist: *histOut, TimeSeries: *seriesF != ""})
 			}
-			var clk obs.Clock
-			if timing {
-				clk = hostClock
+			cs := sweep(ctx, []bench.SweepJob{job}, opt)
+			if len(cs) == 0 {
+				continue
 			}
-			c, hp, err := bench.CompareWithConfigsTimedContext(ctx, *one, in, base, ds, clk)
-			fail(err)
-			printComparison(c)
-			if timing {
-				reportPhases(*one, in, hp)
-			}
+			printComparison(cs[0])
 			if *histOut {
-				printHistPair(base.Obs, ds.Obs)
+				printHistPair(job.Base.Obs, job.DS.Obs)
 			}
 			if *traceF != "" {
-				writeModeFile(*traceF, "ccsm", base.Obs.WriteTrace)
-				writeModeFile(*traceF, "ds", ds.Obs.WriteTrace)
+				writeModeFile(*traceF, "ccsm", job.Base.Obs.WriteTrace)
+				writeModeFile(*traceF, "ds", job.DS.Obs.WriteTrace)
 			}
 			if *seriesF != "" {
-				writeModeFile(*seriesF, "ccsm", seriesWriter(*seriesF, base.Obs))
-				writeModeFile(*seriesF, "ds", seriesWriter(*seriesF, ds.Obs))
+				writeModeFile(*seriesF, "ccsm", seriesWriter(*seriesF, job.Base.Obs))
+				writeModeFile(*seriesF, "ds", seriesWriter(*seriesF, job.DS.Obs))
 			}
 		}
 	}

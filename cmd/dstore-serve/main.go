@@ -1,6 +1,6 @@
 // Command dstore-serve exposes the simulator as a long-running HTTP
-// service: submit benchmark runs as JSON jobs, poll for results, and
-// let the content-addressed cache absorb repeated requests.
+// service: submit benchmark runs as JSON jobs, wait on their results,
+// and let the content-addressed cache absorb repeated requests.
 //
 // Usage:
 //

@@ -116,3 +116,20 @@ func TestObsExports(t *testing.T) {
 		t.Fatalf("time series wants a header and a data row, got %d rows", len(rows))
 	}
 }
+
+// TestScriptRun drives the README's example script in both coherence
+// modes. The script path now ends with the coherence check a -json run
+// gets, so a legitimate script must still print its summary table.
+func TestScriptRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stream.dsim")
+	src := "alloc buf 65536\ncpu st buf+0\ncpu st buf+128\nrun cpu\ngpu ld buf+0\ngpu ld buf+128\nrun gpu consume\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"ccsm", "direct-store"} {
+		got := runMain(t, "-script", path, "-mode", mode)
+		if want := "script " + path + " under " + mode + "\n\n"; !strings.HasPrefix(got, want) || !strings.Contains(got, "total ticks") {
+			t.Errorf("%s: output lacks its header or summary table:\n%s", mode, got)
+		}
+	}
+}

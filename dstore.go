@@ -132,7 +132,7 @@ func BenchmarkCodes() []string { return bench.Codes() }
 // RunBenchmark executes one Table II benchmark under the default
 // configuration for the mode.
 func RunBenchmark(code string, mode Mode, in Input) (BenchResult, error) {
-	return bench.Run(code, mode, in)
+	return bench.RunWithConfig(code, core.DefaultConfig(mode), in)
 }
 
 // CompareBenchmark runs one benchmark under CCSM and direct store.
@@ -145,7 +145,7 @@ func CompareBenchmark(code string, in Input) (BenchComparison, error) {
 // attempted; failures are aggregated into a *bench.SweepError rather
 // than aborting the sweep.
 func RunAllBenchmarks(in Input) ([]BenchComparison, error) {
-	return bench.RunAll(in)
+	return bench.SweepWithConfigs(bench.StandardJobs(in), bench.SweepOptions{Workers: 1})
 }
 
 // SweepOptions configures a parallel benchmark sweep.
@@ -155,7 +155,7 @@ type SweepOptions = bench.SweepOptions
 // concurrent runs. Each run owns its own simulated system, so the
 // results are identical to the sequential sweep, in the same order.
 func RunAllBenchmarksParallel(in Input, opt SweepOptions) ([]BenchComparison, error) {
-	return bench.RunAllParallel(in, opt)
+	return bench.SweepWithConfigs(bench.StandardJobs(in), opt)
 }
 
 // GeomeanSpeedup is the rightmost bar of Fig. 4: the geometric mean of

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -260,11 +261,11 @@ func TestFigTablesRender(t *testing.T) {
 }
 
 func TestRunDeterminism(t *testing.T) {
-	a, err := Run("GC", core.ModeDirectStore, Small)
+	a, err := RunWithConfig("GC", core.DefaultConfig(core.ModeDirectStore), Small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run("GC", core.ModeDirectStore, Small)
+	b, err := RunWithConfig("GC", core.DefaultConfig(core.ModeDirectStore), Small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,8 +279,8 @@ func TestStandaloneModeMatchesDirectStoreDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := CompareWithConfigs("BL", Small,
-		core.DefaultConfig(core.ModeCCSM), core.DefaultConfig(core.ModeStandalone))
+	sa, _, err := compare(context.Background(), SweepJob{Code: "BL", In: Small,
+		Base: core.DefaultConfig(core.ModeCCSM), DS: core.DefaultConfig(core.ModeStandalone)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 func TestRunWithConfigContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunWithConfigContext(ctx, "MT", core.DefaultConfig(core.ModeCCSM), Small)
+	_, _, err := RunWithSnapshotContext(ctx, "MT", core.DefaultConfig(core.ModeCCSM), Small, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -28,7 +28,7 @@ func TestRunWithConfigContextMidFlight(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		// ST/big runs for seconds; cancellation lands mid-kernel.
-		_, err := RunWithConfigContext(ctx, "ST", core.DefaultConfig(core.ModeCCSM), Big)
+		_, _, err := RunWithSnapshotContext(ctx, "ST", core.DefaultConfig(core.ModeCCSM), Big, nil)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -44,15 +44,15 @@ func TestRunWithConfigContextMidFlight(t *testing.T) {
 }
 
 // TestRunWithConfigContextBackgroundIdentical checks the context entry
-// point with an uncancellable context reproduces RunWithConfig's
-// result exactly (the byte-identical-output property the sweep layer
+// point (RunWithSnapshotContext without a store) with an uncancellable
+// context reproduces RunWithConfig's result exactly (the byte-identical-output property the sweep layer
 // depends on).
 func TestRunWithConfigContextBackgroundIdentical(t *testing.T) {
 	want, err := RunWithConfig("NN", core.DefaultConfig(core.ModeDirectStore), Small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunWithConfigContext(context.Background(), "NN", core.DefaultConfig(core.ModeDirectStore), Small)
+	got, _, err := RunWithSnapshotContext(context.Background(), "NN", core.DefaultConfig(core.ModeDirectStore), Small, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +63,14 @@ func TestRunWithConfigContextBackgroundIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepWithConfigsContextCancelled checks a cancelled sweep
+// TestSweepWithTimingsContextCancelled checks a cancelled sweep
 // reports every job as failed with the context error and still returns
 // a result slice of the right shape.
-func TestSweepWithConfigsContextCancelled(t *testing.T) {
+func TestSweepWithTimingsContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	jobs := StandardJobs(Small)[:4]
-	results, err := SweepWithConfigsContext(ctx, jobs, SweepOptions{Workers: 2})
+	results, _, err := SweepWithTimingsContext(ctx, jobs, SweepOptions{Workers: 2})
 	if len(results) != len(jobs) {
 		t.Fatalf("got %d results, want %d", len(results), len(jobs))
 	}

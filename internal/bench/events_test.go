@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,7 +29,9 @@ func TestEventPins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w.Run(sys)
+			if _, err := w.RunPhaseRangeContext(context.Background(), sys, 0, w.Phases()); err != nil {
+				t.Fatal(err)
+			}
 			fmt.Fprintf(&b, "%s %s %s events=%d ticks=%d\n", code, Small, mode, sys.Engine.Executed(), sys.Now())
 		}
 	}

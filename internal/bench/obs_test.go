@@ -27,7 +27,7 @@ func fullObs() *obs.Observer {
 // the same run with no observer at all.
 func TestResultsIdenticalWithTracing(t *testing.T) {
 	for _, mode := range []core.Mode{core.ModeCCSM, core.ModeDirectStore} {
-		plain, err := Run("MT", mode, Small)
+		plain, err := RunWithConfig("MT", core.DefaultConfig(mode), Small)
 		if err != nil {
 			t.Fatalf("plain run (%s): %v", mode, err)
 		}
@@ -181,7 +181,7 @@ func TestPushToUseHistogramShift(t *testing.T) {
 func TestTimedRunPhases(t *testing.T) {
 	var fake uint64
 	clock := func() uint64 { fake += 7; return fake }
-	timed, hp, err := RunWithConfigTimedContext(context.Background(), "MT", core.DefaultConfig(core.ModeCCSM), Small, clock)
+	timed, _, hp, err := run(context.Background(), "MT", core.DefaultConfig(core.ModeCCSM), Small, nil, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestTimedRunPhases(t *testing.T) {
 	if hp.Total() != hp.SetupNS+hp.RunNS+hp.ReportNS {
 		t.Errorf("Total mismatch: %+v", hp)
 	}
-	plain, err := Run("MT", core.ModeCCSM, Small)
+	plain, err := RunWithConfig("MT", core.DefaultConfig(core.ModeCCSM), Small)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ type SweepJob struct {
 }
 
 // StandardJobs returns the full Table II sweep for one input size under
-// the default configurations — the job list behind RunAll.
+// the default configurations: the Fig. 4 and Fig. 5 job list.
 func StandardJobs(in Input) []SweepJob {
 	codes := Codes()
 	jobs := make([]SweepJob, len(codes))
@@ -123,25 +123,18 @@ func (e *SweepError) FailedIndices() map[int]bool {
 // is a *SweepError listing every failure; successful entries in the
 // result slice are still valid.
 func SweepWithConfigs(jobs []SweepJob, opt SweepOptions) ([]Comparison, error) {
-	return SweepWithConfigsContext(context.Background(), jobs, opt)
+	cs, _, err := SweepWithTimingsContext(context.Background(), jobs, opt)
+	return cs, err
 }
 
-// SweepWithConfigsContext is SweepWithConfigs under a context. On
-// cancellation, in-flight comparisons are abandoned mid-simulation and
-// not-yet-started jobs are skipped; both are reported in the
-// *SweepError as failures carrying ctx's error. With an uncancelled
-// context the results are byte-identical to SweepWithConfigs for any
-// worker count.
-func SweepWithConfigsContext(ctx context.Context, jobs []SweepJob, opt SweepOptions) ([]Comparison, error) {
-	results, _, err := SweepWithTimingsContext(ctx, jobs, opt)
-	return results, err
-}
-
-// SweepWithTimingsContext is SweepWithConfigsContext returning, in
-// addition, each job's host-side phase breakdown (setup/run/report,
-// both runs of the pair summed) as measured by opt.Clock. A nil clock
-// reports zeros. The Comparison slice is byte-identical to
-// SweepWithConfigsContext's for any worker count.
+// SweepWithTimingsContext is SweepWithConfigs under a context,
+// returning in addition each job's host-side phase breakdown
+// (setup/run/report, both runs of the pair summed) as measured by
+// opt.Clock. A nil clock reports zeros. On cancellation, in-flight
+// comparisons are abandoned mid-simulation and not-yet-started jobs
+// are skipped; both are reported in the *SweepError as failures
+// carrying ctx's error. The Comparison slice is byte-identical to
+// SweepWithConfigs's for any worker count and clock.
 func SweepWithTimingsContext(ctx context.Context, jobs []SweepJob, opt SweepOptions) ([]Comparison, []HostPhases, error) {
 	results := make([]Comparison, len(jobs))
 	timings := make([]HostPhases, len(jobs))
@@ -152,7 +145,7 @@ func SweepWithTimingsContext(ctx context.Context, jobs []SweepJob, opt SweepOpti
 			errs[i] = err
 			return
 		}
-		results[i], timings[i], errs[i] = CompareWithConfigsTimedContext(ctx, jobs[i].Code, jobs[i].In, jobs[i].Base, jobs[i].DS, opt.Clock)
+		results[i], timings[i], errs[i] = compare(ctx, jobs[i], opt.Clock)
 	}
 
 	if w := opt.workers(len(jobs)); w == 1 {
@@ -192,17 +185,4 @@ func SweepWithTimingsContext(ctx context.Context, jobs []SweepJob, opt SweepOpti
 		return results, timings, sweepErr
 	}
 	return results, timings, nil
-}
-
-// RunAllParallel compares every Table II benchmark for one input size
-// using opt.Workers concurrent runs. The results are identical to
-// RunAll's, in the same Table II order.
-func RunAllParallel(in Input, opt SweepOptions) ([]Comparison, error) {
-	return SweepWithConfigs(StandardJobs(in), opt)
-}
-
-// RunAllParallelContext is RunAllParallel under a context, with
-// SweepWithConfigsContext's cancellation contract.
-func RunAllParallelContext(ctx context.Context, in Input, opt SweepOptions) ([]Comparison, error) {
-	return SweepWithConfigsContext(ctx, StandardJobs(in), opt)
 }

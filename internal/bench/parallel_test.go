@@ -54,24 +54,26 @@ func TestParallelSweepDeterminism(t *testing.T) {
 	}
 }
 
-func TestRunAllParallelMatchesRunAll(t *testing.T) {
+// TestStandardSweepParallelMatchesSequential checks the full Table II
+// sweep gives deeply identical results on one worker and on four.
+func TestStandardSweepParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table II sweep in -short mode")
 	}
-	seq, err := RunAll(Small)
+	seq, err := SweepWithConfigs(StandardJobs(Small), SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunAllParallel(Small, SweepOptions{Workers: 4})
+	par, err := SweepWithConfigs(StandardJobs(Small), SweepOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("RunAllParallel diverged from RunAll")
+		t.Fatal("4-worker Table II sweep diverged from the sequential one")
 	}
 }
 
-// TestSweepAttemptsEveryJob pins the RunAll bugfix: a failing benchmark
+// TestSweepAttemptsEveryJob pins the sweep contract: a failing benchmark
 // must not abort the sweep; every other job still runs and the error
 // reports each failure with its position.
 func TestSweepAttemptsEveryJob(t *testing.T) {

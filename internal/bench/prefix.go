@@ -14,10 +14,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 
 	"dstore/internal/core"
-	"dstore/internal/sim"
 )
 
 // SnapshotStore is a content-addressed snapshot cache. Implementations
@@ -90,76 +88,12 @@ func PrefixKey(code string, cfg core.Config, in Input) (string, bool) {
 	return hex.EncodeToString(h.Sum(nil)), true
 }
 
-// RunWithSnapshotContext is RunWithConfigContext with prefix
-// memoization through store. It reports whether the run resumed from
-// a stored snapshot. A nil store, an ineligible job, or any snapshot
-// failure falls back to an ordinary cold run; the Result is
-// byte-identical either way.
+// RunWithSnapshotContext runs one benchmark under ctx with prefix
+// memoization through store, and reports whether the run resumed from
+// a stored snapshot. A nil store, an ineligible job, or a snapshot this
+// build cannot restore runs cold; the Result is byte-identical either
+// way.
 func RunWithSnapshotContext(ctx context.Context, code string, cfg core.Config, in Input, store SnapshotStore) (Result, bool, error) {
-	key, eligible := PrefixKey(code, cfg, in)
-	if store == nil || !eligible {
-		res, err := RunWithConfigContext(ctx, code, cfg, in)
-		return res, false, err
-	}
-
-	sys := core.NewSystem(cfg)
-	w, err := Build(sys, code, in)
-	if err != nil {
-		return Result{}, false, err
-	}
-
-	if blob, ok := store.Get(key); ok {
-		if err := sys.RestoreSnapshot(blob); err == nil {
-			// The run began at tick 0, so the restored clock is the
-			// produce phase's tick count.
-			per := []sim.Tick{sys.Now()}
-			tail, err := w.RunPhaseRangeContext(ctx, sys, 1, w.Phases())
-			if err != nil {
-				return Result{}, false, fmt.Errorf("bench %s (%s, %s): %w", code, cfg.Mode, in, err)
-			}
-			res, err := sealResult(sys, code, cfg, in, append(per, tail...))
-			return res, true, err
-		}
-		// A snapshot this build cannot restore (format or shape drift):
-		// discard the half-written system and run cold.
-		sys = core.NewSystem(cfg)
-		if w, err = Build(sys, code, in); err != nil {
-			return Result{}, false, err
-		}
-	}
-
-	per, err := w.RunPhaseRangeContext(ctx, sys, 0, 1)
-	if err != nil {
-		return Result{}, false, fmt.Errorf("bench %s (%s, %s): %w", code, cfg.Mode, in, err)
-	}
-	if blob, serr := sys.Snapshot(); serr == nil {
-		store.Put(key, blob)
-	}
-	tail, err := w.RunPhaseRangeContext(ctx, sys, 1, w.Phases())
-	if err != nil {
-		return Result{}, false, fmt.Errorf("bench %s (%s, %s): %w", code, cfg.Mode, in, err)
-	}
-	res, err := sealResult(sys, code, cfg, in, append(per, tail...))
-	return res, false, err
-}
-
-// sealResult finishes a run exactly the way RunWithConfigTimedContext
-// does: coherence check, observer seal, result assembly. Runs started
-// at tick 0, so the final clock is the total tick count.
-func sealResult(sys *core.System, code string, cfg core.Config, in Input, phases []sim.Tick) (Result, error) {
-	if err := sys.CheckCoherence(); err != nil {
-		return Result{}, fmt.Errorf("bench %s (%s, %s): %w", code, cfg.Mode, in, err)
-	}
-	cfg.Obs.FinishRun(sys.Now())
-	return Result{
-		Code: code, Mode: cfg.Mode, In: in,
-		Ticks:       sys.Now(),
-		PhaseTicks:  phases,
-		L2Accesses:  sys.GPUL2Accesses(),
-		L2Misses:    sys.GPUL2Misses(),
-		MissRate:    sys.GPUL2MissRate(),
-		Pushes:      sys.PushesReceived(),
-		XbarBytes:   sys.CoherenceTrafficBytes(),
-		DirectBytes: sys.DirectTrafficBytes(),
-	}, nil
+	res, restored, _, err := run(ctx, code, cfg, in, store, nil)
+	return res, restored, err
 }

@@ -30,25 +30,10 @@ type Result struct {
 	PhaseTicks []sim.Tick
 }
 
-// Run executes one benchmark under the default Table I configuration
-// for the given mode.
-func Run(code string, mode core.Mode, in Input) (Result, error) {
-	return RunWithConfig(code, core.DefaultConfig(mode), in)
-}
-
 // RunWithConfig executes one benchmark under an explicit configuration.
 func RunWithConfig(code string, cfg core.Config, in Input) (Result, error) {
-	return RunWithConfigContext(context.Background(), code, cfg, in)
-}
-
-// RunWithConfigContext is RunWithConfig under a context: cancellation
-// abandons the simulation mid-flight and returns ctx's error. Each run
-// builds a private system, so an abandoned run leaks nothing into later
-// ones, and an uncancelled run is event-for-event identical to
-// RunWithConfig.
-func RunWithConfigContext(ctx context.Context, code string, cfg core.Config, in Input) (Result, error) {
-	r, _, err := RunWithConfigTimedContext(ctx, code, cfg, in, nil)
-	return r, err
+	res, _, _, err := run(context.Background(), code, cfg, in, nil, nil)
+	return res, err
 }
 
 // HostPhases breaks one run's host-side wall time into the phases a
@@ -75,48 +60,86 @@ func (h HostPhases) Add(other HostPhases) HostPhases {
 	}
 }
 
-// RunWithConfigTimedContext is RunWithConfigContext with a host-side
-// phase breakdown measured by clock (nil clock reports zeros). The
-// simulated Result is byte-identical to RunWithConfigContext's.
-func RunWithConfigTimedContext(ctx context.Context, code string, cfg core.Config, in Input, clock obs.Clock) (Result, HostPhases, error) {
+// run is the one body behind every benchmark run. It builds a private
+// system and workload, then either resumes from store's snapshot of
+// the CPU produce phase or simulates that phase and stores its
+// snapshot (store non-nil and PrefixKey eligible), or simply starts at
+// phase 0. It runs the remaining phases, checks coherence, seals the
+// observer and assembles the Result, which is byte-identical on every
+// route. restored reports a resume from a snapshot; a snapshot this
+// build cannot restore rebuilds the system and runs cold. clock (nil
+// reads zero) times the setup, run and report phases. Cancelling ctx
+// abandons the simulation mid-flight and returns ctx's error.
+func run(ctx context.Context, code string, cfg core.Config, in Input, store SnapshotStore, clock obs.Clock) (res Result, restored bool, hp HostPhases, err error) {
 	if clock == nil {
 		clock = func() uint64 { return 0 }
 	}
-	var hp HostPhases
 	t0 := clock()
 	sys := core.NewSystem(cfg)
 	w, err := Build(sys, code, in)
 	hp.SetupNS = clock() - t0
 	if err != nil {
-		return Result{}, hp, err
+		return Result{}, false, hp, err
 	}
+
 	t1 := clock()
-	ticks, phases, err := w.RunPhasesContext(ctx, sys)
+	var per []sim.Tick
+	key, eligible := "", false
+	if store != nil {
+		key, eligible = PrefixKey(code, cfg, in)
+	}
+	if eligible {
+		if blob, ok := store.Get(key); ok {
+			if sys.RestoreSnapshot(blob) == nil {
+				// The run began at tick 0, so the restored clock is the
+				// produce phase's tick count.
+				restored, per = true, []sim.Tick{sys.Now()}
+			} else {
+				// A snapshot this build cannot restore (format or shape
+				// drift): discard the half-written system and run cold.
+				sys = core.NewSystem(cfg)
+				if w, err = Build(sys, code, in); err != nil {
+					return Result{}, false, hp, err
+				}
+			}
+		}
+		if !restored {
+			if per, err = w.RunPhaseRangeContext(ctx, sys, 0, 1); err == nil {
+				if blob, serr := sys.Snapshot(); serr == nil {
+					store.Put(key, blob)
+				}
+			}
+		}
+	}
+	if err == nil {
+		var tail []sim.Tick
+		tail, err = w.RunPhaseRangeContext(ctx, sys, len(per), w.Phases())
+		per = append(per, tail...)
+	}
 	hp.RunNS = clock() - t1
 	if err != nil {
-		return Result{}, hp, fmt.Errorf("bench %s (%s, %s): %w", code, cfg.Mode, in, err)
+		return Result{}, false, hp, fmt.Errorf("bench %s (%s, %s): %w", code, cfg.Mode, in, err)
 	}
+
 	t2 := clock()
+	defer func() { hp.ReportNS = clock() - t2 }()
 	if err := sys.CheckCoherence(); err != nil {
-		hp.ReportNS = clock() - t2
-		return Result{}, hp, fmt.Errorf("bench %s (%s, %s): %w", code, cfg.Mode, in, err)
+		return Result{}, false, hp, fmt.Errorf("bench %s (%s, %s): %w", code, cfg.Mode, in, err)
 	}
 	// Seal the observer's final sampling window at the run's end tick so
 	// time-series exports cover the whole run. A nil observer ignores it.
 	cfg.Obs.FinishRun(sys.Now())
-	res := Result{
+	return Result{
 		Code: code, Mode: cfg.Mode, In: in,
-		Ticks:       ticks,
-		PhaseTicks:  phases,
+		Ticks:       sys.Now(),
+		PhaseTicks:  per,
 		L2Accesses:  sys.GPUL2Accesses(),
 		L2Misses:    sys.GPUL2Misses(),
 		MissRate:    sys.GPUL2MissRate(),
 		Pushes:      sys.PushesReceived(),
 		XbarBytes:   sys.CoherenceTrafficBytes(),
 		DirectBytes: sys.DirectTrafficBytes(),
-	}
-	hp.ReportNS = clock() - t2
-	return res, hp, nil
+	}, restored, hp, nil
 }
 
 // Comparison holds a CCSM-vs-direct-store pair for one benchmark and
@@ -144,46 +167,29 @@ func (c Comparison) MissRateDelta() float64 {
 	return c.CCSM.MissRate - c.DS.MissRate
 }
 
-// Compare runs one benchmark under both modes.
+// Compare runs one benchmark under the default CCSM and direct-store
+// configurations.
 func Compare(code string, in Input) (Comparison, error) {
-	return CompareWithConfigs(code, in, core.DefaultConfig(core.ModeCCSM), core.DefaultConfig(core.ModeDirectStore))
-}
-
-// CompareWithConfigs runs one benchmark under two explicit
-// configurations (baseline first).
-func CompareWithConfigs(code string, in Input, base, ds core.Config) (Comparison, error) {
-	return CompareWithConfigsContext(context.Background(), code, in, base, ds)
-}
-
-// CompareWithConfigsContext is CompareWithConfigs under a context.
-func CompareWithConfigsContext(ctx context.Context, code string, in Input, base, ds core.Config) (Comparison, error) {
-	c, _, err := CompareWithConfigsTimedContext(ctx, code, in, base, ds, nil)
+	c, _, err := compare(context.Background(), SweepJob{
+		Code: code, In: in,
+		Base: core.DefaultConfig(core.ModeCCSM),
+		DS:   core.DefaultConfig(core.ModeDirectStore),
+	}, nil)
 	return c, err
 }
 
-// CompareWithConfigsTimedContext is CompareWithConfigsContext with a
-// host phase breakdown summed over the pair's two runs.
-func CompareWithConfigsTimedContext(ctx context.Context, code string, in Input, base, ds core.Config, clock obs.Clock) (Comparison, HostPhases, error) {
-	c := Comparison{Code: code, In: in}
+// compare runs one sweep job's two configurations (baseline first),
+// summing their host phases.
+func compare(ctx context.Context, job SweepJob, clock obs.Clock) (Comparison, HostPhases, error) {
+	c := Comparison{Code: job.Code, In: job.In}
 	var hp, h HostPhases
 	var err error
-	if c.CCSM, h, err = RunWithConfigTimedContext(ctx, code, base, in, clock); err != nil {
-		return c, hp.Add(h), err
+	c.CCSM, _, hp, err = run(ctx, job.Code, job.Base, job.In, nil, clock)
+	if err == nil {
+		c.DS, _, h, err = run(ctx, job.Code, job.DS, job.In, nil, clock)
+		hp = hp.Add(h)
 	}
-	hp = hp.Add(h)
-	if c.DS, h, err = RunWithConfigTimedContext(ctx, code, ds, in, clock); err != nil {
-		return c, hp.Add(h), err
-	}
-	return c, hp.Add(h), nil
-}
-
-// RunAll compares every Table II benchmark for one input size,
-// sequentially. Every benchmark is attempted even if one fails; failures
-// are aggregated into a *SweepError so one broken profile cannot hide
-// the other results. Use RunAllParallel to spread the sweep across
-// cores.
-func RunAll(in Input) ([]Comparison, error) {
-	return RunAllParallel(in, SweepOptions{Workers: 1})
+	return c, hp, err
 }
 
 // speedupThreshold is the rounding floor below which the paper plots a

@@ -74,9 +74,6 @@ type Options struct {
 	// JobDeadline bounds one job end to end: submission, queueing,
 	// simulation and every failover retry. Default 5m.
 	JobDeadline time.Duration
-	// RetryAfterMax caps how long a 429's Retry-After hint is
-	// honoured before retrying anyway. Default 2s.
-	RetryAfterMax time.Duration
 
 	// Seed drives every operational random draw — probe jitter,
 	// backoff jitter — so a fleet's failure handling is reproducible.
@@ -122,20 +119,22 @@ type Options struct {
 	// falls back to the recorder's monotonic sequence; the daemon
 	// injects a wall clock at the cmd layer.
 	Clock obs.Clock
-	// FederationTimeout bounds the per-worker /metrics scrape and
-	// /v1/traces fetch during federation. Default 2s.
-	FederationTimeout time.Duration
 	// EnablePprof registers the runtime profiling handlers under
 	// /debug/pprof/ (the -pprof flag).
 	EnablePprof bool
-	// StoreDir, when set, opens a content-addressed store for
-	// fleet-wide CPU profile captures (POST /v1/profiles); without it
-	// the endpoint answers 503.
+	// StoreDir, when set, opens a content-addressed store, capped at
+	// store.DefaultMaxBytes, for fleet-wide CPU profile captures
+	// (POST /v1/profiles); without it the endpoint answers 503.
 	StoreDir string
-	// StoreMaxBytes caps the profile store. Zero means
-	// store.DefaultMaxBytes; negative means unlimited.
-	StoreMaxBytes int64
 }
+
+// retryAfterMax caps how long a 429's Retry-After hint is honoured
+// before retrying anyway.
+const retryAfterMax = 2 * time.Second
+
+// federationTimeout bounds the per-worker /metrics scrape and
+// /v1/traces fetch during federation.
+const federationTimeout = 2 * time.Second
 
 func (o Options) withDefaults() Options {
 	if o.Vnodes <= 0 {
@@ -155,9 +154,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.JobDeadline <= 0 {
 		o.JobDeadline = 5 * time.Minute
-	}
-	if o.RetryAfterMax <= 0 {
-		o.RetryAfterMax = 2 * time.Second
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -188,9 +184,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Name == "" {
 		o.Name = "coordinator"
-	}
-	if o.FederationTimeout <= 0 {
-		o.FederationTimeout = 2 * time.Second
 	}
 	return o
 }
@@ -270,7 +263,7 @@ func New(opt Options) (*Coordinator, error) {
 		cancel:      cancel,
 	}
 	if opt.StoreDir != "" {
-		st, err := store.Open(store.Options{Dir: opt.StoreDir, MaxBytes: opt.StoreMaxBytes})
+		st, err := store.Open(store.Options{Dir: opt.StoreDir})
 		if err != nil {
 			cancel()
 			return nil, fmt.Errorf("fleet: open profile store: %w", err)
@@ -645,7 +638,7 @@ func (c *Coordinator) runOn(ctx context.Context, base, id string, spec []byte, t
 		case code == http.StatusTooManyRequests:
 			// Backpressure: honour Retry-After (capped) and resubmit to
 			// the same worker — its queue draining is the fast path.
-			if err := sleepCtx(ctx, retryAfterHint(hdr.Get("Retry-After"), c.opt.RetryAfterMax)); err != nil {
+			if err := sleepCtx(ctx, retryAfterHint(hdr.Get("Retry-After"), retryAfterMax)); err != nil {
 				return nil, err
 			}
 		case code == http.StatusBadRequest:

@@ -138,7 +138,7 @@ func (c *Coordinator) writeFederation(r *http.Request, b *strings.Builder, state
 	for _, st := range states {
 		c.fedScrapes.Add(1)
 		//dstore:allow-wallclock federation deadline is operational
-		ctx, cancel := context.WithTimeout(r.Context(), c.opt.FederationTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), federationTimeout)
 		code, _, body, err := c.do(ctx, http.MethodGet, st.URL+"/metrics", nil)
 		cancel()
 		if err != nil || code != http.StatusOK {

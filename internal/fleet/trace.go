@@ -72,7 +72,7 @@ func (c *Coordinator) handleSweepTrace(w http.ResponseWriter, r *http.Request) {
 // by the federation timeout.
 func (c *Coordinator) fetchWorkerTrace(r *http.Request, base, tid string) (dtrace.Dump, error) {
 	//dstore:allow-wallclock federation deadline is operational
-	ctx, cancel := context.WithTimeout(r.Context(), c.opt.FederationTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), federationTimeout)
 	defer cancel()
 	code, _, body, err := c.do(ctx, http.MethodGet, base+"/v1/traces/"+tid, nil)
 	if err != nil {
@@ -159,7 +159,7 @@ func (c *Coordinator) handleProfileCapture(w http.ResponseWriter, r *http.Reques
 // timeout on top of the capture window, not instead of it.
 func (c *Coordinator) captureProfile(r *http.Request, base string, secs int) ([]byte, error) {
 	//dstore:allow-wallclock profile capture deadline is operational
-	ctx, cancel := context.WithTimeout(r.Context(), c.opt.FederationTimeout+time.Duration(secs)*time.Second)
+	ctx, cancel := context.WithTimeout(r.Context(), federationTimeout+time.Duration(secs)*time.Second)
 	defer cancel()
 	u := base + "/debug/pprof/profile?seconds=" + strconv.Itoa(secs)
 	code, _, body, err := c.do(ctx, http.MethodGet, u, nil)

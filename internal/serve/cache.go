@@ -55,11 +55,12 @@ func (c *resultCache) attachDisk(st *store.Store, ns string) {
 	c.ns = ns
 }
 
-// get returns the cached body for id, counting a hit or a miss. Used
+// Get returns the cached body for id, counting a hit or a miss. Used
 // on the submission path, so the hit/miss counters mean "submissions
 // answered from cache" (either tier) vs "submissions that had to
-// simulate".
-func (c *resultCache) get(id string) ([]byte, bool) {
+// simulate". Get and Put make resultCache a bench.SnapshotStore: the
+// snapshot cache counts one probe per memoizable run.
+func (c *resultCache) Get(id string) ([]byte, bool) {
 	body, ok := c.memGet(id)
 	if !ok {
 		body, ok = c.diskGet(id)
@@ -74,7 +75,7 @@ func (c *resultCache) get(id string) ([]byte, bool) {
 	return body, ok
 }
 
-// lookup is get without touching the hit/miss counters, for status and
+// lookup is Get without touching the hit/miss counters, for status and
 // result reads that are not submissions.
 func (c *resultCache) lookup(id string) ([]byte, bool) {
 	if body, ok := c.memGet(id); ok {
@@ -108,11 +109,11 @@ func (c *resultCache) diskGet(id string) ([]byte, bool) {
 	return body, true
 }
 
-// put stores a completed result in the memory LRU and, when a disk
+// Put stores a completed result in the memory LRU and, when a disk
 // store is attached, durably on disk. Persistence is best-effort: a
 // full or failing disk degrades the server to memory-only behaviour
 // rather than failing jobs.
-func (c *resultCache) put(id string, body []byte) {
+func (c *resultCache) Put(id string, body []byte) {
 	c.memPut(id, body)
 	if c.disk != nil {
 		_ = c.disk.Put(c.ns, id, body)

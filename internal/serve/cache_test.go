@@ -7,13 +7,13 @@ import (
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
-	c.put("a", []byte("A"))
-	c.put("b", []byte("B"))
+	c.Put("a", []byte("A"))
+	c.Put("b", []byte("B"))
 	// Touch a so b is the LRU entry when c arrives.
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a missing")
 	}
-	c.put("c", []byte("C"))
+	c.Put("c", []byte("C"))
 	if _, ok := c.lookup("b"); ok {
 		t.Fatal("b not evicted")
 	}
@@ -31,14 +31,14 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheGetCountsLookupDoesNot(t *testing.T) {
 	c := newResultCache(4)
-	if _, ok := c.get("x"); ok {
+	if _, ok := c.Get("x"); ok {
 		t.Fatal("phantom hit")
 	}
 	if _, ok := c.lookup("x"); ok {
 		t.Fatal("phantom lookup hit")
 	}
-	c.put("x", []byte("X"))
-	c.get("x")
+	c.Put("x", []byte("X"))
+	c.Get("x")
 	c.lookup("x")
 	hits, misses, _, _ := c.stats()
 	if hits != 1 || misses != 1 {
@@ -48,8 +48,8 @@ func TestCacheGetCountsLookupDoesNot(t *testing.T) {
 
 func TestCachePutReplaces(t *testing.T) {
 	c := newResultCache(2)
-	c.put("a", []byte("old"))
-	c.put("a", []byte("new"))
+	c.Put("a", []byte("old"))
+	c.Put("a", []byte("new"))
 	v, ok := c.lookup("a")
 	if !ok || string(v) != "new" {
 		t.Fatalf("got %q", v)

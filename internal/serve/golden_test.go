@@ -43,7 +43,7 @@ func TestGoldenResultsPinned(t *testing.T) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res, err := bench.Run(j.code, j.mode, bench.Small)
+			res, err := bench.RunWithConfig(j.code, core.DefaultConfig(j.mode), bench.Small)
 			if err != nil {
 				t.Errorf("%s/%s: %v", j.code, j.mode, err)
 				return

@@ -12,11 +12,7 @@ import (
 // declared: /metrics and /v1/stats both render this slice.
 func (s *Server) metrics() []obs.Metric {
 	hits, misses, evictions, size := s.cache.stats()
-	var snapHits, snapMisses, snapEvictions uint64
-	var snapSize int
-	if s.snaps != nil {
-		snapHits, snapMisses, snapEvictions, snapSize = s.snaps.stats()
-	}
+	snapHits, snapMisses, snapEvictions, snapSize := s.snaps.stats()
 	var disk store.Stats
 	if s.disk != nil {
 		disk = s.disk.Stats()

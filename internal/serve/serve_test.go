@@ -296,7 +296,7 @@ func TestBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	stub, started := blockingStub(release)
-	base := startServer(t, testServer(t, Options{Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second}, stub))
+	base := startServer(t, testServer(t, Options{Workers: 1, QueueDepth: 1}, stub))
 
 	a := post(t, base, `{"bench":"VA"}`)
 	if a.code != http.StatusAccepted {
@@ -311,8 +311,8 @@ func TestBackpressure(t *testing.T) {
 	if c.code != http.StatusTooManyRequests {
 		t.Fatalf("c = %d, want 429", c.code)
 	}
-	if ra := c.headers.Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want \"2\"", ra)
+	if ra := c.headers.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", ra)
 	}
 	if m := metricsMap(t, base); m["dstore_serve_rejected_total"] != 1 {
 		t.Fatalf("rejected = %d, want 1", m["dstore_serve_rejected_total"])

@@ -38,20 +38,12 @@ type Options struct {
 	// JobTimeout cancels a simulation that runs longer than this; the
 	// job is reported as cancelled. Zero means no per-job timeout.
 	JobTimeout time.Duration
-	// RetryAfter is the hint returned with 429 responses. Default 1s.
-	RetryAfter time.Duration
 	// StallGuardEvents arms the simulation engine's forward-progress
 	// watchdog for every job: a simulation that executes this many
 	// events without the clock advancing is declared livelocked and
 	// fails (the panic is caught per-job; the worker survives). Zero
 	// selects 10M events, far beyond any legitimate same-tick cascade.
 	StallGuardEvents uint64
-	// SnapshotCacheEntries bounds the warm-prefix snapshot cache: jobs
-	// sharing a (benchmark, input, prefix-relevant config) warm-up
-	// phase restore the post-produce machine state instead of
-	// re-simulating it (bench.RunWithSnapshotContext). Zero means 64;
-	// negative disables prefix memoization entirely.
-	SnapshotCacheEntries int
 	// StoreDir, when non-empty, layers a persistent content-addressed
 	// disk store (internal/store) beneath the result and snapshot
 	// LRUs: completed results and warm-prefix snapshots survive
@@ -84,20 +76,23 @@ func (o Options) withDefaults() Options {
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 1024
 	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
-	}
 	if o.StallGuardEvents == 0 {
 		o.StallGuardEvents = 10_000_000
-	}
-	if o.SnapshotCacheEntries == 0 {
-		o.SnapshotCacheEntries = 64
 	}
 	if o.Name == "" {
 		o.Name = "dstore-serve"
 	}
 	return o
 }
+
+// retryAfter is the Retry-After hint returned with 429 responses.
+const retryAfter = time.Second
+
+// snapshotCacheEntries bounds the warm-prefix snapshot cache: jobs
+// sharing a (benchmark, input, prefix-relevant config) warm-up phase
+// restore the post-produce machine state instead of re-simulating it
+// (bench.RunWithSnapshotContext).
+const snapshotCacheEntries = 64
 
 // jobStatus is a job's lifecycle state.
 type jobStatus string
@@ -137,10 +132,12 @@ type job struct {
 	// behind /metrics.
 	traceBody []byte
 	hists     []*obs.Histogram
-	// snapRestored records that the run resumed from a warm-prefix
-	// snapshot instead of simulating its produce phase (surfaced in
-	// the status response for observability; the Result is
-	// byte-identical either way).
+	// snapProbed records that the run was eligible for the warm-prefix
+	// snapshot cache (bench.PrefixKey) and so probed it; snapRestored
+	// that it resumed from a snapshot instead of simulating its
+	// produce phase (surfaced in the status response for
+	// observability; the Result is byte-identical either way).
+	snapProbed   bool
 	snapRestored bool
 	// done is closed exactly once, when the job leaves inflight
 	// (finished, failed, cancelled or drained by Shutdown), waking
@@ -164,8 +161,8 @@ type Server struct {
 	// result cache and bounded the same way.
 	traces *resultCache
 	// snaps is the warm-prefix snapshot cache: serialized post-produce
-	// machine states keyed by bench.PrefixKey. Nil when disabled. Its
-	// hit counter is the cache-answered half of every memoizable run.
+	// machine states keyed by bench.PrefixKey. Its hit counter is the
+	// cache-answered half of every memoizable run.
 	snaps *resultCache
 	// disk is the persistent tier beneath cache and snaps (nil when
 	// Options.StoreDir is empty). Closed — which syncs it — on
@@ -216,14 +213,6 @@ func New(opt Options) (*Server, error) {
 	return newServer(opt, nil)
 }
 
-// snapStore adapts the server's snapshot cache to bench.SnapshotStore.
-// resultCache is already concurrency-safe and LRU-bounded, and its
-// hit/miss counters give the memoization rate for free.
-type snapStore struct{ c *resultCache }
-
-func (st snapStore) Get(key string) ([]byte, bool) { return st.c.get(key) }
-func (st snapStore) Put(key string, b []byte)      { st.c.put(key, b) }
-
 // runBench executes a job for real: one private system per run, the
 // canonical encoding as the stored body. Every run carries a histogram
 // observer (feeding the /metrics latency aggregates); Trace jobs also
@@ -231,22 +220,19 @@ func (st snapStore) Put(key string, b []byte)      { st.c.put(key, b) }
 // Observation never changes a Result, so cached bodies stay
 // byte-identical to untraced runs.
 //
-// Eligible jobs run through the warm-prefix snapshot cache: the CPU
+// Every job runs through the warm-prefix snapshot cache: the CPU
 // produce phase simulates once per (benchmark, input, prefix config)
 // and later jobs resume from its stored machine state, with Results
-// byte-identical to cold runs. Traced jobs bypass the cache (a
-// resumed run records no prefix events), as do chaos runs and
-// benchmarks without a CPU produce phase — bench.PrefixKey gates
-// those; histogram-only observation rides along either way, so
-// /metrics latency aggregates simply lack the skipped prefix samples.
+// byte-identical to cold runs. bench.PrefixKey leaves traced jobs (a
+// resumed run records no prefix events), chaos runs and benchmarks
+// without a CPU produce phase out of the cache; histogram-only
+// observation rides along either way, so /metrics latency aggregates
+// simply lack the skipped prefix samples.
 func (s *Server) runBench(ctx context.Context, j *job) ([]byte, error) {
 	o := obs.New(obs.Options{Trace: j.spec.Trace, Hist: true})
 	j.cfg.Obs = o
-	var store bench.SnapshotStore
-	if s.snaps != nil && !j.spec.Trace {
-		store = snapStore{s.snaps}
-	}
-	res, restored, err := bench.RunWithSnapshotContext(ctx, j.spec.Bench, j.cfg, j.spec.input(), store)
+	_, j.snapProbed = bench.PrefixKey(j.spec.Bench, j.cfg, j.spec.input())
+	res, restored, err := bench.RunWithSnapshotContext(ctx, j.spec.Bench, j.cfg, j.spec.input(), s.snaps)
 	j.snapRestored = restored
 	if err != nil {
 		return nil, err
@@ -279,15 +265,13 @@ func newServer(opt Options, runFn func(context.Context, *job) ([]byte, error)) (
 		opt:      opt,
 		cache:    newResultCache(opt.CacheEntries),
 		traces:   newResultCache(opt.CacheEntries),
+		snaps:    newResultCache(snapshotCacheEntries),
 		runFn:    runFn,
 		baseCtx:  ctx,
 		cancel:   cancel,
 		inflight: make(map[string]*job),
 		failures: make(map[string]*job),
 		queue:    make(chan *job, opt.QueueDepth),
-	}
-	if opt.SnapshotCacheEntries > 0 {
-		s.snaps = newResultCache(opt.SnapshotCacheEntries)
 	}
 	if opt.StoreDir != "" {
 		disk, err := store.Open(store.Options{
@@ -304,9 +288,7 @@ func newServer(opt Options, runFn func(context.Context, *job) ([]byte, error)) (
 		}
 		s.disk = disk
 		s.cache.attachDisk(disk, storeNSResult)
-		if s.snaps != nil {
-			s.snaps.attachDisk(disk, storeNSSnap)
-		}
+		s.snaps.attachDisk(disk, storeNSSnap)
 	}
 	if s.runFn == nil {
 		s.runFn = s.runBench
@@ -405,7 +387,7 @@ func (s *Server) runJob(j *job) {
 		simFlags |= dtrace.FlagHit
 	}
 	sp.End(simFlags)
-	if j.trace != 0 && s.snaps != nil && !j.spec.Trace {
+	if j.trace != 0 && j.snapProbed {
 		// The warm-prefix snapshot probe's outcome, as an instant span.
 		var snapFlags uint8
 		if j.snapRestored {
@@ -435,9 +417,9 @@ func (s *Server) runJob(j *job) {
 	}
 	j.status = statusDone
 	s.executed.Add(1)
-	s.cache.put(j.id, body)
+	s.cache.Put(j.id, body)
 	if j.traceBody != nil {
-		s.traces.put(j.id, j.traceBody)
+		s.traces.Put(j.id, j.traceBody)
 	}
 	s.mergeHists(j.hists)
 }
@@ -634,7 +616,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, runResponse{ID: id, Status: j.status})
 		return
 	}
-	if body, ok := s.cache.get(id); ok {
+	if body, ok := s.cache.Get(id); ok {
 		// A Trace job is only answerable from cache while its trace
 		// artifact survives too; if the trace was evicted, fall through
 		// and rerun to regenerate it.
@@ -662,11 +644,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, runResponse{ID: id, Status: statusQueued})
 	default:
 		s.rejected.Add(1)
-		retry := int(s.opt.RetryAfter / time.Second)
-		if retry < 1 {
-			retry = 1
-		}
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", retry))
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 		writeError(w, http.StatusTooManyRequests, "job queue full (%d pending); retry later", s.opt.QueueDepth)
 	}
 }

@@ -1,10 +1,40 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
+
+	"dstore/internal/bench"
 )
+
+// coldOracle runs spec in process with no snapshot store and returns
+// the result body a server must answer for it.
+func coldOracle(t *testing.T, spec string) []byte {
+	t.Helper()
+	var s JobSpec
+	if err := json.Unmarshal([]byte(spec), &s); err != nil {
+		t.Fatal(err)
+	}
+	s, err := s.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := s.BuildConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := bench.RunWithConfig(s.Bench, cfg, s.input())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := EncodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
 
 // runToResult submits a spec, waits for completion and returns the raw
 // result body from /v1/runs/{id}/result.
@@ -26,21 +56,12 @@ func runToResult(t *testing.T, base, spec string) (string, []byte) {
 // worker counts: a second job that differs from the first only in
 // GPU-pipeline knobs restores the first job's post-produce snapshot
 // (the snapshot-cache hit counter increments) and still returns a
-// result byte-identical to the same spec run on a cold server with
-// memoization disabled.
+// result byte-identical to the same spec run cold, in process.
 func TestSnapshotPrefixE2E(t *testing.T) {
 	specA := `{"bench": "MM"}`
 	specB := `{"bench": "MM", "config": {"sms": 8}}`
 
-	// Cold oracle: spec B without any snapshot cache.
-	coldURL := startServer(t, mustNew(t, Options{Workers: 1, SnapshotCacheEntries: -1}))
-	if m := metricsMap(t, coldURL); m["dstore_serve_snapshot_misses_total"] != 0 {
-		t.Fatalf("disabled snapshot cache recorded a miss: %v", m)
-	}
-	_, coldBody := runToResult(t, coldURL, specB)
-	if m := metricsMap(t, coldURL); m["dstore_serve_snapshot_hits_total"] != 0 || m["dstore_serve_snapshot_misses_total"] != 0 {
-		t.Fatalf("disabled snapshot cache touched counters: %v", m)
-	}
+	coldBody := coldOracle(t, specB)
 
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -88,9 +88,8 @@ func TestSnapshotWarmFromDiskAfterRestart(t *testing.T) {
 	_, _ = runToCompletion(t, base1, cold)
 	shutdown(t, srv1)
 
-	// Oracle: the warm spec on a fresh memory-only server (fully cold).
-	oracleBase := startServer(t, mustNew(t, Options{Workers: 2, SnapshotCacheEntries: -1}))
-	_, want := runToCompletion(t, oracleBase, warm)
+	// Oracle: the warm spec run cold, in process.
+	want := coldOracle(t, warm)
 
 	srv2 := mustNew(t, Options{Workers: 2, StoreDir: dir})
 	base2 := startServer(t, srv2)

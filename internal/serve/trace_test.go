@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dstore/internal/obs/dtrace"
 )
 
 // TestTraceEndpoint drives a real traced run through the API: submit
@@ -108,5 +110,50 @@ func TestMetricsHistograms(t *testing.T) {
 	m := metricsMap(t, base)
 	if m["dstore_sim_gpu_load_latency_ticks"] == 0 {
 		t.Error("/v1/stats gpu load histogram count is zero after an executed run")
+	}
+}
+
+// TestSnapshotSpanOnlyForProbingJobs submits two untraced specs under a
+// distributed-trace context each. MT opens with a CPU produce phase and
+// probes the warm-prefix snapshot cache, so its trace dump carries one
+// snapshot span; PT initialises its data on the GPU, never probes, and
+// must carry none.
+func TestSnapshotSpanOnlyForProbingJobs(t *testing.T) {
+	base := startServer(t, mustNew(t, Options{Workers: 1}))
+	for _, tc := range []struct {
+		bench string
+		trace uint64
+		want  int
+	}{{"PT", 0x71, 0}, {"MT", 0x72, 1}} {
+		req, err := http.NewRequest(http.MethodPost, base+"/v1/runs", strings.NewReader(`{"bench":"`+tc.bench+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dtrace.SetHeaders(req.Header, tc.trace, 0)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := decodeResponse(t, resp)
+		resp.Body.Close()
+		waitStatus(t, base, sub.ID, "done", 30*time.Second)
+
+		code, body := getRaw(t, base+"/v1/traces/"+dtrace.FormatTraceID(tc.trace))
+		if code != http.StatusOK {
+			t.Fatalf("%s: GET trace dump: %d: %s", tc.bench, code, body)
+		}
+		var dump dtrace.Dump
+		if err := json.Unmarshal(body, &dump); err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for _, sp := range dump.Spans {
+			if sp.Kind == "snapshot" {
+				got++
+			}
+		}
+		if got != tc.want || len(dump.Spans) == 0 {
+			t.Errorf("%s: %d snapshot spans among %d, want %d", tc.bench, got, len(dump.Spans), tc.want)
+		}
 	}
 }
