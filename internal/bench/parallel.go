@@ -86,11 +86,13 @@ func (e JobError) Unwrap() error { return e.Err }
 // whatever partial data the failed comparison produced.
 type SweepError struct {
 	Failures []JobError
+	// Jobs is the number of jobs the sweep was given.
+	Jobs int
 }
 
 func (e *SweepError) Error() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d of sweep jobs failed:", len(e.Failures))
+	fmt.Fprintf(&b, "%d of %d sweep jobs failed:", len(e.Failures), e.Jobs)
 	for _, f := range e.Failures {
 		b.WriteString("\n  ")
 		b.WriteString(f.Error())
@@ -175,7 +177,7 @@ func SweepWithTimingsContext(ctx context.Context, jobs []SweepJob, opt SweepOpti
 	for i, err := range errs {
 		if err != nil {
 			if sweepErr == nil {
-				sweepErr = &SweepError{}
+				sweepErr = &SweepError{Jobs: len(jobs)}
 			}
 			sweepErr.Failures = append(sweepErr.Failures,
 				JobError{Index: i, Code: jobs[i].Code, In: jobs[i].In, Err: err})

@@ -89,6 +89,9 @@ func TestSweepAttemptsEveryJob(t *testing.T) {
 	if len(se.Failures) != 2 {
 		t.Fatalf("%d failures, want 2: %v", len(se.Failures), se)
 	}
+	if first, _, _ := strings.Cut(se.Error(), "\n"); first != "2 of 5 sweep jobs failed:" {
+		t.Errorf("sweep error opens %q, want %q", first, "2 of 5 sweep jobs failed:")
+	}
 	if se.Failures[0].Index != 1 || se.Failures[0].Code != "XX" ||
 		se.Failures[1].Index != 3 || se.Failures[1].Code != "YY" {
 		t.Errorf("failures misattributed: %+v", se.Failures)
@@ -105,11 +108,14 @@ func TestSweepAttemptsEveryJob(t *testing.T) {
 }
 
 func TestSweepErrorMessageListsAllFailures(t *testing.T) {
-	se := &SweepError{Failures: []JobError{
+	se := &SweepError{Jobs: 6, Failures: []JobError{
 		{Index: 0, Code: "XX", In: Small, Err: errors.New("boom")},
 		{Index: 5, Code: "YY", In: Big, Err: errors.New("bang")},
 	}}
 	msg := se.Error()
+	if first, _, _ := strings.Cut(msg, "\n"); first != "2 of 6 sweep jobs failed:" {
+		t.Errorf("sweep error opens %q, want the failure count of the job count", first)
+	}
 	for _, want := range []string{"XX", "YY", "boom", "bang"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("sweep error %q missing %q", msg, want)

@@ -76,6 +76,9 @@ func run(ctx context.Context, code string, cfg core.Config, in Input, store Snap
 	}
 	t0 := clock()
 	sys := core.NewSystem(cfg)
+	// Nothing reads the machine once the Result is built, so its arrays
+	// go back to the free lists for the next run.
+	defer func() { sys.Release() }()
 	w, err := Build(sys, code, in)
 	hp.SetupNS = clock() - t0
 	if err != nil {
@@ -97,6 +100,7 @@ func run(ctx context.Context, code string, cfg core.Config, in Input, store Snap
 			} else {
 				// A snapshot this build cannot restore (format or shape
 				// drift): discard the half-written system and run cold.
+				sys.Release()
 				sys = core.NewSystem(cfg)
 				if w, err = Build(sys, code, in); err != nil {
 					return Result{}, false, hp, err

@@ -49,11 +49,9 @@ type Config struct {
 	IndexShift uint
 }
 
-// Line is one cache-array entry. Tag stores the full line number, which
-// wastes a few simulated-set bits but keeps victim-address
-// reconstruction trivial.
+// Line is one cache-array entry's state. Its tag, the full line
+// number, lives in the cache's packed tag array beside it.
 type Line struct {
-	Tag   uint64
 	State uint8
 	Dirty bool
 }
@@ -75,10 +73,10 @@ type Cache struct {
 	numSets int
 	setMask uint64
 	lines   []Line // numSets * Ways, flattened
-	// tags mirrors lines for the way scan: tags[i] is lines[i].Tag when
-	// the line is valid and tagInvalid otherwise, so find touches 8
-	// packed bytes per way instead of a 24-byte Line. Every valid<->
-	// invalid transition and every tag write must keep it in sync.
+	// tags[i] is the full line number held by way i when lines[i] is
+	// valid and tagInvalid otherwise, so find scans 8 packed bytes per
+	// way. Every valid<->invalid transition must keep it in step with
+	// lines.
 	tags   []uint64
 	policy replacementPolicy
 
@@ -110,8 +108,8 @@ func New(cfg Config) *Cache {
 		cfg:     cfg,
 		numSets: numSets,
 		setMask: uint64(numSets - 1),
-		lines:   make([]Line, numSets*cfg.Ways),
-		tags:    make([]uint64, numSets*cfg.Ways),
+		lines:   lineFree.Get(numSets * cfg.Ways),
+		tags:    wordFree.Get(numSets * cfg.Ways),
 	}
 	for i := range c.tags {
 		c.tags[i] = tagInvalid
@@ -296,7 +294,7 @@ func (c *Cache) PeekVictim(a memsys.Addr) (Victim, bool) {
 	way := c.policy.victim(set)
 	l := c.line(set, way)
 	return Victim{
-		Addr:  memsys.Addr(l.Tag << memsys.LineShift),
+		Addr:  memsys.Addr(c.tags[set*c.cfg.Ways+way] << memsys.LineShift),
 		State: l.State,
 		Dirty: l.Dirty,
 	}, true
@@ -346,7 +344,7 @@ func (c *Cache) Insert(a memsys.Addr, state uint8, dirty bool) (v Victim, evicte
 		way = c.policy.victim(set)
 		old := c.line(set, way)
 		v = Victim{
-			Addr:  memsys.Addr(old.Tag << memsys.LineShift),
+			Addr:  memsys.Addr(c.tags[set*c.cfg.Ways+way] << memsys.LineShift),
 			State: old.State,
 			Dirty: old.Dirty,
 		}
@@ -356,7 +354,7 @@ func (c *Cache) Insert(a memsys.Addr, state uint8, dirty bool) (v Victim, evicte
 			c.ctr.Writebacks++
 		}
 	}
-	*c.line(set, way) = Line{Tag: memsys.LineNum(a), State: state, Dirty: dirty}
+	*c.line(set, way) = Line{State: state, Dirty: dirty}
 	c.tags[set*c.cfg.Ways+way] = memsys.LineNum(a)
 	c.policy.insert(set, way)
 	return v, evicted
@@ -401,4 +399,15 @@ func (c *Cache) ValidLines() int {
 		}
 	}
 	return n
+}
+
+// Release gives the array's lines, tags and replacement state to the
+// free lists for the next cache of the same geometry. Only the owner
+// may call it, after its last read of the array; afterwards only the
+// counters stay readable.
+func (c *Cache) Release() {
+	lineFree.Put(c.lines)
+	wordFree.Put(c.tags)
+	c.policy.release()
+	c.lines, c.tags, c.policy = nil, nil, nil
 }

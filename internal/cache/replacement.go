@@ -11,6 +11,8 @@ type replacementPolicy interface {
 	insert(set, way int)
 	// victim nominates the way to evict from a full set.
 	victim(set int) int
+	// release gives the policy's arrays to their free list.
+	release()
 }
 
 // lru is true least-recently-used via a per-line logical timestamp.
@@ -21,8 +23,10 @@ type lru struct {
 }
 
 func newLRU(numSets, ways int) *lru {
-	return &lru{ways: ways, last: make([]uint64, numSets*ways)}
+	return &lru{ways: ways, last: wordFree.Get(numSets * ways)}
 }
+
+func (p *lru) release() { wordFree.Put(p.last) }
 
 func (p *lru) stamp(set, way int) {
 	p.clock++
@@ -57,8 +61,10 @@ func newTreePLRU(numSets, ways int) *treePLRU {
 	for tw < ways {
 		tw *= 2
 	}
-	return &treePLRU{ways: ways, treeWays: tw, bits: make([]bool, numSets*(tw-1))}
+	return &treePLRU{ways: ways, treeWays: tw, bits: bitFree.Get(numSets * (tw - 1))}
 }
+
+func (p *treePLRU) release() { bitFree.Put(p.bits) }
 
 // setBits returns the slice of tree bits for one set.
 func (p *treePLRU) setBits(set int) []bool {
@@ -123,12 +129,14 @@ type srrip struct {
 const srripMax = 3
 
 func newSRRIP(numSets, ways int) *srrip {
-	p := &srrip{ways: ways, rrpv: make([]uint8, numSets*ways)}
+	p := &srrip{ways: ways, rrpv: rrpvFree.Get(numSets * ways)}
 	for i := range p.rrpv {
 		p.rrpv[i] = srripMax
 	}
 	return p
 }
+
+func (p *srrip) release() { rrpvFree.Put(p.rrpv) }
 
 func (p *srrip) touch(set, way int) { p.rrpv[set*p.ways+way] = 0 }
 
@@ -161,3 +169,4 @@ func newRandomPolicy(ways int, seed uint64) *randomPolicy {
 func (p *randomPolicy) touch(int, int)  {}
 func (p *randomPolicy) insert(int, int) {}
 func (p *randomPolicy) victim(int) int  { return p.rng.Intn(p.ways) }
+func (p *randomPolicy) release()        {}

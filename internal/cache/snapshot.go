@@ -13,9 +13,9 @@ const (
 )
 
 // SnapshotTo serialises the array contents (valid lines, sparse), the
-// replacement-policy state and the counters. The tags mirror is not
-// serialised: RestoreFrom rebuilds it from the lines, so the mirror
-// invariant holds by construction on the restored side.
+// replacement-policy state and the counters. Each valid line is
+// written with its tag; invalid ways are not written, and RestoreFrom
+// marks every way it does not read invalid.
 func (c *Cache) SnapshotTo(w *snap.Writer) {
 	w.Tag("cache")
 	w.String(c.cfg.Name)
@@ -35,7 +35,7 @@ func (c *Cache) SnapshotTo(w *snap.Writer) {
 			continue
 		}
 		w.U32(uint32(i))
-		w.U64(l.Tag)
+		w.U64(c.tags[i])
 		w.U8(l.State)
 		w.Bool(l.Dirty)
 	}
@@ -98,7 +98,7 @@ func (c *Cache) RestoreFrom(r *snap.Reader) {
 			r.Failf("cache %s: invalid snapshot line entry (idx %d, state %d)", c.cfg.Name, i, state)
 			return
 		}
-		c.lines[i] = Line{Tag: tag, State: state, Dirty: dirty}
+		c.lines[i] = Line{State: state, Dirty: dirty}
 		c.tags[i] = tag
 	}
 

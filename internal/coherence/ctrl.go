@@ -125,7 +125,7 @@ func NewCtrl(engine *sim.Engine, cfg CtrlConfig, xbar interconnect.Network, mem 
 		mem:           mem,
 		l2:            cache.New(cfg.L2),
 		mshr:          cache.NewMSHR(cfg.MSHRs),
-		lines:         newLineTab[lineState](cfg.L2.IndexShift, uint64(cfg.Slice)),
+		lines:         newLineTab(cfg.L2.IndexShift, uint64(cfg.Slice), statePages),
 		remotePending: make(map[memsys.Addr][]*memsys.Request),
 	}
 	if cfg.L1 != nil {
@@ -137,6 +137,18 @@ func NewCtrl(engine *sim.Engine, cfg CtrlConfig, xbar interconnect.Network, mem 
 
 // Name returns the controller's network port name.
 func (c *Ctrl) Name() string { return c.name }
+
+// Release gives the controller's cache arrays and line-table pages to
+// their free lists (see cache.FreeList). Only the machine's owner may
+// call it, after its last read; afterwards only the counters stay
+// readable.
+func (c *Ctrl) Release() {
+	if c.l1 != nil {
+		c.l1.Release()
+	}
+	c.l2.Release()
+	c.lines.release()
+}
 
 // CtrlCounters are a cache controller's protocol event counts.
 type CtrlCounters struct {

@@ -3,6 +3,7 @@ package coherence
 import (
 	"fmt"
 
+	"dstore/internal/cache"
 	"dstore/internal/memsys"
 )
 
@@ -21,8 +22,9 @@ const (
 //
 // The table is paged: fixed-size pages are allocated on first write
 // and never move, so growth copies no entries and a pointer returned
-// by at() stays valid for the table's lifetime (a snapshot restore
-// replaces the whole table).
+// by at() stays valid until release (a snapshot restore releases the
+// whole table first). Pages come from the table's free list, zeroed,
+// and release gives them back.
 //
 // A table may hold one slice's share of an interleaved address space:
 // the lines whose number has part in its low shift bits, stored at
@@ -36,15 +38,23 @@ type lineTab[T any] struct {
 	pages []*[pageLen]T
 	shift uint
 	part  uint64
+	free  *cache.FreeList[T]
 }
 
+// The page free lists, one per entry type.
+var (
+	statePages = cache.NewFreeList[lineState]()
+	txnPages   = cache.NewFreeList[*txn]()
+	verPages   = cache.NewFreeList[uint64]()
+)
+
 // newLineTab returns an empty table holding the lines whose low shift
-// line-number bits equal part.
-func newLineTab[T any](shift uint, part uint64) lineTab[T] {
+// line-number bits equal part, drawing its pages from free.
+func newLineTab[T any](shift uint, part uint64, free *cache.FreeList[T]) lineTab[T] {
 	if part>>shift != 0 {
 		panic(fmt.Sprintf("coherence: line table part %d out of range for shift %d", part, shift))
 	}
-	return lineTab[T]{shift: shift, part: part}
+	return lineTab[T]{shift: shift, part: part, free: free}
 }
 
 // local returns a held line's entry index, or false for a line of
@@ -77,7 +87,18 @@ func (t *lineTab[T]) addPage(p uint64) {
 	for p >= uint64(len(t.pages)) {
 		t.pages = append(t.pages, nil)
 	}
-	t.pages[p] = new([pageLen]T)
+	t.pages[p] = (*[pageLen]T)(t.free.Get(pageLen))
+}
+
+// release gives every page to the free list and leaves the table
+// empty.
+func (t *lineTab[T]) release() {
+	for _, page := range t.pages {
+		if page != nil {
+			t.free.Put(page[:])
+		}
+	}
+	t.pages = nil
 }
 
 // get returns a line's entry by value without allocating: the zero

@@ -14,7 +14,7 @@ func lineAddr(n uint64) memsys.Addr { return memsys.Addr(n << memsys.LineShift) 
 // entry pointer survives any number of later writes, however far they
 // extend the table.
 func TestLineTabPointersStayValid(t *testing.T) {
-	var tab lineTab[uint64]
+	tab := newLineTab(0, 0, verPages)
 	p := tab.at(lineAddr(3))
 	*p = 7
 	for n := uint64(100); n < 20*pageLen; n += 97 {
@@ -33,7 +33,7 @@ func TestLineTabPointersStayValid(t *testing.T) {
 // TestLineTabEachAscendingGlobal checks that a slice's table reports
 // entries under their global line numbers, in ascending order.
 func TestLineTabEachAscendingGlobal(t *testing.T) {
-	tab := newLineTab[uint64](2, 3)
+	tab := newLineTab(2, 3, verPages)
 	for _, n := range []uint64{4099, 7, 3, 2051} {
 		*tab.at(lineAddr(n)) = n
 	}

@@ -93,8 +93,17 @@ func NewMemCtrl(engine *sim.Engine, name string, xbar interconnect.Network, d *d
 		xbar:         xbar,
 		dram:         d,
 		probeTargets: probeTargets,
+		busy:         newLineTab(0, 0, txnPages),
 		queued:       make(map[memsys.Addr][]ReqMsg),
+		dramVer:      newLineTab(0, 0, verPages),
 	}
+}
+
+// Release gives the ordering point's line-table pages to their free
+// lists, under the same rule as Ctrl.Release.
+func (m *MemCtrl) Release() {
+	m.busy.release()
+	m.dramVer.release()
 }
 
 // Name returns the controller's crossbar port name.

@@ -73,7 +73,7 @@ func (c *Ctrl) RestoreFrom(r *snap.Reader) {
 	c.portFree = sim.Tick(r.I64())
 	c.wbCount = int(r.U32())
 
-	c.lines.pages = nil
+	c.lines.release()
 	n := r.U32()
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		line := memsys.Addr(r.U64() << memsys.LineShift)
@@ -152,7 +152,7 @@ func (m *MemCtrl) RestoreFrom(r *snap.Reader) {
 		r.Failf("coherence %s: restore into an ordering point with transactions open", m.name)
 		return
 	}
-	m.dramVer = lineTab[uint64]{}
+	m.dramVer.release()
 	n := r.U32()
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		idx := r.U64()

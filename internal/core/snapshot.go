@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"dstore/internal/interconnect"
 	"dstore/internal/snap"
@@ -20,6 +21,11 @@ const (
 // participates in snapshot cache keys so a format change can never
 // resurrect stale state.
 func SnapshotVersion() uint32 { return snapshotVersion }
+
+// scratch holds encode buffers between snapshots. Snapshot borrows
+// one, encodes into it and returns an exact-length copy, so a steady
+// stream of snapshots allocates only the blobs.
+var scratch = sync.Pool{New: func() any { return &snap.Writer{} }}
 
 // VerifySnapshotHeader checks that data opens with the DSSNAP
 // container fingerprint this build reads: the magic string and the
@@ -61,7 +67,11 @@ func (s *System) Snapshot() ([]byte, error) {
 	if s.Cfg.Chaos != nil {
 		return nil, fmt.Errorf("core: snapshot of a chaos-injected system")
 	}
-	w := &snap.Writer{}
+	w := scratch.Get().(*snap.Writer)
+	defer func() {
+		w.Reset()
+		scratch.Put(w)
+	}()
 	w.String(snapshotMagic)
 	w.U32(snapshotVersion)
 
@@ -90,7 +100,9 @@ func (s *System) Snapshot() ([]byte, error) {
 	s.Direct.SnapshotTo(w)
 	s.DRAM.SnapshotTo(w)
 	s.ctr.Rows().SnapshotTo(w)
-	return w.Bytes(), nil
+	blob := make([]byte, w.Len())
+	copy(blob, w.Bytes())
+	return blob, nil
 }
 
 func (s *System) snapshotNet(w *snap.Writer) {

@@ -474,6 +474,23 @@ func NewSystem(cfg Config) *System {
 	return s
 }
 
+// Release gives the machine's cache arrays and coherence line-table
+// pages to the free lists the next NewSystem draws from, so a stream
+// of jobs allocates only what one machine holds (DESIGN.md, "Machine
+// lifetime"). Only the machine's owner may call it, after its last
+// read of the machine; afterwards only its counters stay readable. A
+// Result, an observer's exports and a Snapshot blob hold no reference
+// to the released arrays. A machine that is never released is simply
+// collected.
+func (s *System) Release() {
+	s.CPUCtrl.Release()
+	for _, sl := range s.Slices {
+		sl.Release()
+	}
+	s.Mem.Release()
+	s.GPU.Release()
+}
+
 // prefetchAfter issues next-line prefetches into whichever slices own
 // the following lines (lines interleave, so the neighbours usually live
 // in other slices).

@@ -258,6 +258,14 @@ func New(engine *sim.Engine, cfg Config, tlb *mmu.TLB, vers *cpu.VersionSource,
 	return g
 }
 
+// Release gives every SM's L1 array to the cache free lists, under the
+// rule of cache.Cache.Release.
+func (g *GPU) Release() {
+	for _, s := range g.sms {
+		s.l1.Release()
+	}
+}
+
 // Counters are the SM array's kernel, memory-operation and stall counts.
 type Counters struct {
 	KernelLaunches, GlobalLoadLines, GlobalStoreLines, SharedOps uint64

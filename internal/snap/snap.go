@@ -66,6 +66,9 @@ func (w *Writer) Tag(name string) {
 	w.String(name)
 }
 
+// Reset empties the stream and keeps its buffer for the next one.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
 // Bytes returns the accumulated stream.
 func (w *Writer) Bytes() []byte { return w.buf }
 

@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -46,7 +47,8 @@ const DefaultMaxBytes = 256 << 20
 
 // VerifyFunc deep-checks an entry body beyond the content hash (e.g.
 // the DSSNAP container header for snapshot entries). A non-nil error
-// quarantines the entry at Open.
+// quarantines the entry at Open. It must not keep body: at Open every
+// entry is read into one reused buffer.
 type VerifyFunc func(body []byte) error
 
 // Options configures Open.
@@ -211,8 +213,11 @@ func (s *Store) scan() error {
 		}
 		return all[i].key < all[j].key
 	})
+	// One buffer, grown to the largest entry, holds each entry while it
+	// is verified.
+	var buf []byte
 	for _, f := range all {
-		body, err := s.readEntry(f.path, f.key)
+		body, err := s.readEntry(f.path, f.key, &buf)
 		if err != nil {
 			s.quarantine(f.path, f.key)
 			continue
@@ -225,9 +230,10 @@ func (s *Store) scan() error {
 }
 
 // readEntry reads and fully verifies one entry file: magic, declared
-// length, content hash, and the namespace deep check.
-func (s *Store) readEntry(path, key string) ([]byte, error) {
-	raw, err := os.ReadFile(path)
+// length, content hash, and the namespace deep check. The file is
+// read into *buf, so the body aliases *buf until the next call.
+func (s *Store) readEntry(path, key string, buf *[]byte) ([]byte, error) {
+	raw, err := readFile(path, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -250,6 +256,28 @@ func (s *Store) readEntry(path, key string) ([]byte, error) {
 		}
 	}
 	return body, nil
+}
+
+// readFile reads a whole file into *buf, grown as needed.
+func readFile(path string, buf *[]byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	n := int(info.Size())
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	raw := (*buf)[:n]
+	if _, err := io.ReadFull(f, raw); err != nil {
+		return nil, err
+	}
+	return raw, nil
 }
 
 func namespaceOf(key string) string {
@@ -339,7 +367,8 @@ func (s *Store) Get(ns, key string) ([]byte, bool) {
 	s.ll.MoveToFront(el)
 	s.mu.Unlock()
 
-	body, err := s.readEntry(s.path(full), full)
+	var buf []byte // the caller keeps the body
+	body, err := s.readEntry(s.path(full), full, &buf)
 	if err != nil {
 		// On-disk rot after Open: drop the index entry and set it aside.
 		s.mu.Lock()

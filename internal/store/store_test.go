@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -174,6 +175,71 @@ func TestOpenQuarantinesCorruptEntries(t *testing.T) {
 	}
 	if len(q) != 2 {
 		t.Fatalf("quarantine holds %d files, want 2", len(q))
+	}
+}
+
+// TestOpenVerifiesThroughOneBuffer reopens a store of many entries:
+// every entry is still fully verified (the corrupt one is quarantined,
+// the verifier sees each body whole), yet the scan allocates in
+// proportion to the largest entry, not to the sum of them, because
+// every entry is read into one reused buffer.
+func TestOpenVerifiesThroughOneBuffer(t *testing.T) {
+	const entries, size = 32, 64 << 10
+	dir := t.TempDir()
+	s := mustOpen(t, Options{Dir: dir})
+	bodies := make(map[string][]byte)
+	for i := 0; i < entries; i++ {
+		body := bytes.Repeat([]byte{byte('a' + i%26)}, size-i) // sizes differ: a shorter entry reuses a longer one's buffer
+		k := keyOf(fmt.Sprint("buf", i))
+		bodies[k] = body
+		if err := s.Put("snap", k, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := keyOf("buf-bad")
+	if err := s.Put("snap", bad, []byte("short corrupt body")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	corruptEntryFile(t, dir, "snap", bad)
+
+	verified := 0
+	verify := func(b []byte) error {
+		verified++
+		if len(b) == 0 || len(b) > size || bytes.Count(b, b[:1]) != len(b) {
+			return fmt.Errorf("verifier saw a mixed body of %d bytes", len(b))
+		}
+		return nil
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s2 := mustOpen(t, Options{Dir: dir, Verify: map[string]VerifyFunc{"snap": verify}})
+	runtime.ReadMemStats(&after)
+
+	if st := s2.Stats(); st.Corrupt != 1 || st.Entries != entries {
+		t.Fatalf("stats = %+v, want 1 corrupt / %d entries", st, entries)
+	}
+	if verified != entries {
+		t.Errorf("verifier ran on %d bodies, want %d", verified, entries)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*size {
+		t.Errorf("reopen allocated %d bytes for %d entries of up to %d bytes, want at most %d",
+			alloc, entries, size, 4*size)
+	}
+	var held [][]byte
+	for k, want := range bodies { //dstore:allow-maprange order does not matter
+		got, ok := s2.Get("snap", k)
+		if !ok || !bytes.Equal(got, want) {
+			t.Fatalf("entry %s: got %d bytes, ok=%v", k[:8], len(got), ok)
+		}
+		held = append(held, got)
+	}
+	for _, b := range held {
+		if bytes.Count(b, b[:1]) != len(b) {
+			t.Fatal("a body returned by Get changed under a later Get")
+		}
 	}
 }
 
