@@ -11,7 +11,7 @@
 //	dstore-modelcheck                           # the standard sweep
 //	dstore-modelcheck -mutate bypass-no-wbbuf   # re-introduce the PR 3 lost-store race
 //	dstore-modelcheck -agents 2 -lines 1 -stores 3 -v
-//	dstore-modelcheck -json -min-states 3000000 # CI: machine output + state floor
+//	dstore-modelcheck -json -min-states 4196406 # CI: machine output + state floor
 //	dstore-modelcheck -coverage internal/coherence/testdata/reachability.json
 package main
 

@@ -120,9 +120,9 @@ type Options struct {
 	Coverage map[CoveragePair]bool
 }
 
-// checker is the per-run context shared by workers: the immutable
-// configuration and the two concurrent structures, the visited set and
-// the frontier block pool.
+// checker is the per-exploration context shared by workers: the
+// immutable configuration and the two concurrent structures, the
+// visited set and the frontier block pool.
 type checker struct {
 	cfg   Config
 	proto coherence.Protocol
@@ -150,15 +150,24 @@ const (
 // block is a run of frontier states and their fingerprints, filled by
 // one worker. Slots past n hold former states or zeroes, so every slot
 // keeps the dead-message-slots-zero invariant copyLive relies on.
+//
+// While its level is expanded, size is the state count snapshotted at
+// the level barrier and left counts the chunks not yet expanded; the
+// worker that expands the last chunk releases the block at once, so
+// another worker may refill it (resetting n) while the level's chunk
+// loop still bounds its claims on this block by size.
 type block struct {
-	n  int
-	fp [blockSize]uint64
-	st [blockSize]state
+	n    int
+	size int
+	left atomic.Int32
+	fp   [blockSize]uint64
+	st   [blockSize]state
 }
 
 // blockPool is a run's frontier storage. Each worker fills its own
 // block and hands it to next, the level being built, once it is full;
-// at the level barrier the expanded level's blocks return to free. The
+// a block of the level being expanded returns to free as soon as its
+// last chunk is expanded, so about one level is resident, not two. The
 // mutex is taken once per block, not per state.
 type blockPool struct {
 	mu   sync.Mutex
@@ -182,6 +191,13 @@ func (p *blockPool) swap(full *block) *block {
 	p.free = p.free[:n-1]
 	b.n = 0
 	return b
+}
+
+// release returns an expanded block to the free list.
+func (p *blockPool) release(b *block) {
+	p.mu.Lock()
+	p.free = append(p.free, b)
+	p.mu.Unlock()
 }
 
 // worker is one BFS worker's private scratch: the frontier block it is
@@ -212,8 +228,8 @@ func (w *worker) keep(p *blockPool, s *state, fp uint64) {
 // cand is one discovered violation, kept until the level barrier and
 // then deterministically minimised. It deliberately carries nothing
 // about HOW the violation was discovered: which worker found it and
-// from which parent are races, so the trace is reconstructed from the
-// visited table's parent chain, whose per-level min-fingerprint
+// from which parent are races, so the trace is reconstructed from a
+// tracing table's parent chain, whose per-level min-fingerprint
 // tie-break has settled deterministically by the time exploration
 // stops.
 type cand struct {
@@ -265,19 +281,28 @@ func (c *checker) checkState(w *worker, s *state) string {
 
 var lineLabels = [maxLines]string{"0", "1"}
 
-func newChecker(cfg Config) *checker {
+func newChecker(cfg Config, table *fpTable) *checker {
 	return &checker{
 		cfg:   cfg,
 		proto: coherence.ProtocolFor(cfg.DirectLines > 0, cfg.Resilient, cfg.WriteThroughPush),
 		group: symGroup(cfg),
-		table: newFPTable(),
+		table: table,
 		pushE: coherence.PushEvent(cfg.WriteThroughPush),
 	}
 }
 
-// newWorker builds a worker whose recorder counts mm-install checks
-// (every push install the model fires) and feeds the optional coverage
-// set, guarded by covMu.
+// newWorkers builds n workers whose recorders count mm-install checks
+// (every push install the model fires) and feed the optional coverage
+// set under one shared mutex.
+func (c *checker) newWorkers(n int, coverage map[CoveragePair]bool) []*worker {
+	covMu := new(sync.Mutex)
+	ws := make([]*worker, n)
+	for i := range ws {
+		ws[i] = c.newWorker(coverage, covMu)
+	}
+	return ws
+}
+
 func (c *checker) newWorker(coverage map[CoveragePair]bool, covMu *sync.Mutex) *worker {
 	names := make([]string, c.cfg.Agents)
 	for a := range names {
@@ -316,11 +341,12 @@ func Check(cfg Config) (*Result, error) { return CheckOpts(cfg, Options{}) }
 // containing an invariant violation. A nil Result.Violation means the
 // protocol is safe within the configured bounds.
 //
-// Determinism: the visited set is keyed by state fingerprints, parent
-// pointers tie-break to the smallest fingerprint within a level, and
-// violations are minimised under candLess after each level barrier —
-// so States, Invariants and the counterexample are independent of
-// worker count and scheduling.
+// Determinism: the visited set is keyed by state fingerprints and
+// violations are minimised under candLess after each level barrier, so
+// States, Invariants and the chosen violation are independent of
+// worker count and scheduling. The counterexample comes from a second
+// exploration over a tracing table, whose parent pointers tie-break to
+// the smallest fingerprint within a level.
 func CheckOpts(cfg Config, opt Options) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -329,28 +355,32 @@ func CheckOpts(cfg Config, opt Options) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	c := newChecker(cfg)
-	res := &Result{Config: cfg, Workers: workers}
-
-	var covMu sync.Mutex
-	ws := make([]*worker, workers)
-	for i := range ws {
-		ws[i] = c.newWorker(opt.Coverage, &covMu)
+	c := newChecker(cfg, newFPTable(workers > 1, false))
+	ws := c.newWorkers(workers, opt.Coverage)
+	best, maxDepth := c.explore(ws)
+	res := &Result{Config: cfg, Workers: workers, States: c.table.count(), MaxDepth: maxDepth}
+	c.mergeCounts(res, ws)
+	if best != nil {
+		res.Violation = buildViolation(cfg, workers, best)
 	}
+	return res, nil
+}
 
-	c.table.par = workers > 1
-	init := canonical(cfg, c.group, initial(cfg))
+// explore runs the BFS from the initial state until a level yields a
+// violation or the frontier empties. It returns the minimal violation
+// candidate (nil if none) and the depth of the deepest level reached.
+// Workers claim the level chunk by chunk, bounded by each block's size
+// (see block).
+func (c *checker) explore(ws []*worker) (best *cand, maxDepth int) {
+	init := canonical(c.cfg, c.group, initial(c.cfg))
 	initFP := fpState(&init)
 	c.table.insert(initFP, initFP, 0)
 	if msg := c.checkState(ws[0], &init); msg != "" {
-		res.States, res.Violation = 1, &Violation{Message: msg, Final: dump(cfg, &init)}
-		c.mergeCounts(res, ws)
-		return res, nil
+		return &cand{msg: msg, st: init}, 0
 	}
 
 	ws[0].keep(&c.pool, &init, initFP)
 	frontier := c.advance(nil, ws)
-	var best *cand
 	for depth := int32(0); len(frontier) > 0; depth++ {
 		var cursor atomic.Int64
 		var wg sync.WaitGroup
@@ -364,8 +394,14 @@ func CheckOpts(cfg Config, opt Options) (*Result, error) {
 						return
 					}
 					b, lo := frontier[i/chunksPerBlock], i%chunksPerBlock*chunk
-					for j := lo; j < min(lo+chunk, b.n); j++ {
+					if lo >= b.size {
+						continue
+					}
+					for j := lo; j < min(lo+chunk, b.size); j++ {
 						c.expand(w, &b.st[j], b.fp[j], depth)
+					}
+					if b.left.Add(-1) == 0 {
+						c.pool.release(b)
 					}
 				}
 			}(w)
@@ -386,30 +422,28 @@ func CheckOpts(cfg Config, opt Options) (*Result, error) {
 			break
 		}
 		if len(frontier) > 0 {
-			res.MaxDepth = int(depth) + 1
+			maxDepth = int(depth) + 1
 		}
 	}
-
-	res.States = c.table.count()
-	c.mergeCounts(res, ws)
-	if best != nil {
-		res.Violation = c.buildViolation(best, init, initFP)
-	}
-	return res, nil
+	return best, maxDepth
 }
 
-// advance ends a BFS level: the expanded level's blocks return to the
-// free list, and the blocks built during it, full ones plus each
-// worker's partly filled one, become the new frontier.
+// advance ends a BFS level: the blocks built during it, full ones plus
+// each worker's partly filled one, become the new frontier, each with
+// its size snapshotted and its chunks counted. The expanded level's
+// blocks are already back on the free list.
 func (c *checker) advance(frontier []*block, ws []*worker) []*block {
 	p := &c.pool
-	p.free = append(p.free, frontier...)
 	frontier, p.next = p.next, frontier[:0]
 	for _, w := range ws {
 		if w.cur != nil {
 			frontier = append(frontier, w.cur)
 			w.cur = nil
 		}
+	}
+	for _, b := range frontier {
+		b.size = b.n
+		b.left.Store(int32((b.n + chunk - 1) / chunk))
 	}
 	return frontier
 }
@@ -462,32 +496,35 @@ func (c *checker) mergeCounts(res *Result, ws []*worker) {
 	}
 }
 
-// buildViolation reconstructs the minimal counterexample for the
-// chosen candidate: walk the fingerprint parent chain back to the
+// buildViolation reconstructs the minimal counterexample for v, the
+// candidate a plain exploration chose: explore the same levels again
+// over a tracing table, walk its fingerprint parent chain back to the
 // root, forward-replay successors matching each fingerprint to recover
 // the action labels, then label the final violating step by exact
 // state match.
-func (c *checker) buildViolation(v *cand, init state, initFP uint64) *Violation {
-	// Parent chain, root-first, from the visited table: every
-	// candidate's state was inserted before its violation was
-	// detected, and the table's per-level min-parent tie-break is the
+func buildViolation(cfg Config, workers int, v *cand) *Violation {
+	// The re-run inserts the same states from the same parents and
+	// stops after the same level, so every state on v's path is in
+	// the table, and its per-level min-parent tie-break is the
 	// deterministic path source (the discovering worker's own parent
 	// is a race).
+	c := newChecker(cfg, newFPTable(workers > 1, true))
+	c.explore(c.newWorkers(workers, nil))
 	var chain []uint64
 	for fp := fpState(&v.st); ; {
 		chain = append(chain, fp)
-		e, ok := c.table.lookup(fp)
-		if !ok || e.depth == 0 {
+		parent, depth, ok := c.table.lookup(fp)
+		if !ok || depth == 0 {
 			break
 		}
-		fp = e.parentFP
+		fp = parent
 	}
 	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
 		chain[i], chain[j] = chain[j], chain[i]
 	}
 
 	var trace []string
-	cur := init
+	cur := canonical(cfg, c.group, initial(cfg))
 	for _, fp := range chain[1:] {
 		found := false
 		successors(c.cfg, &cur, true, nil, func(ns *state, label, _ string) {

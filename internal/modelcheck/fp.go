@@ -9,10 +9,12 @@ import (
 
 // Hash-compacted visited set (Wolper/Leroy bit-state hashing's exact
 // cousin): instead of storing every explored state (~300 bytes each),
-// the checker stores a 64-bit fingerprint plus the parent fingerprint
-// and BFS depth — 24 bytes per state, no pointer churn, no GC
-// pressure. Counterexample traces are rebuilt by walking the parent
-// chain and forward-replaying successors to match fingerprints.
+// the checker stores its 64-bit fingerprint — 8 bytes per state, no
+// pointer churn, no GC pressure. A run that finds a violation explores
+// its levels a second time with a tracing table, which also keeps each
+// state's minimal parent fingerprint and BFS depth; the counterexample
+// is rebuilt by walking that parent chain and forward-replaying
+// successors to match fingerprints.
 //
 // The price is a vanishing probability of a collision silently merging
 // two distinct states (and hiding whatever lies beyond one of them):
@@ -101,14 +103,6 @@ func fingerprint(b []byte) uint64 {
 	return h
 }
 
-// fpEntry is one visited state: its fingerprint, the fingerprint of
-// its minimal parent (the trace pointer) and its BFS depth. The root
-// entry's parentFP is its own fingerprint.
-type fpEntry struct {
-	fp, parentFP uint64
-	depth        int32
-}
-
 // fpShards is the number of independently locked table shards. Shard
 // selection uses high fingerprint bits, slot probing uses low bits, so
 // the two never correlate.
@@ -117,44 +111,62 @@ const fpShards = 64
 // fpTable is the sharded insert-only visited set. With a single BFS
 // worker (the common 1-CPU CI case) par is false and insert skips the
 // shard locks entirely — the uncontended lock/unlock pair still costs
-// ~6% of a big run.
+// ~6% of a big run. A plain table holds fingerprints only; a tracing
+// table (trace true) also keeps each state's parent and depth, which
+// only counterexample reconstruction reads.
 type fpTable struct {
-	par    bool
-	shards [fpShards]fpShard
+	par, trace bool
+	shards     [fpShards]fpShard
 }
 
+// fpShard is one open-addressing shard: fps is the probed slot array
+// (0 marks an empty slot). In a tracing table parent[i] and depth[i]
+// belong to fps[i]; the root's parent is its own fingerprint.
 type fpShard struct {
-	mu      sync.Mutex
-	mask    uint64
-	n       int
-	entries []fpEntry
+	mu     sync.Mutex
+	mask   uint64
+	n      int
+	fps    []uint64
+	parent []uint64
+	depth  []int32
 }
 
 // fpInitBits sizes each shard's initial slot array (2^14 slots × 64
-// shards × 24 bytes = 25 MB). Sized so sweep-scale runs (~2M states,
-// ~30K entries per shard) rehash at most once or twice: growth
-// rehashes re-place every entry, but starting bigger measurably hurts
-// — random probes over a large sparse table miss cache and TLB more
-// than the occasional rehash costs.
+// shards × 8 bytes = 8 MB for a plain table). Sized so sweep-scale runs
+// (~2M states, ~30K entries per shard) rehash at most once or twice:
+// growth rehashes re-place every entry, but starting bigger measurably
+// hurts — random probes over a large sparse table miss cache and TLB
+// more than the occasional rehash costs.
 const fpInitBits = 14
 
-func newFPTable() *fpTable {
-	t := &fpTable{}
+func newFPTable(par, trace bool) *fpTable {
+	t := &fpTable{par: par, trace: trace}
 	for i := range t.shards {
-		t.shards[i].entries = make([]fpEntry, 1<<fpInitBits)
-		t.shards[i].mask = 1<<fpInitBits - 1
+		t.shards[i].alloc(1<<fpInitBits, trace)
 	}
 	return t
+}
+
+// alloc gives the shard empty arrays of size slots.
+func (sh *fpShard) alloc(size int, trace bool) {
+	sh.mask = uint64(size - 1)
+	sh.fps = make([]uint64, size)
+	if trace {
+		sh.parent = make([]uint64, size)
+		sh.depth = make([]int32, size)
+	}
 }
 
 func (t *fpTable) shard(fp uint64) *fpShard {
 	return &t.shards[(fp>>52)&(fpShards-1)]
 }
 
-// insert records fp at depth with parent parentFP, returning whether
-// the state is new. Re-inserting at the same depth keeps the smallest
-// parent fingerprint — the deterministic tie-break that makes
-// counterexample traces byte-identical at any worker count.
+// insert records fp, reached at depth from parentFP, returning whether
+// the state is new. A tracing table keeps, among the parents that
+// reach fp at its first depth, the smallest fingerprint — the
+// deterministic tie-break that makes counterexample traces
+// byte-identical at any worker count. A plain table ignores parentFP
+// and depth.
 func (t *fpTable) insert(fp, parentFP uint64, depth int32) bool {
 	sh := t.shard(fp)
 	if t.par {
@@ -163,18 +175,20 @@ func (t *fpTable) insert(fp, parentFP uint64, depth int32) bool {
 	}
 	i := fp & sh.mask
 	for {
-		e := &sh.entries[i]
-		if e.fp == 0 {
-			*e = fpEntry{fp: fp, parentFP: parentFP, depth: depth}
+		switch sh.fps[i] {
+		case 0:
+			sh.fps[i] = fp
+			if t.trace {
+				sh.parent[i], sh.depth[i] = parentFP, depth
+			}
 			sh.n++
 			if uint64(sh.n)*4 > (sh.mask+1)*3 {
-				sh.grow()
+				sh.grow(t.trace)
 			}
 			return true
-		}
-		if e.fp == fp {
-			if e.depth == depth && parentFP < e.parentFP {
-				e.parentFP = parentFP
+		case fp:
+			if t.trace && sh.depth[i] == depth && parentFP < sh.parent[i] {
+				sh.parent[i] = parentFP
 			}
 			return false
 		}
@@ -182,39 +196,37 @@ func (t *fpTable) insert(fp, parentFP uint64, depth int32) bool {
 	}
 }
 
-// lookup returns the entry for fp. Called only after exploration
-// settles (trace reconstruction), so it still takes the shard lock but
-// is never hot.
-func (t *fpTable) lookup(fp uint64) (fpEntry, bool) {
+// lookup returns the parent and depth recorded for fp in a tracing
+// table. Called only after exploration settles (trace reconstruction),
+// so it still takes the shard lock but is never hot.
+func (t *fpTable) lookup(fp uint64) (parentFP uint64, depth int32, ok bool) {
 	sh := t.shard(fp)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	i := fp & sh.mask
-	for {
-		e := sh.entries[i]
-		if e.fp == 0 {
-			return fpEntry{}, false
+	for i := fp & sh.mask; sh.fps[i] != 0; i = (i + 1) & sh.mask {
+		if sh.fps[i] == fp {
+			return sh.parent[i], sh.depth[i], true
 		}
-		if e.fp == fp {
-			return e, true
-		}
-		i = (i + 1) & sh.mask
 	}
+	return 0, 0, false
 }
 
-func (sh *fpShard) grow() {
-	old := sh.entries
-	sh.mask = sh.mask*2 + 1
-	sh.entries = make([]fpEntry, sh.mask+1)
-	for _, e := range old {
-		if e.fp == 0 {
+// grow doubles the shard and re-places every entry.
+func (sh *fpShard) grow(trace bool) {
+	fps, parent, depth := sh.fps, sh.parent, sh.depth
+	sh.alloc(len(fps)*2, trace)
+	for j, fp := range fps {
+		if fp == 0 {
 			continue
 		}
-		i := e.fp & sh.mask
-		for sh.entries[i].fp != 0 {
+		i := fp & sh.mask
+		for sh.fps[i] != 0 {
 			i = (i + 1) & sh.mask
 		}
-		sh.entries[i] = e
+		sh.fps[i] = fp
+		if trace {
+			sh.parent[i], sh.depth[i] = parent[j], depth[j]
+		}
 	}
 }
 

@@ -39,16 +39,26 @@ func TestStateNoPadding(t *testing.T) {
 // invariant counts, and byte-identical counterexamples — at every
 // worker count, on both clean and violating configurations. Run under
 // -race this also exercises the worker pool for data races.
+//
+// The small configs fit each level in one frontier block. The two-line
+// bypass product (263,848 states) has a widest level of 24,932 states,
+// seven blocks, so blocks are released and refilled while their level
+// is still being expanded; -short skips it, `make race` runs it.
 func TestParallelDeterminism(t *testing.T) {
+	wide := Config{Agents: 3, Lines: 2, DirectLines: 1, MaxStores: 1, MaxEvicts: 1, MaxLoads: 2, Bypass: true}
 	cfgs := []Config{
 		{Agents: 3, Lines: 1, DirectLines: 1, MaxStores: 2},
 		{Agents: 3, Lines: 1, MaxStores: 1, MaxEvicts: 1, MaxLoads: 2, Mutation: MutSkipInvalidate},
 		{Agents: 3, Lines: 1, MaxStores: 1, MaxEvicts: 1, MaxLoads: 2, Bypass: true, Mutation: MutBypassNoWBBuf},
 		{Agents: 4, GPUs: 2, Lines: 2, DirectLines: 2, MaxStores: 1, MaxEvicts: 1, MaxLoads: 1, Symmetry: true},
+		wide,
 	}
 	for _, cfg := range cfgs {
 		cfg := cfg
 		t.Run(cfg.String(), func(t *testing.T) {
+			if testing.Short() && cfg == wide {
+				t.Skip("multi-block configuration skipped in -short mode")
+			}
 			base, err := CheckOpts(cfg, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -149,30 +159,58 @@ func TestFingerprintSanity(t *testing.T) {
 	}
 }
 
-// TestFPTable exercises insert/lookup/grow and the min-parent rule.
+// TestFPTable exercises both table kinds through several doublings. A
+// plain table answers fresh/seen and counts; a tracing table also
+// keeps, per state, the smallest parent among those reaching it at its
+// first depth, and lookup returns that parent and depth.
 func TestFPTable(t *testing.T) {
-	tab := newFPTable()
-	for i := uint64(1); i <= 100_000; i++ {
-		if !tab.insert(i, i/2, int32(i%40)) {
-			t.Fatalf("fresh insert %d reported seen", i)
+	const n = 100_000 // all in shard 0 (high bits pick the shard): 2^14 slots double four times
+	t.Run("plain", func(t *testing.T) {
+		tab := newFPTable(false, false)
+		for i := uint64(1); i <= n; i++ {
+			if !tab.insert(i, i/2, int32(i%40)) {
+				t.Fatalf("fresh insert %d reported seen", i)
+			}
 		}
-	}
-	if tab.insert(7, 3, 7%40) {
-		t.Fatal("duplicate insert reported fresh")
-	}
-	if tab.count() != 100_000 {
-		t.Fatalf("count = %d, want 100000", tab.count())
-	}
-	// Same depth, smaller parent wins; larger parent is ignored.
-	tab.insert(7, 1, 7%40)
-	if e, ok := tab.lookup(7); !ok || e.parentFP != 1 {
-		t.Fatalf("min-parent update failed: %+v ok=%v", e, ok)
-	}
-	tab.insert(7, 0, 12) // different depth: no update
-	if e, _ := tab.lookup(7); e.parentFP != 1 || e.depth != 7%40 {
-		t.Fatalf("cross-depth update should not happen: %+v", e)
-	}
-	if _, ok := tab.lookup(999_999_999); ok {
-		t.Fatal("lookup of absent fp succeeded")
-	}
+		for i := uint64(1); i <= n; i += 997 {
+			if tab.insert(i, 0, 0) {
+				t.Fatalf("duplicate insert %d reported fresh", i)
+			}
+		}
+		if !tab.insert(n+1, 0, 0) || tab.count() != n+1 {
+			t.Fatalf("count = %d after one more fresh insert, want %d", tab.count(), n+1)
+		}
+	})
+	t.Run("tracing", func(t *testing.T) {
+		tab := newFPTable(true, true)
+		for i := uint64(1); i <= n; i++ {
+			if !tab.insert(i, i/2, int32(i%40)) {
+				t.Fatalf("fresh insert %d reported seen", i)
+			}
+		}
+		if tab.count() != n {
+			t.Fatalf("count = %d, want %d", tab.count(), n)
+		}
+		for i := uint64(1); i <= n; i += 997 {
+			if parent, depth, ok := tab.lookup(i); !ok || parent != i/2 || depth != int32(i%40) {
+				t.Fatalf("lookup(%d) = %d, %d, %v; want %d, %d, true", i, parent, depth, ok, i/2, i%40)
+			}
+		}
+		// Same depth: a smaller parent wins, a larger one is ignored.
+		tab.insert(7, 1, 7)
+		tab.insert(7, 2, 7)
+		if parent, depth, _ := tab.lookup(7); parent != 1 || depth != 7 {
+			t.Fatalf("same-depth min parent: got %d at depth %d, want 1 at 7", parent, depth)
+		}
+		// A different depth never replaces the parent, even a smaller one.
+		if tab.insert(7, 0, 12) {
+			t.Fatal("duplicate insert reported fresh")
+		}
+		if parent, depth, _ := tab.lookup(7); parent != 1 || depth != 7 {
+			t.Fatalf("cross-depth insert changed the entry: parent %d depth %d", parent, depth)
+		}
+		if _, _, ok := tab.lookup(999_999_999); ok {
+			t.Fatal("lookup of absent fp succeeded")
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package modelcheck
 
 import (
+	"runtime"
 	"testing"
 
 	"dstore/internal/coherence"
@@ -75,6 +76,31 @@ func TestExpandAllocsPinned(t *testing.T) {
 		if kinds[k] == 0 {
 			t.Errorf("sample has no %s delivery to expand", k)
 		}
+	}
+}
+
+// TestCheckAllocBound pins what a clean exploration allocates: the
+// 263,848-state two-line bypass product at two workers, whose visited
+// set holds fingerprints only and whose frontier keeps about one level
+// of blocks resident. It measured 21.4 MB; a 24-byte-slot table with
+// blocks freed only at the level barrier took 43.4 MB. Skipped under
+// -race, which changes allocation sizes.
+func TestCheckAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes differ under -race")
+	}
+	const boundMB = 28
+	cfg := Config{Agents: 3, Lines: 2, DirectLines: 1, MaxStores: 1, MaxEvicts: 1, MaxLoads: 2, Bypass: true}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := CheckOpts(cfg, Options{Workers: 2})
+	runtime.ReadMemStats(&after)
+	if err != nil || res.Violation != nil || res.States != 263848 {
+		t.Fatalf("Check(%s): %v, violation %v, %d states", cfg, err, res.Violation, res.States)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > boundMB {
+		t.Errorf("exploring %d states allocated %.1f MB, want at most %d MB", res.States, mb, boundMB)
 	}
 }
 
