@@ -12,10 +12,11 @@ import (
 // alive) and the next machine's constructors take it with Get exactly
 // as a freshly allocated one.
 //
-// The list holds at most freeListBytes across all lengths; a Put past
-// that bound is left to the collector. Unlike a sync.Pool, the list
-// survives garbage collection: a daemon collects many times between
-// jobs, and each collection would otherwise drop the arrays.
+// The list holds at most the byte bound given to NewFreeList across all
+// lengths; a Put past that bound is left to the collector. Unlike a
+// sync.Pool, the list survives garbage collection: a daemon collects
+// many times between jobs, and each collection would otherwise drop the
+// arrays.
 type FreeList[T any] struct {
 	mu   sync.Mutex
 	bins map[int][][]T
@@ -23,16 +24,25 @@ type FreeList[T any] struct {
 	max  int // bound on held
 }
 
-// freeListBytes bounds each free list: room for the arrays of many
-// Table I machines (about 0.7 MB each), so a pool of concurrent jobs
-// recycles fully, while a sweep over many geometries cannot pin more
-// than this per element type.
-const freeListBytes = 16 << 20
+// MachineListBytes bounds each of a machine's free lists (the cache
+// arrays here, the line-table pages in coherence): room for the arrays
+// of many Table I machines (about 0.7 MB each), so a pool of concurrent
+// jobs recycles fully, while a sweep over many geometries cannot pin
+// more than this per element type.
+const MachineListBytes = 16 << 20
 
-// NewFreeList returns an empty list.
-func NewFreeList[T any]() *FreeList[T] {
+// NewFreeList returns an empty list holding at most maxBytes.
+func NewFreeList[T any](maxBytes int) *FreeList[T] {
 	var zero T
-	return &FreeList[T]{bins: make(map[int][][]T), max: freeListBytes / int(unsafe.Sizeof(zero))}
+	return &FreeList[T]{bins: make(map[int][][]T), max: maxBytes / int(unsafe.Sizeof(zero))}
+}
+
+// HeldBytes returns the bytes the list holds across all lengths.
+func (f *FreeList[T]) HeldBytes() int {
+	var zero T
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.held * int(unsafe.Sizeof(zero))
 }
 
 // Get returns a zeroed slice of length n: a released one when the list
@@ -71,8 +81,8 @@ func (f *FreeList[T]) Put(s []T) {
 // The cache arrays' free lists, one per element type. Tags and LRU
 // stamps share one list: both are numSets*ways words.
 var (
-	lineFree = NewFreeList[Line]()
-	wordFree = NewFreeList[uint64]()
-	bitFree  = NewFreeList[bool]()
-	rrpvFree = NewFreeList[uint8]()
+	lineFree = NewFreeList[Line](MachineListBytes)
+	wordFree = NewFreeList[uint64](MachineListBytes)
+	bitFree  = NewFreeList[bool](MachineListBytes)
+	rrpvFree = NewFreeList[uint8](MachineListBytes)
 )

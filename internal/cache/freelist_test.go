@@ -7,8 +7,7 @@ import (
 )
 
 func TestFreeListClearsAndBounds(t *testing.T) {
-	f := NewFreeList[uint64]()
-	f.max = 4 // words
+	f := NewFreeList[uint64](4 * 8) // 4 words
 	a := f.Get(3)
 	for i := range a {
 		a[i] = 7
@@ -18,6 +17,9 @@ func TestFreeListClearsAndBounds(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("held slice[%d] = %d after Put, want 0", i, v)
 		}
+	}
+	if got := f.HeldBytes(); got != 3*8 {
+		t.Fatalf("HeldBytes = %d after one 3-word Put, want 24", got)
 	}
 	f.Put(make([]uint64, 2)) // 3+2 words exceed the bound: dropped
 	b := f.Get(3)

@@ -43,9 +43,9 @@ type lineTab[T any] struct {
 
 // The page free lists, one per entry type.
 var (
-	statePages = cache.NewFreeList[lineState]()
-	txnPages   = cache.NewFreeList[*txn]()
-	verPages   = cache.NewFreeList[uint64]()
+	statePages = cache.NewFreeList[lineState](cache.MachineListBytes)
+	txnPages   = cache.NewFreeList[*txn](cache.MachineListBytes)
+	verPages   = cache.NewFreeList[uint64](cache.MachineListBytes)
 )
 
 // newLineTab returns an empty table holding the lines whose low shift

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
+	"dstore/internal/cache"
 	"dstore/internal/coherence"
 )
 
@@ -168,12 +170,27 @@ type block struct {
 // block and hands it to next, the level being built, once it is full;
 // a block of the level being expanded returns to free as soon as its
 // last chunk is expanded, so about one level is resident, not two. The
-// mutex is taken once per block, not per state.
+// mutex is taken once per block, not per state. The pool draws a block
+// from blockFree only when free is empty, and giveBack returns every
+// block to blockFree when the run ends, so the next run, in this or
+// another goroutine, starts from them.
 type blockPool struct {
 	mu   sync.Mutex
 	next []*block
 	free []*block
 }
+
+// arenaBytes bounds each of the checker's two process-wide free lists,
+// blockFree and fpFree; what a Put would hold past it is left to the
+// collector. It is sized from the standard sweep's peak at two workers:
+// its 1.87M-state heap config holds 48 blocks (62 MB) at once and
+// leaves 64 shard arrays each of 16K, 32K and 64K slots (56 MiB).
+const arenaBytes = 64 << 20
+
+// blockFree holds frontier blocks between runs. Put clears a block, so
+// a reused one keeps the dead-message-slots-zero invariant trivially;
+// while a run lasts, its blocks cycle through blockPool.free uncleared.
+var blockFree = cache.NewFreeList[block](arenaBytes)
 
 // swap hands full (if non-nil) to the next level and returns an empty
 // block, recycled when one is free.
@@ -185,7 +202,7 @@ func (p *blockPool) swap(full *block) *block {
 	}
 	n := len(p.free)
 	if n == 0 {
-		return new(block)
+		return &blockFree.Get(1)[0]
 	}
 	b := p.free[n-1]
 	p.free = p.free[:n-1]
@@ -198,6 +215,24 @@ func (p *blockPool) release(b *block) {
 	p.mu.Lock()
 	p.free = append(p.free, b)
 	p.mu.Unlock()
+}
+
+// giveBack ends a run: every block it still holds goes to blockFree —
+// the free list, the level being built, each worker's partly filled
+// block, and frontier, the unexpanded level a violation stops at.
+func (p *blockPool) giveBack(frontier []*block, ws []*worker) {
+	for _, w := range ws {
+		if w.cur != nil {
+			frontier = append(frontier, w.cur)
+			w.cur = nil
+		}
+	}
+	for _, bs := range [][]*block{p.free, p.next, frontier} {
+		for _, b := range bs {
+			blockFree.Put(unsafe.Slice(b, 1))
+		}
+	}
+	p.free, p.next = nil, nil
 }
 
 // worker is one BFS worker's private scratch: the frontier block it is
@@ -359,6 +394,7 @@ func CheckOpts(cfg Config, opt Options) (*Result, error) {
 	ws := c.newWorkers(workers, opt.Coverage)
 	best, maxDepth := c.explore(ws)
 	res := &Result{Config: cfg, Workers: workers, States: c.table.count(), MaxDepth: maxDepth}
+	c.table.release()
 	c.mergeCounts(res, ws)
 	if best != nil {
 		res.Violation = buildViolation(cfg, workers, best)
@@ -370,7 +406,7 @@ func CheckOpts(cfg Config, opt Options) (*Result, error) {
 // violation or the frontier empties. It returns the minimal violation
 // candidate (nil if none) and the depth of the deepest level reached.
 // Workers claim the level chunk by chunk, bounded by each block's size
-// (see block).
+// (see block). Every block goes back to blockFree before it returns.
 func (c *checker) explore(ws []*worker) (best *cand, maxDepth int) {
 	init := canonical(c.cfg, c.group, initial(c.cfg))
 	initFP := fpState(&init)
@@ -425,6 +461,7 @@ func (c *checker) explore(ws []*worker) (best *cand, maxDepth int) {
 			maxDepth = int(depth) + 1
 		}
 	}
+	c.pool.giveBack(frontier, ws)
 	return best, maxDepth
 }
 

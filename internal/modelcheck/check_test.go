@@ -19,9 +19,8 @@ const sweepGolden = "testdata/sweep.golden"
 // TestStandardSweepClean exhaustively explores every standard-sweep
 // configuration at one and at two workers, requires zero invariant
 // violations, and compares states, transitions, depth and every
-// invariant count with testdata/sweep.golden. Short mode skips the two
-// largest members (the deep heap line and the two-line product) to
-// stay fast; `make modelcheck` and CI run them all. Under the race
+// invariant count with testdata/sweep.golden. Short mode skips the
+// three largest members (largeSweepConfig) to stay fast; `make modelcheck` and CI run them all. Under the race
 // detector only the two-worker run is made: the one-worker run has no
 // concurrency to check and would double the package's race time.
 //
@@ -49,7 +48,7 @@ func TestStandardSweepClean(t *testing.T) {
 	var lines []string
 	for _, cfg := range StandardSweep() {
 		t.Run(cfg.String(), func(t *testing.T) {
-			if testing.Short() && (cfg.Lines > 1 && cfg.MaxStores > 1 || cfg.Lines == 1 && cfg.Bypass) {
+			if testing.Short() && largeSweepConfig(cfg) {
 				t.Skip("large configuration skipped in -short mode")
 			}
 			for _, workers := range workerCounts {
@@ -78,6 +77,13 @@ func TestStandardSweepClean(t *testing.T) {
 	}
 }
 
+// largeSweepConfig reports whether cfg is one of the standard sweep's
+// three largest members, which -short skips: the deep heap line and
+// the two two-line products with two stores (heap+direct, 2-GPU).
+func largeSweepConfig(cfg Config) bool {
+	return cfg.Lines > 1 && cfg.MaxStores > 1 || cfg.Lines == 1 && cfg.Bypass
+}
+
 // sweepRecord renders the worker-count-independent part of a result.
 func sweepRecord(res *Result) string {
 	var b strings.Builder
@@ -95,11 +101,7 @@ func sweepRecord(res *Result) string {
 // caught dynamically. The checker must find it, and the counterexample
 // must be a real trace ending in a data-value violation.
 func TestBypassNoWBBufRegression(t *testing.T) {
-	cfg := Config{
-		Agents: 3, Lines: 1, MaxStores: 1, MaxEvicts: 1, MaxLoads: 2,
-		Bypass: true, Mutation: MutBypassNoWBBuf,
-	}
-	v := mustViolate(t, cfg, "testdata/bypass-no-wbbuf.golden")
+	v := mustViolate(t, bypassNoWBBuf.cfg, bypassNoWBBuf.golden)
 	if !strings.Contains(v.Message, "data-value violation") {
 		t.Errorf("want a data-value violation, got: %s", v.Message)
 	}
@@ -109,11 +111,7 @@ func TestBypassNoWBBufRegression(t *testing.T) {
 // TestSkipInvalidateCaught: acknowledging an invalidating probe while
 // keeping the copy must surface as a SWMR violation.
 func TestSkipInvalidateCaught(t *testing.T) {
-	cfg := Config{
-		Agents: 3, Lines: 1, MaxStores: 1, MaxEvicts: 1, MaxLoads: 2,
-		Mutation: MutSkipInvalidate,
-	}
-	v := mustViolate(t, cfg, "testdata/skip-invalidate.golden")
+	v := mustViolate(t, skipInvalidate.cfg, skipInvalidate.golden)
 	if !strings.Contains(v.Message, "SWMR violation") {
 		t.Errorf("want a SWMR violation, got: %s", v.Message)
 	}
@@ -122,15 +120,34 @@ func TestSkipInvalidateCaught(t *testing.T) {
 // TestPushInstallSCaught: installing a push in S instead of MM must
 // trip the MM-install invariant (paper §III-F).
 func TestPushInstallSCaught(t *testing.T) {
-	cfg := Config{
-		Agents: 3, Lines: 1, DirectLines: 1, MaxStores: 1, MaxEvicts: 1, MaxLoads: 1,
-		Mutation: MutPushInstallS,
-	}
-	v := mustViolate(t, cfg, "testdata/push-install-s.golden")
+	v := mustViolate(t, pushInstallS.cfg, pushInstallS.golden)
 	if !strings.Contains(v.Message, "MM-install") {
 		t.Errorf("want the MM-install invariant, got: %s", v.Message)
 	}
 }
+
+// mutationCase is a mutated configuration and the golden file of its
+// counterexample report.
+type mutationCase struct {
+	cfg    Config
+	golden string
+}
+
+// The three mutations the checker must catch.
+var (
+	bypassNoWBBuf = mutationCase{Config{
+		Agents: 3, Lines: 1, MaxStores: 1, MaxEvicts: 1, MaxLoads: 2,
+		Bypass: true, Mutation: MutBypassNoWBBuf,
+	}, "testdata/bypass-no-wbbuf.golden"}
+	skipInvalidate = mutationCase{Config{
+		Agents: 3, Lines: 1, MaxStores: 1, MaxEvicts: 1, MaxLoads: 2,
+		Mutation: MutSkipInvalidate,
+	}, "testdata/skip-invalidate.golden"}
+	pushInstallS = mutationCase{Config{
+		Agents: 3, Lines: 1, DirectLines: 1, MaxStores: 1, MaxEvicts: 1, MaxLoads: 1,
+		Mutation: MutPushInstallS,
+	}, "testdata/push-install-s.golden"}
+)
 
 // mustViolate checks cfg and requires a violation with a coherent
 // counterexample: non-empty, every step labelled, a rendered final

@@ -5,6 +5,8 @@ import (
 	"math/bits"
 	"sync"
 	"unsafe"
+
+	"dstore/internal/cache"
 )
 
 // Hash-compacted visited set (Wolper/Leroy bit-state hashing's exact
@@ -136,25 +138,53 @@ type fpShard struct {
 // (~2M states, ~30K entries per shard) rehash at most once or twice:
 // growth rehashes re-place every entry, but starting bigger measurably
 // hurts — random probes over a large sparse table miss cache and TLB
-// more than the occasional rehash costs.
+// more than the occasional rehash costs. A plain table draws its arrays
+// from fpFree and gives them back as it grows and when its run ends,
+// so across a sweep each array size is allocated once, not per config.
 const fpInitBits = 14
+
+// fpFree holds plain tables' shard arrays between uses, keyed by slot
+// count and cleared when given back (0 marks an empty slot). It is
+// process-wide and bounded by arenaBytes, like blockFree. Tracing
+// tables, built only to rebuild a counterexample, allocate their own.
+var fpFree = cache.NewFreeList[uint64](arenaBytes)
 
 func newFPTable(par, trace bool) *fpTable {
 	t := &fpTable{par: par, trace: trace}
-	for i := range t.shards {
-		t.shards[i].alloc(1<<fpInitBits, trace)
-	}
+	t.init()
 	return t
+}
+
+// init gives every shard an empty initial slot array.
+func (t *fpTable) init() {
+	for i := range t.shards {
+		t.shards[i].alloc(1<<fpInitBits, t.trace)
+	}
+}
+
+// release gives a plain table's shard arrays back to fpFree and empties
+// the table; it is unusable until init. A tracing table is left as is.
+func (t *fpTable) release() {
+	if t.trace {
+		return
+	}
+	for i := range t.shards {
+		sh := &t.shards[i]
+		fpFree.Put(sh.fps)
+		sh.fps, sh.mask, sh.n = nil, 0, 0
+	}
 }
 
 // alloc gives the shard empty arrays of size slots.
 func (sh *fpShard) alloc(size int, trace bool) {
 	sh.mask = uint64(size - 1)
-	sh.fps = make([]uint64, size)
-	if trace {
-		sh.parent = make([]uint64, size)
-		sh.depth = make([]int32, size)
+	if !trace {
+		sh.fps = fpFree.Get(size)
+		return
 	}
+	sh.fps = make([]uint64, size)
+	sh.parent = make([]uint64, size)
+	sh.depth = make([]int32, size)
 }
 
 func (t *fpTable) shard(fp uint64) *fpShard {
@@ -211,7 +241,8 @@ func (t *fpTable) lookup(fp uint64) (parentFP uint64, depth int32, ok bool) {
 	return 0, 0, false
 }
 
-// grow doubles the shard and re-places every entry.
+// grow doubles the shard and re-places every entry; a plain shard
+// gives its old array back to fpFree.
 func (sh *fpShard) grow(trace bool) {
 	fps, parent, depth := sh.fps, sh.parent, sh.depth
 	sh.alloc(len(fps)*2, trace)
@@ -227,6 +258,9 @@ func (sh *fpShard) grow(trace bool) {
 		if trace {
 			sh.parent[i], sh.depth[i] = parent[j], depth[j]
 		}
+	}
+	if !trace {
+		fpFree.Put(fps)
 	}
 }
 

@@ -2,6 +2,7 @@ package modelcheck
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -45,7 +46,7 @@ func TestStateNoPadding(t *testing.T) {
 // seven blocks, so blocks are released and refilled while their level
 // is still being expanded; -short skips it, `make race` runs it.
 func TestParallelDeterminism(t *testing.T) {
-	wide := Config{Agents: 3, Lines: 2, DirectLines: 1, MaxStores: 1, MaxEvicts: 1, MaxLoads: 2, Bypass: true}
+	wide := bypassProduct
 	cfgs := []Config{
 		{Agents: 3, Lines: 1, DirectLines: 1, MaxStores: 2},
 		{Agents: 3, Lines: 1, MaxStores: 1, MaxEvicts: 1, MaxLoads: 2, Mutation: MutSkipInvalidate},
@@ -213,4 +214,77 @@ func TestFPTable(t *testing.T) {
 			t.Fatal("lookup of absent fp succeeded")
 		}
 	})
+}
+
+// TestConcurrentChecksShareArena runs three configurations at once, one
+// goroutine each at two workers, all drawing blocks and shard arrays
+// from and giving them back to the same process-wide free lists while
+// the others run. Each result must equal the configuration's
+// sequential run: states, transitions, depth, every invariant count
+// and, for the mutation, the counterexample.
+func TestConcurrentChecksShareArena(t *testing.T) {
+	cfgs := []Config{
+		bypassProduct,
+		{Agents: 4, GPUs: 2, Lines: 2, DirectLines: 2, MaxStores: 1, MaxEvicts: 1, MaxLoads: 1, Symmetry: true},
+		skipInvalidate.cfg,
+	}
+	render := func(res *Result) string {
+		if res.Violation != nil {
+			return sweepRecord(res) + "\n" + res.Violation.Error()
+		}
+		return sweepRecord(res)
+	}
+	want := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		res, err := CheckOpts(cfg, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = render(res)
+	}
+	got := make([]string, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if res, err := CheckOpts(cfg, Options{Workers: 2}); err == nil {
+				got[i] = render(res)
+			} else {
+				got[i] = err.Error()
+			}
+		}()
+	}
+	wg.Wait()
+	for i, cfg := range cfgs {
+		if got[i] != want[i] {
+			t.Errorf("%s run concurrently:\n got %s\nwant %s", cfg, got[i], want[i])
+		}
+	}
+}
+
+// TestMutationGoldensAfterWarmSweep checks the three counterexample
+// goldens again after a sweep has filled the free lists in this
+// process, so no block or shard array a run gives back can leak a
+// state into a later one. The warm-up is the standard sweep without
+// the three configurations -short skips: 766,363 states, after which
+// the lists hold 14 blocks and a table's 16K-slot shard arrays. The
+// full sweep, whose largest configuration also grows shards to 32K and
+// 64K slots, runs in TestCheckReusesArena and TestStandardSweepClean.
+func TestMutationGoldensAfterWarmSweep(t *testing.T) {
+	for _, cfg := range StandardSweep() {
+		if largeSweepConfig(cfg) {
+			continue
+		}
+		res, err := CheckOpts(cfg, Options{Workers: 2})
+		if err != nil {
+			t.Fatalf("warm-up Check(%s): %v", cfg, err)
+		}
+		if res.Violation != nil {
+			t.Fatalf("warm-up Check(%s): %s", cfg, res.Violation.Message)
+		}
+	}
+	for _, m := range []mutationCase{bypassNoWBBuf, skipInvalidate, pushInstallS} {
+		mustViolate(t, m.cfg, m.golden)
+	}
 }
