@@ -117,10 +117,12 @@ loc:
 	@git ls-files -co --exclude-standard -- '*.go' ':!:benchmark/*' | grep -v '_test\.go$$' | xargs cat | wc -l | xargs echo "non-test Go lines outside benchmark/:"
 	@git ls-files -co --exclude-standard -- '*_test.go' ':!:benchmark/*' | xargs cat | wc -l | xargs echo "test Go lines outside benchmark/:"
 
-# bench runs the event-kernel microbenchmarks and the model checker's
+# bench runs the event-kernel microbenchmarks, job construction
+# (BenchmarkBuild: GC big and MM big) and the model checker's
 # whole-exploration benchmarks, with -benchmem. Tests in internal/sim
-# pin every engine benchmark's allocs/op and B/op; the timings compare
+# pin every engine benchmark's allocs/op and B/op, and
+# TestBuildAllocBound bounds what Build allocates; the timings compare
 # two builds on one machine (e.g. with benchstat).
 .PHONY: bench
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim ./internal/modelcheck
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim ./internal/bench ./internal/modelcheck

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -295,25 +294,5 @@ func TestStandaloneModeMatchesDirectStoreDirection(t *testing.T) {
 func TestInputString(t *testing.T) {
 	if Small.String() != "small" || Big.String() != "big" {
 		t.Error("input names wrong")
-	}
-}
-
-// TestBuildAllocBound keeps kernels in loop form. GC big has the
-// largest kernels of Table II: written out as one WarpOp per operation
-// they were 1,063,464 ops, and Build allocated 56.5 MB. In loop form
-// Build allocates 18.8 MB, mostly the graph walk; the bound is twice
-// that, so op streams cannot quietly come back.
-func TestBuildAllocBound(t *testing.T) {
-	const bound = 2 * 18_826_096
-	sys := core.NewSystem(core.DefaultConfig(core.ModeDirectStore))
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	if _, err := Build(sys, "GC", Big); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if n := after.TotalAlloc - before.TotalAlloc; n >= bound {
-		t.Errorf("Build(GC, big) allocated %d bytes, bound %d", n, bound)
 	}
 }

@@ -13,10 +13,14 @@ import (
 	"dstore/internal/trace"
 )
 
-// phase is one step of a workload: a CPU op stream or a GPU kernel.
+// phase is one step of a workload: a GPU kernel or, when kernel is
+// nil, a CPU pass that makes one access of type ty to each of lines,
+// each after gap ticks of compute.
 type phase struct {
-	ops    []cpu.Op
 	kernel *gpu.Kernel
+	lines  []memsys.Addr
+	ty     memsys.AccessType
+	gap    sim.Tick
 }
 
 // Workload is a benchmark instantiated against a system's address
@@ -53,7 +57,7 @@ func Build(sys *core.System, code string, in Input) (*Workload, error) {
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown benchmark %q", code)
 	}
-	w := &Workload{Code: code, In: in}
+	w := &Workload{Code: code, In: in, phases: make([]phase, 0, p.kernels+2)}
 
 	// Allocate regions and derive the read walk.
 	var readLines []memsys.Addr // one pass over the input
@@ -66,15 +70,15 @@ func Build(sys *core.System, code string, in Input) (*Workload, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Build the graph against virtual bases.
+		// The edge region's size is known only once the graph exists.
 		g := trace.NewGraph(nodes, p.graphDeg, nodeBase, 0, rng)
 		edgeBytes := uint64(g.Edges() * 4)
 		edgeBase, err := sys.AllocShared(edgeBytes, code+".edges")
 		if err != nil {
 			return nil, err
 		}
-		g = regraph(g, nodeBase, edgeBase)
-		readLines = trace.Dedup(g.TraverseLines())
+		g.EdgeBase = edgeBase
+		readLines = g.WalkLines()
 		produceLines = append(trace.SequentialLines(nodeBase, nodeBytes),
 			trace.SequentialLines(edgeBase, edgeBytes)...)
 	} else {
@@ -110,21 +114,16 @@ func Build(sys *core.System, code string, in Input) (*Workload, error) {
 	// Phase 1: the CPU produces the input (or, for PT-style
 	// benchmarks, the GPU initialises its own data).
 	if p.cpuProduces {
-		gap := p.produceGap[in]
-		ops := make([]cpu.Op, 0, len(produceLines))
-		for _, a := range produceLines {
-			ops = append(ops, cpu.Op{Type: memsys.Store, Addr: a, Gap: gap})
-		}
-		w.phases = append(w.phases, phase{ops: ops})
+		w.phases = append(w.phases, phase{lines: produceLines, ty: memsys.Store, gap: p.produceGap[in]})
 	} else {
 		init := buildInitKernel(p.code, produceLines)
 		w.phases = append(w.phases, phase{kernel: &init})
 	}
 
-	// Kernel phases.
-	passes := p.passes[in]
+	// Kernel phases: every launch runs the same warps.
+	warps := buildWarps(p, in, readLines, outLines)
 	for k := 0; k < p.kernels; k++ {
-		kern := buildKernel(p, in, k, passes, readLines, outLines)
+		kern := gpu.Kernel{Name: fmt.Sprintf("%s.k%d", p.code, k), Warps: warps}
 		w.phases = append(w.phases, phase{kernel: &kern})
 	}
 
@@ -142,22 +141,9 @@ func Build(sys *core.System, code string, in Input) (*Workload, error) {
 		if len(rb) > cap {
 			rb = rb[len(rb)-cap:]
 		}
-		ops := make([]cpu.Op, 0, len(rb))
-		for _, a := range rb {
-			ops = append(ops, cpu.Op{Type: memsys.Load, Addr: a})
-		}
-		w.phases = append(w.phases, phase{ops: ops})
+		w.phases = append(w.phases, phase{lines: rb, ty: memsys.Load})
 	}
 	return w, nil
-}
-
-// regraph rebuilds a graph's address bases once the edge region size is
-// known (the graph shape is regenerated with the same seed-derived
-// structure preserved by construction order).
-func regraph(g *trace.Graph, nodeBase, edgeBase memsys.Addr) *trace.Graph {
-	g.NodeBase = nodeBase
-	g.EdgeBase = edgeBase
-	return g
 }
 
 // buildInitKernel writes every input line from the GPU (PT-style
@@ -175,14 +161,17 @@ func buildInitKernel(code string, lines []memsys.Addr) gpu.Kernel {
 	return gpu.Kernel{Name: code + ".init", Warps: ws}
 }
 
-// buildKernel assembles one launch: every warp walks its chunk of the
-// read sequence once per pass (rotating chunks across passes so reuse
-// lands in the L2, not the flash-invalidated L1s), interleaving the
-// profile's scratchpad staging and arithmetic, then performs its share
-// of the writes. Each pass is one gpu.Loop over a chunk and the writes
-// are one more; the per-line body is a single template shared by the
-// whole kernel, so no warp's op stream is ever written out.
-func buildKernel(p profile, in Input, k, passes int, readLines, outLines []memsys.Addr) gpu.Kernel {
+// buildWarps assembles the warps of one launch: every warp walks its
+// chunk of the read sequence once per pass (rotating chunks across
+// passes so reuse lands in the L2, not the flash-invalidated L1s),
+// interleaving the profile's scratchpad staging and arithmetic, then
+// performs its share of the writes. Each pass is one gpu.Loop over a
+// chunk and the writes are one more; the per-line body is a single
+// template shared by the whole kernel, so no warp's op stream is ever
+// written out. Launches only read their warps, so every kernel of a
+// workload shares one set.
+func buildWarps(p profile, in Input, readLines, outLines []memsys.Addr) []gpu.Warp {
+	passes := p.passes[in]
 	warps := p.warps
 	if warps == 0 {
 		warps = autoWarps(len(readLines))
@@ -220,7 +209,7 @@ func buildKernel(p profile, in Input, k, passes int, readLines, outLines []memsy
 		}
 		ws[wi] = gpu.Warp{Loops: loops[first:len(loops):len(loops)]}
 	}
-	return gpu.Kernel{Name: fmt.Sprintf("%s.k%d", p.code, k), Warps: ws}
+	return ws
 }
 
 // RunPhaseRangeContext executes phases [lo, hi) in order, returning
@@ -243,7 +232,7 @@ func (w *Workload) RunPhaseRangeContext(ctx context.Context, sys *core.System, l
 		if ph.kernel != nil {
 			_, err = sys.RunKernelContext(ctx, *ph.kernel)
 		} else {
-			_, err = sys.RunCPUContext(ctx, ph.ops)
+			_, err = sys.RunStreamContext(ctx, &cpu.LineStream{Lines: ph.lines, Type: ph.ty, Gap: ph.gap})
 		}
 		if err != nil {
 			return per, err

@@ -557,21 +557,22 @@ func ctxStop(ctx context.Context) func() bool {
 // RunCPU executes a CPU op stream to completion (produce or readback
 // phase) and returns the elapsed ticks.
 func (s *System) RunCPU(ops []cpu.Op) sim.Tick {
-	t, err := s.RunCPUContext(context.Background(), ops)
+	t, err := s.RunStreamContext(context.Background(), cpu.NewSliceStream(ops))
 	if err != nil {
 		panic("core: CPU phase cancelled without a cancellable context")
 	}
 	return t
 }
 
-// RunCPUContext is RunCPU under a context: the phase is abandoned
-// mid-simulation if ctx is cancelled, returning ctx's error and the
-// ticks elapsed so far. A cancelled system is torn mid-transaction and
-// must not be reused for further phases or invariant checks.
-func (s *System) RunCPUContext(ctx context.Context, ops []cpu.Op) (sim.Tick, error) {
+// RunStreamContext executes a CPU op stream to completion and returns
+// the elapsed ticks. The phase is abandoned mid-simulation if ctx is
+// cancelled, returning ctx's error and the ticks elapsed so far. A
+// cancelled system is torn mid-transaction and must not be reused for
+// further phases or invariant checks.
+func (s *System) RunStreamContext(ctx context.Context, stream cpu.OpStream) (sim.Tick, error) {
 	start := s.Engine.Now()
 	done := false
-	s.Core.Run(cpu.NewSliceStream(ops), func() { done = true })
+	s.Core.Run(stream, func() { done = true })
 	if _, drained := s.Engine.RunInterruptible(ctxStop(ctx)); !drained {
 		return s.Engine.Now() - start, ctx.Err()
 	}
@@ -592,7 +593,7 @@ func (s *System) RunKernel(k gpu.Kernel) sim.Tick {
 }
 
 // RunKernelContext is RunKernel under a context, with the same
-// cancellation contract as RunCPUContext.
+// cancellation contract as RunStreamContext.
 func (s *System) RunKernelContext(ctx context.Context, k gpu.Kernel) (sim.Tick, error) {
 	start := s.Engine.Now()
 	done := false

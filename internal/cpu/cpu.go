@@ -59,6 +59,27 @@ func (s *SliceStream) Next() (Op, bool) {
 	return op, true
 }
 
+// LineStream is a CPU pass over a line sequence: one access of type
+// Type to each of Lines in order, each after Gap ticks of compute. It
+// yields the ops that a slice of Op{Type: Type, Addr: line, Gap: Gap}
+// would, without writing them out.
+type LineStream struct {
+	Lines []memsys.Addr
+	Type  memsys.AccessType
+	Gap   sim.Tick
+	i     int
+}
+
+// Next implements OpStream.
+func (s *LineStream) Next() (Op, bool) {
+	if s.i >= len(s.Lines) {
+		return Op{}, false
+	}
+	op := Op{Type: s.Type, Addr: s.Lines[s.i], Gap: s.Gap}
+	s.i++
+	return op, true
+}
+
 // VersionSource hands out store version numbers; shared between CPU and
 // GPU so the oracle's "latest write" is globally ordered by issue.
 type VersionSource struct{ next uint64 }

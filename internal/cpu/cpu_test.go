@@ -268,6 +268,43 @@ func TestSliceStream(t *testing.T) {
 	}
 }
 
+// TestLineStream: a line stream yields exactly the ops of the slice
+// with one Op{Type, Addr: line, Gap} per line, for a produce phase's
+// stores after a compute gap and a readback's gapless loads, and Next
+// allocates nothing.
+func TestLineStream(t *testing.T) {
+	lines := []memsys.Addr{0x1000, 0x1040, 0x8000, 0x1040}
+	for _, c := range []struct {
+		ty  memsys.AccessType
+		gap sim.Tick
+	}{{memsys.Store, 37}, {memsys.Load, 0}} {
+		ops := make([]Op, 0, len(lines))
+		for _, a := range lines {
+			ops = append(ops, Op{Type: c.ty, Addr: a, Gap: c.gap})
+		}
+		var got, want OpStream = &LineStream{Lines: lines, Type: c.ty, Gap: c.gap}, NewSliceStream(ops)
+		for i := 0; ; i++ {
+			g, gok := got.Next()
+			w, wok := want.Next()
+			if g != w || gok != wok {
+				t.Fatalf("%v op %d: line stream gave %+v, %v; written-out ops %+v, %v", c.ty, i, g, gok, w, wok)
+			}
+			if !gok {
+				break
+			}
+		}
+	}
+	s := &LineStream{Lines: lines, Type: memsys.Store, Gap: 1}
+	var st OpStream = s
+	if n := testing.AllocsPerRun(100, func() {
+		s.i = 0
+		for _, ok := st.Next(); ok; _, ok = st.Next() {
+		}
+	}); n != 0 {
+		t.Errorf("Next allocated %.1f times per pass, want 0", n)
+	}
+}
+
 func TestVersionSourceMonotonic(t *testing.T) {
 	v := &VersionSource{}
 	prev := uint64(0)

@@ -133,6 +133,13 @@ type GPU struct {
 	outstandingStores int
 	kernelDone        func()
 	barrierWaiters    []*warpCtx
+	// ctxs holds the running kernel's warp contexts, one per warp, in
+	// one contiguous arena reused from kernel to kernel: warps step
+	// interleaved, so dense layout keeps the hot cursor and
+	// pendingLines words of neighbouring warps on shared cache lines.
+	// A kernel boundary is quiescent (no event, fill or request still
+	// refers to a context), so Launch may overwrite them.
+	ctxs []warpCtx
 
 	// Observability (AttachObserver): nil in normal operation.
 	obs   *obs.Observer
@@ -142,11 +149,13 @@ type GPU struct {
 }
 
 type sm struct {
-	g              *GPU
-	id             int
-	l1             *cache.Cache
-	issueFree      sim.Tick
-	queue          []*warpCtx
+	g         *GPU
+	id        int
+	l1        *cache.Cache
+	issueFree sim.Tick
+	// next indexes the SM's next queued warp in g.ctxs: warps are dealt
+	// round-robin, so the SM's queue is ctxs[id], ctxs[id+SMs], ...
+	next           int
 	active         int
 	storesInFlight int
 
@@ -259,11 +268,12 @@ func New(engine *sim.Engine, cfg Config, tlb *mmu.TLB, vers *cpu.VersionSource,
 }
 
 // Release gives every SM's L1 array to the cache free lists, under the
-// rule of cache.Cache.Release.
+// rule of cache.Cache.Release, and drops the warp-context arena.
 func (g *GPU) Release() {
 	for _, s := range g.sms {
 		s.l1.Release()
 	}
+	g.ctxs = nil
 }
 
 // Counters are the SM array's kernel, memory-operation and stall counts.
@@ -353,16 +363,15 @@ func (g *GPU) Launch(k Kernel, done func()) {
 	for _, s := range g.sms {
 		g.ctr.L1LinesFlashInvalidated += uint64(s.l1.InvalidateAll())
 	}
-	// One contiguous arena for the kernel's warp contexts: warps step
-	// interleaved, so dense layout keeps the hot cursor/pendingLines
-	// words of neighbouring warps on shared cache lines.
-	ctxs := make([]warpCtx, len(k.Warps))
+	if cap(g.ctxs) < len(k.Warps) {
+		g.ctxs = make([]warpCtx, len(k.Warps))
+	}
+	g.ctxs = g.ctxs[:len(k.Warps)]
 	for i, wp := range k.Warps {
-		s := g.sms[i%len(g.sms)]
-		ctxs[i] = warpCtx{s: s, g: g, body: wp.Ops, addrs: onePass, loops: wp.Loops}
-		s.queue = append(s.queue, &ctxs[i])
+		g.ctxs[i] = warpCtx{s: g.sms[i%len(g.sms)], g: g, body: wp.Ops, addrs: onePass, loops: wp.Loops}
 	}
 	for _, s := range g.sms {
+		s.next = s.id
 		s.fillActive()
 	}
 }
@@ -393,9 +402,9 @@ func kernelUsesBarriers(k Kernel) bool {
 
 // fillActive starts queued warps up to the residency bound.
 func (s *sm) fillActive() {
-	for s.active < s.g.cfg.MaxWarpsPerSM && len(s.queue) > 0 {
-		w := s.queue[0]
-		s.queue = s.queue[1:]
+	for s.active < s.g.cfg.MaxWarpsPerSM && s.next < len(s.g.ctxs) {
+		w := &s.g.ctxs[s.next]
+		s.next += len(s.g.sms)
 		s.active++
 		s.g.engine.ScheduleArg(0, stepWarp, w)
 	}

@@ -500,35 +500,41 @@ func loopKernel() Kernel {
 	return Kernel{Name: "loops", Warps: warps}
 }
 
+// outcome is what a rig's runs left behind: the last kernel's finish
+// tick, the engine's event count and every GPU, L1 and L2 counter.
+type outcome struct {
+	at     sim.Tick
+	events uint64
+	counts map[string]uint64
+}
+
+// outcomeOf reads r's outcome after a kernel that finished at at.
+func outcomeOf(r *rig, at sim.Tick) outcome {
+	o := outcome{at: at, events: r.e.Executed(), counts: map[string]uint64{}}
+	collect := func(prefix string, rs stats.Rows) {
+		for _, row := range rs {
+			o.counts[prefix+row.Name] = *row.N
+		}
+	}
+	collect("gpu.", r.g.Counters().Rows())
+	for i, l1 := range r.g.L1Caches() {
+		collect(fmt.Sprintf("l1.%d.", i), l1.Counters().Rows())
+	}
+	for i, sl := range r.slices {
+		collect(fmt.Sprintf("l2.%d.", i), sl.L2Cache().Counters().Rows())
+	}
+	return o
+}
+
 // TestLoopMatchesExpandedOps: a kernel in loop form and the same kernel
 // written out as Ops give the same finish tick, event count, GPU
 // counters and cache counters, with the MSHR file and the store
 // pipeline both saturated.
 func TestLoopMatchesExpandedOps(t *testing.T) {
-	type outcome struct {
-		at     sim.Tick
-		events uint64
-		counts map[string]uint64
-	}
 	run := func(k Kernel, maxStores int) outcome {
 		r := newRig(t, 2, 4, 2)
 		r.g.cfg.MaxStoresPerSM = maxStores
-		o := outcome{counts: map[string]uint64{}}
-		o.at = r.launch(t, k)
-		o.events = r.e.Executed()
-		collect := func(prefix string, rs stats.Rows) {
-			for _, row := range rs {
-				o.counts[prefix+row.Name] = *row.N
-			}
-		}
-		collect("gpu.", r.g.Counters().Rows())
-		for i, l1 := range r.g.L1Caches() {
-			collect(fmt.Sprintf("l1.%d.", i), l1.Counters().Rows())
-		}
-		for i, sl := range r.slices {
-			collect(fmt.Sprintf("l2.%d.", i), sl.L2Cache().Counters().Rows())
-		}
-		return o
+		return outcomeOf(r, r.launch(t, k))
 	}
 	loops := loopKernel()
 	var flat Kernel

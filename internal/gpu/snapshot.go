@@ -19,7 +19,7 @@ func (g *GPU) SnapshotTo(w *snap.Writer) {
 	w.Tag("gpu")
 	quiet := !g.running && g.warpsLeft == 0 && g.outstandingStores == 0 && len(g.barrierWaiters) == 0
 	for _, s := range g.sms {
-		quiet = quiet && s.storesInFlight == 0 && len(s.fills) == 0 && len(s.queue) == 0 && s.active == 0
+		quiet = quiet && s.storesInFlight == 0 && len(s.fills) == 0 && s.next >= len(g.ctxs) && s.active == 0
 	}
 	w.Bool(quiet)
 	virgin := quiet && g.ctr.KernelLaunches == 0

@@ -44,32 +44,55 @@ func StridedLines(base memsys.Addr, bytes uint64, strideLines int) []memsys.Addr
 // TiledLines returns the line sequence of a tiled 2D walk over a
 // rows×cols matrix of elemSize-byte elements: tiles of tileRows×tileCols
 // elements are visited left-to-right, top-to-bottom, row-major inside
-// each tile — the matmul/LU blocking pattern.
+// each tile — the matmul/LU blocking pattern. The walk runs twice, once
+// to count the lines and once to write them, so the result is
+// allocated once at its exact length.
 func TiledLines(base memsys.Addr, rows, cols, elemSize, tileRows, tileCols int) []memsys.Addr {
 	if rows <= 0 || cols <= 0 || elemSize <= 0 || tileRows <= 0 || tileCols <= 0 {
 		panic("trace: non-positive tiling geometry")
 	}
-	var out []memsys.Addr
-	var lastLine memsys.Addr
-	have := false
-	emit := func(r, c int) {
-		a := memsys.LineAlign(base + memsys.Addr((r*cols+c)*elemSize))
-		if have && a == lastLine {
-			return // coalesce consecutive same-line touches
+	out := make([]memsys.Addr, tiledWalk(nil, base, rows, cols, elemSize, tileRows, tileCols))
+	tiledWalk(out, base, rows, cols, elemSize, tileRows, tileCols)
+	return out
+}
+
+// tiledWalk visits TiledLines' lines in order, coalescing consecutive
+// touches of one line, and returns their number. A nil out only counts
+// them; otherwise out receives them. It steps by line, not by element:
+// elements narrower than a line touch every line of their row segment,
+// and each element at least a line wide touches a line of its own.
+func tiledWalk(out []memsys.Addr, base memsys.Addr, rows, cols, elemSize, tileRows, tileCols int) int {
+	n := 0
+	var last memsys.Addr
+	emit := func(a memsys.Addr) {
+		if n > 0 && a == last {
+			return
 		}
-		out = append(out, a)
-		lastLine, have = a, true
+		if out != nil {
+			out[n] = a
+		}
+		n++
+		last = a
 	}
 	for tr := 0; tr < rows; tr += tileRows {
 		for tc := 0; tc < cols; tc += tileCols {
+			width := min(tileCols, cols-tc)
 			for r := tr; r < tr+tileRows && r < rows; r++ {
-				for c := tc; c < tc+tileCols && c < cols; c++ {
-					emit(r, c)
+				first := base + memsys.Addr((r*cols+tc)*elemSize)
+				if elemSize < memsys.LineSize {
+					end := memsys.LineAlign(first + memsys.Addr((width-1)*elemSize))
+					for a := memsys.LineAlign(first); a <= end; a += memsys.LineSize {
+						emit(a)
+					}
+					continue
+				}
+				for c := 0; c < width; c++ {
+					emit(memsys.LineAlign(first + memsys.Addr(c*elemSize)))
 				}
 			}
 		}
 	}
-	return out
+	return n
 }
 
 // RandomLines returns count uniform-random line addresses within the
@@ -97,8 +120,9 @@ type Graph struct {
 	Nodes    int
 	NodeBase memsys.Addr
 	EdgeBase memsys.Addr
-	// Adj holds each node's neighbour indices.
-	Adj [][]int32
+	// adj holds every node's neighbour indices back to back; node i's
+	// are adj[edgeOffsets[i]:edgeOffsets[i+1]].
+	adj []int32
 	// edgeOffsets[i] is node i's first edge slot (prefix sums of
 	// degree).
 	edgeOffsets []int64
@@ -112,29 +136,34 @@ func NewGraph(nodes, avgDegree int, nodeBase, edgeBase memsys.Addr, rng *sim.Ran
 		panic("trace: non-positive graph geometry")
 	}
 	g := &Graph{Nodes: nodes, NodeBase: nodeBase, EdgeBase: edgeBase}
-	g.Adj = make([][]int32, nodes)
+	// The mean degree is (avgDegree+1)/2 plus 0.05 × 3·avgDegree for
+	// hubs; about 10% above that leaves room for the spread, so the
+	// adjacency is allocated once.
+	g.adj = make([]int32, 0, nodes*(avgDegree+1)*7/10)
 	g.edgeOffsets = make([]int64, nodes+1)
-	var total int64
 	for i := 0; i < nodes; i++ {
 		// Skewed degree: most nodes near avg/2, a few near 4*avg.
 		deg := 1 + rng.Intn(avgDegree)
 		if rng.Bool(0.05) {
 			deg += avgDegree * 3
 		}
-		adj := make([]int32, deg)
-		for j := range adj {
-			adj[j] = int32(rng.Intn(nodes))
+		g.edgeOffsets[i] = int64(len(g.adj))
+		for j := 0; j < deg; j++ {
+			g.adj = append(g.adj, int32(rng.Intn(nodes)))
 		}
-		g.Adj[i] = adj
-		g.edgeOffsets[i] = total
-		total += int64(deg)
 	}
-	g.edgeOffsets[nodes] = total
+	g.edgeOffsets[nodes] = int64(len(g.adj))
 	return g
 }
 
 // Edges returns the total edge count.
 func (g *Graph) Edges() int64 { return g.edgeOffsets[g.Nodes] }
+
+// neighbours returns node i's neighbour indices. The slice aliases the
+// graph and must not be modified.
+func (g *Graph) neighbours(i int) []int32 {
+	return g.adj[g.edgeOffsets[i]:g.edgeOffsets[i+1]]
+}
 
 // NodeAddr returns the line address of node i's data (4 bytes/node).
 func (g *Graph) NodeAddr(i int) memsys.Addr {
@@ -146,27 +175,23 @@ func (g *Graph) EdgeAddr(e int64) memsys.Addr {
 	return memsys.LineAlign(g.EdgeBase + memsys.Addr(e*4))
 }
 
-// TraverseLines returns the line sequence of one full traversal: for
-// each node, its CSR row followed by each neighbour's node data — the
-// scattered reads that make graph workloads cache-hostile.
-func (g *Graph) TraverseLines() []memsys.Addr {
-	var out []memsys.Addr
-	for i := 0; i < g.Nodes; i++ {
-		out = append(out, g.EdgeAddr(g.edgeOffsets[i]))
-		for _, nb := range g.Adj[i] {
-			out = append(out, g.NodeAddr(int(nb)))
+// WalkLines returns the line sequence of one full traversal: for each
+// node, its CSR row followed by each neighbour's node data — the
+// scattered reads that make graph workloads cache-hostile. Consecutive
+// touches of one line are collapsed, as intra-warp coalescing of a
+// sorted access run would. The walk touches at most Nodes + Edges()
+// lines, so the result is allocated once at that bound.
+func (g *Graph) WalkLines() []memsys.Addr {
+	out := make([]memsys.Addr, 0, g.Nodes+len(g.adj))
+	emit := func(a memsys.Addr) {
+		if n := len(out); n == 0 || out[n-1] != a {
+			out = append(out, a)
 		}
 	}
-	return out
-}
-
-// Dedup returns lines with consecutive duplicates collapsed — models
-// intra-warp coalescing of a sorted access run.
-func Dedup(lines []memsys.Addr) []memsys.Addr {
-	var out []memsys.Addr
-	for i, a := range lines {
-		if i == 0 || a != lines[i-1] {
-			out = append(out, a)
+	for i := 0; i < g.Nodes; i++ {
+		emit(g.EdgeAddr(g.edgeOffsets[i]))
+		for _, nb := range g.neighbours(i) {
+			emit(g.NodeAddr(int(nb)))
 		}
 	}
 	return out
