@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -55,5 +56,44 @@ func TestBuildAllocBound(t *testing.T) {
 		t.Errorf("all 44 builds allocated %d bytes, bound %d", total, allBound)
 	} else {
 		t.Logf("all 44 builds allocated %d bytes", total)
+	}
+}
+
+// freshRunBytes returns the bytes one run of code at in allocates on a
+// fresh machine of the given mode that is never released, as each run
+// of the Fig. 4 sweep is: machine, job, every phase and the coherence
+// check.
+func freshRunBytes(t *testing.T, code string, in Input, mode core.Mode) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sys := core.NewSystem(core.DefaultConfig(mode))
+	w, err := Build(sys, code, in)
+	if err == nil {
+		_, err = w.RunPhaseRangeContext(context.Background(), sys, 0, w.Phases())
+	}
+	if err == nil {
+		err = sys.CheckCoherence()
+	}
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFreshRunAllocBound keeps a fresh machine's footprint at what it
+// holds: 32-bit cache tags and LRU stamps, 16-byte line-table entries,
+// packets allocated in slabs, an overflow heap in pages that growth
+// never copies, and a coherence check that lists no lines. MT big
+// under CCSM, the run with the most packets in flight (27,423) and a
+// 29k-entry overflow heap, allocated 29.1 MB before these and about
+// 16.9 MB after.
+func TestFreshRunAllocBound(t *testing.T) {
+	const bound = 20 << 20
+	if n := freshRunBytes(t, "MT", Big, core.ModeCCSM); n > bound {
+		t.Errorf("a fresh MT big CCSM run allocated %d bytes, bound %d", n, bound)
+	} else {
+		t.Logf("a fresh MT big CCSM run allocated %d bytes", n)
 	}
 }

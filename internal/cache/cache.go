@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"dstore/internal/freelist"
 	"dstore/internal/memsys"
 	"dstore/internal/stats"
 )
@@ -74,10 +75,10 @@ type Cache struct {
 	setMask uint64
 	lines   []Line // numSets * Ways, flattened
 	// tags[i] is the full line number held by way i when lines[i] is
-	// valid and tagInvalid otherwise, so find scans 8 packed bytes per
+	// valid and tagInvalid otherwise, so find scans 4 packed bytes per
 	// way. Every valid<->invalid transition must keep it in step with
 	// lines.
-	tags   []uint64
+	tags   []uint32
 	policy replacementPolicy
 
 	ctr Counters
@@ -172,13 +173,24 @@ func (c *Cache) line(set, way int) *Line {
 }
 
 // tagInvalid marks an empty way in the packed tag array. Tags are full
-// line numbers (physical address >> line shift), which can never reach
-// all-ones.
-const tagInvalid = ^uint64(0)
+// line numbers (physical address >> line shift) below tagInvalid: 32
+// bits cover 512 GB of physical memory, and Table I's 2 GB is 2^25
+// lines. Insert panics on a line number that does not fit, and find
+// reports it absent, so no wider address can alias a held line.
+const tagInvalid = ^uint32(0)
+
+// tagOf returns a's tag and whether its line number fits one.
+func tagOf(a memsys.Addr) (uint32, bool) {
+	n := memsys.LineNum(a)
+	return uint32(n), n < uint64(tagInvalid)
+}
 
 func (c *Cache) find(a memsys.Addr) (set, way int, ok bool) {
 	set = c.setOf(a)
-	tag := memsys.LineNum(a)
+	tag, fits := tagOf(a)
+	if !fits {
+		return set, -1, false
+	}
 	base := set * c.cfg.Ways
 	ts := c.tags[base : base+c.cfg.Ways]
 	for w := range ts {
@@ -294,7 +306,7 @@ func (c *Cache) PeekVictim(a memsys.Addr) (Victim, bool) {
 	way := c.policy.victim(set)
 	l := c.line(set, way)
 	return Victim{
-		Addr:  memsys.Addr(c.tags[set*c.cfg.Ways+way] << memsys.LineShift),
+		Addr:  memsys.Addr(uint64(c.tags[set*c.cfg.Ways+way]) << memsys.LineShift),
 		State: l.State,
 		Dirty: l.Dirty,
 	}, true
@@ -324,6 +336,10 @@ func (c *Cache) Insert(a memsys.Addr, state uint8, dirty bool) (v Victim, evicte
 	if state == 0 {
 		panic(fmt.Sprintf("cache %s: Insert with invalid state", c.cfg.Name))
 	}
+	tag, fits := tagOf(a)
+	if !fits {
+		panic(fmt.Sprintf("cache %s: Insert of line %#x beyond the 32-bit tag range", c.cfg.Name, uint64(a)))
+	}
 	set, way, ok := c.find(a)
 	if ok {
 		l := c.line(set, way)
@@ -344,7 +360,7 @@ func (c *Cache) Insert(a memsys.Addr, state uint8, dirty bool) (v Victim, evicte
 		way = c.policy.victim(set)
 		old := c.line(set, way)
 		v = Victim{
-			Addr:  memsys.Addr(c.tags[set*c.cfg.Ways+way] << memsys.LineShift),
+			Addr:  memsys.Addr(uint64(c.tags[set*c.cfg.Ways+way]) << memsys.LineShift),
 			State: old.State,
 			Dirty: old.Dirty,
 		}
@@ -355,7 +371,7 @@ func (c *Cache) Insert(a memsys.Addr, state uint8, dirty bool) (v Victim, evicte
 		}
 	}
 	*c.line(set, way) = Line{State: state, Dirty: dirty}
-	c.tags[set*c.cfg.Ways+way] = memsys.LineNum(a)
+	c.tags[set*c.cfg.Ways+way] = tag
 	c.policy.insert(set, way)
 	return v, evicted
 }
@@ -411,3 +427,12 @@ func (c *Cache) Release() {
 	c.policy.release()
 	c.lines, c.tags, c.policy = nil, nil, nil
 }
+
+// The cache arrays' free lists, one per element type. Tags and LRU
+// stamps share one list: both are numSets*ways 32-bit words.
+var (
+	lineFree = freelist.New[Line](freelist.MachineBytes)
+	wordFree = freelist.New[uint32](freelist.MachineBytes)
+	bitFree  = freelist.New[bool](freelist.MachineBytes)
+	rrpvFree = freelist.New[uint8](freelist.MachineBytes)
+)

@@ -1,10 +1,14 @@
 package cache
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
 	"dstore/internal/memsys"
+	"dstore/internal/sim"
+	"dstore/internal/snap"
 )
 
 // stateValid is an arbitrary non-zero protocol state for tests.
@@ -375,5 +379,130 @@ func TestNonPowerOfTwoWaysPLRU(t *testing.T) {
 	}
 	if c.ValidLines() > c.CapacityLines() {
 		t.Error("3-way PLRU overfilled")
+	}
+}
+
+// refLRU is the LRU policy as it was before stamps narrowed to 32
+// bits: a 64-bit clock that never wraps in a test's lifetime.
+type refLRU struct {
+	ways  int
+	clock uint64
+	last  []uint64
+}
+
+func (p *refLRU) stamp(set, way int) {
+	p.clock++
+	p.last[set*p.ways+way] = p.clock
+}
+
+func (p *refLRU) victim(set int) int {
+	base := set * p.ways
+	best := 0
+	for w := 1; w < p.ways; w++ {
+		if p.last[base+w] < p.last[base+best] {
+			best = w
+		}
+	}
+	return best
+}
+
+// TestLRUClockWrapKeepsVictims runs the 32-bit LRU through its clock
+// wrap, starting it near 2^32 after a warm-up that leaves some ways
+// never stamped (tied at 0), and requires every set's victim to match
+// the 64-bit reference after every stamp.
+func TestLRUClockWrapKeepsVictims(t *testing.T) {
+	const sets, ways = 16, 8
+	p := newLRU(sets, ways)
+	defer p.release()
+	ref := &refLRU{ways: ways, last: make([]uint64, sets*ways)}
+	rng := sim.NewRand(5)
+	step := func() {
+		// Favour the low ways so the high ones stay unstamped in
+		// some sets.
+		set, way := rng.Intn(sets), rng.Intn(ways)
+		if rng.Bool(0.5) {
+			way /= 2
+		}
+		p.stamp(set, way)
+		ref.stamp(set, way)
+	}
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	p.clock = ^uint32(0) - 300
+	ref.clock = uint64(p.clock)
+	wrapped := false
+	for i := 0; i < 3000; i++ {
+		step()
+		if p.clock < 1000 {
+			wrapped = true
+		}
+		for set := 0; set < sets; set++ {
+			if got, want := p.victim(set), ref.victim(set); got != want {
+				t.Fatalf("stamp %d: set %d victim way %d, 64-bit reference way %d", i, set, got, want)
+			}
+		}
+	}
+	if !wrapped {
+		t.Fatal("the clock never wrapped")
+	}
+}
+
+// TestTagRangeGuard checks the 32-bit tag bound: Insert panics on a
+// line number that does not fit, and a lookup of such a line misses
+// even when a held line has the same low 32 bits.
+func TestTagRangeGuard(t *testing.T) {
+	c := small(t, PolicyLRU)
+	held := lineAddr(5)
+	alias := held + memsys.Addr(uint64(1)<<32<<memsys.LineShift)
+	c.Insert(held, stateValid, false)
+	if _, hit := c.Lookup(alias); hit {
+		t.Error("Lookup of a line beyond the tag range hit a held line")
+	}
+	if c.Contains(alias) {
+		t.Error("Contains reports a line beyond the tag range")
+	}
+	for _, a := range []memsys.Addr{alias, memsys.Addr(uint64(tagInvalid) << memsys.LineShift)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Insert(%#x) beyond the tag range did not panic", uint64(a))
+				}
+			}()
+			c.Insert(a, stateValid, false)
+		}()
+	}
+	last := memsys.Addr((uint64(tagInvalid) - 1) << memsys.LineShift)
+	c.Insert(last, stateValid, true)
+	if st, hit := c.Lookup(last); !hit || st != stateValid {
+		t.Errorf("the highest tag: Lookup = %d, %v; want %d, true", st, hit, stateValid)
+	}
+}
+
+// TestRestoreRejectsWideValues patches a snapshot's tag and LRU clock
+// to values beyond 32 bits, as only a corrupt or foreign snapshot can
+// hold, and requires the restore to fail rather than truncate them.
+func TestRestoreRejectsWideValues(t *testing.T) {
+	const tag, clock = 0x123457, 0x7654321
+	for _, field := range []uint64{tag, clock} {
+		c := small(t, PolicyLRU)
+		c.Insert(memsys.Addr(tag<<memsys.LineShift), stateValid, false)
+		c.policy.(*lru).clock = clock
+		var w snap.Writer
+		c.SnapshotTo(&w)
+		blob := w.Bytes()
+		var old, wide [8]byte
+		binary.LittleEndian.PutUint64(old[:], field)
+		binary.LittleEndian.PutUint64(wide[:], field|1<<32)
+		at := bytes.Index(blob, old[:])
+		if at < 0 {
+			t.Fatalf("value %#x not found in the snapshot", field)
+		}
+		copy(blob[at:], wide[:])
+		r := snap.NewReader(blob)
+		small(t, PolicyLRU).RestoreFrom(r)
+		if r.Err() == nil {
+			t.Errorf("restore accepted %#x widened past 32 bits", field)
+		}
 	}
 }

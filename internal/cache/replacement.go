@@ -1,6 +1,10 @@
 package cache
 
-import "dstore/internal/sim"
+import (
+	"slices"
+
+	"dstore/internal/sim"
+)
 
 // replacementPolicy tracks access recency per set and nominates victims.
 // Implementations are not safe for concurrent use.
@@ -15,11 +19,13 @@ type replacementPolicy interface {
 	release()
 }
 
-// lru is true least-recently-used via a per-line logical timestamp.
+// lru is true least-recently-used via a per-line logical timestamp:
+// each touch or fill stamps the way with the next tick of a per-cache
+// clock, and the victim is the way with the smallest stamp in its set.
 type lru struct {
 	ways  int
-	clock uint64
-	last  []uint64 // numSets * ways
+	clock uint32
+	last  []uint32 // numSets * ways
 }
 
 func newLRU(numSets, ways int) *lru {
@@ -29,8 +35,33 @@ func newLRU(numSets, ways int) *lru {
 func (p *lru) release() { wordFree.Put(p.last) }
 
 func (p *lru) stamp(set, way int) {
+	if p.clock == ^uint32(0) {
+		p.renormalise()
+	}
 	p.clock++
 	p.last[set*p.ways+way] = p.clock
+}
+
+// renormalise replaces every stamp with its rank among the distinct
+// stamps of its set and restarts the clock above the largest rank.
+// victim compares stamps only within a set, and ranks keep that order
+// and its ties, so the clock wraps without changing any victim. It
+// runs once per 2^32 stamps.
+func (p *lru) renormalise() {
+	distinct := make([]uint32, 0, p.ways)
+	top := uint32(0)
+	for base := 0; base < len(p.last); base += p.ways {
+		set := p.last[base : base+p.ways]
+		distinct = append(distinct[:0], set...)
+		slices.Sort(distinct)
+		distinct = slices.Compact(distinct)
+		for w, v := range set {
+			r, _ := slices.BinarySearch(distinct, v)
+			set[w] = uint32(r)
+		}
+		top = max(top, uint32(len(distinct)-1))
+	}
+	p.clock = top
 }
 
 func (p *lru) touch(set, way int)  { p.stamp(set, way) }

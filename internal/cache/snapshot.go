@@ -1,6 +1,10 @@
 package cache
 
-import "dstore/internal/snap"
+import (
+	"math"
+
+	"dstore/internal/snap"
+)
 
 // Policy discriminants in the snapshot stream. These are part of the
 // serialised format (DESIGN.md §11): renumbering them is a snapshot
@@ -35,7 +39,7 @@ func (c *Cache) SnapshotTo(w *snap.Writer) {
 			continue
 		}
 		w.U32(uint32(i))
-		w.U64(c.tags[i])
+		w.U64(uint64(c.tags[i]))
 		w.U8(l.State)
 		w.Bool(l.Dirty)
 	}
@@ -43,9 +47,9 @@ func (c *Cache) SnapshotTo(w *snap.Writer) {
 	switch p := c.policy.(type) {
 	case *lru:
 		w.U8(snapPolicyLRU)
-		w.U64(p.clock)
+		w.U64(uint64(p.clock))
 		for _, v := range p.last {
-			w.U64(v)
+			w.U64(uint64(v))
 		}
 	case *treePLRU:
 		w.U8(snapPolicyTreePLRU)
@@ -94,12 +98,12 @@ func (c *Cache) RestoreFrom(r *snap.Reader) {
 		if r.Err() != nil {
 			return
 		}
-		if int(i) >= len(c.lines) || state == 0 {
-			r.Failf("cache %s: invalid snapshot line entry (idx %d, state %d)", c.cfg.Name, i, state)
+		if int(i) >= len(c.lines) || state == 0 || tag >= uint64(tagInvalid) {
+			r.Failf("cache %s: invalid snapshot line entry (idx %d, tag %#x, state %d)", c.cfg.Name, i, tag, state)
 			return
 		}
 		c.lines[i] = Line{State: state, Dirty: dirty}
-		c.tags[i] = tag
+		c.tags[i] = uint32(tag)
 	}
 
 	kind := r.U8()
@@ -109,9 +113,9 @@ func (c *Cache) RestoreFrom(r *snap.Reader) {
 			r.Failf("cache %s: snapshot policy %d, configured lru", c.cfg.Name, kind)
 			return
 		}
-		p.clock = r.U64()
+		p.clock = c.readStamp(r)
 		for i := range p.last {
-			p.last[i] = r.U64()
+			p.last[i] = c.readStamp(r)
 		}
 	case *treePLRU:
 		if kind != snapPolicyTreePLRU {
@@ -137,4 +141,15 @@ func (c *Cache) RestoreFrom(r *snap.Reader) {
 		p.rng.SetState(r.U64())
 	}
 	c.ctr.Rows().RestoreFrom(r)
+}
+
+// readStamp reads an LRU clock or stamp, which snapshots carry as a
+// U64, and fails the reader on a value beyond the 32-bit clock.
+func (c *Cache) readStamp(r *snap.Reader) uint32 {
+	v := r.U64()
+	if v > math.MaxUint32 {
+		r.Failf("cache %s: snapshot LRU stamp %d beyond the 32-bit clock", c.cfg.Name, v)
+		return 0
+	}
+	return uint32(v)
 }

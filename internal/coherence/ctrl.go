@@ -139,7 +139,7 @@ func NewCtrl(engine *sim.Engine, cfg CtrlConfig, xbar interconnect.Network, mem 
 func (c *Ctrl) Name() string { return c.name }
 
 // Release gives the controller's cache arrays and line-table pages to
-// their free lists (see cache.FreeList). Only the machine's owner may
+// their free lists (see freelist.List). Only the machine's owner may
 // call it, after its last read; afterwards only the counters stay
 // readable.
 func (c *Ctrl) Release() {
@@ -373,13 +373,13 @@ func (c *Ctrl) complete(req *memsys.Request, lat sim.Tick) {
 func (c *Ctrl) sendReq(msg ReqMsg, size int) {
 	c.obsSend(msg)
 	pk := c.mem.pkt(pkRecvReq)
-	pk.rmsg = msg
+	pk.body = reqBody(msg)
 	c.xbar.SendArg(c.port, c.mem.port, size, runPkt, pk)
 }
 
 // missPath sends the demand miss into the protocol.
 func (c *Ctrl) missPath(req *memsys.Request, line memsys.Addr, wantX bool) {
-	if ls := c.lines.at(line); ls.flags&lsWB != 0 && !wantX && ls.flags&lsWBStale == 0 {
+	if ls := c.lines.at(line); ls.buffered() && !wantX && !ls.stale() {
 		// The line is in our own writeback buffer (dirty eviction or
 		// overflowed push still in flight to memory): loads are served
 		// locally — we are still the data source until memory
@@ -390,7 +390,7 @@ func (c *Ctrl) missPath(req *memsys.Request, line memsys.Addr, wantX bool) {
 		// violation found by the model checker). Stale entries (the
 		// line was since granted exclusively elsewhere) fall through
 		// for loads too.
-		req.Ver = ls.wbVer
+		req.Ver = ls.wbVer()
 		c.complete(req, c.cfg.L2HitLat)
 		return
 	}
@@ -517,7 +517,7 @@ func (c *Ctrl) processDirectStore(req *memsys.Request, line memsys.Addr) {
 		return
 	}
 	pk := c.mem.pkt(pkRecvPutx)
-	pk.c, pk.putx, pk.req = target, p, req
+	pk.c, pk.body, pk.req = target, putxBody(p), req
 	if c.cfg.DirectOverXbar {
 		// Ablation: no dedicated network — the push rides the shared
 		// coherence crossbar and contends with everything else.
@@ -608,9 +608,8 @@ func (c *Ctrl) installLine(line memsys.Addr, st State, dirty bool, ver uint64) {
 // writebackDone clears the writeback buffer entry once memory has
 // committed it, if the commit is for the buffered version.
 func (c *Ctrl) writebackDone(line memsys.Addr, ver uint64) {
-	if ls := c.lines.at(line); WBCommitClears(ls.flags&lsWB != 0, ls.wbVer, ver) {
-		ls.flags = 0
-		ls.wbVer = 0
+	if ls := c.lines.at(line); WBCommitClears(ls.buffered(), ls.wbVer(), ver) {
+		ls.wb = 0
 		c.wbCount--
 	}
 }
@@ -620,11 +619,10 @@ func (c *Ctrl) writebackDone(line memsys.Addr, ver uint64) {
 // also clears any staleness: the new data is current again.
 func (c *Ctrl) writeBack(line memsys.Addr, ver uint64) {
 	ls := c.lines.at(line)
-	if ls.flags&lsWB == 0 {
+	if !ls.buffered() {
 		c.wbCount++
 	}
-	ls.flags = lsWB
-	ls.wbVer = ver
+	ls.bufferWB(ver)
 	c.sendReq(ReqMsg{Type: WB, Addr: line, From: c.port, Ver: ver}, interconnect.DataMsgBytes)
 }
 
@@ -633,7 +631,7 @@ func (c *Ctrl) writeBack(line memsys.Addr, ver uint64) {
 func (c *Ctrl) receiveProbe(p ProbeMsg) {
 	c.ctr.ProbesReceived++
 	pk := c.mem.pkt(pkAnswerProbe)
-	pk.c, pk.probe = c, p
+	pk.c, pk.body = c, probeBody(p)
 	c.engine.ScheduleArg(c.cfg.L2HitLat+c.stallTicks(), runPkt, pk)
 }
 
@@ -642,21 +640,21 @@ func (c *Ctrl) answerProbe(p ProbeMsg) {
 	ls := c.lines.at(line)
 	st, dirty, _ := c.l2.Probe(line) // I and clean when absent
 	ctx := ProbeCtx{St: st, Dirty: dirty}
-	if ls.flags&lsWB != 0 {
+	if ls.buffered() {
 		ctx.WB = WBLive
-		if ls.flags&lsWBStale != 0 {
+		if ls.stale() {
 			ctx.WB = WBStale
 		}
-		ctx.LiveOlder = ls.ver < ls.wbVer
+		ctx.LiveOlder = ls.ver < ls.wbVer()
 	}
 	r := AnswerProbe(ctx, p.Kind)
 	ack := AckMsg{Addr: line, From: c.port, HadData: r.HadData, Present: r.Present, Dirty: r.Dirty}
 	switch {
 	case r.FromWB:
 		if r.StaleWB {
-			ls.flags |= lsWBStale
+			ls.wb |= lsWBStale
 		}
-		ack.Ver = ls.wbVer
+		ack.Ver = ls.wbVer()
 	case r.HadData:
 		ack.Ver = ls.ver
 	}
@@ -698,14 +696,14 @@ func (c *Ctrl) supplyToRequester(p ProbeMsg, d DataMsg) {
 		c.obs.Msg(c.engine.Now(), c.obsID, obs.MsgData, p.Addr, c.obs.Component(c.mem.peerName(requester)))
 	}
 	pk := c.mem.pkt(pkRecvData)
-	pk.c, pk.data = c.mem.peers[requester], d
+	pk.c, pk.body = c.mem.peers[requester], dataBody(d)
 	c.xbar.SendArg(c.port, requester, interconnect.DataMsgBytes, runPkt, pk)
 }
 
 func (c *Ctrl) sendAck(ack AckMsg) {
 	c.obs.Msg(c.engine.Now(), c.obsID, obs.MsgAck, ack.Addr, c.obsMem)
 	pk := c.mem.pkt(pkRecvAck)
-	pk.ack = ack
+	pk.body = ackBody(ack)
 	c.xbar.SendArg(c.port, c.mem.port, interconnect.CtrlMsgBytes, runPkt, pk)
 }
 
@@ -783,7 +781,7 @@ func (c *Ctrl) receiveData(d DataMsg) {
 func (c *Ctrl) unblock(line memsys.Addr) {
 	c.obs.Msg(c.engine.Now(), c.obsID, obs.MsgUnblock, line, c.obsMem)
 	pk := c.mem.pkt(pkRecvUnblock)
-	pk.line = line
+	pk.body.addr = line
 	c.xbar.SendArg(c.port, c.mem.port, interconnect.CtrlMsgBytes, runPkt, pk)
 }
 

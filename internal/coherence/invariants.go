@@ -33,8 +33,31 @@ func (m *MemCtrl) protocol() *Protocol {
 // It is a debugging/verification aid for tests and for users
 // embedding the simulator; a non-nil error means a protocol bug.
 func (m *MemCtrl) CheckInvariants(lines []memsys.Addr) error {
+	k, err := m.InvariantChecker()
+	if err != nil {
+		return err
+	}
+	for _, a := range lines {
+		if err := k.Check(a); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// InvariantChecker checks CheckInvariants' invariant set one line at a
+// time, for a caller that walks its lines instead of listing them.
+type InvariantChecker struct {
+	proto *Protocol
+	peers []*Ctrl
+	v     LineView
+}
+
+// InvariantChecker returns a checker over the registered peer caches,
+// or CheckInvariants' error when transactions are still in flight.
+func (m *MemCtrl) InvariantChecker() (*InvariantChecker, error) {
 	if !m.Idle() {
-		return fmt.Errorf("coherence: %d transactions still in flight\n%s", m.busyCount, m.TransactionDump())
+		return nil, fmt.Errorf("coherence: %d transactions still in flight\n%s", m.busyCount, m.TransactionDump())
 	}
 	var peers []*Ctrl
 	for _, c := range m.peers {
@@ -47,27 +70,33 @@ func (m *MemCtrl) CheckInvariants(lines []memsys.Addr) error {
 	for i, c := range peers {
 		names[i] = c.name
 	}
-	proto := m.protocol()
-	v := LineView{
-		N:         len(names),
-		States:    make([]State, len(names)),
-		Dirty:     make([]bool, len(names)),
-		Vers:      make([]uint64, len(names)),
-		Names:     names,
-		Quiescent: true,
+	return &InvariantChecker{
+		proto: m.protocol(),
+		peers: peers,
+		v: LineView{
+			N:         len(names),
+			States:    make([]State, len(names)),
+			Dirty:     make([]bool, len(names)),
+			Vers:      make([]uint64, len(names)),
+			Names:     names,
+			Quiescent: true,
+		},
+	}, nil
+}
+
+// Check validates the line holding a.
+func (k *InvariantChecker) Check(a memsys.Addr) error {
+	line := memsys.LineAlign(a)
+	v := &k.v
+	for i, c := range k.peers {
+		v.States[i] = c.State(line)
+		v.Vers[i] = c.Ver(line)
 	}
-	for _, a := range lines {
-		line := memsys.LineAlign(a)
-		for i, c := range peers {
-			v.States[i] = c.State(line)
-			v.Vers[i] = c.Ver(line)
-		}
-		if proto.CheckLineView(&v, nil) != "" {
-			// Label the line only for the report: formatting every
-			// line's address up front cost more than the checks.
-			v.Line = fmt.Sprintf("%#x", uint64(line))
-			return fmt.Errorf("coherence: %s%s", proto.CheckLineView(&v, nil), holderDesc(&v))
-		}
+	if k.proto.CheckLineView(v, nil) != "" {
+		// Label the line only for the report: formatting every
+		// line's address up front cost more than the checks.
+		v.Line = fmt.Sprintf("%#x", uint64(line))
+		return fmt.Errorf("coherence: %s%s", k.proto.CheckLineView(v, nil), holderDesc(v))
 	}
 	return nil
 }

@@ -3,7 +3,7 @@ package coherence
 import (
 	"fmt"
 
-	"dstore/internal/cache"
+	"dstore/internal/freelist"
 	"dstore/internal/memsys"
 )
 
@@ -38,19 +38,19 @@ type lineTab[T any] struct {
 	pages []*[pageLen]T
 	shift uint
 	part  uint64
-	free  *cache.FreeList[T]
+	free  *freelist.List[T]
 }
 
 // The page free lists, one per entry type.
 var (
-	statePages = cache.NewFreeList[lineState](cache.MachineListBytes)
-	txnPages   = cache.NewFreeList[*txn](cache.MachineListBytes)
-	verPages   = cache.NewFreeList[uint64](cache.MachineListBytes)
+	statePages = freelist.New[lineState](freelist.MachineBytes)
+	txnPages   = freelist.New[*txn](freelist.MachineBytes)
+	verPages   = freelist.New[uint64](freelist.MachineBytes)
 )
 
 // newLineTab returns an empty table holding the lines whose low shift
 // line-number bits equal part, drawing its pages from free.
-func newLineTab[T any](shift uint, part uint64, free *cache.FreeList[T]) lineTab[T] {
+func newLineTab[T any](shift uint, part uint64, free *freelist.List[T]) lineTab[T] {
 	if part>>shift != 0 {
 		panic(fmt.Sprintf("coherence: line table part %d out of range for shift %d", part, shift))
 	}
@@ -129,25 +129,47 @@ func (t *lineTab[T]) each(f func(line uint64, v *T)) {
 }
 
 // lineState is a Ctrl's per-line protocol bookkeeping, packing what
-// used to live in three separate maps (ver, wbBuf, wbStale).
+// used to live in three separate maps (ver, wbBuf, wbStale) into 16
+// bytes.
 type lineState struct {
 	// ver is the resident data version (the functional oracle standing
 	// in for data values); 0 means no version recorded.
 	ver uint64
-	// wbVer is the version of the in-flight buffered writeback, valid
-	// only while lsWB is set.
-	wbVer uint64
-	flags uint8
+	// wb is the buffered writeback: lsWB and lsWBStale in its top two
+	// bits, the version of the in-flight writeback below them (valid
+	// only while lsWB is set).
+	wb uint64
 }
 
 const (
 	// lsWB marks a dirty evicted line buffered until the memory
 	// controller acknowledges its writeback; probes hitting it supply
 	// data from the buffer, closing the eviction race.
-	lsWB uint8 = 1 << iota
+	lsWB uint64 = 1 << 63
 	// lsWBStale marks a buffered writeback whose line has since been
 	// granted exclusively to another agent: the writeback must still
 	// reach memory, but the buffered data must neither satisfy local
 	// loads nor supply later probes.
-	lsWBStale
+	lsWBStale uint64 = 1 << 62
+	// wbVerMask selects the writeback version bits of wb.
+	wbVerMask = lsWBStale - 1
 )
+
+// buffered reports whether the line has a writeback in flight.
+func (ls *lineState) buffered() bool { return ls.wb&lsWB != 0 }
+
+// stale reports whether the buffered writeback has been superseded.
+func (ls *lineState) stale() bool { return ls.wb&lsWBStale != 0 }
+
+// wbVer returns the buffered writeback's version.
+func (ls *lineState) wbVer() uint64 { return ls.wb & wbVerMask }
+
+// bufferWB records a fresh writeback of version ver, clearing any
+// staleness. A version reaching the flag bits would corrupt them; at
+// one store per tick it takes longer than any simulation can run.
+func (ls *lineState) bufferWB(ver uint64) {
+	if ver > wbVerMask {
+		panic(fmt.Sprintf("coherence: writeback version %d does not fit 62 bits", ver))
+	}
+	ls.wb = lsWB | ver
+}

@@ -45,10 +45,11 @@ type MemCtrl struct {
 	queued    map[memsys.Addr][]ReqMsg
 	dramVer   lineTab[uint64]
 
-	// pkts is the shared coherence packet pool (see pkt.go); txnPool
-	// recycles transactions.
-	pkts    []*pkt
-	txnPool []*txn
+	// freePkt heads the shared coherence packet pool (see pkt.go),
+	// whose packets live in pktSlabs; txnPool recycles transactions.
+	freePkt  *pkt
+	pktSlabs [][]pkt
+	txnPool  []*txn
 
 	// regions, when non-nil, filters probes HSC-style (see
 	// RegionDirectory).
@@ -99,11 +100,15 @@ func NewMemCtrl(engine *sim.Engine, name string, xbar interconnect.Network, d *d
 	}
 }
 
-// Release gives the ordering point's line-table pages to their free
-// lists, under the same rule as Ctrl.Release.
+// Release gives the ordering point's line-table pages and packet slabs
+// to their free lists, under the same rule as Ctrl.Release.
 func (m *MemCtrl) Release() {
 	m.busy.release()
 	m.dramVer.release()
+	for _, slab := range m.pktSlabs {
+		pktSlabs.Put(slab)
+	}
+	m.freePkt, m.pktSlabs = nil, nil
 }
 
 // Name returns the controller's crossbar port name.
@@ -245,7 +250,7 @@ func (m *MemCtrl) apply(t *txn, eff TxnEffect, targets []interconnect.Port) {
 			}
 			pk := m.pkt(pkRecvProbe)
 			pk.c = m.peers[tgt]
-			pk.probe = ProbeMsg{Kind: kind, Addr: line, Requester: t.req.From}
+			pk.body = probeBody(ProbeMsg{Kind: kind, Addr: line, Requester: t.req.From})
 			m.xbar.SendArg(m.port, tgt, interconnect.CtrlMsgBytes, runPkt, pk)
 		}
 	}
@@ -266,7 +271,7 @@ func (m *MemCtrl) apply(t *txn, eff TxnEffect, targets []interconnect.Port) {
 	}
 	if eff&TxWBDone != 0 {
 		pk := m.pkt(pkWBCommit)
-		pk.rmsg = t.req
+		pk.body = reqBody(t.req)
 		m.xbar.SendArg(m.port, t.req.From, interconnect.CtrlMsgBytes, runPkt, pk)
 	}
 	if eff&TxFinish != 0 {
@@ -279,7 +284,7 @@ func (m *MemCtrl) apply(t *txn, eff TxnEffect, targets []interconnect.Port) {
 // transaction fizzles instead of corrupting the txn's successor.
 func (m *MemCtrl) dramAccess(t *txn, write bool) {
 	pk := m.pkt(pkDramDone)
-	pk.t, pk.gen = t, t.gen
+	pk.t, pk.body.ver = t, t.gen
 	m.dram.AccessArg(t.req.Addr, write, runPkt, pk)
 }
 
@@ -302,7 +307,7 @@ func (m *MemCtrl) sendData(t *txn, class obs.MsgClass, size int) {
 		m.obs.Msg(m.engine.Now(), m.obsID, class, d.Addr, m.obs.Component(m.peerName(requester)))
 	}
 	pk := m.pkt(pkRecvData)
-	pk.c, pk.data = m.peers[requester], d
+	pk.c, pk.body = m.peers[requester], dataBody(d)
 	m.xbar.SendArg(m.port, requester, size, runPkt, pk)
 }
 
@@ -337,7 +342,7 @@ func (m *MemCtrl) finish(line memsys.Addr) {
 		}
 		// Start in a fresh event so completion cascades settle first.
 		pk := m.pkt(pkStart)
-		pk.rmsg = next
+		pk.body = reqBody(next)
 		m.engine.ScheduleArg(0, runPkt, pk)
 	}
 }

@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"dstore/internal/freelist"
+	"dstore/internal/interconnect"
 	"dstore/internal/memsys"
 	"dstore/internal/sim"
 )
@@ -41,33 +43,112 @@ const (
 // nothing per message.
 type pkt struct {
 	m    *MemCtrl // pool owner; also the target of mem-side kinds
-	kind pktKind
-
 	c    *Ctrl
 	t    *txn
-	gen  uint64 // txn generation pinned at schedule time (pkDramDone)
 	req  *memsys.Request
-	line memsys.Addr
-
-	rmsg  ReqMsg
-	probe ProbeMsg
-	ack   AckMsg
-	data  DataMsg
-	putx  PutxMsg
+	next *pkt // the pool's free-list link
+	body msgBody
+	kind pktKind
 }
+
+// msgBody is the one message a packet carries, whichever its kind:
+// every protocol message fits these 32 bytes.
+type msgBody struct {
+	addr memsys.Addr       // the message's Addr; pkRecvUnblock's line
+	ver  uint64            // Ver; the txn generation of pkDramDone
+	seq  uint64            // PutxMsg.Seq
+	port interconnect.Port // From, or ProbeMsg.Requester
+	kind uint8             // ReqMsg.Type, ProbeMsg.Kind or DataMsg.Grant
+	bits uint8             // AckMsg's HadData/Present/Dirty, DataMsg.Owned
+}
+
+// The bits of msgBody.bits.
+const (
+	bodyHadData = 1 << iota
+	bodyPresent
+	bodyDirty
+	bodyOwned = bodyHadData
+)
+
+// bitIf returns bit when b is set, else 0.
+func bitIf(b bool, bit uint8) uint8 {
+	if b {
+		return bit
+	}
+	return 0
+}
+
+func reqBody(m ReqMsg) msgBody {
+	return msgBody{addr: m.Addr, ver: m.Ver, port: m.From, kind: uint8(m.Type)}
+}
+
+func (b *msgBody) req() ReqMsg {
+	return ReqMsg{Type: ReqType(b.kind), Addr: b.addr, From: b.port, Ver: b.ver}
+}
+
+func probeBody(m ProbeMsg) msgBody {
+	return msgBody{addr: m.Addr, port: m.Requester, kind: uint8(m.Kind)}
+}
+
+func (b *msgBody) probe() ProbeMsg {
+	return ProbeMsg{Kind: ProbeKind(b.kind), Addr: b.addr, Requester: b.port}
+}
+
+func ackBody(m AckMsg) msgBody {
+	return msgBody{addr: m.Addr, ver: m.Ver, port: m.From,
+		bits: bitIf(m.HadData, bodyHadData) | bitIf(m.Present, bodyPresent) | bitIf(m.Dirty, bodyDirty)}
+}
+
+func (b *msgBody) ack() AckMsg {
+	return AckMsg{Addr: b.addr, From: b.port, Ver: b.ver,
+		HadData: b.bits&bodyHadData != 0, Present: b.bits&bodyPresent != 0, Dirty: b.bits&bodyDirty != 0}
+}
+
+func dataBody(m DataMsg) msgBody {
+	return msgBody{addr: m.Addr, ver: m.Ver, kind: m.Grant, bits: bitIf(m.Owned, bodyOwned)}
+}
+
+func (b *msgBody) data() DataMsg {
+	return DataMsg{Addr: b.addr, Ver: b.ver, Grant: b.kind, Owned: b.bits&bodyOwned != 0}
+}
+
+func putxBody(m PutxMsg) msgBody {
+	return msgBody{addr: m.Addr, ver: m.Ver, seq: m.Seq, port: m.From}
+}
+
+func (b *msgBody) putx() PutxMsg {
+	return PutxMsg{Addr: b.addr, Ver: b.ver, From: b.port, Seq: b.seq}
+}
+
+// pktSlab is how many packets the pool allocates at once. Slabs come
+// from pktSlabs and go back to it when the machine is released.
+const pktSlab = 256
+
+var pktSlabs = freelist.New[pkt](freelist.MachineBytes)
 
 // pkt draws a packet from the pool. Fields from a previous use are not
 // zeroed: each kind reads only the fields its sender set.
 func (m *MemCtrl) pkt(kind pktKind) *pkt {
-	var pk *pkt
-	if n := len(m.pkts); n > 0 {
-		pk = m.pkts[n-1]
-		m.pkts = m.pkts[:n-1]
-	} else {
-		pk = &pkt{m: m} //dstore:allow-alloc pool refill, amortized to zero in steady state
+	if m.freePkt == nil {
+		m.growPkts()
 	}
+	pk := m.freePkt
+	m.freePkt = pk.next
 	pk.kind = kind
 	return pk
+}
+
+// growPkts adds one slab of packets to the pool.
+func (m *MemCtrl) growPkts() {
+	slab := pktSlabs.Get(pktSlab)
+	m.pktSlabs = append(m.pktSlabs, slab)
+	for i := range slab {
+		slab[i].m = m
+		if i+1 < len(slab) {
+			slab[i].next = &slab[i+1]
+		}
+	}
+	m.freePkt = &slab[0]
 }
 
 // runPkt is the single static dispatch function for all packets. The
@@ -84,33 +165,34 @@ func runPkt(arg any, now sim.Tick) {
 	case pkRemoteLoad:
 		pk.c.remoteLoadStart(pk.req)
 	case pkRecvData:
-		pk.c.receiveData(pk.data)
+		pk.c.receiveData(pk.body.data())
 	case pkRecvProbe:
-		pk.c.receiveProbe(pk.probe)
+		pk.c.receiveProbe(pk.body.probe())
 	case pkAnswerProbe:
-		pk.c.answerProbe(pk.probe)
+		pk.c.answerProbe(pk.body.probe())
 	case pkRecvPutx:
-		pk.c.ReceivePutx(pk.putx, pk.req)
+		pk.c.ReceivePutx(pk.body.putx(), pk.req)
 	case pkRecvReq:
-		m.ReceiveRequest(pk.rmsg)
+		m.ReceiveRequest(pk.body.req())
 	case pkRecvAck:
-		m.ReceiveAck(pk.ack)
+		m.ReceiveAck(pk.body.ack())
 	case pkRecvUnblock:
-		m.ReceiveUnblock(pk.line)
+		m.ReceiveUnblock(pk.body.addr)
 	case pkStart:
-		m.start(pk.rmsg)
+		m.start(pk.body.req())
 	case pkDramDone:
 		// The speculative DRAM read can outlive its transaction (an
 		// owner supplied the data and the transaction closed); a stale
 		// generation means the txn was recycled and the read is a no-op.
-		if pk.t.gen == pk.gen {
+		if pk.t.gen == pk.body.ver {
 			m.apply(pk.t, pk.t.DramComplete(), nil)
 		}
 	case pkWBCommit:
-		if p := m.peers[pk.rmsg.From]; p != nil {
-			p.writebackDone(pk.rmsg.Addr, pk.rmsg.Ver)
+		if p := m.peers[pk.body.port]; p != nil {
+			p.writebackDone(pk.body.addr, pk.body.ver)
 		}
 	}
 	pk.c, pk.t, pk.req = nil, nil, nil
-	m.pkts = append(m.pkts, pk)
+	pk.next = m.freePkt
+	m.freePkt = pk
 }

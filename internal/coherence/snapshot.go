@@ -8,6 +8,26 @@ import (
 	"dstore/internal/snap"
 )
 
+// The writeback flags of a line-table entry in the snapshot stream.
+// They are part of the serialised format, whatever bits lineState
+// keeps them in.
+const (
+	snapWB      = 1
+	snapWBStale = 2
+)
+
+// snapFlags returns ls's writeback flags in snapshot form.
+func (ls *lineState) snapFlags() uint8 {
+	var f uint8
+	if ls.buffered() {
+		f |= snapWB
+	}
+	if ls.stale() {
+		f |= snapWBStale
+	}
+	return f
+}
+
 // SnapshotTo serialises a cache controller at a quiescent point: the
 // protocol line table (sparse), the port cursor, the cache arrays and
 // the counters. Transient state — MSHR entries, stalled requests,
@@ -41,8 +61,8 @@ func (c *Ctrl) SnapshotTo(w *snap.Writer) {
 		}
 		w.U64(line)
 		w.U64(ls.ver)
-		w.U64(ls.wbVer)
-		w.U8(ls.flags)
+		w.U64(ls.wbVer())
+		w.U8(ls.snapFlags())
 	})
 
 	w.Bool(c.l1 != nil)
@@ -88,7 +108,18 @@ func (c *Ctrl) RestoreFrom(r *snap.Reader) {
 			r.Failf("coherence %s: snapshot holds line %#x of another slice", c.name, uint64(line))
 			return
 		}
-		*c.lines.atIndex(idx) = lineState{ver: ver, wbVer: wbVer, flags: flags}
+		if wbVer > wbVerMask || flags&^(snapWB|snapWBStale) != 0 {
+			r.Failf("coherence %s: invalid snapshot writeback entry (version %d, flags %#x)", c.name, wbVer, flags)
+			return
+		}
+		ls := lineState{ver: ver, wb: wbVer}
+		if flags&snapWB != 0 {
+			ls.wb |= lsWB
+		}
+		if flags&snapWBStale != 0 {
+			ls.wb |= lsWBStale
+		}
+		*c.lines.atIndex(idx) = ls
 	}
 
 	hasL1 := r.Bool()

@@ -21,8 +21,8 @@ func allocated(f func()) uint64 {
 
 // releasedCycleBytes bounds a NewSystem + Release cycle of the Table I
 // machine once the free lists hold its arrays. A first build allocates
-// about 730 KB, most of it cache arrays; the cycle allocates about
-// 94 KB (engine, MSHRs, TLBs, controllers).
+// about 450 KB, most of it cache arrays; the cycle allocates about
+// 95 KB (engine, MSHRs, TLBs, controllers).
 const releasedCycleBytes = 128 << 10
 
 func TestNewSystemReleaseAllocBound(t *testing.T) {

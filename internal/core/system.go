@@ -474,8 +474,9 @@ func NewSystem(cfg Config) *System {
 	return s
 }
 
-// Release gives the machine's cache arrays and coherence line-table
-// pages to the free lists the next NewSystem draws from, so a stream
+// Release gives the machine's cache arrays, coherence line-table
+// pages, packet slabs and event-heap pages to the free lists the next
+// NewSystem draws from, so a stream
 // of jobs allocates only what one machine holds (DESIGN.md, "Machine
 // lifetime"). Only the machine's owner may call it, after its last
 // read of the machine; afterwards only its counters stay readable. A
@@ -489,6 +490,7 @@ func (s *System) Release() {
 	}
 	s.Mem.Release()
 	s.GPU.Release()
+	s.Engine.Release()
 }
 
 // prefetchAfter issues next-line prefetches into whichever slices own
@@ -630,20 +632,20 @@ func (s *System) Now() sim.Tick { return s.Engine.Now() }
 // no in-flight transactions). Call it after the system drains; a
 // non-nil error is a protocol bug.
 func (s *System) CheckCoherence() error {
-	regions := s.Space.Regions()
-	n := uint64(0)
-	for _, r := range regions {
-		n += memsys.LinesCovering(r.Base, r.Size)
+	k, err := s.Mem.InvariantChecker()
+	if err != nil {
+		return err
 	}
-	lines := make([]memsys.Addr, 0, n)
-	for _, r := range regions {
+	for _, r := range s.Space.Regions() {
 		for va := memsys.LineAlign(r.Base); va < r.End(); va += memsys.LineSize {
 			if pa, ok := s.PT.Lookup(va); ok {
-				lines = append(lines, pa)
+				if err := k.Check(pa); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	return s.Mem.CheckInvariants(lines)
+	return nil
 }
 
 // GPUL2Accesses sums demand accesses over the GPU L2 slices.

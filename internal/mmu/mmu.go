@@ -9,6 +9,7 @@ package mmu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dstore/internal/memsys"
 	"dstore/internal/sim"
@@ -102,8 +103,10 @@ type TLB struct {
 	entries []tlbEntry
 	// index maps vpn → slot in entries, mirroring the linear contents:
 	// a 256-entry fully associative file is too big to scan per
-	// translation.
-	index map[uint64]int32
+	// translation. It is an open-addressed, linearly probed table of
+	// slot+1 (0 is empty) with at least twice as many buckets as
+	// entries, so it never grows and a probe run stays short.
+	index []int32
 	// head and tail are the most and least recently used entries of the
 	// intrusive recency list threaded through entries, so the LRU
 	// victim is tail in O(1). The used stamps stay (they are unique per
@@ -123,7 +126,63 @@ func NewTLB(pt *PageTable, cfg Config) *TLB {
 	if cfg.DirectLimit < cfg.DirectBase {
 		panic(fmt.Sprintf("mmu %s: inverted direct-store range", cfg.Name))
 	}
-	return &TLB{cfg: cfg, pt: pt, index: make(map[uint64]int32, cfg.Entries), head: -1, tail: -1}
+	buckets := 1
+	for buckets < 2*cfg.Entries {
+		buckets *= 2
+	}
+	return &TLB{cfg: cfg, pt: pt, entries: make([]tlbEntry, 0, cfg.Entries),
+		index: make([]int32, buckets), head: -1, tail: -1}
+}
+
+// bucket returns vpn's home bucket in index (Fibonacci hashing: the
+// top bits of the product spread consecutive pages evenly).
+func (t *TLB) bucket(vpn uint64) int {
+	return int((vpn * 0x9e3779b97f4a7c15) >> (64 - bits.TrailingZeros(uint(len(t.index)))))
+}
+
+// lookup returns the entry slot holding vpn.
+func (t *TLB) lookup(vpn uint64) (int32, bool) {
+	mask := len(t.index) - 1
+	for b := t.bucket(vpn); ; b = (b + 1) & mask {
+		s := t.index[b]
+		if s == 0 {
+			return 0, false
+		}
+		if t.entries[s-1].vpn == vpn {
+			return s - 1, true
+		}
+	}
+}
+
+// insertIndex records that entry slot holds vpn, which is absent.
+func (t *TLB) insertIndex(vpn uint64, slot int32) {
+	mask := len(t.index) - 1
+	b := t.bucket(vpn)
+	for t.index[b] != 0 {
+		b = (b + 1) & mask
+	}
+	t.index[b] = slot + 1
+}
+
+// removeIndex drops vpn, which is present, and shifts later members of
+// its probe run back so that no lookup stops short at the hole.
+func (t *TLB) removeIndex(vpn uint64) {
+	mask := len(t.index) - 1
+	hole := t.bucket(vpn)
+	for t.entries[t.index[hole]-1].vpn != vpn {
+		hole = (hole + 1) & mask
+	}
+	for b := (hole + 1) & mask; t.index[b] != 0; b = (b + 1) & mask {
+		// The member at b may fill the hole unless its home lies
+		// cyclically in (hole, b]: then the hole is before its home.
+		home := t.bucket(t.entries[t.index[b]-1].vpn)
+		if (b-home)&mask < (b-hole)&mask {
+			continue
+		}
+		t.index[hole] = t.index[b]
+		hole = b
+	}
+	t.index[hole] = 0
 }
 
 // TLBCounters are a TLB's hit, miss and direct-store detection counts.
@@ -190,7 +249,7 @@ func (t *TLB) Translate(va memsys.Addr) (pa memsys.Addr, lat sim.Tick, direct bo
 	}
 	vpn := uint64(va) >> PageShift
 	t.clock++
-	if i, ok := t.index[vpn]; ok {
+	if i, ok := t.lookup(vpn); ok {
 		t.ctr.Hits++
 		t.entries[i].used = t.clock
 		if i != t.head {
@@ -214,10 +273,10 @@ func (t *TLB) Translate(va memsys.Addr) (pa memsys.Addr, lat sim.Tick, direct bo
 		// The tail holds the smallest used stamp: the true-LRU victim.
 		slot = t.tail
 		t.unlink(slot)
-		delete(t.index, t.entries[slot].vpn)
+		t.removeIndex(t.entries[slot].vpn)
 		t.entries[slot] = e
 	}
-	t.index[vpn] = slot
+	t.insertIndex(vpn, slot)
 	t.pushFront(slot)
 	return pa, t.cfg.HitLatency + t.cfg.WalkLatency, direct, nil
 }

@@ -1,6 +1,7 @@
 package mmu
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -238,5 +239,69 @@ func TestPropertyDetectorMatchesAllocator(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTLBIndexConsistent churns small TLBs through streams that
+// collide in the open-addressed index and checks after every
+// translation that each entry is found at its own slot and that the
+// index holds exactly one bucket per entry: a deletion that broke a
+// probe run would lose an entry or leave a stale one.
+func TestTLBIndexConsistent(t *testing.T) {
+	for _, entries := range []int{1, 3, 8, 20} {
+		_, tlb := newTLB(entries)
+		rng := rand.New(rand.NewSource(int64(entries)))
+		for i := 0; i < 5000; i++ {
+			va := memsys.Addr(rng.Intn(3*entries+2)) << PageShift
+			if _, _, _, err := tlb.Translate(va); err != nil {
+				t.Fatal(err)
+			}
+			used := 0
+			for _, s := range tlb.index {
+				if s != 0 {
+					used++
+				}
+			}
+			if used != len(tlb.entries) {
+				t.Fatalf("%d entries, step %d: %d index buckets in use, want %d", entries, i, used, len(tlb.entries))
+			}
+			for slot, e := range tlb.entries {
+				if got, ok := tlb.lookup(e.vpn); !ok || got != int32(slot) {
+					t.Fatalf("%d entries, step %d: page %#x at slot %d, index says %d (found %v)", entries, i, e.vpn, slot, got, ok)
+				}
+			}
+		}
+	}
+}
+
+// TestTranslateZeroAllocs: once every page of the stream is mapped, a
+// translation, hit or miss with eviction, allocates nothing.
+func TestTranslateZeroAllocs(t *testing.T) {
+	_, tlb := newTLB(64)
+	// Every other translation is of one hot page, which stays resident;
+	// the rest sweep more pages than the TLB holds, so they miss and
+	// evict.
+	const pages = 200
+	va := func(i int) memsys.Addr {
+		if i%2 == 0 {
+			return 0
+		}
+		return memsys.Addr(i*7%pages) << PageShift
+	}
+	for i := 0; i < pages; i++ {
+		if _, _, _, err := tlb.Translate(va(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		tlb.Translate(va(i))
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("Translate allocated %.1f times per call, want 0", allocs)
+	}
+	if c := tlb.Counters(); c.Hits == 0 || c.Misses <= pages {
+		t.Errorf("%d hits and %d misses: the stream should both hit and evict", c.Hits, c.Misses)
 	}
 }

@@ -83,13 +83,15 @@ func (t *TLB) RestoreFrom(r *snap.Reader) {
 	}
 	t.clock = clock
 	t.entries = t.entries[:0]
-	for k := range t.index { //dstore:allow-maprange delete-all, order cannot escape
-		delete(t.index, k)
-	}
+	clear(t.index)
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		e := tlbEntry{vpn: r.U64(), pfn: r.U64(), used: r.U64()}
+		if _, dup := t.lookup(e.vpn); dup {
+			r.Failf("mmu %s: snapshot holds page %#x twice", t.cfg.Name, e.vpn)
+			return
+		}
 		t.entries = append(t.entries, e)
-		t.index[e.vpn] = int32(len(t.entries) - 1)
+		t.insertIndex(e.vpn, int32(len(t.entries)-1))
 	}
 	t.relink()
 	t.ctr.Rows().RestoreFrom(r)

@@ -9,8 +9,8 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"dstore/internal/cache"
 	"dstore/internal/coherence"
+	"dstore/internal/freelist"
 )
 
 // lineQuiescent reports whether nothing is in flight for line l.
@@ -190,7 +190,7 @@ const arenaBytes = 64 << 20
 // blockFree holds frontier blocks between runs. Put clears a block, so
 // a reused one keeps the dead-message-slots-zero invariant trivially;
 // while a run lasts, its blocks cycle through blockPool.free uncleared.
-var blockFree = cache.NewFreeList[block](arenaBytes)
+var blockFree = freelist.New[block](arenaBytes)
 
 // swap hands full (if non-nil) to the next level and returns an empty
 // block, recycled when one is free.

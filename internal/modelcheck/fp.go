@@ -6,7 +6,7 @@ import (
 	"sync"
 	"unsafe"
 
-	"dstore/internal/cache"
+	"dstore/internal/freelist"
 )
 
 // Hash-compacted visited set (Wolper/Leroy bit-state hashing's exact
@@ -147,7 +147,7 @@ const fpInitBits = 14
 // count and cleared when given back (0 marks an empty slot). It is
 // process-wide and bounded by arenaBytes, like blockFree. Tracing
 // tables, built only to rebuild a counterexample, allocate their own.
-var fpFree = cache.NewFreeList[uint64](arenaBytes)
+var fpFree = freelist.New[uint64](arenaBytes)
 
 func newFPTable(par, trace bool) *fpTable {
 	t := &fpTable{par: par, trace: trace}

@@ -4,8 +4,8 @@ import (
 	"runtime"
 	"testing"
 
-	"dstore/internal/cache"
 	"dstore/internal/coherence"
+	"dstore/internal/freelist"
 )
 
 // expandSample returns the first n states reachable from cfg's initial
@@ -87,8 +87,8 @@ var bypassProduct = Config{Agents: 3, Lines: 2, DirectLines: 1, MaxStores: 1, Ma
 // emptyArena drops what the process-wide free lists hold, so the next
 // run allocates as the first run of a process does.
 func emptyArena() {
-	blockFree = cache.NewFreeList[block](arenaBytes)
-	fpFree = cache.NewFreeList[uint64](arenaBytes)
+	blockFree = freelist.New[block](arenaBytes)
+	fpFree = freelist.New[uint64](arenaBytes)
 }
 
 // checkAllocMB explores cfg at the given worker count, requires a clean

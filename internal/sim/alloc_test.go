@@ -132,4 +132,27 @@ func TestBenchmarkAllocsPinned(t *testing.T) {
 		i++
 	})
 	check("ScheduleStepMixed", allocs, bytes, 0, 0)
+
+	// BenchmarkFarFutureBurst: 30 heap pages of 1,024 40-byte events for
+	// 30k live events, plus the doublings of the page-pointer slice, on
+	// fresh engines with no released pages to draw.
+	drainHeapPages()
+	fresh = make([]*Engine, 3*(runs+1))
+	for i := range fresh {
+		fresh[i] = NewEngine()
+	}
+	allocs, bytes = memPerRun(runs, func() {
+		e := fresh[0]
+		fresh = fresh[1:]
+		farFutureBurst(e, 30000, fn)
+	})
+	check("FarFutureBurst", allocs, bytes, 36, 30*heapPageLen*40+504)
+}
+
+// drainHeapPages empties the heap-page free list, so that what a test
+// measures next is a process's first engines.
+func drainHeapPages() {
+	for heapPages.HeldBytes() > 0 {
+		heapPages.Get(heapPageLen)
+	}
 }

@@ -25,8 +25,11 @@
 //     the next non-empty tick a handful of word scans. Push and pop are
 //     O(1) — no heap sift, which previously dominated full-sweep
 //     profiles;
-//   - a small 4-ary min-heap for the rare far-future event (watchdogs,
-//     coarse timeouts) at wheelSize or more ticks out.
+//   - a 4-ary min-heap for the far-future event (compute gaps, DRAM
+//     completions behind a long bank queue, watchdogs) at wheelSize or
+//     more ticks out. It lives in fixed pages that never move, so a
+//     heap that grows to tens of thousands of entries copies none of
+//     them.
 //
 // The split preserves (tick, insertion-order) semantics exactly. Within
 // a wheel slot, list order is insertion order. An overflow-heap event
@@ -42,6 +45,8 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+
+	"dstore/internal/freelist"
 )
 
 // Tick is the simulation time unit. One tick is one CPU-domain clock
@@ -102,7 +107,7 @@ type event struct {
 }
 
 // eventLess orders overflow events by (when, seq).
-func eventLess(a, b event) bool {
+func eventLess(a, b *event) bool {
 	if a.when != b.when {
 		return a.when < b.when
 	}
@@ -110,10 +115,19 @@ func eventLess(a, b event) bool {
 }
 
 // heapArity is the branching factor of the overflow heap. A 4-ary heap
-// halves the tree depth of a binary heap; the overflow heap is small
-// (watchdog-scale, not wavefront-scale) so this barely matters, but it
-// costs nothing.
+// halves the tree depth of a binary heap.
 const heapArity = 4
+
+// heapPageBits sets an overflow-heap page to 1<<heapPageBits events.
+const (
+	heapPageBits = 10
+	heapPageLen  = 1 << heapPageBits
+	heapPageMask = heapPageLen - 1
+)
+
+// heapPages holds released engines' overflow-heap pages for the next
+// engine (see Release).
+var heapPages = freelist.New[event](freelist.MachineBytes)
 
 // Engine is the discrete-event simulator. The zero value is not ready to
 // use; construct one with NewEngine.
@@ -141,8 +155,11 @@ type Engine struct {
 	freeNode int32
 
 	// heap is the 4-ary overflow min-heap by (when, seq) for events
-	// wheelSize or more ticks out. heapSeq orders same-tick entries.
-	heap    []event
+	// wheelSize or more ticks out, heapLen entries in fixed pages (entry
+	// i is heapAt(i)). Pages are added as the heap grows and kept until
+	// Release. heapSeq orders same-tick entries.
+	heap    []*[heapPageLen]event
+	heapLen int
 	heapSeq uint64
 
 	executed uint64
@@ -187,7 +204,7 @@ func (e *Engine) Now() Tick { return e.now }
 
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int {
-	return int(e.fifo.n) + e.wheelCount + len(e.heap)
+	return int(e.fifo.n) + e.wheelCount + e.heapLen
 }
 
 // Executed returns the total number of events executed so far.
@@ -353,8 +370,8 @@ func (e *Engine) nextAdvance() (Tick, bool) {
 		best = e.wheelNext()
 		have = true
 	}
-	if len(e.heap) > 0 && (!have || e.heap[0].when < best) {
-		best = e.heap[0].when
+	if e.heapLen > 0 && (!have || e.heap[0][0].when < best) {
+		best = e.heap[0][0].when
 		have = true
 	}
 	return best, have
@@ -396,7 +413,7 @@ func (e *Engine) advanceTo(when Tick) {
 		e.advanceHook(e.now, when)
 	}
 	e.now = when
-	for len(e.heap) > 0 && e.heap[0].when == when {
+	for e.heapLen > 0 && e.heap[0][0].when == when {
 		n := e.allocNode()
 		e.nodes[n] = node{ev: e.heapPop().ev, next: -1}
 		e.fifoPush(n)
@@ -571,31 +588,41 @@ func (e *Engine) fifoPop() slotEvent {
 	return ev
 }
 
-// heapPush inserts ev into the 4-ary overflow heap.
+// heapAt returns overflow-heap entry i.
+func (e *Engine) heapAt(i int) *event {
+	return &e.heap[i>>heapPageBits][i&heapPageMask]
+}
+
+// heapPush inserts ev into the 4-ary overflow heap, adding a page when
+// the last one is full.
 func (e *Engine) heapPush(ev event) {
-	h := append(e.heap, ev)
-	i := len(h) - 1
+	i := e.heapLen
+	if i>>heapPageBits == len(e.heap) {
+		e.heap = append(e.heap, (*[heapPageLen]event)(heapPages.Get(heapPageLen)))
+	}
+	e.heapLen++
+	*e.heapAt(i) = ev
 	for i > 0 {
 		p := (i - 1) / heapArity
-		if !eventLess(h[i], h[p]) {
+		c, pp := e.heapAt(i), e.heapAt(p)
+		if !eventLess(c, pp) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		*c, *pp = *pp, *c
 		i = p
 	}
-	e.heap = h
 }
 
 // heapPop removes and returns the heap minimum. The caller has checked
 // it is non-empty.
 func (e *Engine) heapPop() event {
-	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release the callback for GC
-	h = h[:n]
-	e.heap = h
+	root := e.heapAt(0)
+	top := *root
+	n := e.heapLen - 1
+	last := e.heapAt(n)
+	*root = *last
+	*last = event{} // release the callback for GC
+	e.heapLen = n
 	i := 0
 	for {
 		c := i*heapArity + 1
@@ -608,15 +635,26 @@ func (e *Engine) heapPop() event {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if eventLess(h[j], h[m]) {
+			if eventLess(e.heapAt(j), e.heapAt(m)) {
 				m = j
 			}
 		}
-		if !eventLess(h[m], h[i]) {
+		cm, ci := e.heapAt(m), e.heapAt(i)
+		if !eventLess(cm, ci) {
 			break
 		}
-		h[i], h[m] = h[m], h[i]
+		*cm, *ci = *ci, *cm
 		i = m
 	}
 	return top
+}
+
+// Release gives the overflow heap's pages to the list the next engine
+// draws them from. Only the engine's owner may call it, after the last
+// event it will run; afterwards only Now and Executed stay meaningful.
+func (e *Engine) Release() {
+	for _, page := range e.heap {
+		heapPages.Put(page[:])
+	}
+	e.heap, e.heapLen = nil, 0
 }

@@ -120,3 +120,28 @@ func BenchmarkRunDrainSteady(b *testing.B) {
 		e.Run()
 	}
 }
+
+// farFutureBurst schedules n events on e, each wheelSize or more ticks
+// out, in a scrambled order, and drains them: the shape of DRAM
+// completions queued behind a long bank queue, which fill the overflow
+// heap to tens of thousands of entries in the Fig. 4 sweep.
+func farFutureBurst(e *Engine, n int, fn func()) {
+	for i := 0; i < n; i++ {
+		e.Schedule(wheelSize+Tick(i*7919%n), fn)
+	}
+	e.Run()
+}
+
+func BenchmarkFarFutureBurst(b *testing.B) {
+	// A fresh engine per iteration, not counted: B/op is what the heap
+	// allocates to hold 30k events, which should be about the 960 KB
+	// they occupy.
+	b.ReportAllocs()
+	fn := func() {}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := NewEngine()
+		b.StartTimer()
+		farFutureBurst(e, 30000, fn)
+	}
+}

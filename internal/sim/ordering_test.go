@@ -225,3 +225,80 @@ func TestEngineRunUntilWithFIFOPending(t *testing.T) {
 		t.Errorf("clock at %d, want 10", e.Now())
 	}
 }
+
+// TestOverflowHeapOrderAcrossPages fills the overflow heap with 30k
+// far-future events, about 30 pages, at ticks drawn with repeats so
+// many share a tick, and requires them to run in (tick, schedule
+// order): sift paths cross page boundaries at every level.
+func TestOverflowHeapOrderAcrossPages(t *testing.T) {
+	const n = 30000
+	e := NewEngine()
+	rng := NewRand(11)
+	type key struct {
+		when Tick
+		i    int
+	}
+	var ran []key
+	for i := 0; i < n; i++ {
+		k := key{wheelSize + Tick(rng.Intn(n/3)), i}
+		e.ScheduleAt(k.when, func() {
+			if e.Now() != k.when {
+				t.Errorf("event %d scheduled for tick %d ran at %d", k.i, k.when, e.Now())
+			}
+			ran = append(ran, k)
+		})
+	}
+	if len(e.heap) < n/heapPageLen {
+		t.Fatalf("%d heap pages for %d events, want at least %d", len(e.heap), n, n/heapPageLen)
+	}
+	e.Run()
+	if len(ran) != n {
+		t.Fatalf("ran %d events, want %d", len(ran), n)
+	}
+	for j := 1; j < n; j++ {
+		a, b := ran[j-1], ran[j]
+		if a.when > b.when || a.when == b.when && a.i > b.i {
+			t.Fatalf("event %d (tick %d) ran before event %d (tick %d)", a.i, a.when, b.i, b.when)
+		}
+	}
+}
+
+// TestReleaseRecyclesHeapPages releases an engine whose heap grew to
+// two pages and requires the next engine to draw those pages, cleared,
+// and to order its own far-future events exactly.
+func TestReleaseRecyclesHeapPages(t *testing.T) {
+	drainHeapPages()
+	fn := func() {}
+	e := NewEngine()
+	for i := 0; i < heapPageLen+1; i++ {
+		e.Schedule(wheelSize+Tick(i), fn)
+	}
+	e.RunUntil(wheelSize) // leave most events queued: Release drops them
+	pages := e.heap
+	e.Release()
+	if e.Pending() != 0 || len(e.heap) != 0 {
+		t.Fatalf("released engine holds %d events in %d pages, want none", e.Pending(), len(e.heap))
+	}
+	if got, want := heapPages.HeldBytes(), 2*heapPageLen*40; got != want {
+		t.Fatalf("free list holds %d bytes after Release, want %d", got, want)
+	}
+
+	e2 := NewEngine()
+	var order []int
+	for i := 0; i < 3; i++ {
+		i := i
+		e2.Schedule(wheelSize+Tick(3-i), func() { order = append(order, i) })
+	}
+	if p := e2.heap[0]; p != pages[0] && p != pages[1] {
+		t.Error("the new engine did not draw a released heap page")
+	}
+	for j := 3; j < heapPageLen; j++ {
+		if ev := e2.heap[0][j]; ev.when != 0 || ev.seq != 0 || ev.ev.fn != nil || ev.ev.arg != nil {
+			t.Fatalf("recycled page entry %d = %+v, want empty", j, ev)
+		}
+	}
+	e2.Run()
+	if len(order) != 3 || order[0] != 2 || order[1] != 1 || order[2] != 0 {
+		t.Errorf("ran %v, want [2 1 0]", order)
+	}
+}
