@@ -119,7 +119,8 @@ loc:
 
 # bench runs the event-kernel microbenchmarks, job construction
 # (BenchmarkBuild: GC big and MM big) and the model checker's
-# whole-exploration benchmarks, with -benchmem. Tests in internal/sim
+# whole-exploration and layer benchmarks (BenchmarkCheck; BenchmarkFPInsert
+# and BenchmarkCanonical), with -benchmem. Tests in internal/sim
 # pin every engine benchmark's allocs/op and B/op, and
 # TestBuildAllocBound bounds what Build allocates; the timings compare
 # two builds on one machine (e.g. with benchstat).

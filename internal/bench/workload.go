@@ -79,8 +79,7 @@ func Build(sys *core.System, code string, in Input) (*Workload, error) {
 		}
 		g.EdgeBase = edgeBase
 		readLines = g.WalkLines()
-		produceLines = append(trace.SequentialLines(nodeBase, nodeBytes),
-			trace.SequentialLines(edgeBase, edgeBytes)...)
+		produceLines = graphProduceLines(nodeBase, nodeBytes, edgeBase, edgeBytes)
 	} else {
 		bytes := p.inBytes[in]
 		base, err := sys.AllocShared(bytes, code+".in")
@@ -144,6 +143,14 @@ func Build(sys *core.System, code string, in Input) (*Workload, error) {
 		w.phases = append(w.phases, phase{lines: rb, ty: memsys.Load})
 	}
 	return w, nil
+}
+
+// graphProduceLines is a graph workload's produce pass: the node
+// region's lines, then the edge region's, in one slice sized for both.
+func graphProduceLines(nodeBase memsys.Addr, nodeBytes uint64, edgeBase memsys.Addr, edgeBytes uint64) []memsys.Addr {
+	out := make([]memsys.Addr, 0, memsys.LinesCovering(nodeBase, nodeBytes)+memsys.LinesCovering(edgeBase, edgeBytes))
+	out = trace.AppendSequentialLines(out, nodeBase, nodeBytes)
+	return trace.AppendSequentialLines(out, edgeBase, edgeBytes)
 }
 
 // buildInitKernel writes every input line from the GPU (PT-style

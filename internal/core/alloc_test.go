@@ -22,8 +22,9 @@ func allocated(f func()) uint64 {
 // releasedCycleBytes bounds a NewSystem + Release cycle of the Table I
 // machine once the free lists hold its arrays. A first build allocates
 // about 450 KB, most of it cache arrays; the cycle allocates about
-// 95 KB (engine, MSHRs, TLBs, controllers).
-const releasedCycleBytes = 128 << 10
+// 35 KB (MSHRs, TLBs, controllers). It took 95 KB while every engine
+// built its own 57 KB timing wheel and node arena.
+const releasedCycleBytes = 64 << 10
 
 func TestNewSystemReleaseAllocBound(t *testing.T) {
 	cfg := DefaultConfig(ModeDirectStore)
@@ -36,6 +37,8 @@ func TestNewSystemReleaseAllocBound(t *testing.T) {
 	}) / cycles
 	if got > releasedCycleBytes {
 		t.Errorf("NewSystem + Release allocated %d bytes per cycle, want at most %d", got, releasedCycleBytes)
+	} else {
+		t.Logf("NewSystem + Release allocated %d bytes per cycle", got)
 	}
 }
 

@@ -93,94 +93,113 @@ func symGroup(cfg Config) []perm {
 	return group
 }
 
-// applyPerm returns s relabelled by p. Message kinds carry agent ids
-// in kind-specific fields (see the msg kind table in model.go); the
-// multiset is re-sorted afterwards so the encoding stays canonical.
-func applyPerm(cfg Config, s *state, p *perm) state {
-	var ns state
-	for a := 0; a < cfg.Agents; a++ {
+// applyPermInto writes s relabelled by p into dst, which must not be
+// s. Message kinds carry agent ids in kind-specific fields (see the msg
+// kind table in model.go); the multiset is re-sorted afterwards so the
+// encoding stays canonical. Every byte of dst is written, so dst may
+// hold any earlier state: p fixes the agents and lines past its
+// configuration's, whose entries are zero in every state, and message
+// slots past s.nmsgs are zeroed.
+func applyPermInto(s *state, p *perm, dst *state) {
+	for a := 0; a < maxAgents; a++ {
 		na := p.agents[a]
-		for l := 0; l < cfg.Lines; l++ {
+		for l := 0; l < maxLines; l++ {
 			nl := p.lines[l]
-			ns.st[na][nl] = s.st[a][l]
-			ns.dirty[na][nl] = s.dirty[a][l]
-			ns.ver[na][nl] = s.ver[a][l]
-			ns.wb[na][nl] = s.wb[a][l]
-			ns.wbStale[na][nl] = s.wbStale[a][l]
-			ns.pend[na][nl] = s.pend[a][l]
-			ns.super[na][nl] = s.super[a][l]
+			dst.st[na][nl] = s.st[a][l]
+			dst.dirty[na][nl] = s.dirty[a][l]
+			dst.ver[na][nl] = s.ver[a][l]
+			dst.wb[na][nl] = s.wb[a][l]
+			dst.wbStale[na][nl] = s.wbStale[a][l]
+			dst.pend[na][nl] = s.pend[a][l]
+			dst.super[na][nl] = s.super[a][l]
 		}
 	}
-	for l := 0; l < cfg.Lines; l++ {
+	for l := 0; l < maxLines; l++ {
 		nl := p.lines[l]
-		ns.mem[nl] = s.mem[l]
-		ns.latest[nl] = s.latest[l]
-		ns.busy[nl] = s.busy[l]
-		ns.nq[nl] = s.nq[l]
-		ns.lastPushVer[nl] = s.lastPushVer[l]
-		t := s.txn[l]
-		if t != (txnState{}) {
-			t.from = p.agents[t.from]
+		dst.mem[nl] = s.mem[l]
+		dst.latest[nl] = s.latest[l]
+		dst.busy[nl] = s.busy[l]
+		dst.nq[nl] = s.nq[l]
+		dst.lastPushVer[nl] = s.lastPushVer[l]
+		// Copied whole, then relabelled in place: entries past nq are
+		// zero, as is an idle line's txn.
+		dst.txn[nl] = s.txn[l]
+		if s.txn[l] != (txnState{}) {
+			dst.txn[nl].from = p.agents[s.txn[l].from]
 		}
-		ns.txn[nl] = t
+		dst.queue[nl] = s.queue[l]
 		for i := 0; i < int(s.nq[l]); i++ {
-			e := s.queue[l][i]
-			e.from = p.agents[e.from]
-			ns.queue[nl][i] = e
+			dst.queue[nl][i].from = p.agents[s.queue[l][i].from]
 		}
 	}
-	ns.storesLeft = s.storesLeft
-	ns.evictsLeft = s.evictsLeft
-	ns.loadsLeft = s.loadsLeft
-	ns.nackLeft = s.nackLeft
-	ns.dupLeft = s.dupLeft
-	ns.ordered = s.ordered
-	ns.pushSeq = s.pushSeq
-	ns.pushPend = s.pushPend
-	ns.applied = s.applied
-	ns.pushVer = s.pushVer
-	// Only written entries are relabelled: unused slots stay zero so
-	// the permuted state matches what the permuted run would produce.
+	dst.storesLeft = s.storesLeft
+	dst.evictsLeft = s.evictsLeft
+	dst.loadsLeft = s.loadsLeft
+	dst.nackLeft = s.nackLeft
+	dst.dupLeft = s.dupLeft
+	dst.ordered = s.ordered
+	dst.pushSeq = s.pushSeq
+	dst.pushPend = s.pushPend
+	dst.applied = s.applied
+	dst.pushVer = s.pushVer
+	// Entries past pushSeq were never written and stay zero, so the
+	// permuted state matches what the permuted run would produce.
+	dst.pushLine = s.pushLine
 	for seq := 1; seq <= int(s.pushSeq); seq++ {
-		ns.pushLine[seq] = p.lines[s.pushLine[seq]]
+		dst.pushLine[seq] = p.lines[s.pushLine[seq]]
 	}
-	ns.nmsgs = s.nmsgs
+	for i := int(s.nmsgs); i < int(dst.nmsgs); i++ {
+		dst.msgs[i] = msg{}
+	}
+	dst.nmsgs = s.nmsgs
+	// Relabelled messages are insertion-sorted as msgKeys, integers
+	// rather than 7-byte structs. Each is read and written a byte at a
+	// time: a struct copy through a temporary stalls on the byte
+	// stores it reads back.
+	var keys [maxMsgs]uint64
 	for i := 0; i < int(s.nmsgs); i++ {
-		m := s.msgs[i]
-		m.line = p.lines[m.line]
+		m := &s.msgs[i]
+		a, b, c := m.a, m.b, m.c
 		switch m.kind {
 		case kReq:
-			m.b = p.agents[m.b]
+			b = p.agents[b]
 		case kProbe:
-			m.b = p.agents[m.b]
-			m.c = p.agents[m.c]
+			b, c = p.agents[b], p.agents[c]
 		case kAck, kData, kUnblock, kWBDone:
-			m.a = p.agents[m.a]
+			a = p.agents[a]
 		}
 		// kPutx (a=ver, b=seq) and kPushAck (a=seq) carry no agent ids.
-		ns.msgs[i] = m
-	}
-	for i := 1; i < int(ns.nmsgs); i++ {
-		for j := i; j > 0 && msgLess(ns.msgs[j], ns.msgs[j-1]); j-- {
-			ns.msgs[j], ns.msgs[j-1] = ns.msgs[j-1], ns.msgs[j]
+		k := msgKey(m.kind, p.lines[m.line], a, b, c, m.d, m.ord)
+		j := i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j] = keys[j-1]
 		}
+		keys[j] = k
 	}
-	return ns
+	for i, k := range keys[:s.nmsgs] {
+		m := &dst.msgs[i]
+		m.kind, m.line, m.a, m.b = uint8(k>>48), uint8(k>>40), uint8(k>>32), uint8(k>>24)
+		m.c, m.d, m.ord = uint8(k>>16), uint8(k>>8), uint8(k)
+	}
 }
 
-// canonical returns the smallest orbit member of s under group (the
-// state itself when the group is empty).
-func canonical(cfg Config, group []perm, s state) state {
-	if len(group) == 0 {
-		return s
-	}
-	best := s
-	bb := stateBytes(&best)
+// canonicalize replaces s with the smallest member of its orbit under
+// group (leaves it alone when the group is empty). It works in place:
+// each group element's image is written into one of the two scratch
+// states, the smaller of the image and the best so far is kept by
+// pointer, and only a winning image is copied back into s.
+func canonicalize(group []perm, s *state, scratch *[2]state) {
+	best, cand := s, &scratch[0]
 	for i := range group {
-		cand := applyPerm(cfg, &s, &group[i])
-		if bytes.Compare(stateBytes(&cand), bb) < 0 {
-			best = cand
+		applyPermInto(s, &group[i], cand)
+		if bytes.Compare(stateBytes(cand), stateBytes(best)) < 0 {
+			best, cand = cand, best
+			if cand == s {
+				cand = &scratch[1]
+			}
 		}
 	}
-	return best
+	if best != s {
+		copyLive(s, best)
+	}
 }

@@ -180,9 +180,9 @@ type blockPool struct {
 	free []*block
 }
 
-// arenaBytes bounds each of the checker's two process-wide free lists,
-// blockFree and fpFree; what a Put would hold past it is left to the
-// collector. It is sized from the standard sweep's peak at two workers:
+// arenaBytes bounds each of the checker's process-wide free lists,
+// blockFree, fpFree and fpTables; what a Put would hold past it is left
+// to the collector. It is sized from the standard sweep's peak at two workers:
 // its 1.87M-state heap config holds 48 blocks (62 MB) at once and
 // leaves 64 shard arrays each of 16K, 32K and 64K slots (56 MiB).
 const arenaBytes = 64 << 20
@@ -246,7 +246,8 @@ type worker struct {
 	cur         *block // nil until the worker keeps its first state of a level
 	cands       []cand
 	transitions int
-	scratch     state // successor buffer, reused across every expansion
+	scratch     state    // successor buffer, reused across every expansion
+	canon       [2]state // canonicalize's candidate buffers
 }
 
 // keep appends a newly visited state to the worker's current block.
@@ -390,7 +391,7 @@ func CheckOpts(cfg Config, opt Options) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	c := newChecker(cfg, newFPTable(workers > 1, false))
+	c := newChecker(cfg, newFPTable(false))
 	ws := c.newWorkers(workers, opt.Coverage)
 	best, maxDepth := c.explore(ws)
 	res := &Result{Config: cfg, Workers: workers, States: c.table.count(), MaxDepth: maxDepth}
@@ -408,7 +409,8 @@ func CheckOpts(cfg Config, opt Options) (*Result, error) {
 // Workers claim the level chunk by chunk, bounded by each block's size
 // (see block). Every block goes back to blockFree before it returns.
 func (c *checker) explore(ws []*worker) (best *cand, maxDepth int) {
-	init := canonical(c.cfg, c.group, initial(c.cfg))
+	init := initial(c.cfg)
+	canonicalize(c.group, &init, &ws[0].canon)
 	initFP := fpState(&init)
 	c.table.insert(initFP, initFP, 0)
 	if msg := c.checkState(ws[0], &init); msg != "" {
@@ -494,7 +496,7 @@ func (c *checker) expand(w *worker, s *state, pfp uint64, depth int32) {
 		emitted++
 		w.transitions++
 		if len(c.group) > 0 {
-			*ns = canonical(c.cfg, c.group, *ns)
+			canonicalize(c.group, ns, &w.canon)
 		}
 		fp := fpState(ns)
 		if c.table.insert(fp, pfp, depth+1) {
@@ -545,7 +547,7 @@ func buildViolation(cfg Config, workers int, v *cand) *Violation {
 	// the table, and its per-level min-parent tie-break is the
 	// deterministic path source (the discovering worker's own parent
 	// is a race).
-	c := newChecker(cfg, newFPTable(workers > 1, true))
+	c := newChecker(cfg, newFPTable(true))
 	c.explore(c.newWorkers(workers, nil))
 	var chain []uint64
 	for fp := fpState(&v.st); ; {
@@ -561,16 +563,18 @@ func buildViolation(cfg Config, workers int, v *cand) *Violation {
 	}
 
 	var trace []string
-	cur := canonical(cfg, c.group, initial(cfg))
+	var scratch [2]state
+	cur := initial(cfg)
+	canonicalize(c.group, &cur, &scratch)
 	for _, fp := range chain[1:] {
 		found := false
 		successors(c.cfg, &cur, true, nil, func(ns *state, label, _ string) {
 			if found {
 				return
 			}
-			cns := canonical(c.cfg, c.group, *ns)
-			if fpState(&cns) == fp {
-				cur, found = cns, true
+			canonicalize(c.group, ns, &scratch)
+			if fpState(ns) == fp {
+				cur, found = *ns, true
 				trace = append(trace, label)
 			}
 		})

@@ -429,6 +429,13 @@ func msgLess(a, b msg) bool {
 	return a.ord < b.ord
 }
 
+// msgKey packs a message's fields, in declaration order, into an
+// integer that orders as msgLess orders the message.
+func msgKey(kind, line, a, b, c, d, ord uint8) uint64 {
+	return uint64(kind)<<48 | uint64(line)<<40 | uint64(a)<<32 |
+		uint64(b)<<24 | uint64(c)<<16 | uint64(d)<<8 | uint64(ord)
+}
+
 // invalidate drops agent a's copy of line l, zeroing the canonical
 // fields.
 func (s *state) invalidate(a, l int) {

@@ -1,6 +1,7 @@
 package modelcheck
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -91,7 +92,10 @@ func TestParallelDeterminism(t *testing.T) {
 // TestSymmetryReduction: symmetry must shrink (or at worst preserve)
 // the state count without changing the verdict, and the canonical map
 // must be a sound orbit representative (canonical(perm(s)) ==
-// canonical(s) for every group element).
+// canonical(s) for every group element). The in-place canonicalize
+// and applyPermInto, run over scratch states that hold earlier
+// results, must equal the by-value references below on every sampled
+// state and group element.
 func TestSymmetryReduction(t *testing.T) {
 	cfg := Config{Agents: 4, GPUs: 2, Lines: 2, DirectLines: 2, MaxStores: 1, MaxEvicts: 1, MaxLoads: 1}
 	plain, err := Check(cfg)
@@ -117,7 +121,9 @@ func TestSymmetryReduction(t *testing.T) {
 	if len(group) == 0 {
 		t.Fatal("expected a nontrivial symmetry group")
 	}
-	seen := 0
+	var scratch [2]state
+	var dst state
+	seen, moved := 0, 0
 	frontier := []state{initial(cfg)}
 	visited := map[state]bool{frontier[0]: true}
 	for len(frontier) > 0 && seen < 2000 {
@@ -125,10 +131,23 @@ func TestSymmetryReduction(t *testing.T) {
 		frontier = frontier[1:]
 		seen++
 		c := canonical(cfg, group, s)
+		in := s
+		if canonicalize(group, &in, &scratch); in != c {
+			t.Fatalf("canonicalize differs from canonical on state %d", seen)
+		}
+		if c != s {
+			moved++
+		}
 		for gi := range group {
 			p := applyPerm(cfg, &s, &group[gi])
+			if applyPermInto(&s, &group[gi], &dst); dst != p {
+				t.Fatalf("applyPermInto differs from applyPerm for group element %d", gi)
+			}
 			if pc := canonical(cfg, group, p); pc != c {
 				t.Fatalf("canonical not orbit-invariant for group element %d", gi)
+			}
+			if canonicalize(group, &p, &scratch); p != c {
+				t.Fatalf("canonicalize not orbit-invariant for group element %d", gi)
 			}
 		}
 		successors(cfg, &s, false, nil, func(ns *state, _, _ string) {
@@ -138,6 +157,118 @@ func TestSymmetryReduction(t *testing.T) {
 			}
 		})
 	}
+	if moved == 0 {
+		t.Error("no sampled state left its orbit's representative: canonicalize never copied back")
+	}
+}
+
+// TestMsgKeyOrdersAsMsgLess: applyPermInto sorts messages by msgKey,
+// so msgKey must order every pair as msgLess does. Messages come from
+// a fixed pseudo-random byte stream, each byte drawn from a few values
+// so that long shared prefixes, and equal messages, occur.
+func TestMsgKeyOrdersAsMsgLess(t *testing.T) {
+	var x uint64
+	msgs := make([]msg, 400)
+	for i := range msgs {
+		var b [7]uint8
+		for j := range b {
+			x = x*6364136223846793005 + 1442695040888963407
+			b[j] = uint8(x>>61) * 37 // 0, 37, ..., 259 mod 256
+		}
+		msgs[i] = msg{kind: b[0], line: b[1], a: b[2], b: b[3], c: b[4], d: b[5], ord: b[6]}
+	}
+	key := func(m msg) uint64 { return msgKey(m.kind, m.line, m.a, m.b, m.c, m.d, m.ord) }
+	for _, m := range msgs {
+		for _, n := range msgs {
+			if msgLess(m, n) != (key(m) < key(n)) {
+				t.Fatalf("msgLess(%+v, %+v) = %v, msgKey disagrees", m, n, msgLess(m, n))
+			}
+		}
+	}
+}
+
+// applyPerm is the by-value relabelling applyPermInto replaced, kept
+// as its reference: a fresh zero state written only within cfg's
+// agents and lines.
+func applyPerm(cfg Config, s *state, p *perm) state {
+	var ns state
+	for a := 0; a < cfg.Agents; a++ {
+		na := p.agents[a]
+		for l := 0; l < cfg.Lines; l++ {
+			nl := p.lines[l]
+			ns.st[na][nl] = s.st[a][l]
+			ns.dirty[na][nl] = s.dirty[a][l]
+			ns.ver[na][nl] = s.ver[a][l]
+			ns.wb[na][nl] = s.wb[a][l]
+			ns.wbStale[na][nl] = s.wbStale[a][l]
+			ns.pend[na][nl] = s.pend[a][l]
+			ns.super[na][nl] = s.super[a][l]
+		}
+	}
+	for l := 0; l < cfg.Lines; l++ {
+		nl := p.lines[l]
+		ns.mem[nl] = s.mem[l]
+		ns.latest[nl] = s.latest[l]
+		ns.busy[nl] = s.busy[l]
+		ns.nq[nl] = s.nq[l]
+		ns.lastPushVer[nl] = s.lastPushVer[l]
+		t := s.txn[l]
+		if t != (txnState{}) {
+			t.from = p.agents[t.from]
+		}
+		ns.txn[nl] = t
+		for i := 0; i < int(s.nq[l]); i++ {
+			e := s.queue[l][i]
+			e.from = p.agents[e.from]
+			ns.queue[nl][i] = e
+		}
+	}
+	ns.storesLeft = s.storesLeft
+	ns.evictsLeft = s.evictsLeft
+	ns.loadsLeft = s.loadsLeft
+	ns.nackLeft = s.nackLeft
+	ns.dupLeft = s.dupLeft
+	ns.ordered = s.ordered
+	ns.pushSeq = s.pushSeq
+	ns.pushPend = s.pushPend
+	ns.applied = s.applied
+	ns.pushVer = s.pushVer
+	for seq := 1; seq <= int(s.pushSeq); seq++ {
+		ns.pushLine[seq] = p.lines[s.pushLine[seq]]
+	}
+	ns.nmsgs = s.nmsgs
+	for i := 0; i < int(s.nmsgs); i++ {
+		m := s.msgs[i]
+		m.line = p.lines[m.line]
+		switch m.kind {
+		case kReq:
+			m.b = p.agents[m.b]
+		case kProbe:
+			m.b = p.agents[m.b]
+			m.c = p.agents[m.c]
+		case kAck, kData, kUnblock, kWBDone:
+			m.a = p.agents[m.a]
+		}
+		ns.msgs[i] = m
+	}
+	for i := 1; i < int(ns.nmsgs); i++ {
+		for j := i; j > 0 && msgLess(ns.msgs[j], ns.msgs[j-1]); j-- {
+			ns.msgs[j], ns.msgs[j-1] = ns.msgs[j-1], ns.msgs[j]
+		}
+	}
+	return ns
+}
+
+// canonical is the by-value canonicaliser canonicalize replaced, kept
+// as its reference: the smallest of s and its images under group.
+func canonical(cfg Config, group []perm, s state) state {
+	best := s
+	for i := range group {
+		if cand := applyPerm(cfg, &s, &group[i]); bytes.Compare(stateBytes(&cand), stateBytes(&best)) < 0 {
+			best = cand
+		}
+	}
+	return best
 }
 
 // TestFingerprintSanity: the fingerprint must distinguish near-equal
@@ -167,7 +298,7 @@ func TestFingerprintSanity(t *testing.T) {
 func TestFPTable(t *testing.T) {
 	const n = 100_000 // all in shard 0 (high bits pick the shard): 2^14 slots double four times
 	t.Run("plain", func(t *testing.T) {
-		tab := newFPTable(false, false)
+		tab := newFPTable(false)
 		for i := uint64(1); i <= n; i++ {
 			if !tab.insert(i, i/2, int32(i%40)) {
 				t.Fatalf("fresh insert %d reported seen", i)
@@ -183,7 +314,7 @@ func TestFPTable(t *testing.T) {
 		}
 	})
 	t.Run("tracing", func(t *testing.T) {
-		tab := newFPTable(true, true)
+		tab := newFPTable(true)
 		for i := uint64(1); i <= n; i++ {
 			if !tab.insert(i, i/2, int32(i%40)) {
 				t.Fatalf("fresh insert %d reported seen", i)
@@ -214,6 +345,79 @@ func TestFPTable(t *testing.T) {
 			t.Fatal("lookup of absent fp succeeded")
 		}
 	})
+}
+
+// TestFPTableConcurrentInserts races four goroutines over one plain
+// table. Each inserts the same 120,000 distinct fingerprints from its
+// own starting point, wrapping around, so every fingerprint is offered
+// four times while other goroutines insert, find and grow. The
+// fingerprints fall into shards 0 and 1 only, 60,000 each, so both
+// shards grow three times (16K to 128K slots) under contention. Every
+// fingerprint must be reported new exactly once, count must equal the
+// distinct count, and afterwards every fingerprint must read as seen.
+// `make race` runs it under the race detector.
+func TestFPTableConcurrentInserts(t *testing.T) {
+	const (
+		distinct = 120_000
+		workers  = 4
+	)
+	fps := make([]uint64, distinct)
+	for i := range fps {
+		// Multiplying by an odd constant is a bijection on 52 bits:
+		// distinct, well-spread low bits; the high bits pick the shard.
+		low := uint64(i+1) * 0x9e3779b97f4a7c15 & (1<<52 - 1)
+		fps[i] = uint64(i%2)<<52 | low | 1
+	}
+	seen := make(map[uint64]bool, distinct)
+	for _, fp := range fps {
+		if seen[fp] {
+			t.Fatalf("fingerprint %#x generated twice", fp)
+		}
+		seen[fp] = true
+	}
+
+	tab := newFPTable(false)
+	defer tab.release()
+	fresh := make([][]uint64, workers)
+	var wg sync.WaitGroup
+	for g := range fresh {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := g * distinct / workers
+			for k := range fps {
+				if fp := fps[(start+k)%distinct]; tab.insert(fp, 0, 0) {
+					fresh[g] = append(fresh[g], fp)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	reported := make(map[uint64]int, distinct)
+	for _, got := range fresh {
+		for _, fp := range got {
+			reported[fp]++
+		}
+	}
+	for _, fp := range fps {
+		if n := reported[fp]; n != 1 {
+			t.Fatalf("fingerprint %#x reported new %d times, want once", fp, n)
+		}
+	}
+	if len(reported) != distinct || tab.count() != distinct {
+		t.Fatalf("%d fingerprints reported new, count %d; want %d", len(reported), tab.count(), distinct)
+	}
+	for _, fp := range fps {
+		if tab.insert(fp, 0, 0) {
+			t.Fatalf("fingerprint %#x reported new after the race", fp)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if g := tab.shards[i].ngen; g != 4 {
+			t.Errorf("shard %d grew through %d arrays, want 4", i, g)
+		}
+	}
 }
 
 // TestConcurrentChecksShareArena runs three configurations at once, one

@@ -2,6 +2,7 @@ package modelcheck
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"dstore/internal/coherence"
@@ -89,6 +90,7 @@ var bypassProduct = Config{Agents: 3, Lines: 2, DirectLines: 1, MaxStores: 1, Ma
 func emptyArena() {
 	blockFree = freelist.New[block](arenaBytes)
 	fpFree = freelist.New[uint64](arenaBytes)
+	fpTables = freelist.New[fpTable](arenaBytes)
 }
 
 // checkAllocMB explores cfg at the given worker count, requires a clean
@@ -200,11 +202,10 @@ func fpStream() (stream []uint64, fresh int) {
 	return stream, fresh
 }
 
-// insertStream gives tab, a plain table holding no arrays (new or
-// released), its initial arrays, inserts stream, returns the arrays to
-// fpFree and reports the fresh insert count.
-func insertStream(tab *fpTable, stream []uint64) int {
-	tab.init()
+// insertStream inserts stream into a new plain table, releases the
+// table and reports the fresh insert count.
+func insertStream(stream []uint64) int {
+	tab := newFPTable(false)
 	n := 0
 	for _, fp := range stream {
 		if tab.insert(fp, 0, 0) {
@@ -216,16 +217,16 @@ func insertStream(tab *fpTable, stream []uint64) int {
 }
 
 // TestFPInsertAllocsPinned keeps the visited set's insert path at zero
-// allocations once fpFree holds a table's arrays: a whole fpStream
-// into a recycled table allocates nothing. Skipped under -race.
+// allocations once fpTables and fpFree hold a table and its arrays: a
+// whole fpStream into a recycled table allocates nothing, publishing
+// its arrays included. Skipped under -race.
 func TestFPInsertAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes differ under -race")
 	}
 	stream, fresh := fpStream()
-	tab := &fpTable{par: true}
 	n := 0
-	allocs := testing.AllocsPerRun(1, func() { n = insertStream(tab, stream) })
+	allocs := testing.AllocsPerRun(1, func() { n = insertStream(stream) })
 	if n != fresh {
 		t.Fatalf("%d fresh inserts, want %d", n, fresh)
 	}
@@ -234,29 +235,79 @@ func TestFPInsertAllocsPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkFPInsert times the visited set alone on fpStream, with
-// shard locks (par, as at two or more workers) and without (one
-// worker), reporting ns per insert. One stream warms fpFree first, so
-// allocs/op is 0 (TestFPInsertAllocsPinned).
+// BenchmarkFPInsert times the visited set alone on fpStream, reporting
+// wall ns per insert: serial inserts the stream from one goroutine;
+// parallel splits it between two, one taking the even inserts and the
+// other the odd ones, whose fingerprints overlap as two BFS workers'
+// do. One stream warms fpTables and fpFree first, so allocs/op is 0
+// serially (TestFPInsertAllocsPinned); parallel adds its goroutines.
 func BenchmarkFPInsert(b *testing.B) {
 	stream, fresh := fpStream()
-	for _, par := range []bool{false, true} {
-		name := "unlocked"
-		if par {
-			name = "locked"
+	if n := insertStream(stream); n != fresh {
+		b.Fatalf("%d fresh inserts, want %d", n, fresh)
+	}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			insertStream(stream)
 		}
-		b.Run(name, func(b *testing.B) {
-			tab := &fpTable{par: par}
-			if n := insertStream(tab, stream); n != fresh {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/insert")
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tab := newFPTable(false)
+			var got [2]int
+			var wg sync.WaitGroup
+			for g := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					n := 0
+					for j := g; j < len(stream); j += len(got) {
+						if tab.insert(stream[j], 0, 0) {
+							n++
+						}
+					}
+					got[g] = n
+				}()
+			}
+			wg.Wait()
+			tab.release()
+			if n := got[0] + got[1]; n != fresh {
 				b.Fatalf("%d fresh inserts, want %d", n, fresh)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				insertStream(tab, stream)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/insert")
-		})
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/insert")
+	})
+}
+
+// gpu2Product is the standard sweep's 2-GPU-slice product, the one
+// sweep configuration with a nontrivial symmetry group.
+func gpu2Product() Config {
+	for _, cfg := range StandardSweep() {
+		if cfg.gpus() == 2 {
+			return cfg
+		}
+	}
+	panic("the standard sweep has no 2-GPU configuration")
+}
+
+// BenchmarkCanonical times symmetry reduction alone, as expand runs it
+// on each successor: the state is copied into a successor buffer and
+// canonicalised there, over a recorded set of the first 4,096 states
+// the 2-GPU-slice product reaches. ns/op is per state.
+func BenchmarkCanonical(b *testing.B) {
+	cfg := gpu2Product()
+	group := symGroup(cfg)
+	sample := expandSample(cfg, 4096)
+	var buf state
+	var scratch [2]state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copyLive(&buf, &sample[i%len(sample)])
+		canonicalize(group, &buf, &scratch)
 	}
 }
 

@@ -149,6 +149,21 @@ func TestBenchmarkAllocsPinned(t *testing.T) {
 	check("FarFutureBurst", allocs, bytes, 36, 30*heapPageLen*40+504)
 }
 
+// TestNewEngineAfterReleaseAllocs pins engine recycling: once an
+// engine is released, the next NewEngine draws its wheel and node
+// arena (57 KB fresh) and allocates only the Engine header, under
+// 1 KB.
+func TestNewEngineAfterReleaseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	const bound = 1 << 10
+	_, bytes := memPerRun(10, func() { NewEngine().Release() })
+	if bytes >= bound {
+		t.Errorf("NewEngine after Release allocated %d bytes, want under %d", bytes, bound)
+	}
+}
+
 // drainHeapPages empties the heap-page free list, so that what a test
 // measures next is a process's first engines.
 func drainHeapPages() {

@@ -45,6 +45,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"dstore/internal/freelist"
 )
@@ -129,6 +130,21 @@ const (
 // engine (see Release).
 var heapPages = freelist.New[event](freelist.MachineBytes)
 
+// wheel is the timing wheel's storage: slot i holds events for the
+// unique pending tick congruent to i mod wheelSize, and bits is the
+// slot-occupancy bitmap. At 24 KB it is, with the node arena, most of
+// an engine, so both are handed from a released engine to the next
+// through wheels and nodeArenas.
+type wheel struct {
+	slots [wheelSize]slotList
+	bits  [wheelWords]uint64
+}
+
+var (
+	wheels     = freelist.New[wheel](freelist.MachineBytes)
+	nodeArenas = freelist.New[node](freelist.MachineBytes)
+)
+
 // Engine is the discrete-event simulator. The zero value is not ready to
 // use; construct one with NewEngine.
 type Engine struct {
@@ -141,13 +157,10 @@ type Engine struct {
 	// splicing its list on, so each node is touched once, when it runs.
 	fifo slotList
 
-	// Timing wheel: slot i holds events for the unique pending tick
-	// congruent to i mod wheelSize (all wheel events are in
-	// (now, now+wheelSize), so the slot index determines the tick).
-	// bits is the slot-occupancy bitmap; wheelCount the total events
-	// wheel-resident.
-	slots      [wheelSize]slotList
-	bits       [wheelWords]uint64
+	// Timing wheel (see wheel): all wheel events are in (now,
+	// now+wheelSize), so the slot index determines the tick.
+	// wheelCount is the total events wheel-resident.
+	wheel      *wheel
 	wheelCount int
 
 	// Node arena backing the wheel slots, recycled via freeNode.
@@ -187,14 +200,16 @@ type Engine struct {
 const initialNodes = 1024
 
 // NewEngine returns an engine at tick zero with an empty event queue.
+// Its wheel and node arena are a released engine's when one is free.
 func NewEngine() *Engine {
 	e := &Engine{
 		freeNode: -1,
 		fifo:     emptyList,
-		nodes:    make([]node, 0, initialNodes),
+		wheel:    &wheels.Get(1)[0],
+		nodes:    nodeArenas.Get(initialNodes)[:0],
 	}
-	for i := range e.slots {
-		e.slots[i] = emptyList
+	for i := range e.wheel.slots {
+		e.wheel.slots[i] = emptyList
 	}
 	return e
 }
@@ -324,9 +339,9 @@ func (e *Engine) scheduleEvent(when Tick, ev slotEvent) {
 		slot := int(when & wheelMask)
 		n := e.allocNode()
 		e.nodes[n] = node{ev: ev, next: -1}
-		if s := &e.slots[slot]; s.head < 0 {
+		if s := &e.wheel.slots[slot]; s.head < 0 {
 			*s = slotList{head: n, tail: n, n: 1}
-			e.bits[slot>>6] |= 1 << uint(slot&63)
+			e.wheel.bits[slot>>6] |= 1 << uint(slot&63)
 		} else {
 			e.nodes[s.tail].next = n
 			s.tail = n
@@ -384,7 +399,7 @@ func (e *Engine) nextAdvance() (Tick, bool) {
 func (e *Engine) wheelNext() Tick {
 	start := int((e.now + 1) & wheelMask)
 	w := start >> 6
-	word := e.bits[w] &^ (1<<uint(start&63) - 1)
+	word := e.wheel.bits[w] &^ (1<<uint(start&63) - 1)
 	for {
 		if word != 0 {
 			slot := w<<6 + bits.TrailingZeros64(word)
@@ -398,7 +413,7 @@ func (e *Engine) wheelNext() Tick {
 		if w == wheelWords {
 			w = 0
 		}
-		word = e.bits[w]
+		word = e.wheel.bits[w]
 	}
 }
 
@@ -419,7 +434,7 @@ func (e *Engine) advanceTo(when Tick) {
 		e.fifoPush(n)
 	}
 	slot := int(when & wheelMask)
-	s := &e.slots[slot]
+	s := &e.wheel.slots[slot]
 	if s.head < 0 {
 		return
 	}
@@ -432,7 +447,7 @@ func (e *Engine) advanceTo(when Tick) {
 	e.fifo.n += s.n
 	e.wheelCount -= int(s.n)
 	*s = emptyList
-	e.bits[slot>>6] &^= 1 << uint(slot&63)
+	e.wheel.bits[slot>>6] &^= 1 << uint(slot&63)
 }
 
 // next reports the (when, ok) of the earliest pending event without
@@ -649,12 +664,23 @@ func (e *Engine) heapPop() event {
 	return top
 }
 
-// Release gives the overflow heap's pages to the list the next engine
-// draws them from. Only the engine's owner may call it, after the last
-// event it will run; afterwards only Now and Executed stay meaningful.
+// Release gives the wheel, the node arena and the overflow heap's pages
+// to the lists the next engine draws them from, dropping any events
+// still queued. An arena that grew past initialNodes is left to the
+// collector: the next engine asks for initialNodes. Only the engine's
+// owner may call it, after the last event it will run; afterwards only
+// Now and Executed stay meaningful.
 func (e *Engine) Release() {
+	if e.wheel != nil {
+		wheels.Put(unsafe.Slice(e.wheel, 1))
+	}
+	if cap(e.nodes) == initialNodes {
+		nodeArenas.Put(e.nodes[:initialNodes])
+	}
 	for _, page := range e.heap {
 		heapPages.Put(page[:])
 	}
+	e.wheel, e.nodes, e.freeNode = nil, nil, -1
+	e.fifo, e.wheelCount = emptyList, 0
 	e.heap, e.heapLen = nil, 0
 }

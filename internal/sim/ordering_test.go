@@ -302,3 +302,71 @@ func TestReleaseRecyclesHeapPages(t *testing.T) {
 		t.Errorf("ran %v, want [2 1 0]", order)
 	}
 }
+
+// engineScript runs a fixed pseudo-random event cascade on e until tick
+// limit and returns each event's (tick, Executed) as it ran. Events
+// land at delay zero, on the wheel and in the overflow heap, and the
+// script leaves some queued at limit.
+func engineScript(e *Engine, limit Tick) [][2]uint64 {
+	r := NewRand(29)
+	var ran [][2]uint64
+	scheduled := 0
+	var ev func()
+	ev = func() {
+		ran = append(ran, [2]uint64{uint64(e.Now()), e.Executed()})
+		for k := 1 + r.Intn(2); k > 0 && scheduled < 3_000; k-- {
+			scheduled++
+			switch r.Intn(4) {
+			case 0:
+				e.Schedule(0, ev)
+			case 1:
+				e.Schedule(Tick(1+r.Intn(100)), ev)
+			case 2:
+				e.Schedule(Tick(r.Intn(int(wheelSize))), ev)
+			default:
+				e.Schedule(wheelSize+Tick(r.Intn(3000)), ev)
+			}
+		}
+	}
+	for i := 0; i < 64; i++ {
+		e.Schedule(Tick(i), ev)
+	}
+	e.RunUntil(limit)
+	return ran
+}
+
+// TestRecycledEngineMatchesFresh releases an engine with events still
+// on its wheel and in its arena, requires the next engine to draw that
+// wheel and arena, and requires it to run the same event script as
+// the first, fresh engine: the same ticks and Executed counts.
+func TestRecycledEngineMatchesFresh(t *testing.T) {
+	for wheels.HeldBytes() > 0 {
+		wheels.Get(1)
+	}
+	for nodeArenas.HeldBytes() > 0 {
+		nodeArenas.Get(initialNodes)
+	}
+	const limit = 3_000
+	fresh := NewEngine()
+	want := engineScript(fresh, limit)
+	if fresh.Pending() == 0 || fresh.wheelCount == 0 {
+		t.Fatalf("script left %d events, %d on the wheel; want some on the wheel", fresh.Pending(), fresh.wheelCount)
+	}
+	t.Logf("fresh engine ran %d events to tick %d, left %d queued", len(want), fresh.Now(), fresh.Pending())
+	wheel, arena := fresh.wheel, &fresh.nodes[:1][0]
+	fresh.Release()
+
+	recycled := NewEngine()
+	if recycled.wheel != wheel || &recycled.nodes[:1][0] != arena {
+		t.Fatal("the next engine did not draw the released wheel and node arena")
+	}
+	got := engineScript(recycled, limit)
+	if len(got) != len(want) {
+		t.Fatalf("recycled engine ran %d events, fresh %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d ran at (tick, executed) %v on the recycled engine, %v on the fresh one", i, got[i], want[i])
+		}
+	}
+}

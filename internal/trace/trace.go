@@ -14,9 +14,14 @@ import (
 // SequentialLines returns every line address covering [base, base+bytes),
 // in ascending order — the streaming produce/consume pattern.
 func SequentialLines(base memsys.Addr, bytes uint64) []memsys.Addr {
-	n := memsys.LinesCovering(base, bytes)
-	out := make([]memsys.Addr, 0, n)
-	for a := memsys.LineAlign(base); n > 0; n-- {
+	return AppendSequentialLines(make([]memsys.Addr, 0, memsys.LinesCovering(base, bytes)), base, bytes)
+}
+
+// AppendSequentialLines appends SequentialLines(base, bytes) to out, so
+// a pass over several regions can fill one slice sized for all of them.
+func AppendSequentialLines(out []memsys.Addr, base memsys.Addr, bytes uint64) []memsys.Addr {
+	a := memsys.LineAlign(base)
+	for n := memsys.LinesCovering(base, bytes); n > 0; n-- {
 		out = append(out, a)
 		a += memsys.LineSize
 	}
