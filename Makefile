@@ -2,9 +2,10 @@ GO ?= go
 
 # check is the gate every change must pass: static analysis, a full
 # build, the full test suite, a race-detector pass over the packages
-# that use (sweep runner, serve daemon, the machine free lists in
-# freelist, cache and core) or feed (event kernel) concurrency, and the
-# exhaustive small-config protocol model check.
+# that use (sweep runner, serve daemon, fleet and its fault proxy, the
+# machine free lists in freelist, cache and core) or feed (event
+# kernel) concurrency, and the exhaustive small-config protocol model
+# check.
 .PHONY: check
 check: vet lint tablecover build test race modelcheck bench-test
 
@@ -71,7 +72,7 @@ test:
 
 .PHONY: race
 race:
-	$(GO) test -race ./internal/bench ./internal/cache ./internal/freelist ./internal/core ./internal/sim ./internal/serve ./internal/chaos ./internal/coherence ./internal/store ./internal/fleet ./internal/modelcheck ./internal/obs/...
+	$(GO) test -race ./internal/bench ./internal/cache ./internal/freelist ./internal/core ./internal/sim ./internal/serve ./internal/chaos ./internal/coherence ./internal/store ./internal/fleet ./internal/fleet/chaosnet ./internal/modelcheck ./internal/obs/...
 
 # stress runs the seeded randomized coherence stress harness with the
 # heavy fault profile. Deterministic: the same SEED and PROFILE always

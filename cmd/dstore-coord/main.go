@@ -11,6 +11,11 @@
 //	dstore-coord -addr 127.0.0.1:9000 -workers http://h1:8080
 //	dstore-coord -journal /var/lib/dstore/journal   # sweep crash-recovery
 //
+// A job is tried on every worker, owner first in ring order. Retry
+// rounds (-dispatch-retries) pause 100 ms doubling to a 5 s cap, with
+// seeded jitter (-seed), and one health-probe round is bounded at 2 s;
+// these three are fixed, not flags.
+//
 // The fleet's failover, fault-tolerance and federation checks live in
 // internal/fleet's tests; `make fleet-smoke` runs the focused set.
 //
@@ -47,10 +52,8 @@ func main() {
 		addr          = flag.String("addr", ":8090", "listen address")
 		workers       = flag.String("workers", "", "comma-separated dstore-serve base URLs (more can register via POST /v1/workers)")
 		vnodes        = flag.Int("vnodes", 64, "hash-ring points per worker")
-		replicas      = flag.Int("replicas", 0, "max workers tried per job (0 = all)")
 		sweepWorkers  = flag.Int("sweep-workers", 16, "concurrent dispatches per sweep")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "worker health-probe period")
-		probeTimeout  = flag.Duration("probe-timeout", 2*time.Second, "health-probe round bound")
 		reqTimeout    = flag.Duration("request-timeout", 30*time.Second, "per-call timeout to a worker")
 		jobDeadline   = flag.Duration("job-deadline", 5*time.Minute, "end-to-end bound per job including failover")
 		seed          = flag.Uint64("seed", 1, "seed for operational randomness (probe jitter, backoff jitter)")
@@ -58,8 +61,6 @@ func main() {
 		breakerCool   = flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open trial")
 		quarCool      = flag.Duration("quarantine-cooldown", 2*time.Minute, "minimum quarantine after a corrupt result")
 		dispRetries   = flag.Int("dispatch-retries", 3, "extra ring passes per job with backoff (negative = none)")
-		backoffBase   = flag.Duration("backoff-base", 100*time.Millisecond, "first-retry backoff")
-		backoffMax    = flag.Duration("backoff-max", 5*time.Second, "per-round backoff cap")
 		maxPending    = flag.Int("max-pending", 1024, "dispatches in flight before load shedding (negative = unlimited)")
 		journal       = flag.String("journal", "", "directory for sweep journals; incomplete sweeps resume at startup")
 		name          = flag.String("name", "", "process name in trace exports (default coordinator)")
@@ -70,10 +71,8 @@ func main() {
 
 	opt := fleet.Options{
 		Vnodes:             *vnodes,
-		Replicas:           *replicas,
 		SweepWorkers:       *sweepWorkers,
 		ProbeInterval:      *probeInterval,
-		ProbeTimeout:       *probeTimeout,
 		RequestTimeout:     *reqTimeout,
 		JobDeadline:        *jobDeadline,
 		Seed:               *seed,
@@ -81,8 +80,6 @@ func main() {
 		BreakerCooldown:    *breakerCool,
 		QuarantineCooldown: *quarCool,
 		DispatchRetries:    *dispRetries,
-		BackoffBase:        *backoffBase,
-		BackoffMax:         *backoffMax,
 		MaxPending:         *maxPending,
 		JournalDir:         *journal,
 		Name:               *name,

@@ -27,17 +27,22 @@ func TestFixtureViolations(t *testing.T) {
 		substr   string
 	}{
 		{"determinism", 10, "import of math/rand"},
-		{"determinism", 19, "time.Now in deterministic package"},
-		{"determinism", 37, "range over map in deterministic package"},
-		{"eventsafety", 51, "event callback calls Engine.Step"},
-		{"eventsafety", 68, `event callback captures loop variable "i"`},
-		{"allocfree", 88, "map allocation in hot-path package"},
-		{"allocfree", 89, "map literal in hot-path package"},
-		{"allocfree", 99, "new(FakeMsg) allocates a message"},
-		{"allocfree", 100, "&FakeMsg{} allocates a message"},
-		{"spanbalance", 116, "span from Recorder.Begin is discarded"},
-		{"spanbalance", 123, "span from Recorder.Begin is discarded"},
-		{"spanbalance", 129, `span "sp" is begun but never Ended`},
+		{"determinism", 20, "time.Now in deterministic package"},
+		{"determinism", 38, "range over map in deterministic package"},
+		{"eventsafety", 52, "event callback calls Engine.Step"},
+		{"eventsafety", 69, `event callback captures loop variable "i"`},
+		{"allocfree", 89, "map allocation in hot-path package"},
+		{"allocfree", 90, "map literal in hot-path package"},
+		{"allocfree", 100, "new(FakeMsg) allocates a message"},
+		{"allocfree", 101, "&FakeMsg{} allocates a message"},
+		{"spanbalance", 117, "span from Recorder.Begin is discarded"},
+		{"spanbalance", 124, "span from Recorder.Begin is discarded"},
+		{"spanbalance", 130, `span "sp" is begun but never Ended`},
+		{"eventsafety", 145, "event callback calls Engine.Step"},
+		{"eventsafety", 148, "event callback calls Engine.Step"},
+		{"eventsafety", 151, "event callback calls Engine.Step"},
+		{"eventsafety", 155, `event callback captures loop variable "i"`},
+		{"eventsafety", 158, `event callback captures loop variable "i"`},
 	}
 	if len(diags) != len(want) {
 		t.Errorf("got %d diagnostics, want %d:", len(diags), len(want))

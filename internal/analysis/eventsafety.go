@@ -5,16 +5,22 @@ import (
 	"go/types"
 )
 
-// Scheduling APIs whose final function argument becomes a deferred
-// event callback: it runs at a later tick, long after the enclosing
-// statement finished.
+// Scheduling APIs whose function argument at index arg becomes a
+// deferred event callback: it runs at a later tick, long after the
+// enclosing statement finished.
 var callbackSinks = []struct {
 	pkg, recv, name string
+	arg             int
 }{
-	{"dstore/internal/sim", "Engine", "Schedule"},
-	{"dstore/internal/sim", "Engine", "ScheduleAt"},
-	{"dstore/internal/interconnect", "Network", "Send"},
-	{"dstore/internal/interconnect", "DirectPort", "Send"},
+	{"dstore/internal/sim", "Engine", "Schedule", 1},
+	{"dstore/internal/sim", "Engine", "ScheduleAt", 1},
+	{"dstore/internal/sim", "Engine", "ScheduleTickAt", 1},
+	{"dstore/internal/sim", "Engine", "ScheduleArg", 1},
+	{"dstore/internal/sim", "Engine", "ScheduleArgAt", 1},
+	{"dstore/internal/interconnect", "Network", "Send", 3},
+	{"dstore/internal/interconnect", "Network", "SendArg", 3},
+	{"dstore/internal/interconnect", "DirectPort", "Send", 1},
+	{"dstore/internal/interconnect", "DirectPort", "SendArg", 1},
 }
 
 // Engine methods that drive the event loop. Calling one from inside an
@@ -46,14 +52,14 @@ func runEventSafety(pass *Pass) error {
 		loopVars := collectLoopVars(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
+			if !ok {
 				return true
 			}
-			ref := pass.funcOf(call)
-			if !isCallbackSink(ref) {
+			arg := callbackArg(pass.funcOf(call))
+			if arg < 0 || arg >= len(call.Args) {
 				return true
 			}
-			lit, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)
+			lit, ok := call.Args[arg].(*ast.FuncLit)
 			if !ok {
 				return true
 			}
@@ -64,13 +70,15 @@ func runEventSafety(pass *Pass) error {
 	return nil
 }
 
-func isCallbackSink(ref *funcRef) bool {
+// callbackArg returns the index of the callee's callback argument, or
+// -1 when the callee is not a callback sink.
+func callbackArg(ref *funcRef) int {
 	for _, s := range callbackSinks {
 		if ref.isMethod(s.pkg, s.recv, s.name) {
-			return true
+			return s.arg
 		}
 	}
-	return false
+	return -1
 }
 
 // collectLoopVars indexes every loop-declared variable object in the

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"time"
 
+	"dstore/internal/interconnect"
 	"dstore/internal/obs/dtrace"
 	"dstore/internal/sim"
 )
@@ -135,4 +136,26 @@ func SpanNeverEnded(r *dtrace.Recorder) {
 func SpanBalanced(r *dtrace.Recorder) {
 	sp := r.Begin(1, dtrace.SpanSimulate, 0, 0)
 	defer func() { sp.End(0) }()
+}
+
+// ArgSinks hands callbacks to the sinks whose callback is not the last
+// argument, or that pass the tick: one eventsafety finding per sink.
+func ArgSinks(eng *sim.Engine, net interconnect.Network, link interconnect.DirectPort, xs []int) {
+	eng.ScheduleTickAt(1, func(sim.Tick) {
+		eng.Step()
+	})
+	eng.ScheduleArg(1, func(any, sim.Tick) {
+		eng.Step()
+	}, nil)
+	eng.ScheduleArgAt(1, func(any, sim.Tick) {
+		eng.Step()
+	}, nil)
+	for i := range xs {
+		net.SendArg(0, 1, 8, func(any, sim.Tick) {
+			_ = i
+		}, nil)
+		link.SendArg(8, func(any, sim.Tick) {
+			_ = i
+		}, nil)
+	}
 }

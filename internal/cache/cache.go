@@ -1,8 +1,8 @@
 // Package cache implements the set-associative cache arrays used by
 // every level of the simulated hierarchy, together with the supporting
 // structures a timing-accurate controller needs: replacement policies
-// (LRU, tree pseudo-LRU, random), miss-status holding registers (MSHRs),
-// and a coalescing write buffer.
+// (LRU, tree pseudo-LRU, random) and miss-status holding registers
+// (MSHRs).
 //
 // The cache array is purely a tag/state store: coherence protocol state
 // is an opaque uint8 owned by the controller (0 always means invalid),

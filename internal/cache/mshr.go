@@ -122,6 +122,3 @@ func (m *MSHR) Full() bool { return len(m.active) >= m.capacity }
 
 // Len returns the number of outstanding misses.
 func (m *MSHR) Len() int { return len(m.active) }
-
-// Capacity returns the configured entry count.
-func (m *MSHR) Capacity() int { return m.capacity }

@@ -114,162 +114,3 @@ func TestPropertyMSHRBounds(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestWriteBufferFIFOOrder(t *testing.T) {
-	w := NewWriteBuffer(4)
-	for i := 1; i <= 3; i++ {
-		if !w.Push(lineAddr(i)) {
-			t.Fatalf("push %d failed", i)
-		}
-	}
-	for i := 1; i <= 3; i++ {
-		a, ok := w.Pop()
-		if !ok || a != lineAddr(i) {
-			t.Fatalf("pop %d got %#x ok=%v", i, uint64(a), ok)
-		}
-	}
-	if _, ok := w.Pop(); ok {
-		t.Error("pop from empty buffer succeeded")
-	}
-}
-
-func TestWriteBufferCoalescesSameLine(t *testing.T) {
-	w := NewWriteBuffer(2)
-	w.Push(0x1000)
-	if !w.Push(0x1000 + 8) {
-		t.Error("same-line push did not coalesce")
-	}
-	if w.Len() != 1 {
-		t.Errorf("Len=%d after coalesce, want 1", w.Len())
-	}
-}
-
-func TestWriteBufferFullStallsNewLines(t *testing.T) {
-	w := NewWriteBuffer(2)
-	w.Push(lineAddr(1))
-	w.Push(lineAddr(2))
-	if !w.Full() {
-		t.Error("buffer not full")
-	}
-	if w.Push(lineAddr(3)) {
-		t.Error("push of new line succeeded when full")
-	}
-	if !w.Push(lineAddr(1)) {
-		t.Error("coalescing push failed when full")
-	}
-}
-
-func TestWriteBufferPeekAndContains(t *testing.T) {
-	w := NewWriteBuffer(4)
-	if _, ok := w.Peek(); ok {
-		t.Error("peek on empty succeeded")
-	}
-	w.Push(lineAddr(5))
-	a, ok := w.Peek()
-	if !ok || a != lineAddr(5) {
-		t.Error("peek wrong")
-	}
-	if w.Len() != 1 {
-		t.Error("peek consumed the entry")
-	}
-	if !w.Contains(lineAddr(5) + 17) {
-		t.Error("Contains missed same-line address")
-	}
-	if w.Contains(lineAddr(6)) {
-		t.Error("Contains matched absent line")
-	}
-}
-
-func TestWriteBufferZeroCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewWriteBuffer(0) did not panic")
-		}
-	}()
-	NewWriteBuffer(0)
-}
-
-// TestWriteBufferDrainUnderPressure runs the buffer at capacity with a
-// producer that outpaces the consumer: full-buffer pushes must fail
-// without corrupting order, coalescing must keep working at capacity,
-// and the drain must release exactly the distinct lines in FIFO order.
-func TestWriteBufferDrainUnderPressure(t *testing.T) {
-	w := NewWriteBuffer(4)
-	var drained []memsys.Addr
-	next, stalls := 0, 0
-	// Producer pushes two new lines per step, consumer pops one — the
-	// buffer saturates and stays saturated until the tail drain.
-	for step := 0; step < 32; step++ {
-		for k := 0; k < 2; k++ {
-			if w.Push(lineAddr(next)) {
-				next++
-			} else {
-				stalls++
-				if !w.Full() {
-					t.Fatal("push failed on a non-full buffer")
-				}
-				// A coalescing write must still land while stalled.
-				if oldest, ok := w.Peek(); !ok || !w.Push(oldest) {
-					t.Fatal("coalesce rejected at capacity")
-				}
-			}
-		}
-		if a, ok := w.Pop(); ok {
-			drained = append(drained, a)
-		}
-	}
-	for {
-		a, ok := w.Pop()
-		if !ok {
-			break
-		}
-		drained = append(drained, a)
-	}
-	if stalls == 0 {
-		t.Fatal("producer never stalled; the buffer was not under pressure")
-	}
-	if !w.Empty() {
-		t.Error("buffer not empty after drain")
-	}
-	if len(drained) != next {
-		t.Fatalf("drained %d lines, pushed %d distinct", len(drained), next)
-	}
-	for i, a := range drained {
-		if a != lineAddr(i) {
-			t.Fatalf("drain order broken at %d: got %#x want %#x", i, uint64(a), uint64(lineAddr(i)))
-		}
-	}
-}
-
-// Property: pops come out in push order (for non-coalesced pushes) and
-// Len is consistent.
-func TestPropertyWriteBufferFIFO(t *testing.T) {
-	f := func(linesRaw []uint8) bool {
-		w := NewWriteBuffer(256)
-		var pushed []memsys.Addr
-		seen := map[memsys.Addr]bool{}
-		for _, ln := range linesRaw {
-			a := lineAddr(int(ln))
-			if !seen[a] {
-				pushed = append(pushed, a)
-				seen[a] = true
-			}
-			if !w.Push(a) {
-				return false
-			}
-		}
-		if w.Len() != len(pushed) {
-			return false
-		}
-		for _, want := range pushed {
-			got, ok := w.Pop()
-			if !ok || got != want {
-				return false
-			}
-		}
-		return w.Empty()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}

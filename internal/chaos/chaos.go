@@ -210,15 +210,10 @@ func (f *FaultPlan) Hooks() *coherence.ChaosHooks {
 // receives fatal protocol failures (nil panics instead).
 func (f *FaultPlan) Config(onFailure func(error)) *core.ChaosConfig {
 	ch := &core.ChaosConfig{
-		Hooks:     f.Hooks(),
-		OnFailure: onFailure,
-		// The watchdog limit is far beyond any legitimate transaction
-		// latency (even queued behind a hot line under heavy stalls) so
-		// it only fires on genuine loss of progress.
-		WatchdogInterval: 1 << 16,
-		WatchdogLimit:    1 << 20,
+		Hooks:      f.Hooks(),
+		OnFailure:  onFailure,
+		Resilience: f.prof.needsResilience(),
 	}
-	ch.Resilience.Enabled = f.prof.needsResilience()
 	if f.prof.NetJitterProb > 0 {
 		ch.WrapNet = func(e *sim.Engine, n interconnect.Network) interconnect.Network {
 			return &chaosNet{inner: n, engine: e, f: f, lastPair: make(map[[2]interconnect.Port]sim.Tick)}

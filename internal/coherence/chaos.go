@@ -29,30 +29,18 @@ type ChaosHooks struct {
 	SkipInvalidate func() bool
 }
 
-// ResilienceConfig enables the ack/NACK + bounded-retry protocol on the
-// direct-store push path. The baseline push is fire-and-forget, which
-// is sound on a perfect fabric; under injected message loss the sender
-// must detect the lost PUTX and resend it.
-type ResilienceConfig struct {
-	Enabled bool
-	// PushTimeout is the base acknowledgement deadline in ticks; it
-	// doubles with each retry (exponential backoff). Zero selects 4096,
+// The resilient push protocol's bounds. The baseline push is
+// fire-and-forget, which is sound on a perfect fabric; under injected
+// message loss the sender must detect the lost PUTX and resend it.
+const (
+	// pushTimeout is the base acknowledgement deadline in ticks; it
+	// doubles with each retry (exponential backoff), starting
 	// comfortably past the worst fault-free push round trip.
-	PushTimeout sim.Tick
-	// MaxRetries bounds resends of one push before the run is failed
-	// with a transaction dump. Zero selects 8.
-	MaxRetries int
-}
-
-func (r ResilienceConfig) withDefaults() ResilienceConfig {
-	if r.PushTimeout == 0 {
-		r.PushTimeout = 4096
-	}
-	if r.MaxRetries == 0 {
-		r.MaxRetries = 8
-	}
-	return r
-}
+	pushTimeout sim.Tick = 4096
+	// maxPushRetries bounds resends of one push before the run is
+	// failed with a transaction dump.
+	maxPushRetries = 8
+)
 
 // pendingPush is the sender-side state of one unacknowledged resilient
 // push. gen invalidates stale timers: every retry decision bumps it, so
@@ -71,9 +59,8 @@ func (c *Ctrl) AttachChaos(h *ChaosHooks) { c.hooks = h }
 
 // EnableResilience switches the controller's push path to the
 // ack/NACK + bounded-retry protocol.
-func (c *Ctrl) EnableResilience(r ResilienceConfig) {
-	r.Enabled = true
-	c.res = r.withDefaults()
+func (c *Ctrl) EnableResilience() {
+	c.resilient = true
 	c.pushPending = make(map[uint64]*pendingPush) //dstore:allow-alloc chaos setup, once per run
 	c.appliedPush = make(map[uint64]bool)         //dstore:allow-alloc chaos setup, once per run
 	c.lastPushVer = make(map[memsys.Addr]uint64)  //dstore:allow-alloc chaos setup, once per run
@@ -129,7 +116,7 @@ func (c *Ctrl) sendPushAttempt(pp *pendingPush) {
 		}
 		c.directLink.Send(interconnect.DataMsgBytes, deliver)
 	}
-	c.armPushTimer(pp, c.res.PushTimeout<<uint(pp.attempt))
+	c.armPushTimer(pp, pushTimeout<<uint(pp.attempt))
 }
 
 // armPushTimer schedules a retry check after delay. The closure is
@@ -149,7 +136,7 @@ func (c *Ctrl) armPushTimer(pp *pendingPush, delay sim.Tick) {
 // transaction dump once the retry budget is exhausted.
 func (c *Ctrl) retryPush(pp *pendingPush) {
 	pp.gen++
-	if pp.attempt >= c.res.MaxRetries {
+	if pp.attempt >= maxPushRetries {
 		c.fail(fmt.Errorf(
 			"coherence %s: direct-store push for line %#x (seq %d) unacknowledged after %d attempts\n%s",
 			c.name, uint64(pp.msg.Addr), pp.msg.Seq, pp.attempt+1, c.mem.TransactionDump()))
@@ -207,7 +194,7 @@ func (c *Ctrl) receivePushAck(a PushAckMsg) {
 	if a.Nack {
 		c.ctr.PushNacks++
 		pp.gen++
-		c.armPushTimer(pp, c.res.PushTimeout<<uint(pp.attempt))
+		c.armPushTimer(pp, pushTimeout<<uint(pp.attempt))
 		return
 	}
 	pp.done = true

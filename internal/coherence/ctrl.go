@@ -93,7 +93,7 @@ type Ctrl struct {
 	// Fault injection and recovery (chaos runs only; all nil/zero in
 	// normal operation, leaving behaviour byte-identical).
 	hooks       *ChaosHooks
-	res         ResilienceConfig
+	resilient   bool
 	onFatal     func(error)
 	pushSeq     uint64
 	pushPending map[uint64]*pendingPush
@@ -184,9 +184,6 @@ func (c *Ctrl) Counters() *CtrlCounters { return &c.ctr }
 // hits, misses, evictions).
 func (c *Ctrl) L2Cache() *cache.Cache { return c.l2 }
 
-// L1Cache exposes the optional shadow array; nil when absent.
-func (c *Ctrl) L1Cache() *cache.Cache { return c.l1 }
-
 // WBBufLen returns the number of in-flight buffered writebacks
 // (telemetry gauge).
 func (c *Ctrl) WBBufLen() int { return c.wbCount }
@@ -227,8 +224,7 @@ func (c *Ctrl) AttachObserver(o *obs.Observer, gpuSide bool) {
 	c.obs = o
 	c.obsID = o.Component(c.name)
 	c.obsMem = o.Component(c.mem.Name())
-	namer := c.mem.protocol().StateName
-	o.SetStateNamer(func(s uint8) string { return namer(State(s)) })
+	o.SetStateNamer(func(s uint8) string { return StateName(State(s)) })
 	c.l2.SetAccessHook(func(a memsys.Addr, hit bool) {
 		o.CacheAccess(c.engine.Now(), c.obsID, a, 2, hit, gpuSide)
 	})
@@ -509,7 +505,7 @@ func (c *Ctrl) processDirectStore(req *memsys.Request, line memsys.Addr) {
 		c.obs.Push(now, c.obsID, line, to)
 		c.obs.Msg(now, c.obsID, obs.MsgPutx, line, to)
 	}
-	if c.res.Enabled {
+	if c.resilient {
 		// Resilient push (chaos runs): sequence-numbered, acknowledged,
 		// retried with exponential backoff on loss or NACK. The store
 		// completes when the ack arrives, not when the PUTX leaves.

@@ -7,28 +7,13 @@ import (
 	"dstore/internal/memsys"
 )
 
-// SetProtocol selects the registered protocol whose invariant set
-// CheckInvariants evaluates. The default is the plain heap protocol;
-// core.NewSystem wires the flavour matching its mode flags.
-func (m *MemCtrl) SetProtocol(p Protocol) { m.proto = &p }
-
-// protocol returns the configured protocol, defaulting to heap.
-func (m *MemCtrl) protocol() *Protocol {
-	if m.proto == nil {
-		p := ProtocolFor(false, false, false)
-		m.proto = &p
-	}
-	return m.proto
-}
-
-// CheckInvariants validates the registered protocol's invariant set
-// for the given lines across every registered peer cache — for the
-// standard protocols: at most one owner (MM, M or O) per line, and an
-// exclusive holder (MM or M) implies every other cache is I. The
-// system must be drained first (every line is viewed as quiescent);
-// in-flight transactions are an error by themselves. Data-value
-// invariants need a version oracle and are skipped here — the chaos
-// harness layers its own oracle on top.
+// CheckInvariants validates the invariant set (Invariants) for the
+// given lines across every registered peer cache: at most one owner
+// (MM, M or O) per line, and an exclusive holder (MM or M) implies
+// every other cache is I. The system must be drained first (every
+// line is viewed as quiescent); in-flight transactions are an error by
+// themselves. Data-value invariants need a version oracle and are
+// skipped here — the chaos harness layers its own oracle on top.
 //
 // It is a debugging/verification aid for tests and for users
 // embedding the simulator; a non-nil error means a protocol bug.
@@ -48,7 +33,6 @@ func (m *MemCtrl) CheckInvariants(lines []memsys.Addr) error {
 // InvariantChecker checks CheckInvariants' invariant set one line at a
 // time, for a caller that walks its lines instead of listing them.
 type InvariantChecker struct {
-	proto *Protocol
 	peers []*Ctrl
 	v     LineView
 }
@@ -71,7 +55,6 @@ func (m *MemCtrl) InvariantChecker() (*InvariantChecker, error) {
 		names[i] = c.name
 	}
 	return &InvariantChecker{
-		proto: m.protocol(),
 		peers: peers,
 		v: LineView{
 			N:         len(names),
@@ -92,11 +75,11 @@ func (k *InvariantChecker) Check(a memsys.Addr) error {
 		v.States[i] = c.State(line)
 		v.Vers[i] = c.Ver(line)
 	}
-	if k.proto.CheckLineView(v, nil) != "" {
+	if CheckLineView(v, nil) != "" {
 		// Label the line only for the report: formatting every
 		// line's address up front cost more than the checks.
 		v.Line = fmt.Sprintf("%#x", uint64(line))
-		return fmt.Errorf("coherence: %s%s", k.proto.CheckLineView(v, nil), holderDesc(v))
+		return fmt.Errorf("coherence: %s%s", CheckLineView(v, nil), holderDesc(v))
 	}
 	return nil
 }

@@ -33,10 +33,6 @@ type MemCtrl struct {
 	// slice owning the address. The returned slice is only read.
 	probeTargets func(addr memsys.Addr, requester interconnect.Port) []interconnect.Port
 
-	// proto is the registered protocol flavour whose invariant set
-	// CheckInvariants evaluates (see registry.go); nil defaults to heap.
-	proto *Protocol
-
 	// busy and dramVer are dense per-line tables over every line (see
 	// lineTab); queued stays a map — it only holds lines with a
 	// transaction collision.

@@ -5,17 +5,16 @@ import (
 	"strings"
 )
 
-// This file is the protocol registry: each coherence flavour the
-// simulator implements is a first-class Protocol value — its slice of
-// the shared transition table, the message classes it puts on the
-// wire, and the invariant set that defines its correctness. The model
-// checker (internal/modelcheck), the runtime invariant checker
-// (MemCtrl.CheckInvariants, consumed by the chaos harness), the obs
-// state timeline and the DESIGN.md Appendix-A renderer all consume
-// the registry, so adding a protocol means registering one value —
-// not touching four hardcoded mode switches.
+// This file lists the coherence flavours the simulator implements: each
+// Protocol names its mode flags, the slice of the shared transition
+// table it exercises and the message classes it puts on the wire. Every
+// flavour is judged by the one invariant set below, which the model
+// checker (internal/modelcheck) and the runtime checker
+// (MemCtrl.CheckInvariants, consumed by the chaos harness) both
+// evaluate. The standard model-check sweep and the DESIGN.md Appendix-A
+// renderer walk the list.
 
-// Protocol is one registered coherence protocol flavour.
+// Protocol is one coherence protocol flavour.
 type Protocol struct {
 	// Name identifies the protocol in sweeps, reports and DESIGN.md.
 	Name string
@@ -40,12 +39,6 @@ type Protocol struct {
 	Events []Event
 	// Messages lists the wire message classes the flavour uses.
 	Messages []string
-	// Invariants is the safety-invariant set checked over LineView by
-	// both the model checker and MemCtrl.CheckInvariants.
-	Invariants []Invariant
-	// StateName names a raw protocol state for display (the obs
-	// state-timeline namer).
-	StateName func(State) string
 }
 
 // LineView is a protocol-neutral snapshot of one line's coherence
@@ -130,13 +123,13 @@ func (inv *Invariant) Applies(v *LineView) bool {
 	return true
 }
 
-// The shared invariant set. Every registered protocol checks all
-// four; a future protocol family (e.g. timestamp coherence) can swap
-// its own definitions in.
-var (
-	// InvSWMROwner: at most one owner copy per line, always — even
-	// mid-transaction, ownership transfer is atomic.
-	InvSWMROwner = Invariant{
+// Invariants is the safety-invariant set, in evaluation order, that
+// every flavour checks over LineView, in the model checker and in
+// MemCtrl.CheckInvariants alike.
+var Invariants = [...]Invariant{
+	// At most one owner copy per line, always — even mid-transaction,
+	// ownership transfer is atomic.
+	{
 		Name: "swmr-owner",
 		Doc:  "at most one owner (MM, M or O) per line, at all times",
 		Check: func(v *LineView) string {
@@ -146,11 +139,10 @@ var (
 			}
 			return ""
 		},
-	}
+	},
 
-	// InvExclusiveSole: an exclusive holder is the only holder once
-	// the line drains.
-	InvExclusiveSole = Invariant{
+	// An exclusive holder is the only holder once the line drains.
+	{
 		Name:          "exclusive-sole-holder",
 		Doc:           "an exclusive copy (MM, M) implies every other cache is I at quiescence",
 		QuiescentOnly: true,
@@ -161,10 +153,10 @@ var (
 			}
 			return ""
 		},
-	}
+	},
 
-	// InvDataCopies: every surviving copy holds the newest version.
-	InvDataCopies = Invariant{
+	// Every surviving copy holds the newest version.
+	{
 		Name:          "data-value-copies",
 		Doc:           "every valid copy holds the newest written version at quiescence",
 		QuiescentOnly: true,
@@ -178,11 +170,10 @@ var (
 			}
 			return ""
 		},
-	}
+	},
 
-	// InvDataMemory: with no owner left, memory itself must be
-	// current.
-	InvDataMemory = Invariant{
+	// With no owner left, memory itself must be current.
+	{
 		Name:          "data-value-memory",
 		Doc:           "with no owner at quiescence, memory holds the newest version",
 		QuiescentOnly: true,
@@ -195,13 +186,7 @@ var (
 			}
 			return ""
 		},
-	}
-)
-
-// StandardInvariants returns the shared invariant set in evaluation
-// order.
-func StandardInvariants() []Invariant {
-	return []Invariant{InvSWMROwner, InvExclusiveSole, InvDataCopies, InvDataMemory}
+	},
 }
 
 // Event subsets per flavour. The heap protocol is plain MOESI-Hammer;
@@ -234,38 +219,31 @@ func directMessages(resilient bool) []string {
 	return m
 }
 
-// protocols is the registry, in display order. Kept as a function so
-// every caller gets a fresh value (the slices are shared-read only by
-// convention, but a sweep mutating its copy must not corrupt the
-// registry).
-func protocols() []Protocol {
+// Protocols returns every flavour in display order, as a fresh value
+// on each call (the slices are shared-read only by convention, but a
+// sweep mutating its copy must not corrupt the list).
+func Protocols() []Protocol {
 	return []Protocol{
 		{
-			Name:       "heap",
-			Doc:        "broadcast MOESI-Hammer over the shared crossbar (no direct-store region)",
-			Events:     heapEvents(),
-			Messages:   heapMessages(),
-			Invariants: StandardInvariants(),
-			StateName:  StateName,
+			Name:     "heap",
+			Doc:      "broadcast MOESI-Hammer over the shared crossbar (no direct-store region)",
+			Events:   heapEvents(),
+			Messages: heapMessages(),
 		},
 		{
-			Name:       "direct",
-			Doc:        "MOESI-Hammer plus the paper's direct-store extension: fire-and-forget pushes install MM at the owning GPU L2 slice",
-			Direct:     true,
-			Events:     directEvents(false),
-			Messages:   directMessages(false),
-			Invariants: StandardInvariants(),
-			StateName:  StateName,
+			Name:     "direct",
+			Doc:      "MOESI-Hammer plus the paper's direct-store extension: fire-and-forget pushes install MM at the owning GPU L2 slice",
+			Direct:   true,
+			Events:   directEvents(false),
+			Messages: directMessages(false),
 		},
 		{
-			Name:       "resilient",
-			Doc:        "direct store with seq-numbered acknowledged pushes: retry on NACK or loss, receiver-side duplicate suppression",
-			Direct:     true,
-			Resilient:  true,
-			Events:     directEvents(false),
-			Messages:   directMessages(true),
-			Invariants: StandardInvariants(),
-			StateName:  StateName,
+			Name:      "resilient",
+			Doc:       "direct store with seq-numbered acknowledged pushes: retry on NACK or loss, receiver-side duplicate suppression",
+			Direct:    true,
+			Resilient: true,
+			Events:    directEvents(false),
+			Messages:  directMessages(true),
 		},
 		{
 			Name:             "write-through-push",
@@ -274,47 +252,17 @@ func protocols() []Protocol {
 			WriteThroughPush: true,
 			Events:           directEvents(true),
 			Messages:         directMessages(false),
-			Invariants:       StandardInvariants(),
-			StateName:        StateName,
 		},
 	}
 }
 
-// Protocols returns every registered protocol in display order.
-func Protocols() []Protocol { return protocols() }
-
-// ProtocolByName resolves a registered protocol.
-func ProtocolByName(name string) (Protocol, bool) {
-	for _, p := range protocols() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Protocol{}, false
-}
-
-// ProtocolFor maps mode flags to the registered protocol they select.
-func ProtocolFor(direct, resilient, writeThroughPush bool) Protocol {
-	name := "heap"
-	switch {
-	case writeThroughPush:
-		name = "write-through-push"
-	case resilient:
-		name = "resilient"
-	case direct:
-		name = "direct"
-	}
-	p, _ := ProtocolByName(name)
-	return p
-}
-
-// CheckLineView runs the protocol's invariant set over one line view,
-// returning the first violation message or "". count, when non-nil,
-// receives one increment per invariant evaluated (indexed like
-// Invariants) — the model checker's per-invariant statistics.
-func (p *Protocol) CheckLineView(v *LineView, count []uint64) string {
-	for i := range p.Invariants {
-		inv := &p.Invariants[i]
+// CheckLineView runs the invariant set over one line view, returning
+// the first violation message or "". count, when non-nil, receives one
+// increment per invariant evaluated (indexed like Invariants) — the
+// model checker's per-invariant statistics.
+func CheckLineView(v *LineView, count []uint64) string {
+	for i := range Invariants {
+		inv := &Invariants[i]
 		if !inv.Applies(v) {
 			continue
 		}
@@ -329,26 +277,23 @@ func (p *Protocol) CheckLineView(v *LineView, count []uint64) string {
 }
 
 // AppendixA renders the per-protocol transition tables for DESIGN.md:
-// one section per registered protocol showing only the event columns
-// that flavour exercises, kept in sync by TestProtocolTableAppendix.
+// one section per flavour showing only the event columns that flavour
+// exercises, kept in sync by TestProtocolTableAppendix.
 func AppendixA() string {
+	names := make([]string, len(Invariants))
+	for i := range Invariants {
+		names[i] = Invariants[i].Name
+	}
+	invariants := strings.Join(names, ", ")
 	var b strings.Builder
-	for i, p := range protocols() {
+	for i, p := range Protocols() {
 		if i > 0 {
 			b.WriteString("\n")
 		}
 		fmt.Fprintf(&b, "### %s\n\n%s.\n\n", p.Name, p.Doc)
 		fmt.Fprintf(&b, "Messages: %s.\n", strings.Join(p.Messages, ", "))
-		fmt.Fprintf(&b, "Invariants: %s.\n\n", invariantNames(p.Invariants))
+		fmt.Fprintf(&b, "Invariants: %s.\n\n", invariants)
 		b.WriteString(protocolTableFor(p.Events))
 	}
 	return b.String()
-}
-
-func invariantNames(invs []Invariant) string {
-	names := make([]string, len(invs))
-	for i, inv := range invs {
-		names[i] = inv.Name
-	}
-	return strings.Join(names, ", ")
 }

@@ -11,6 +11,7 @@ func TestProtocolRegistry(t *testing.T) {
 		t.Fatalf("registered %d protocols, want 4", len(ps))
 	}
 	seen := map[string]bool{}
+	modes := map[[3]bool]string{}
 	for _, p := range ps {
 		if p.Name == "" || p.Doc == "" {
 			t.Errorf("protocol %+v missing name or doc", p)
@@ -19,11 +20,8 @@ func TestProtocolRegistry(t *testing.T) {
 			t.Errorf("duplicate protocol %q", p.Name)
 		}
 		seen[p.Name] = true
-		if len(p.Events) == 0 || len(p.Messages) == 0 || len(p.Invariants) == 0 {
-			t.Errorf("%s: empty events/messages/invariants", p.Name)
-		}
-		if p.StateName == nil || p.StateName(MM) != "MM" {
-			t.Errorf("%s: bad StateName", p.Name)
+		if len(p.Events) == 0 || len(p.Messages) == 0 {
+			t.Errorf("%s: empty events/messages", p.Name)
 		}
 		// Every declared event must be inside the table bounds, and the
 		// direct-only columns must not leak into the heap protocol.
@@ -35,36 +33,20 @@ func TestProtocolRegistry(t *testing.T) {
 				t.Errorf("%s: heap protocol lists direct event %s", p.Name, EventName(ev))
 			}
 		}
-		got, ok := ProtocolByName(p.Name)
-		if !ok || got.Name != p.Name {
-			t.Errorf("ProtocolByName(%q) failed", p.Name)
+		flags := [3]bool{p.Direct, p.Resilient, p.WriteThroughPush}
+		if modes[flags] != "" {
+			t.Errorf("%s and %s select the same mode flags %v", modes[flags], p.Name, flags)
 		}
-	}
-	for _, tc := range []struct {
-		direct, resilient, wt bool
-		want                  string
-	}{
-		{false, false, false, "heap"},
-		{true, false, false, "direct"},
-		{true, true, false, "resilient"},
-		{true, false, true, "write-through-push"},
-	} {
-		if got := ProtocolFor(tc.direct, tc.resilient, tc.wt).Name; got != tc.want {
-			t.Errorf("ProtocolFor(%v,%v,%v) = %s, want %s", tc.direct, tc.resilient, tc.wt, got, tc.want)
-		}
-	}
-	if _, ok := ProtocolByName("nope"); ok {
-		t.Error("ProtocolByName accepted unknown name")
+		modes[flags] = p.Name
 	}
 }
 
 func TestInvariantChecks(t *testing.T) {
-	p := ProtocolFor(true, false, false)
-	count := make([]uint64, len(p.Invariants))
+	count := make([]uint64, len(Invariants))
 
 	// Two owners: SWMR violation even mid-flight.
 	v := &LineView{Line: "0", N: 3, States: []State{M, O, I}, Dirty: make([]bool, 3), Vers: make([]uint64, 3)}
-	if msg := p.CheckLineView(v, count); !strings.Contains(msg, "SWMR violation") || !strings.Contains(msg, "2 owners") {
+	if msg := CheckLineView(v, count); !strings.Contains(msg, "SWMR violation") || !strings.Contains(msg, "2 owners") {
 		t.Errorf("two owners: got %q", msg)
 	}
 	if count[0] == 0 {
@@ -73,37 +55,37 @@ func TestInvariantChecks(t *testing.T) {
 
 	// Exclusive alongside a sharer: legal in flight, flagged at rest.
 	v = &LineView{Line: "0", N: 3, States: []State{MM, S, I}, Dirty: make([]bool, 3), Vers: make([]uint64, 3)}
-	if msg := p.CheckLineView(v, nil); msg != "" {
+	if msg := CheckLineView(v, nil); msg != "" {
 		t.Errorf("in-flight exclusive+sharer flagged: %q", msg)
 	}
 	v.Quiescent = true
-	if msg := p.CheckLineView(v, nil); !strings.Contains(msg, "exclusive with 2 holders") {
+	if msg := CheckLineView(v, nil); !strings.Contains(msg, "exclusive with 2 holders") {
 		t.Errorf("quiescent exclusive+sharer: got %q", msg)
 	}
 
 	// Stale copy at quiescence, versions known.
 	v = &LineView{Line: "0", N: 2, States: []State{S, I}, Dirty: make([]bool, 2),
 		Vers: []uint64{1, 0}, MemVer: 2, Latest: 2, HasVersions: true, Quiescent: true}
-	if msg := p.CheckLineView(v, nil); !strings.Contains(msg, "lost store") {
+	if msg := CheckLineView(v, nil); !strings.Contains(msg, "lost store") {
 		t.Errorf("stale copy: got %q", msg)
 	}
 	// Without versions the same view passes (runtime checker has no oracle).
 	v.HasVersions = false
-	if msg := p.CheckLineView(v, nil); msg != "" {
+	if msg := CheckLineView(v, nil); msg != "" {
 		t.Errorf("no-oracle view flagged: %q", msg)
 	}
 
 	// No owner and stale memory.
 	v = &LineView{Line: "0", N: 2, States: []State{I, I}, Dirty: make([]bool, 2),
 		Vers: make([]uint64, 2), MemVer: 1, Latest: 2, HasVersions: true, Quiescent: true}
-	if msg := p.CheckLineView(v, nil); !strings.Contains(msg, "memory holds v1") {
+	if msg := CheckLineView(v, nil); !strings.Contains(msg, "memory holds v1") {
 		t.Errorf("stale memory: got %q", msg)
 	}
 
 	// Clean single-owner view passes everything.
 	v = &LineView{Line: "0", N: 2, States: []State{MM, I}, Dirty: []bool{true, false},
 		Vers: []uint64{2, 0}, MemVer: 1, Latest: 2, HasVersions: true, Quiescent: true}
-	if msg := p.CheckLineView(v, nil); msg != "" {
+	if msg := CheckLineView(v, nil); msg != "" {
 		t.Errorf("clean view flagged: %q", msg)
 	}
 }

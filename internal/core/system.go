@@ -161,18 +161,22 @@ type ChaosConfig struct {
 	// Hooks installs controller-side faults (stalls, push NACKs, the
 	// skip-invalidate mutation) on every cache controller.
 	Hooks *coherence.ChaosHooks
-	// Resilience, when Enabled, switches the direct-store push to the
-	// ack/NACK + bounded-retry protocol on every controller.
-	Resilience coherence.ResilienceConfig
-	// WatchdogInterval arms the memory controller's per-transaction
-	// watchdog: every interval ticks in-flight transactions older than
-	// WatchdogLimit fail the run with a transaction dump.
-	WatchdogInterval sim.Tick
-	WatchdogLimit    sim.Tick
+	// Resilience switches the direct-store push to the ack/NACK +
+	// bounded-retry protocol on every controller.
+	Resilience bool
 	// OnFailure receives fatal protocol failures (push retry
 	// exhaustion, stuck transactions) instead of a panic.
 	OnFailure func(error)
 }
+
+// The chaos watchdog's scan period and stuck-transaction limit. The
+// limit is far beyond any legitimate transaction latency (even queued
+// behind a hot line under heavy stalls), so it only fires on genuine
+// loss of progress.
+const (
+	watchdogInterval sim.Tick = 1 << 16
+	watchdogLimit    sim.Tick = 1 << 20
+)
 
 // DefaultConfig returns the Table I system in the given mode.
 func DefaultConfig(mode Mode) Config {
@@ -335,10 +339,6 @@ func NewSystem(cfg Config) *System {
 			}
 			return set
 		})
-	s.Mem.SetProtocol(coherence.ProtocolFor(
-		cfg.Mode.DirectStoreEnabled(),
-		cfg.Chaos != nil && cfg.Chaos.Resilience.Enabled,
-		cfg.PushWriteThrough))
 
 	if cfg.RegionDirectory {
 		shift := cfg.RegionShift
@@ -403,16 +403,14 @@ func NewSystem(cfg Config) *System {
 			if ch.Hooks != nil {
 				c.AttachChaos(ch.Hooks)
 			}
-			if ch.Resilience.Enabled {
-				c.EnableResilience(ch.Resilience)
+			if ch.Resilience {
+				c.EnableResilience()
 			}
 			if ch.OnFailure != nil {
 				c.SetFailureHandler(ch.OnFailure)
 			}
 		}
-		if ch.WatchdogInterval != 0 {
-			s.Mem.EnableWatchdog(ch.WatchdogInterval, ch.WatchdogLimit, ch.OnFailure)
-		}
+		s.Mem.EnableWatchdog(watchdogInterval, watchdogLimit, ch.OnFailure)
 	}
 
 	cpuTLB := mmu.NewTLB(s.PT, mmu.Config{

@@ -190,7 +190,7 @@ func TestProbeLoopExitsPromptlyOnCancel(t *testing.T) {
 	go func() {
 		// An hour-long interval: only prompt cancellation lets this
 		// return within the test deadline.
-		r.probeLoop(ctx, time.Hour, time.Second)
+		r.probeLoop(ctx, time.Hour)
 		close(done)
 	}()
 	cancel()

@@ -9,7 +9,7 @@
 // from sim.NewRand(seed mixed with n), so a given (seed, FaultPlan)
 // produces the same fault decision for the n-th request through the
 // proxy no matter how requests interleave. Targeted helpers
-// (Partition, CorruptNext, TruncateNext, ResetNext) override the
+// (Partition, CorruptNext, TruncateNext) override the
 // random plan for scripted scenarios — "corrupt exactly one result,
 // then heal" — which is what TestFleetChaosE2E and
 // TestFleetFaultWalkthrough in internal/fleet drive.
@@ -76,7 +76,6 @@ type Proxy struct {
 	partitioned  bool
 	corruptNext  int
 	truncateNext int
-	resetNext    int
 
 	delays      atomic.Uint64
 	resets      atomic.Uint64
@@ -128,13 +127,6 @@ func (p *Proxy) TruncateNext(n int) {
 	p.mu.Unlock()
 }
 
-// ResetNext schedules a connection reset for the next n requests.
-func (p *Proxy) ResetNext(n int) {
-	p.mu.Lock()
-	p.resetNext += n
-	p.mu.Unlock()
-}
-
 // Counts returns the injection tally so far.
 func (p *Proxy) Counts() Counts {
 	return Counts{
@@ -164,11 +156,6 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	p.mu.Lock()
 	partitioned := p.partitioned
-	forceReset := false
-	if !partitioned && p.resetNext > 0 {
-		p.resetNext--
-		forceReset = true
-	}
 	p.mu.Unlock()
 
 	if partitioned {
@@ -176,7 +163,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		p.abortConn(w)
 		return
 	}
-	if forceReset || rng.Bool(p.plan.Reset) {
+	if rng.Bool(p.plan.Reset) {
 		p.resets.Add(1)
 		p.abortConn(w)
 		return

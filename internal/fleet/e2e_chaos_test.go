@@ -50,11 +50,10 @@ func TestFleetChaosE2E(t *testing.T) {
 		"-addr", "127.0.0.1:0",
 		"-workers", workers[0].url + "," + workers[1].url + "," + phs.URL,
 		"-journal", journalDir,
-		"-probe-interval", "300ms", "-probe-timeout", "2s",
+		"-probe-interval", "300ms",
 		"-sweep-workers", "32",
 		"-failure-threshold", "2", "-breaker-cooldown", "500ms",
 		"-quarantine-cooldown", "2s",
-		"-backoff-base", "20ms", "-backoff-max", "200ms",
 	}
 	coord := startProc(t, coordBin, "dstore-coord listening on ", coordArgs...)
 

@@ -42,7 +42,7 @@ func TestFleetE2E(t *testing.T) {
 	coord := startProc(t, coordBin, "dstore-coord listening on ",
 		"-addr", "127.0.0.1:0",
 		"-workers", workers[0].url+","+workers[1].url,
-		"-probe-interval", "300ms", "-probe-timeout", "2s",
+		"-probe-interval", "300ms",
 		"-sweep-workers", "64")
 	resp, err := client.Post(coord.url+"/v1/workers", "application/json",
 		strings.NewReader(fmt.Sprintf(`{"url":%q}`, workers[2].url)))

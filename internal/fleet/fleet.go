@@ -55,18 +55,12 @@ type Options struct {
 	// Vnodes is the number of hash-ring points per worker. More
 	// vnodes, smoother key distribution. Default 64.
 	Vnodes int
-	// Replicas bounds how many distinct workers a job is tried on
-	// before it is failed (the owner, then its successors on the
-	// ring). Zero or negative means every worker.
-	Replicas int
 	// SweepWorkers is the number of jobs one sweep dispatches
 	// concurrently. Default 16.
 	SweepWorkers int
 	// ProbeInterval is the health-probe period (jittered ±20% per
 	// round from Seed). Default 2s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round. Default 2s.
-	ProbeTimeout time.Duration
 	// RequestTimeout bounds each individual HTTP call to a worker. It
 	// must exceed serve.ResultWait, the longest a worker holds a result
 	// request. Default 30s.
@@ -93,11 +87,6 @@ type Options struct {
 	// first) a job gets, with exponential backoff between passes.
 	// Default 3; negative disables retry rounds.
 	DispatchRetries int
-	// BackoffBase is the first-retry backoff; each further round
-	// doubles it up to BackoffMax. Default 100ms.
-	BackoffBase time.Duration
-	// BackoffMax caps the per-round backoff. Default 5s.
-	BackoffMax time.Duration
 	// MaxPending bounds jobs in the dispatch path at once; beyond it
 	// the coordinator sheds load with 429 + Retry-After rather than
 	// queueing without bound. Default 1024; negative means unlimited.
@@ -136,6 +125,17 @@ const retryAfterMax = 2 * time.Second
 // /v1/traces fetch during federation.
 const federationTimeout = 2 * time.Second
 
+// probeTimeout bounds one health-probe round, and the probe of a newly
+// registered worker.
+const probeTimeout = 2 * time.Second
+
+// The retry-round backoff: backoffBase before the first retry round,
+// doubling each further round up to backoffMax.
+const (
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 5 * time.Second
+)
+
 func (o Options) withDefaults() Options {
 	if o.Vnodes <= 0 {
 		o.Vnodes = 64
@@ -145,9 +145,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 2 * time.Second
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
@@ -172,12 +169,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DispatchRetries < 0 {
 		o.DispatchRetries = 0
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 100 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 5 * time.Second
 	}
 	if o.MaxPending == 0 {
 		o.MaxPending = 1024
@@ -311,7 +302,7 @@ func New(opt Options) (*Coordinator, error) {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		c.reg.probeLoop(ctx, opt.ProbeInterval, opt.ProbeTimeout)
+		c.reg.probeLoop(ctx, opt.ProbeInterval)
 	}()
 	return c, nil
 }
@@ -445,16 +436,16 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // backoff computes the pause before retry round n: exponential from
-// BackoffBase, capped at BackoffMax, with seeded equal-jitter (half
+// backoffBase, capped at backoffMax, with seeded equal-jitter (half
 // the delay fixed, half drawn from the seeded stream) so retrying
 // dispatchers decorrelate without losing reproducibility.
 func (c *Coordinator) backoff(round int) time.Duration {
-	d := c.opt.BackoffBase
-	for i := 0; i < round && d < c.opt.BackoffMax; i++ {
+	d := backoffBase
+	for i := 0; i < round && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > c.opt.BackoffMax {
-		d = c.opt.BackoffMax
+	if d > backoffMax {
+		d = backoffMax
 	}
 	half := uint64(d) / 2
 	c.rngMu.Lock()
@@ -491,7 +482,7 @@ func (c *Coordinator) runJob(ctx context.Context, id string, spec []byte, tc tra
 	attempts, rounds := 0, 0
 	for round := 0; ; round++ {
 		rounds++
-		owners := c.reg.currentRing().owners(id, c.opt.Replicas)
+		owners := c.reg.currentRing().owners(id)
 		if len(owners) == 0 {
 			c.jobsFailed.Add(1)
 			return nil, &terminalError{"fleet: no workers registered"}
@@ -802,7 +793,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // mismatch quarantines the worker and the walk moves on.
 func (c *Coordinator) handleRunProxy(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	owners := c.reg.currentRing().owners(id, c.opt.Replicas)
+	owners := c.reg.currentRing().owners(id)
 	if len(owners) == 0 {
 		writeError(w, http.StatusServiceUnavailable, "fleet: no workers registered")
 		return
@@ -911,7 +902,7 @@ func (c *Coordinator) handleWorkerAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	//dstore:allow-wallclock probe deadline is operational
-	pctx, cancel := context.WithTimeout(r.Context(), c.opt.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(r.Context(), probeTimeout)
 	c.reg.probeOne(pctx, u)
 	cancel()
 	_, states := c.reg.snapshot()

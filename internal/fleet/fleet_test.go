@@ -174,6 +174,37 @@ func TestNewRejectsRequestTimeoutWithinResultWait(t *testing.T) {
 	}
 }
 
+// TestBackoffSchedule: the pause before retry round r lies in [d/2, d],
+// where d is backoffBase doubled r times and capped at backoffMax; one
+// seed always draws the same pauses, and another seed draws others.
+func TestBackoffSchedule(t *testing.T) {
+	schedule := func(seed uint64) []time.Duration {
+		c, err := New(Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		out := make([]time.Duration, 16)
+		for r := range out {
+			out[r] = c.backoff(r)
+		}
+		return out
+	}
+	first := schedule(7)
+	for r, got := range first {
+		d := min(backoffBase<<r, backoffMax)
+		if got < d/2 || got > d {
+			t.Errorf("round %d: pause %v outside [%v, %v]", r, got, d/2, d)
+		}
+	}
+	if again := schedule(7); !reflect.DeepEqual(again, first) {
+		t.Errorf("seed 7 drew %v, then %v", first, again)
+	}
+	if other := schedule(8); reflect.DeepEqual(other, first) {
+		t.Errorf("seeds 7 and 8 drew the same pauses %v", first)
+	}
+}
+
 // TestAwaitResultPacesWorkerThatDoesNotWait: a worker that answers an
 // in-flight 409 at once, without holding the GET for serve.ResultWait,
 // is asked again only after a pause, not back to back.
@@ -491,7 +522,7 @@ func TestSweepFailsOverDeadWorker(t *testing.T) {
 		if o.Worker != live {
 			t.Fatalf("job %.8s served by %q, want the live worker", o.ID, o.Worker)
 		}
-		if c.reg.currentRing().owners(o.ID, 1)[0] == dead {
+		if c.reg.currentRing().owners(o.ID)[0] == dead {
 			deadOwned++
 		}
 	}

@@ -400,7 +400,7 @@ func (r *registry) jitteredInterval(interval time.Duration) time.Duration {
 // ctx is cancelled. A timer per round — rather than a ticker — lets
 // each round draw fresh jitter, and the select exits promptly on
 // cancellation even mid-wait.
-func (r *registry) probeLoop(ctx context.Context, interval, timeout time.Duration) {
+func (r *registry) probeLoop(ctx context.Context, interval time.Duration) {
 	for {
 		//dstore:allow-wallclock fleet health probing is operational, never part of a simulation result
 		t := time.NewTimer(r.jitteredInterval(interval))
@@ -411,7 +411,7 @@ func (r *registry) probeLoop(ctx context.Context, interval, timeout time.Duratio
 		case <-t.C:
 		}
 		//dstore:allow-wallclock probe deadline is operational
-		pctx, cancel := context.WithTimeout(ctx, timeout)
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		r.probeAll(pctx)
 		cancel()
 	}

@@ -58,21 +58,19 @@ func buildRing(urls []string, vnodes int) *ring {
 	return r
 }
 
-// owners returns up to max distinct workers for key, in replica
-// order: the key's owner first, then each successive distinct worker
-// clockwise around the ring. max <= 0 means all members.
-func (r *ring) owners(key string, max int) []string {
+// owners returns every worker for key, in replica order: the key's
+// owner first, then each successive distinct worker clockwise around
+// the ring.
+func (r *ring) owners(key string) []string {
 	if len(r.points) == 0 {
 		return nil
 	}
-	if max <= 0 || max > len(r.urls) {
-		max = len(r.urls)
-	}
+	n := len(r.urls)
 	h := hash64(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
-	out := make([]string, 0, max)
-	seen := make(map[string]bool, max)
-	for i := 0; i < len(r.points) && len(out) < max; i++ {
+	out := make([]string, 0, n)
+	seen := make(map[string]bool, n)
+	for i := 0; i < len(r.points) && len(out) < n; i++ {
 		p := r.points[(start+i)%len(r.points)]
 		if !seen[p.url] {
 			seen[p.url] = true

@@ -10,7 +10,7 @@ func TestRingOwnersDistinctAndDeterministic(t *testing.T) {
 	r := buildRing(urls, 64)
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("%064d", i)
-		got := r.owners(key, 0)
+		got := r.owners(key)
 		if len(got) != 3 {
 			t.Fatalf("owners(%q) = %v, want 3 distinct workers", key, got)
 		}
@@ -21,7 +21,7 @@ func TestRingOwnersDistinctAndDeterministic(t *testing.T) {
 			}
 			seen[u] = true
 		}
-		again := buildRing([]string{"http://c:1", "http://b:1", "http://a:1"}, 64).owners(key, 0)
+		again := buildRing([]string{"http://c:1", "http://b:1", "http://a:1"}, 64).owners(key)
 		for j := range got {
 			if got[j] != again[j] {
 				t.Fatalf("owner order depends on construction order: %v vs %v", got, again)
@@ -36,7 +36,7 @@ func TestRingSpreadsKeys(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 4096
 	for i := 0; i < keys; i++ {
-		counts[r.owners(fmt.Sprintf("key-%d", i), 1)[0]]++
+		counts[r.owners(fmt.Sprintf("key-%d", i))[0]]++
 	}
 	for _, u := range urls {
 		// With 64 vnodes the spread is far tighter than 4x, but the
@@ -55,8 +55,8 @@ func TestRingMinimalRemapOnMemberLoss(t *testing.T) {
 	const keys = 2048
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		before := big.owners(key, 1)[0]
-		after := small.owners(key, 1)[0]
+		before := big.owners(key)[0]
+		after := small.owners(key)[0]
 		if before == "http://d:1" {
 			continue // d's keys must move somewhere
 		}
@@ -70,18 +70,15 @@ func TestRingMinimalRemapOnMemberLoss(t *testing.T) {
 }
 
 func TestRingReplicaWalkSkipsOwner(t *testing.T) {
-	r := buildRing([]string{"http://a:1", "http://b:1"}, 32)
-	got := r.owners("somekey", 2)
-	if len(got) != 2 || got[0] == got[1] {
+	r := buildRing([]string{"http://a:1", "http://b:1", "http://c:1"}, 32)
+	got := r.owners("somekey")
+	if len(got) != 3 || got[0] == got[1] {
 		t.Fatalf("replica walk broken: %v", got)
-	}
-	if r.owners("somekey", 1)[0] != got[0] {
-		t.Fatal("owner changes with replica count")
 	}
 }
 
 func TestRingEmpty(t *testing.T) {
-	if got := buildRing(nil, 8).owners("k", 0); got != nil {
+	if got := buildRing(nil, 8).owners("k"); got != nil {
 		t.Fatalf("empty ring returned owners: %v", got)
 	}
 }

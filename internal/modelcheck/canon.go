@@ -70,7 +70,7 @@ func symGroup(cfg Config) []perm {
 		case cfg.DirectLines == 2 && cfg.gpus() == 2:
 			p := id
 			p.lines[0], p.lines[1] = 1, 0
-			g0, g1 := homeAgent(cfg, 0), homeAgent(cfg, 1)
+			g0, g1 := homeAgent(&cfg, 0), homeAgent(&cfg, 1)
 			p.agents[g0], p.agents[g1] = p.agents[g1], p.agents[g0]
 			linePerms = append(linePerms, p)
 		}

@@ -14,7 +14,7 @@ import (
 )
 
 // lineQuiescent reports whether nothing is in flight for line l.
-func lineQuiescent(cfg Config, s *state, l int) bool {
+func lineQuiescent(cfg *Config, s *state, l int) bool {
 	if s.busy[l] != 0 || s.nq[l] != 0 {
 		return false
 	}
@@ -36,7 +36,7 @@ func lineQuiescent(cfg Config, s *state, l int) bool {
 	return true
 }
 
-func anyDramPending(cfg Config, s *state) bool {
+func anyDramPending(cfg *Config, s *state) bool {
 	for l := 0; l < cfg.Lines; l++ {
 		if s.busy[l] != 0 && s.txn[l].DramOutstanding() {
 			return true
@@ -45,7 +45,7 @@ func anyDramPending(cfg Config, s *state) bool {
 	return false
 }
 
-func workOutstanding(cfg Config, s *state) bool {
+func workOutstanding(cfg *Config, s *state) bool {
 	if s.pushPend != 0 {
 		return true
 	}
@@ -69,9 +69,9 @@ type Result struct {
 	States      int // distinct states reached
 	Transitions int // transitions explored
 	MaxDepth    int // longest shortest-path from the initial state
-	// Invariants counts, per registered invariant (plus the checker's
-	// own deadlock and mm-install checks), how many times the check was
-	// evaluated — the per-invariant work profile of the run.
+	// Invariants counts, per entry of coherence.Invariants (plus the
+	// checker's own deadlock and mm-install checks), how many times the
+	// check was evaluated — the per-invariant work profile of the run.
 	Invariants []InvariantCount
 	Violation  *Violation
 }
@@ -127,14 +127,13 @@ type Options struct {
 // visited set and the frontier block pool.
 type checker struct {
 	cfg   Config
-	proto coherence.Protocol
 	group []perm
 	table *fpTable
 	pool  blockPool
 	pushE coherence.Event
 }
 
-// Extra checker-owned invariant slots appended after the registry's.
+// Extra checker-owned invariant slots appended after coherence.Invariants.
 const (
 	extraDeadlock = iota
 	extraMMInstall
@@ -288,7 +287,7 @@ func candLess(a, b *cand) bool {
 	return a.msg < b.msg
 }
 
-// checkState evaluates the registered protocol's invariant set (plus
+// checkState evaluates the invariant set (plus
 // the deadlock heuristic) on one state, returning a violation message
 // or "". Each unique state is checked exactly once, when first
 // inserted into the visited set.
@@ -303,13 +302,13 @@ func (c *checker) checkState(w *worker, s *state) string {
 		}
 		v.MemVer = uint64(s.mem[l])
 		v.Latest = uint64(s.latest[l])
-		v.Quiescent = lineQuiescent(c.cfg, s, l)
-		if msg := c.proto.CheckLineView(v, w.counts); msg != "" {
+		v.Quiescent = lineQuiescent(&c.cfg, s, l)
+		if msg := coherence.CheckLineView(v, w.counts); msg != "" {
 			return msg
 		}
 	}
-	w.counts[len(c.proto.Invariants)+extraDeadlock]++
-	if s.nmsgs == 0 && !anyDramPending(c.cfg, s) && workOutstanding(c.cfg, s) {
+	w.counts[len(coherence.Invariants)+extraDeadlock]++
+	if s.nmsgs == 0 && !anyDramPending(&c.cfg, s) && workOutstanding(&c.cfg, s) {
 		return "deadlock: work outstanding but no step enabled"
 	}
 	return ""
@@ -320,7 +319,6 @@ var lineLabels = [maxLines]string{"0", "1"}
 func newChecker(cfg Config, table *fpTable) *checker {
 	return &checker{
 		cfg:   cfg,
-		proto: coherence.ProtocolFor(cfg.DirectLines > 0, cfg.Resilient, cfg.WriteThroughPush),
 		group: symGroup(cfg),
 		table: table,
 		pushE: coherence.PushEvent(cfg.WriteThroughPush),
@@ -353,11 +351,11 @@ func (c *checker) newWorker(coverage map[CoveragePair]bool, covMu *sync.Mutex) *
 			Names:       names,
 			HasVersions: true,
 		},
-		counts: make([]uint64, len(c.proto.Invariants)+numExtra),
+		counts: make([]uint64, len(coherence.Invariants)+numExtra),
 	}
 	w.rec = func(agent, line int, st coherence.State, ev coherence.Event, next coherence.State) {
 		if ev == c.pushE {
-			w.counts[len(c.proto.Invariants)+extraMMInstall]++
+			w.counts[len(coherence.Invariants)+extraMMInstall]++
 		}
 		if coverage != nil {
 			covMu.Lock()
@@ -492,7 +490,7 @@ func (c *checker) advance(frontier []*block, ws []*worker) []*block {
 // the new ones, and record candidate violations.
 func (c *checker) expand(w *worker, s *state, pfp uint64, depth int32) {
 	emitted := 0
-	successorsInto(c.cfg, s, &w.scratch, false, w.rec, func(ns *state, _ string, viol string) {
+	successorsInto(&c.cfg, s, &w.scratch, false, w.rec, func(ns *state, _ string, viol string) {
 		emitted++
 		w.transitions++
 		if len(c.group) > 0 {
@@ -509,7 +507,7 @@ func (c *checker) expand(w *worker, s *state, pfp uint64, depth int32) {
 			w.cands = append(w.cands, cand{depth: depth + 1, msg: viol, st: *ns})
 		}
 	})
-	if emitted == 0 && workOutstanding(c.cfg, s) {
+	if emitted == 0 && workOutstanding(&c.cfg, s) {
 		// Exact deadlock: work outstanding, no enabled step at all (the
 		// in-state heuristic can miss states whose remaining messages
 		// are all undeliverable).
@@ -521,9 +519,9 @@ func (c *checker) mergeCounts(res *Result, ws []*worker) {
 	for _, w := range ws {
 		res.Transitions += w.transitions
 	}
-	names := make([]string, 0, len(c.proto.Invariants)+numExtra)
-	for i := range c.proto.Invariants {
-		names = append(names, c.proto.Invariants[i].Name)
+	names := make([]string, 0, len(coherence.Invariants)+numExtra)
+	for i := range coherence.Invariants {
+		names = append(names, coherence.Invariants[i].Name)
 	}
 	names = append(names, "deadlock", "mm-install")
 	for i, name := range names {
@@ -568,7 +566,7 @@ func buildViolation(cfg Config, workers int, v *cand) *Violation {
 	canonicalize(c.group, &cur, &scratch)
 	for _, fp := range chain[1:] {
 		found := false
-		successors(c.cfg, &cur, true, nil, func(ns *state, label, _ string) {
+		successors(&c.cfg, &cur, true, nil, func(ns *state, label, _ string) {
 			if found {
 				return
 			}

@@ -190,7 +190,7 @@ func (c Config) String() string {
 }
 
 // gpus returns the normalised GPU slice count (the zero value means 1).
-func (c Config) gpus() int {
+func (c *Config) gpus() int {
 	if c.GPUs == 0 {
 		return 1
 	}
@@ -445,13 +445,10 @@ func (s *state) invalidate(a, l int) {
 }
 
 // isDirect reports whether line l is in the direct-store region.
-func isDirect(cfg Config, l int) bool { return l < cfg.DirectLines }
+func isDirect(cfg *Config, l int) bool { return l < cfg.DirectLines }
 
 // homeAgent returns the index of the GPU L2 slice agent homing direct
 // line l (address-interleaved across the last gpus() agents).
-func homeAgent(cfg Config, l int) int {
+func homeAgent(cfg *Config, l int) int {
 	return cfg.Agents - cfg.gpus() + l%cfg.gpus()
 }
-
-// isGPU reports whether agent a is a GPU L2 slice.
-func isGPU(cfg Config, a int) bool { return a >= cfg.Agents-cfg.gpus() }

@@ -150,7 +150,7 @@ func TestSymmetryReduction(t *testing.T) {
 				t.Fatalf("canonicalize not orbit-invariant for group element %d", gi)
 			}
 		}
-		successors(cfg, &s, false, nil, func(ns *state, _, _ string) {
+		successors(&cfg, &s, false, nil, func(ns *state, _, _ string) {
 			if !visited[*ns] {
 				visited[*ns] = true
 				frontier = append(frontier, *ns)

@@ -15,7 +15,7 @@ func expandSample(cfg Config, n int) []state {
 	sample := []state{initial(cfg)}
 	seen := map[state]bool{sample[0]: true}
 	for i := 0; i < len(sample) && len(sample) < n; i++ {
-		successors(cfg, &sample[i], false, nil, func(ns *state, _, _ string) {
+		successors(&cfg, &sample[i], false, nil, func(ns *state, _, _ string) {
 			if !seen[*ns] && len(sample) < n {
 				seen[*ns] = true
 				sample = append(sample, *ns)
@@ -41,7 +41,7 @@ func TestExpandAllocsPinned(t *testing.T) {
 		sample := expandSample(cfg, 3000)
 		for i := range sample {
 			s := &sample[i]
-			if anyDramPending(cfg, s) {
+			if anyDramPending(&cfg, s) {
 				kinds["dram"]++
 			}
 			for _, m := range s.msgs[:s.nmsgs] {
@@ -51,7 +51,7 @@ func TestExpandAllocsPinned(t *testing.T) {
 				case kData:
 					kinds["data"]++
 				case kPutx:
-					if _, n := deliveryVariants(cfg, s, m); n == 3 {
+					if _, n := deliveryVariants(&cfg, s, m); n == 3 {
 						kinds["putx+nack+dup"]++
 					}
 				}
@@ -64,7 +64,7 @@ func TestExpandAllocsPinned(t *testing.T) {
 		emit := func(*state, string, string) { steps++ }
 		allocs := testing.AllocsPerRun(3, func() {
 			for i := range sample {
-				successorsInto(cfg, &sample[i], &scratch, false, rec, emit)
+				successorsInto(&cfg, &sample[i], &scratch, false, rec, emit)
 			}
 		})
 		if allocs != 0 {

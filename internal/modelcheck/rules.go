@@ -31,7 +31,7 @@ func (r recorder) rec(agent, line int, st coherence.State, ev coherence.Event, n
 // delivery order is completely nondeterministic. DRAM completions are
 // modelled as separate steps so the speculative-read-vs-probe race is
 // explored both ways.
-func successors(cfg Config, s *state, labels bool, rc recorder, emit func(ns *state, label, viol string)) {
+func successors(cfg *Config, s *state, labels bool, rc recorder, emit func(ns *state, label, viol string)) {
 	var scratch state
 	successorsInto(cfg, s, &scratch, labels, rc, emit)
 }
@@ -40,7 +40,7 @@ func successors(cfg Config, s *state, labels bool, rc recorder, emit func(ns *st
 // reused for every emitted step: emit callers copy what they keep, so
 // the exploration workers pass a long-lived buffer and the expansion
 // allocates nothing.
-func successorsInto(cfg Config, s, scratch *state, labels bool, rc recorder, emit func(ns *state, label, viol string)) {
+func successorsInto(cfg *Config, s, scratch *state, labels bool, rc recorder, emit func(ns *state, label, viol string)) {
 	// homeAgent involves a modulo; hoist it out of the agent×line scan.
 	var home [maxLines]uint8
 	for l := 0; l < cfg.Lines; l++ {
@@ -273,7 +273,7 @@ const (
 // deliveryVariants lists how message m may be received in state s.
 // Fixed-size return: the hot loop calls this once per in-flight
 // message, so a slice would mean one heap allocation per delivery.
-func deliveryVariants(cfg Config, s *state, m msg) (vs [3]int, n int) {
+func deliveryVariants(cfg *Config, s *state, m msg) (vs [3]int, n int) {
 	vs[0], n = variantNormal, 1
 	switch m.kind {
 	case kProbe:
@@ -322,7 +322,7 @@ func probeCtx(s *state, a, l int) coherence.ProbeCtx {
 // (internal/coherence/core.go); this function only reads the context
 // from the packed state, writes the results back and turns the core's
 // effects into messages.
-func deliver(cfg Config, ns *state, m msg, variant int, labels bool, rc recorder) (label, viol string) {
+func deliver(cfg *Config, ns *state, m msg, variant int, labels bool, rc recorder) (label, viol string) {
 	l := int(m.line)
 	switch m.kind {
 	case kReq:
@@ -387,7 +387,7 @@ func deliver(cfg Config, ns *state, m msg, variant int, labels bool, rc recorder
 
 // startTxn begins a transaction at the ordering point. Hammer has no
 // directory: every agent but the requester is a probe target.
-func startTxn(cfg Config, ns *state, l int, e reqEntry) {
+func startTxn(cfg *Config, ns *state, l int, e reqEntry) {
 	ns.busy[l] = 1
 	t := &ns.txn[l]
 	t.from, t.ver = e.from, e.ver
@@ -398,7 +398,7 @@ func startTxn(cfg Config, ns *state, l int, e reqEntry) {
 // memory updates and the probe, data and commit messages. DRAM accesses
 // need nothing here: while one is outstanding its completion is a
 // separate nondeterministic step (see successorsInto).
-func applyTxn(cfg Config, ns *state, l int, eff coherence.TxnEffect) {
+func applyTxn(cfg *Config, ns *state, l int, eff coherence.TxnEffect) {
 	t := &ns.txn[l]
 	if eff&coherence.TxDramWrite != 0 {
 		ns.mem[l] = t.ver
@@ -427,7 +427,7 @@ func applyTxn(cfg Config, ns *state, l int, eff coherence.TxnEffect) {
 
 // finishTxn closes line l's transaction and starts the next queued
 // request, if any.
-func finishTxn(cfg Config, ns *state, l int) {
+func finishTxn(cfg *Config, ns *state, l int) {
 	ns.busy[l] = 0
 	ns.txn[l] = txnState{}
 	if ns.nq[l] == 0 {
@@ -497,7 +497,7 @@ func deliverProbe(ns *state, m msg, variant int, labels bool, rc recorder) strin
 // deliverData completes agent m.a's outstanding miss. The
 // bypass-no-wbbuf mutation perturbs the core's write-through: the
 // write skips the writeback buffer.
-func deliverData(cfg Config, ns *state, m msg, labels bool, rc recorder) string {
+func deliverData(cfg *Config, ns *state, m msg, labels bool, rc recorder) string {
 	a, l := int(m.a), int(m.line)
 	grant := coherence.State(m.b)
 	if grant == coherence.I {
@@ -566,7 +566,7 @@ func deliverData(cfg Config, ns *state, m msg, labels bool, rc recorder) string 
 
 // deliverPutx is the GPU slice's push receive: injected NACKs and, for
 // resilient pushes, duplicate suppression ahead of the install.
-func deliverPutx(cfg Config, ns *state, m msg, variant int, labels bool, rc recorder) (string, string) {
+func deliverPutx(cfg *Config, ns *state, m msg, variant int, labels bool, rc recorder) (string, string) {
 	l := int(m.line)
 	ver, seq := m.a, m.b
 	if variant == variantNack {
@@ -596,7 +596,7 @@ func deliverPutx(cfg Config, ns *state, m msg, variant int, labels bool, rc reco
 // checks the MM-install invariant: write permission must arrive with
 // the data (§III-F), except under the write-through ablation. The
 // push-install-s mutation perturbs the core's install state.
-func applyPush(cfg Config, ns *state, l int, ver uint8, rc recorder) string {
+func applyPush(cfg *Config, ns *state, l int, ver uint8, rc recorder) string {
 	g := homeAgent(cfg, l)
 	cur := coherence.State(ns.st[g][l])
 	r := coherence.InstallPush(cur, ns.pend[g][l] != pendNone, cfg.WriteThroughPush)

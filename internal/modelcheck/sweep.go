@@ -4,8 +4,8 @@ import "dstore/internal/coherence"
 
 // StandardSweep is the default verification portfolio: the set of
 // configurations `dstore-modelcheck` (and CI) explore on every run.
-// The single-line leg is generated from the protocol registry — one
-// deep run per registered flavour — so registering a new protocol
+// The single-line leg is generated from coherence.Protocols() — one
+// deep run per flavour — so adding a flavour to that list
 // automatically puts it under the checker. Budgets are chosen so the
 // whole sweep finishes in well under a minute while still covering
 // every protocol flavour:
@@ -29,10 +29,11 @@ import "dstore/internal/coherence"
 //     parallel fingerprint checker exists for.
 func StandardSweep() []Config {
 	var cfgs []Config
-	// One deep single-line run per registered protocol flavour. The
-	// heap flavour additionally exercises the bypass-dirty-victim
-	// store path; the resilient flavour gets NACK and duplicate
-	// injection budgets (the chaos layer's direct-link faults).
+	// One deep single-line run per protocol flavour
+	// (coherence.Protocols()). The heap flavour additionally exercises
+	// the bypass-dirty-victim store path; the resilient flavour gets
+	// NACK and duplicate injection budgets (the chaos layer's
+	// direct-link faults).
 	for _, p := range coherence.Protocols() {
 		cfg := Config{Agents: 3, Lines: 1, MaxStores: 2}
 		if p.Direct {

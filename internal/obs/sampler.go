@@ -90,19 +90,6 @@ func (o *Observer) Samples() []Sample {
 	return o.sampler.out
 }
 
-// GaugeNames returns the registered gauge names in registration order
-// (nil-safe).
-func (o *Observer) GaugeNames() []string {
-	if o == nil {
-		return nil
-	}
-	names := make([]string, len(o.gauges))
-	for i, g := range o.gauges {
-		names[i] = g.name
-	}
-	return names
-}
-
 // WriteSeriesCSV writes the time series as CSV: one header row, one row
 // per closed window, message counts as msg_<TYPE> columns and gauges
 // under their registered names. Nil-safe: writes the fixed header

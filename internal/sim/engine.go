@@ -283,18 +283,10 @@ func (e *Engine) ScheduleAt(when Tick, fn func()) {
 	e.scheduleEvent(when, slotEvent{fn: callFn, arg: fn})
 }
 
-// ScheduleTick queues fn to run delay ticks from now, passing the tick
-// at which it runs. Boxing fn allocates nothing, so this is the
-// allocation-free way to schedule an existing delivery callback that a
-// plain Schedule would have to wrap in a fresh closure.
-func (e *Engine) ScheduleTick(delay Tick, fn func(now Tick)) {
-	if fn == nil {
-		panic("sim: schedule nil event function")
-	}
-	e.scheduleEvent(e.now+delay, slotEvent{fn: callTickFn, arg: fn})
-}
-
-// ScheduleTickAt is ScheduleTick at an absolute tick.
+// ScheduleTickAt queues fn to run at the absolute tick when, passing
+// the tick at which it runs. Boxing fn allocates nothing, so this is
+// the allocation-free way to schedule an existing delivery callback
+// that a plain ScheduleAt would have to wrap in a fresh closure.
 func (e *Engine) ScheduleTickAt(when Tick, fn func(now Tick)) {
 	if fn == nil {
 		panic("sim: schedule nil event function")
