@@ -53,7 +53,7 @@ reachability:
 	@echo "wrote internal/coherence/testdata/reachability.json"
 
 # modelcheck exhaustively explores the standard sweep of small
-# protocol configurations (4,196,406 states across 7 configs, ~8 s with
+# protocol configurations (4,196,406 states across 7 configs, ~5 s with
 # two workers on a 2-CPU container) and fails on any SWMR / data-value /
 # MM-install invariant violation, or if the sweep explores fewer states
 # than the exact committed count (a shrinking sweep means rules silently

@@ -83,14 +83,18 @@ func freshRunBytes(t *testing.T, code string, in Input, mode core.Mode) uint64 {
 }
 
 // TestFreshRunAllocBound keeps a fresh machine's footprint at what it
-// holds: 32-bit cache tags and LRU stamps, 16-byte line-table entries,
-// packets allocated in slabs, an overflow heap in pages that growth
-// never copies, and a coherence check that lists no lines. MT big
-// under CCSM, the run with the most packets in flight (27,423) and a
-// 29k-entry overflow heap, allocated 29.1 MB before these and about
-// 16.9 MB after.
+// holds: 32-bit cache tags and LRU stamps, 8-byte line-table entries
+// written only for lines a controller holds, open transactions and
+// buffered writebacks in small tables, packets allocated in slabs, an
+// overflow heap in pages that growth never copies, and a coherence
+// check that lists no lines. MT big under CCSM, the run with the most
+// packets in flight (27,423) and a 29k-entry overflow heap, allocated
+// 29.1 MB with none of these, 16.9 MB (16,857,104 bytes, run alone)
+// with 16-byte line-table entries on every line a controller was asked
+// about and a dense open-transaction table, and 15.6 MB (15,644,472
+// bytes) now.
 func TestFreshRunAllocBound(t *testing.T) {
-	const bound = 20 << 20
+	const bound = 16 << 20
 	if n := freshRunBytes(t, "MT", Big, core.ModeCCSM); n > bound {
 		t.Errorf("a fresh MT big CCSM run allocated %d bytes, bound %d", n, bound)
 	} else {

@@ -71,14 +71,15 @@ type Ctrl struct {
 	l1   *cache.Cache
 	l2   *cache.Cache
 	mshr *cache.MSHR
-	// lines is the dense per-line protocol state: the resident data
-	// version plus the in-flight writeback buffer and its staleness
-	// mark (see lineState). The staleness mark was found by the model
-	// checker: without it, a load after a remote store returns the
-	// pre-store data. A slice's table holds only the slice's own lines.
-	lines lineTab[lineState]
-	// wbCount tracks the number of lsWB entries (telemetry gauge).
-	wbCount int
+	// lines is the dense table of resident data versions. A slice's
+	// table holds only the slice's own lines.
+	lines lineTab
+	// wb is the writeback buffer: dirty evicted lines (and overflowed
+	// pushes) in flight to memory until it acknowledges them, each with
+	// its staleness mark (see wbBuf). The staleness mark was found by
+	// the model checker: without it, a load after a remote store
+	// returns the pre-store data.
+	wb lineMap[wbBuf]
 	// remotePending holds uncacheable direct-region loads awaiting
 	// data.
 	remotePending map[memsys.Addr][]*memsys.Request
@@ -125,7 +126,8 @@ func NewCtrl(engine *sim.Engine, cfg CtrlConfig, xbar interconnect.Network, mem 
 		mem:           mem,
 		l2:            cache.New(cfg.L2),
 		mshr:          cache.NewMSHR(cfg.MSHRs),
-		lines:         newLineTab(cfg.L2.IndexShift, uint64(cfg.Slice), statePages),
+		lines:         newLineTab(cfg.L2.IndexShift, uint64(cfg.Slice)),
+		wb:            newLineMap(wbSlots),
 		remotePending: make(map[memsys.Addr][]*memsys.Request),
 	}
 	if cfg.L1 != nil {
@@ -138,16 +140,17 @@ func NewCtrl(engine *sim.Engine, cfg CtrlConfig, xbar interconnect.Network, mem 
 // Name returns the controller's network port name.
 func (c *Ctrl) Name() string { return c.name }
 
-// Release gives the controller's cache arrays and line-table pages to
-// their free lists (see freelist.List). Only the machine's owner may
-// call it, after its last read; afterwards only the counters stay
-// readable.
+// Release gives the controller's cache arrays, line-table pages and
+// writeback-buffer slots to their free lists (see freelist.List). Only
+// the machine's owner may call it, after its last read; afterwards only
+// the counters stay readable.
 func (c *Ctrl) Release() {
 	if c.l1 != nil {
 		c.l1.Release()
 	}
 	c.l2.Release()
 	c.lines.release()
+	c.wb.release()
 }
 
 // CtrlCounters are a cache controller's protocol event counts.
@@ -186,7 +189,7 @@ func (c *Ctrl) L2Cache() *cache.Cache { return c.l2 }
 
 // WBBufLen returns the number of in-flight buffered writebacks
 // (telemetry gauge).
-func (c *Ctrl) WBBufLen() int { return c.wbCount }
+func (c *Ctrl) WBBufLen() int { return c.wb.len() }
 
 // MSHRInUse returns the number of allocated MSHR entries (telemetry
 // gauge).
@@ -203,7 +206,7 @@ func (c *Ctrl) State(a memsys.Addr) State {
 
 // Ver returns the resident version of a line, or 0: also for a line
 // another slice owns. It never allocates.
-func (c *Ctrl) Ver(a memsys.Addr) uint64 { return c.lines.get(memsys.LineAlign(a)).ver }
+func (c *Ctrl) Ver(a memsys.Addr) uint64 { return c.lines.get(memsys.LineAlign(a)) }
 
 // AttachDirectStore wires the CPU-side push path: the dedicated link
 // and the slice-routing function (paper §III-G).
@@ -303,14 +306,14 @@ func (c *Ctrl) processReq(req *memsys.Request, quiet bool) {
 				_, hit = c.l1.Lookup(line)
 			}
 			if hit {
-				req.Ver = c.lines.get(line).ver
+				req.Ver = c.lines.get(line)
 				c.complete(req, c.cfg.L1HitLat)
 				return
 			}
 		}
 		if st, hit := lookupL2(line); hit && Transition(st, EvLoadHit).OK {
 			c.fillL1(line)
-			req.Ver = c.lines.get(line).ver
+			req.Ver = c.lines.get(line)
 			c.complete(req, c.cfg.L1HitLat+c.cfg.L2HitLat)
 			return
 		}
@@ -344,7 +347,7 @@ func (c *Ctrl) commitStore(line memsys.Addr, st, next State, req *memsys.Request
 		c.obsState(line, st, next)
 	}
 	c.l2.SetDirty(line, true)
-	c.lines.at(line).ver = req.Ver
+	c.lines.set(line, req.Ver)
 	if c.l1 != nil && c.l1.Contains(line) {
 		c.l1.SetDirty(line, true)
 	}
@@ -375,7 +378,7 @@ func (c *Ctrl) sendReq(msg ReqMsg, size int) {
 
 // missPath sends the demand miss into the protocol.
 func (c *Ctrl) missPath(req *memsys.Request, line memsys.Addr, wantX bool) {
-	if ls := c.lines.at(line); ls.buffered() && !wantX && !ls.stale() {
+	if b := c.wb.find(line); b != nil && !wantX && !b.stale() {
 		// The line is in our own writeback buffer (dirty eviction or
 		// overflowed push still in flight to memory): loads are served
 		// locally — we are still the data source until memory
@@ -386,7 +389,7 @@ func (c *Ctrl) missPath(req *memsys.Request, line memsys.Addr, wantX bool) {
 		// violation found by the model checker). Stale entries (the
 		// line was since granted exclusively elsewhere) fall through
 		// for loads too.
-		req.Ver = ls.wbVer()
+		req.Ver = b.ver()
 		c.complete(req, c.cfg.L2HitLat)
 		return
 	}
@@ -492,7 +495,7 @@ func (c *Ctrl) processDirectStore(req *memsys.Request, line memsys.Addr) {
 		}
 		c.obsState(line, st, out.Next)
 		c.l2.Invalidate(line)
-		c.lines.at(line).ver = 0
+		c.lines.clear(line)
 	}
 	target := c.pushTarget(line)
 	if target == nil {
@@ -579,7 +582,7 @@ func (c *Ctrl) applyPutx(p PutxMsg) {
 // installLine allocates a line, handling victim writeback.
 func (c *Ctrl) installLine(line memsys.Addr, st State, dirty bool, ver uint64) {
 	v, evicted := c.l2.Insert(line, st, dirty)
-	c.lines.at(line).ver = ver
+	c.lines.set(line, ver)
 	c.obsState(line, I, st)
 	if !evicted {
 		return
@@ -592,9 +595,8 @@ func (c *Ctrl) installLine(line memsys.Addr, st State, dirty bool, ver uint64) {
 	if c.l1 != nil {
 		c.l1.Invalidate(v.Addr)
 	}
-	vls := c.lines.at(v.Addr)
-	vv := vls.ver
-	vls.ver = 0
+	vv := c.lines.get(v.Addr)
+	c.lines.clear(v.Addr)
 	if v.Dirty {
 		c.ctr.WritebacksSent++
 		c.writeBack(v.Addr, vv)
@@ -604,9 +606,8 @@ func (c *Ctrl) installLine(line memsys.Addr, st State, dirty bool, ver uint64) {
 // writebackDone clears the writeback buffer entry once memory has
 // committed it, if the commit is for the buffered version.
 func (c *Ctrl) writebackDone(line memsys.Addr, ver uint64) {
-	if ls := c.lines.at(line); WBCommitClears(ls.buffered(), ls.wbVer(), ver) {
-		ls.wb = 0
-		c.wbCount--
+	if b, ok := c.wb.get(line); WBCommitClears(ok, b.ver(), ver) {
+		c.wb.del(line)
 	}
 }
 
@@ -614,11 +615,7 @@ func (c *Ctrl) writebackDone(line memsys.Addr, ver uint64) {
 // commits. Overwriting an older buffer entry (re-fetch and re-evict)
 // also clears any staleness: the new data is current again.
 func (c *Ctrl) writeBack(line memsys.Addr, ver uint64) {
-	ls := c.lines.at(line)
-	if !ls.buffered() {
-		c.wbCount++
-	}
-	ls.bufferWB(ver)
+	c.wb.put(line, bufferedWB(ver))
 	c.sendReq(ReqMsg{Type: WB, Addr: line, From: c.port, Ver: ver}, interconnect.DataMsgBytes)
 }
 
@@ -633,26 +630,27 @@ func (c *Ctrl) receiveProbe(p ProbeMsg) {
 
 func (c *Ctrl) answerProbe(p ProbeMsg) {
 	line := p.Addr
-	ls := c.lines.at(line)
+	ver := c.lines.get(line)
 	st, dirty, _ := c.l2.Probe(line) // I and clean when absent
 	ctx := ProbeCtx{St: st, Dirty: dirty}
-	if ls.buffered() {
+	b := c.wb.find(line)
+	if b != nil {
 		ctx.WB = WBLive
-		if ls.stale() {
+		if b.stale() {
 			ctx.WB = WBStale
 		}
-		ctx.LiveOlder = ls.ver < ls.wbVer()
+		ctx.LiveOlder = ver < b.ver()
 	}
 	r := AnswerProbe(ctx, p.Kind)
 	ack := AckMsg{Addr: line, From: c.port, HadData: r.HadData, Present: r.Present, Dirty: r.Dirty}
 	switch {
 	case r.FromWB:
 		if r.StaleWB {
-			ls.wb |= lsWBStale
+			*b |= wbStale
 		}
-		ack.Ver = ls.wbVer()
+		ack.Ver = b.ver()
 	case r.HadData:
-		ack.Ver = ls.ver
+		ack.Ver = ver
 	}
 	switch {
 	case r.Next == st:
@@ -671,7 +669,7 @@ func (c *Ctrl) answerProbe(p ProbeMsg) {
 			c.l1.Invalidate(line)
 		}
 		c.l2.Invalidate(line)
-		c.lines.at(line).ver = 0
+		c.lines.clear(line)
 		c.obsState(line, st, I)
 	default:
 		c.l2.SetState(line, r.Next)
@@ -749,7 +747,7 @@ func (c *Ctrl) receiveData(d DataMsg) {
 		st, _, ok := c.l2.Probe(line)
 		if w.Type == memsys.Load || w.Type == memsys.IFetch {
 			if ok {
-				w.Ver = c.lines.get(line).ver
+				w.Ver = c.lines.get(line)
 				c.fillL1(line)
 			} else {
 				w.Ver = fillVer

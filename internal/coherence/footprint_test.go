@@ -9,11 +9,13 @@ import (
 )
 
 // TestFootprintSizes pins the per-line and per-packet sizes a machine
-// pays for: a line-table entry is 16 bytes, a packet's message body
-// 32, and a whole packet fits the runtime's 96-byte size class.
+// pays for: a line-table entry is 8 bytes (the version alone), a
+// packet's message body 32, and a whole packet fits the runtime's
+// 96-byte size class.
 func TestFootprintSizes(t *testing.T) {
-	if got := unsafe.Sizeof(lineState{}); got != 16 {
-		t.Errorf("lineState is %d bytes, want 16", got)
+	var tab lineTab
+	if got := unsafe.Sizeof(*tab.at(lineAddr(0))); got != 8 {
+		t.Errorf("a line-table entry is %d bytes, want 8", got)
 	}
 	if got := unsafe.Sizeof(msgBody{}); got != 32 {
 		t.Errorf("msgBody is %d bytes, want 32", got)
@@ -61,25 +63,23 @@ func TestMsgBodyRoundTrip(t *testing.T) {
 }
 
 // TestWritebackVersionGuard checks the packed writeback word: the
-// largest version that fits keeps both flags readable, and one that
-// would reach the flag bits panics.
+// largest version that fits keeps the stale flag readable, and one that
+// would reach the flag bit panics.
 func TestWritebackVersionGuard(t *testing.T) {
-	var ls lineState
-	ls.bufferWB(wbVerMask)
-	ls.wb |= lsWBStale
-	if !ls.buffered() || !ls.stale() || ls.wbVer() != wbVerMask || ls.snapFlags() != snapWB|snapWBStale {
-		t.Fatalf("wb %#x: buffered %v stale %v version %#x", ls.wb, ls.buffered(), ls.stale(), ls.wbVer())
+	b := bufferedWB(wbVerMask) | wbStale
+	if !b.stale() || b.ver() != wbVerMask || b.snapFlags() != snapWB|snapWBStale {
+		t.Fatalf("wb %#x: stale %v version %#x", uint64(b), b.stale(), b.ver())
 	}
-	ls.bufferWB(5) // a fresh writeback clears staleness
-	if !ls.buffered() || ls.stale() || ls.wbVer() != 5 {
-		t.Fatalf("rewritten wb %#x: buffered %v stale %v version %d", ls.wb, ls.buffered(), ls.stale(), ls.wbVer())
+	b = bufferedWB(5) // a fresh writeback is not stale
+	if b.stale() || b.ver() != 5 || b.snapFlags() != snapWB {
+		t.Fatalf("fresh wb %#x: stale %v version %d", uint64(b), b.stale(), b.ver())
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("a writeback version of 2^62 did not panic")
+			t.Error("a writeback version of 2^63 did not panic")
 		}
 	}()
-	ls.bufferWB(1 << 62)
+	bufferedWB(1 << 63)
 }
 
 // TestReleaseRecyclesPacketSlabs grows a memory controller's packet

@@ -41,7 +41,7 @@ type InvariantChecker struct {
 // or CheckInvariants' error when transactions are still in flight.
 func (m *MemCtrl) InvariantChecker() (*InvariantChecker, error) {
 	if !m.Idle() {
-		return nil, fmt.Errorf("coherence: %d transactions still in flight\n%s", m.busyCount, m.TransactionDump())
+		return nil, fmt.Errorf("coherence: %d transactions still in flight\n%s", m.busy.len(), m.TransactionDump())
 	}
 	var peers []*Ctrl
 	for _, c := range m.peers {
@@ -59,7 +59,6 @@ func (m *MemCtrl) InvariantChecker() (*InvariantChecker, error) {
 		v: LineView{
 			N:         len(names),
 			States:    make([]State, len(names)),
-			Dirty:     make([]bool, len(names)),
 			Vers:      make([]uint64, len(names)),
 			Names:     names,
 			Quiescent: true,

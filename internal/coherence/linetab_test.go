@@ -14,7 +14,7 @@ func lineAddr(n uint64) memsys.Addr { return memsys.Addr(n << memsys.LineShift) 
 // entry pointer survives any number of later writes, however far they
 // extend the table.
 func TestLineTabPointersStayValid(t *testing.T) {
-	tab := newLineTab(0, 0, verPages)
+	tab := newLineTab(0, 0)
 	p := tab.at(lineAddr(3))
 	*p = 7
 	for n := uint64(100); n < 20*pageLen; n += 97 {
@@ -33,18 +33,16 @@ func TestLineTabPointersStayValid(t *testing.T) {
 // TestLineTabEachAscendingGlobal checks that a slice's table reports
 // entries under their global line numbers, in ascending order.
 func TestLineTabEachAscendingGlobal(t *testing.T) {
-	tab := newLineTab(2, 3, verPages)
+	tab := newLineTab(2, 3)
 	for _, n := range []uint64{4099, 7, 3, 2051} {
 		*tab.at(lineAddr(n)) = n
 	}
 	var got []uint64
-	tab.each(func(n uint64, v *uint64) {
-		if *v != 0 {
-			if *v != n {
-				t.Errorf("line %d holds %d", n, *v)
-			}
-			got = append(got, n)
+	tab.each(func(n, v uint64) {
+		if v != n {
+			t.Errorf("line %d holds %d", n, v)
 		}
+		got = append(got, n)
 	})
 	if want := []uint64{3, 7, 2051, 4099}; !slices.Equal(got, want) {
 		t.Fatalf("each visited %v, want %v", got, want)
@@ -104,4 +102,57 @@ func TestSliceVerOfForeignLineIsZero(t *testing.T) {
 		}
 	}()
 	slice.lines.at(lineAddr(4))
+}
+
+// pagesHeld counts a table's allocated pages.
+func pagesHeld(t *lineTab) int {
+	n := 0
+	for _, p := range t.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestReadsAllocateNoPages: probes and misses of lines a controller
+// never held add no page to its line table. Only a write of a version
+// (the requester's fill or store) may. Each line lies on a page of its
+// own, so any page a step allocates shows.
+func TestReadsAllocateNoPages(t *testing.T) {
+	// Every line below maps to set 0; four ways hold them all.
+	r := newRig(t, 4, 4096, 4)
+	line := func(i uint64) memsys.Addr { return lineAddr(i * 4 * pageLen) }
+	steps := []struct {
+		name           string
+		c              *Ctrl
+		typ            memsys.AccessType
+		ver            uint64
+		cpuAdd, gpuAdd int
+	}{
+		// The CPU is probed for a line it never held; the GPU's
+		// store writes its version.
+		{"GPU store miss", r.gpu, memsys.Store, 7, 0, 1},
+		// Nobody holds the line and memory has no version: the
+		// fill writes version 0, which needs no page.
+		{"CPU load miss", r.cpu, memsys.Load, 0, 0, 0},
+		{"GPU load miss", r.gpu, memsys.Load, 0, 0, 0},
+		{"CPU store miss", r.cpu, memsys.Store, 9, 1, 0},
+		// A direct store from a CPU that never held the line: only
+		// the slice's install writes.
+		{"CPU direct store", r.cpu, memsys.RemoteStore, 11, 0, 1},
+	}
+	for i, s := range steps {
+		cpu, gpu, mem := pagesHeld(&r.cpu.lines), pagesHeld(&r.gpu.lines), pagesHeld(&r.mem.dramVer)
+		r.do(s.c, s.typ, line(uint64(i+1)), s.ver)
+		if d := pagesHeld(&r.cpu.lines) - cpu; d != s.cpuAdd {
+			t.Errorf("%s: the CPU's table gained %d pages, want %d", s.name, d, s.cpuAdd)
+		}
+		if d := pagesHeld(&r.gpu.lines) - gpu; d != s.gpuAdd {
+			t.Errorf("%s: the GPU's table gained %d pages, want %d", s.name, d, s.gpuAdd)
+		}
+		if d := pagesHeld(&r.mem.dramVer) - mem; d != 0 {
+			t.Errorf("%s: memory's table gained %d pages, want 0", s.name, d)
+		}
+	}
 }

@@ -33,13 +33,14 @@ type MemCtrl struct {
 	// slice owning the address. The returned slice is only read.
 	probeTargets func(addr memsys.Addr, requester interconnect.Port) []interconnect.Port
 
-	// busy and dramVer are dense per-line tables over every line (see
-	// lineTab); queued stays a map — it only holds lines with a
-	// transaction collision.
-	busy      lineTab[*txn]
-	busyCount int
-	queued    map[memsys.Addr][]ReqMsg
-	dramVer   lineTab[uint64]
+	// busy maps each line with an open transaction to it: a small
+	// table (see lineMap) holding only the open ones. queued maps a
+	// line to the requests that collided with its open transaction.
+	// dramVer is the dense memory-version table over every line (see
+	// lineTab).
+	busy    lineMap[*txn]
+	queued  map[memsys.Addr][]ReqMsg
+	dramVer lineTab
 
 	// freePkt heads the shared coherence packet pool (see pkt.go),
 	// whose packets live in pktSlabs; txnPool recycles transactions.
@@ -90,14 +91,15 @@ func NewMemCtrl(engine *sim.Engine, name string, xbar interconnect.Network, d *d
 		xbar:         xbar,
 		dram:         d,
 		probeTargets: probeTargets,
-		busy:         newLineTab(0, 0, txnPages),
+		busy:         newLineMap(txnSlots),
 		queued:       make(map[memsys.Addr][]ReqMsg),
-		dramVer:      newLineTab(0, 0, verPages),
+		dramVer:      newLineTab(0, 0),
 	}
 }
 
-// Release gives the ordering point's line-table pages and packet slabs
-// to their free lists, under the same rule as Ctrl.Release.
+// Release gives the ordering point's line-table pages, transaction
+// slots and packet slabs to their free lists, under the same rule as
+// Ctrl.Release.
 func (m *MemCtrl) Release() {
 	m.busy.release()
 	m.dramVer.release()
@@ -183,7 +185,7 @@ func (m *MemCtrl) ReceiveRequest(req ReqMsg) {
 	}
 	line := memsys.LineAlign(req.Addr)
 	req.Addr = line
-	if m.busy.get(line) != nil {
+	if m.busy.find(line) != nil {
 		m.queued[line] = append(m.queued[line], req)
 		return
 	}
@@ -208,8 +210,7 @@ func (m *MemCtrl) newTxn(req ReqMsg) *txn {
 func (m *MemCtrl) start(req ReqMsg) {
 	line := req.Addr
 	t := m.newTxn(req)
-	*m.busy.at(line) = t
-	m.busyCount++
+	m.busy.put(line, t)
 	m.armWatchdog()
 
 	var targets []interconnect.Port
@@ -228,7 +229,7 @@ func (m *MemCtrl) apply(t *txn, eff TxnEffect, targets []interconnect.Port) {
 	line := t.req.Addr
 	if eff&TxDramWrite != 0 {
 		m.ctr.Writebacks++
-		*m.dramVer.at(line) = t.req.Ver
+		m.dramVer.set(line, t.req.Ver)
 		m.dramAccess(t, true)
 	}
 	if eff&TxDramRead != 0 {
@@ -287,8 +288,8 @@ func (m *MemCtrl) dramAccess(t *txn, write bool) {
 // ReceiveAck collects a probe acknowledgement.
 func (m *MemCtrl) ReceiveAck(a AckMsg) {
 	line := memsys.LineAlign(a.Addr)
-	t := m.busy.get(line)
-	if t == nil {
+	t, ok := m.busy.get(line)
+	if !ok {
 		panic(fmt.Sprintf("coherence: ack for idle line %#x", uint64(line)))
 	}
 	m.apply(t, t.Ack(a.HadData, a.Present), nil)
@@ -310,21 +311,19 @@ func (m *MemCtrl) sendData(t *txn, class obs.MsgClass, size int) {
 // ReceiveUnblock records the requester's completion notice.
 func (m *MemCtrl) ReceiveUnblock(a memsys.Addr) {
 	line := memsys.LineAlign(a)
-	t := m.busy.get(line)
-	if t == nil {
+	t, ok := m.busy.get(line)
+	if !ok {
 		panic(fmt.Sprintf("coherence: unblock for idle line %#x", uint64(line)))
 	}
 	m.apply(t, t.Unblock(), nil)
 }
 
 func (m *MemCtrl) finish(line memsys.Addr) {
-	tp := m.busy.at(line)
-	t := *tp
-	if t == nil {
+	t, ok := m.busy.get(line)
+	if !ok {
 		panic(fmt.Sprintf("coherence: finish on idle line %#x", uint64(line)))
 	}
-	*tp = nil
-	m.busyCount--
+	m.busy.del(line)
 	// Invalidate any speculative-fetch packet still in flight for this
 	// transaction, then recycle it.
 	t.gen++
@@ -344,7 +343,7 @@ func (m *MemCtrl) finish(line memsys.Addr) {
 }
 
 // Idle reports whether no transaction is in flight (test hook).
-func (m *MemCtrl) Idle() bool { return m.busyCount == 0 }
+func (m *MemCtrl) Idle() bool { return m.busy.len() == 0 }
 
 // EnableWatchdog arms the per-transaction watchdog: every interval
 // ticks (while transactions are in flight) the controller scans its
@@ -365,7 +364,7 @@ func (m *MemCtrl) EnableWatchdog(interval, limit sim.Tick, onStuck func(error)) 
 }
 
 func (m *MemCtrl) armWatchdog() {
-	if m.wdInterval == 0 || m.wdArmed || m.wdTripped || m.busyCount == 0 {
+	if m.wdInterval == 0 || m.wdArmed || m.wdTripped || m.busy.len() == 0 {
 		return
 	}
 	m.wdArmed = true
@@ -374,12 +373,12 @@ func (m *MemCtrl) armWatchdog() {
 
 func (m *MemCtrl) watchdogScan() {
 	m.wdArmed = false
-	if m.wdTripped || m.busyCount == 0 {
+	if m.wdTripped || m.busy.len() == 0 {
 		return
 	}
 	now := m.engine.Now()
 	for _, line := range m.busyLines() {
-		t := m.busy.get(line)
+		t, _ := m.busy.get(line)
 		if age := now - t.started; age > m.wdLimit {
 			m.wdTripped = true
 			err := fmt.Errorf(
@@ -396,17 +395,8 @@ func (m *MemCtrl) watchdogScan() {
 }
 
 // busyLines returns the in-flight lines in address order, so every dump
-// and scan is deterministic. The dense table scans in ascending line
-// number, which IS address order — no sort needed.
-func (m *MemCtrl) busyLines() []memsys.Addr {
-	lines := make([]memsys.Addr, 0, m.busyCount)
-	m.busy.each(func(n uint64, t **txn) {
-		if *t != nil {
-			lines = append(lines, memsys.Addr(n<<memsys.LineShift))
-		}
-	})
-	return lines
-}
+// and scan is deterministic.
+func (m *MemCtrl) busyLines() []memsys.Addr { return m.busy.lines() }
 
 // TransactionDump renders every in-flight transaction and its queue in
 // address order: the diagnosis attached to watchdog trips and push
@@ -414,9 +404,9 @@ func (m *MemCtrl) busyLines() []memsys.Addr {
 func (m *MemCtrl) TransactionDump() string {
 	var b strings.Builder
 	now := m.engine.Now()
-	fmt.Fprintf(&b, "transaction dump at tick %d: %d in flight\n", now, m.busyCount)
+	fmt.Fprintf(&b, "transaction dump at tick %d: %d in flight\n", now, m.busy.len())
 	for _, line := range m.busyLines() {
-		t := m.busy.get(line)
+		t, _ := m.busy.get(line)
 		fmt.Fprintf(&b,
 			"  line %#x: %s from %s, age %d, acks %d/%d, probesClean=%v dramDone=%v dataSent=%v, %d queued\n",
 			uint64(line), t.req.Type, m.peerName(t.req.From), now-t.started, t.AcksRecv, t.AcksWanted,

@@ -48,10 +48,9 @@ type Protocol struct {
 type LineView struct {
 	// Line is a display label ("0", "0x40080").
 	Line string
-	// N is the number of agents; States/Dirty/Vers hold [0,N).
+	// N is the number of agents; States and Vers hold [0,N).
 	N      int
 	States []State
-	Dirty  []bool
 	// Vers are the data versions each copy holds (ghost values from
 	// the store oracle; meaningful only when HasVersions).
 	Vers []uint64
@@ -100,7 +99,6 @@ func (v *LineView) owners() (owners, holders int, exclusive bool) {
 // when the invariant holds, or a violation message.
 type Invariant struct {
 	Name string
-	Doc  string
 	// QuiescentOnly restricts the check to quiescent lines (ownership
 	// is transferred atomically, but holder counts and data versions
 	// are only meaningful once traffic drains).
@@ -131,7 +129,6 @@ var Invariants = [...]Invariant{
 	// ownership transfer is atomic.
 	{
 		Name: "swmr-owner",
-		Doc:  "at most one owner (MM, M or O) per line, at all times",
 		Check: func(v *LineView) string {
 			owners, _, _ := v.owners()
 			if owners > 1 {
@@ -144,7 +141,6 @@ var Invariants = [...]Invariant{
 	// An exclusive holder is the only holder once the line drains.
 	{
 		Name:          "exclusive-sole-holder",
-		Doc:           "an exclusive copy (MM, M) implies every other cache is I at quiescence",
 		QuiescentOnly: true,
 		Check: func(v *LineView) string {
 			_, holders, exclusive := v.owners()
@@ -158,7 +154,6 @@ var Invariants = [...]Invariant{
 	// Every surviving copy holds the newest version.
 	{
 		Name:          "data-value-copies",
-		Doc:           "every valid copy holds the newest written version at quiescence",
 		QuiescentOnly: true,
 		NeedsVersions: true,
 		Check: func(v *LineView) string {
@@ -175,7 +170,6 @@ var Invariants = [...]Invariant{
 	// With no owner left, memory itself must be current.
 	{
 		Name:          "data-value-memory",
-		Doc:           "with no owner at quiescence, memory holds the newest version",
 		QuiescentOnly: true,
 		NeedsVersions: true,
 		Check: func(v *LineView) string {

@@ -45,7 +45,7 @@ func TestInvariantChecks(t *testing.T) {
 	count := make([]uint64, len(Invariants))
 
 	// Two owners: SWMR violation even mid-flight.
-	v := &LineView{Line: "0", N: 3, States: []State{M, O, I}, Dirty: make([]bool, 3), Vers: make([]uint64, 3)}
+	v := &LineView{Line: "0", N: 3, States: []State{M, O, I}, Vers: make([]uint64, 3)}
 	if msg := CheckLineView(v, count); !strings.Contains(msg, "SWMR violation") || !strings.Contains(msg, "2 owners") {
 		t.Errorf("two owners: got %q", msg)
 	}
@@ -54,7 +54,7 @@ func TestInvariantChecks(t *testing.T) {
 	}
 
 	// Exclusive alongside a sharer: legal in flight, flagged at rest.
-	v = &LineView{Line: "0", N: 3, States: []State{MM, S, I}, Dirty: make([]bool, 3), Vers: make([]uint64, 3)}
+	v = &LineView{Line: "0", N: 3, States: []State{MM, S, I}, Vers: make([]uint64, 3)}
 	if msg := CheckLineView(v, nil); msg != "" {
 		t.Errorf("in-flight exclusive+sharer flagged: %q", msg)
 	}
@@ -64,7 +64,7 @@ func TestInvariantChecks(t *testing.T) {
 	}
 
 	// Stale copy at quiescence, versions known.
-	v = &LineView{Line: "0", N: 2, States: []State{S, I}, Dirty: make([]bool, 2),
+	v = &LineView{Line: "0", N: 2, States: []State{S, I},
 		Vers: []uint64{1, 0}, MemVer: 2, Latest: 2, HasVersions: true, Quiescent: true}
 	if msg := CheckLineView(v, nil); !strings.Contains(msg, "lost store") {
 		t.Errorf("stale copy: got %q", msg)
@@ -76,14 +76,14 @@ func TestInvariantChecks(t *testing.T) {
 	}
 
 	// No owner and stale memory.
-	v = &LineView{Line: "0", N: 2, States: []State{I, I}, Dirty: make([]bool, 2),
+	v = &LineView{Line: "0", N: 2, States: []State{I, I},
 		Vers: make([]uint64, 2), MemVer: 1, Latest: 2, HasVersions: true, Quiescent: true}
 	if msg := CheckLineView(v, nil); !strings.Contains(msg, "memory holds v1") {
 		t.Errorf("stale memory: got %q", msg)
 	}
 
 	// Clean single-owner view passes everything.
-	v = &LineView{Line: "0", N: 2, States: []State{MM, I}, Dirty: []bool{true, false},
+	v = &LineView{Line: "0", N: 2, States: []State{MM, I},
 		Vers: []uint64{2, 0}, MemVer: 1, Latest: 2, HasVersions: true, Quiescent: true}
 	if msg := CheckLineView(v, nil); msg != "" {
 		t.Errorf("clean view flagged: %q", msg)

@@ -9,23 +9,19 @@ import (
 )
 
 // The writeback flags of a line-table entry in the snapshot stream.
-// They are part of the serialised format, whatever bits lineState
-// keeps them in.
+// They are part of the serialised format, whatever bits wbBuf keeps
+// them in.
 const (
 	snapWB      = 1
 	snapWBStale = 2
 )
 
-// snapFlags returns ls's writeback flags in snapshot form.
-func (ls *lineState) snapFlags() uint8 {
-	var f uint8
-	if ls.buffered() {
-		f |= snapWB
+// snapFlags returns a buffered writeback's flags in snapshot form.
+func (b wbBuf) snapFlags() uint8 {
+	if b.stale() {
+		return snapWB | snapWBStale
 	}
-	if ls.stale() {
-		f |= snapWBStale
-	}
-	return f
+	return snapWB
 }
 
 // SnapshotTo serialises a cache controller at a quiescent point: the
@@ -43,27 +39,47 @@ func (c *Ctrl) SnapshotTo(w *snap.Writer) {
 		c.hooks == nil && c.pushSeq == 0
 	w.Bool(quiet)
 	w.I64(int64(c.portFree))
-	w.U32(uint32(c.wbCount))
+	w.U32(uint32(c.wb.len()))
 
 	// Sparse line table: count, then (line number, ver, wbVer, flags)
-	// in ascending line order. Line numbers are global, so the stream
+	// in ascending line order, one record per line holding a version
+	// or a buffered writeback. Line numbers are global, so the stream
 	// does not depend on how a slice indexes its own lines.
+	wbLines := c.wb.lines()
 	n := 0
-	c.lines.each(func(_ uint64, ls *lineState) {
-		if *ls != (lineState{}) {
+	c.lines.each(func(_, _ uint64) { n++ })
+	for _, line := range wbLines {
+		if c.lines.get(line) == 0 {
 			n++
 		}
-	})
+	}
 	w.U32(uint32(n))
-	c.lines.each(func(line uint64, ls *lineState) {
-		if *ls == (lineState{}) {
-			return
+	record := func(line memsys.Addr, ver uint64) {
+		b, ok := c.wb.get(line)
+		w.U64(memsys.LineNum(line))
+		w.U64(ver)
+		w.U64(b.ver())
+		if ok {
+			w.U8(b.snapFlags())
+		} else {
+			w.U8(0)
 		}
-		w.U64(line)
-		w.U64(ls.ver)
-		w.U64(ls.wbVer())
-		w.U8(ls.snapFlags())
+	}
+	// Merge the buffered writebacks into the version table's walk.
+	c.lines.each(func(n, ver uint64) {
+		line := memsys.Addr(n << memsys.LineShift)
+		for len(wbLines) > 0 && wbLines[0] < line {
+			record(wbLines[0], 0)
+			wbLines = wbLines[1:]
+		}
+		if len(wbLines) > 0 && wbLines[0] == line {
+			wbLines = wbLines[1:]
+		}
+		record(line, ver)
 	})
+	for _, line := range wbLines {
+		record(line, 0)
+	}
 
 	w.Bool(c.l1 != nil)
 	if c.l1 != nil {
@@ -91,9 +107,10 @@ func (c *Ctrl) RestoreFrom(r *snap.Reader) {
 		return
 	}
 	c.portFree = sim.Tick(r.I64())
-	c.wbCount = int(r.U32())
+	wbCount := int(r.U32())
 
 	c.lines.release()
+	c.wb.release()
 	n := r.U32()
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		line := memsys.Addr(r.U64() << memsys.LineShift)
@@ -108,18 +125,27 @@ func (c *Ctrl) RestoreFrom(r *snap.Reader) {
 			r.Failf("coherence %s: snapshot holds line %#x of another slice", c.name, uint64(line))
 			return
 		}
-		if wbVer > wbVerMask || flags&^(snapWB|snapWBStale) != 0 {
+		// A line without a buffered writeback has no writeback version
+		// and no stale flag.
+		buffered := flags&snapWB != 0
+		if wbVer > wbVerMask || flags&^(snapWB|snapWBStale) != 0 || !buffered && (flags != 0 || wbVer != 0) {
 			r.Failf("coherence %s: invalid snapshot writeback entry (version %d, flags %#x)", c.name, wbVer, flags)
 			return
 		}
-		ls := lineState{ver: ver, wb: wbVer}
-		if flags&snapWB != 0 {
-			ls.wb |= lsWB
+		if ver != 0 {
+			*c.lines.atIndex(idx) = ver
 		}
-		if flags&snapWBStale != 0 {
-			ls.wb |= lsWBStale
+		if buffered {
+			b := bufferedWB(wbVer)
+			if flags&snapWBStale != 0 {
+				b |= wbStale
+			}
+			c.wb.put(line, b)
 		}
-		*c.lines.atIndex(idx) = ls
+	}
+	if r.Err() == nil && wbCount != c.wb.len() {
+		r.Failf("coherence %s: snapshot counts %d buffered writebacks, holds %d", c.name, wbCount, c.wb.len())
+		return
 	}
 
 	hasL1 := r.Bool()
@@ -144,20 +170,14 @@ func (c *Ctrl) RestoreFrom(r *snap.Reader) {
 func (m *MemCtrl) SnapshotTo(w *snap.Writer) {
 	w.Tag("memctrl")
 	w.String(m.name)
-	w.Bool(m.busyCount == 0 && len(m.queued) == 0 && !m.wdArmed && !m.wdTripped)
+	w.Bool(m.busy.len() == 0 && len(m.queued) == 0 && !m.wdArmed && !m.wdTripped)
 
 	n := 0
-	m.dramVer.each(func(_ uint64, v *uint64) {
-		if *v != 0 {
-			n++
-		}
-	})
+	m.dramVer.each(func(_, _ uint64) { n++ })
 	w.U32(uint32(n))
-	m.dramVer.each(func(line uint64, v *uint64) {
-		if *v != 0 {
-			w.U64(line)
-			w.U64(*v)
-		}
+	m.dramVer.each(func(line, v uint64) {
+		w.U64(line)
+		w.U64(v)
 	})
 
 	w.Bool(m.regions != nil)
@@ -179,11 +199,12 @@ func (m *MemCtrl) RestoreFrom(r *snap.Reader) {
 	if r.Err() != nil {
 		return
 	}
-	if m.busyCount != 0 || len(m.queued) != 0 {
+	if m.busy.len() != 0 || len(m.queued) != 0 {
 		r.Failf("coherence %s: restore into an ordering point with transactions open", m.name)
 		return
 	}
 	m.dramVer.release()
+	m.busy.release()
 	n := r.U32()
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		idx := r.U64()

@@ -11,12 +11,11 @@ import (
 // no protocol event will ever finish — the shape of a lost unblock or
 // dropped ack — and arms the scan loop.
 func wedge(r *rig, line memsys.Addr, ty ReqType, from string) {
-	*r.mem.busy.at(line) = &txn{
+	r.mem.busy.put(line, &txn{
 		req:     ReqMsg{Type: ty, Addr: line, From: r.xbar.Port(from)},
 		started: r.e.Now(),
 		TxnCore: TxnCore{Typ: ty, AcksWanted: 1},
-	}
-	r.mem.busyCount++
+	})
 	r.mem.armWatchdog()
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -26,8 +27,11 @@ type ringPoint struct {
 	url string
 }
 
+// hash64 hashes s through a stack buffer: a plain []byte(s) of a
+// 64-character job ID would be a heap allocation per lookup.
 func hash64(s string) uint64 {
-	sum := sha256.Sum256([]byte(s))
+	var buf [64]byte
+	sum := sha256.Sum256(append(buf[:0], s...))
 	return binary.LittleEndian.Uint64(sum[:8])
 }
 
@@ -60,7 +64,8 @@ func buildRing(urls []string, vnodes int) *ring {
 
 // owners returns every worker for key, in replica order: the key's
 // owner first, then each successive distinct worker clockwise around
-// the ring.
+// the ring. A worker is found in the result by scanning it, which is
+// as long as the worker list, so the result is the only allocation.
 func (r *ring) owners(key string) []string {
 	if len(r.points) == 0 {
 		return nil
@@ -69,12 +74,9 @@ func (r *ring) owners(key string) []string {
 	h := hash64(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
 	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
 	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.url] {
-			seen[p.url] = true
-			out = append(out, p.url)
+		if u := r.points[(start+i)%len(r.points)].url; !slices.Contains(out, u) {
+			out = append(out, u)
 		}
 	}
 	return out

@@ -82,3 +82,13 @@ func TestRingEmpty(t *testing.T) {
 		t.Fatalf("empty ring returned owners: %v", got)
 	}
 }
+
+// TestRingOwnersAllocatesOnlyResult pins owners, which runs on every
+// dispatch and every proxied GET, to one allocation: the result slice.
+func TestRingOwnersAllocatesOnlyResult(t *testing.T) {
+	r := buildRing([]string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}, 64)
+	key := fmt.Sprintf("%064d", 7)
+	if n := testing.AllocsPerRun(100, func() { _ = r.owners(key) }); n != 1 {
+		t.Errorf("owners allocated %v times per call, want 1", n)
+	}
+}

@@ -297,7 +297,6 @@ func (c *checker) checkState(w *worker, s *state) string {
 		v.Line = lineLabels[l]
 		for a := 0; a < c.cfg.Agents; a++ {
 			v.States[a] = coherence.State(s.st[a][l])
-			v.Dirty[a] = s.dirty[a][l] != 0
 			v.Vers[a] = uint64(s.ver[a][l])
 		}
 		v.MemVer = uint64(s.mem[l])
@@ -346,7 +345,6 @@ func (c *checker) newWorker(coverage map[CoveragePair]bool, covMu *sync.Mutex) *
 		view: coherence.LineView{
 			N:           c.cfg.Agents,
 			States:      make([]coherence.State, c.cfg.Agents),
-			Dirty:       make([]bool, c.cfg.Agents),
 			Vers:        make([]uint64, c.cfg.Agents),
 			Names:       names,
 			HasVersions: true,

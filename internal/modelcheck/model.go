@@ -304,7 +304,7 @@ type state struct {
 	dirty [maxAgents][maxLines]uint8
 	ver   [maxAgents][maxLines]uint8
 	wb    [maxAgents][maxLines]uint8
-	// wbStale is the controllers' lsWBStale: the buffered writeback
+	// wbStale is the controllers' wbStale: the buffered writeback
 	// answered an invalidating probe, so it no longer serves local loads
 	// or later probes.
 	wbStale [maxAgents][maxLines]uint8
