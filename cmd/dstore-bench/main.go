@@ -20,12 +20,8 @@
 // -cpuprofile/-memprofile write pprof profiles for diagnosing
 // performance regressions.
 //
-// With -bench, the observability flags compare the two modes side by
-// side (see DESIGN.md §10):
-//
-//	dstore-bench -bench NN -input small -hist            # latency histograms, CCSM vs DS
-//	dstore-bench -bench NN -input small -trace nn.json   # nn.ccsm.json + nn.ds.json
-//	dstore-bench -bench NN -input small -timeseries nn.csv
+// To observe one run (traces, latency histograms, time series; see
+// DESIGN.md §10), use dstore-sim with -mode ccsm or -mode direct-store.
 package main
 
 import (
@@ -33,18 +29,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"dstore/internal/bench"
 	"dstore/internal/core"
-	"dstore/internal/obs"
 	"dstore/internal/stats"
 )
 
@@ -145,10 +137,6 @@ func main() {
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent benchmark runs per sweep (1 = sequential)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-
-		traceF  = flag.String("trace", "", "with -bench: write per-mode Chrome traces (FILE.ccsm.json and FILE.ds.json)")
-		histOut = flag.Bool("hist", false, "with -bench: print latency histograms for both modes side by side")
-		seriesF = flag.String("timeseries", "", "with -bench: write per-mode time-series files (.csv or .json by extension)")
 	)
 	flag.BoolVar(&timing, "timing", false, "report per-experiment wall clock on stderr")
 	flag.Parse()
@@ -197,30 +185,12 @@ func main() {
 		fmt.Println(bench.Table2())
 	}
 	if *one != "" {
-		obsWanted := *traceF != "" || *histOut || *seriesF != ""
 		for _, in := range inputs {
 			job := bench.SweepJob{Code: *one, In: in,
 				Base: core.DefaultConfig(core.ModeCCSM),
 				DS:   core.DefaultConfig(core.ModeDirectStore)}
-			if obsWanted {
-				job.Base.Obs = obs.New(obs.Options{Trace: *traceF != "", Hist: *histOut, TimeSeries: *seriesF != ""})
-				job.DS.Obs = obs.New(obs.Options{Trace: *traceF != "", Hist: *histOut, TimeSeries: *seriesF != ""})
-			}
-			cs := sweep(ctx, []bench.SweepJob{job}, opt)
-			if len(cs) == 0 {
-				continue
-			}
-			printComparison(cs[0])
-			if *histOut {
-				printHistPair(job.Base.Obs, job.DS.Obs)
-			}
-			if *traceF != "" {
-				writeModeFile(*traceF, "ccsm", job.Base.Obs.WriteTrace)
-				writeModeFile(*traceF, "ds", job.DS.Obs.WriteTrace)
-			}
-			if *seriesF != "" {
-				writeModeFile(*seriesF, "ccsm", seriesWriter(*seriesF, job.Base.Obs))
-				writeModeFile(*seriesF, "ds", seriesWriter(*seriesF, job.DS.Obs))
+			if cs := sweep(ctx, []bench.SweepJob{job}, opt); len(cs) > 0 {
+				printComparison(cs[0])
 			}
 		}
 	}
@@ -342,46 +312,6 @@ func printComparison(c bench.Comparison) {
 		c.DS.XbarBytes, c.DS.DirectBytes, c.DS.Pushes)
 	fmt.Printf("  speedup=%s  miss-rate delta=%+.1fpp\n\n",
 		stats.Percent(c.Speedup()), c.MissRateDelta()*100)
-}
-
-// printHistPair renders the latency histograms of the two modes one
-// after the other, so the direct-store shift is visible in one scroll.
-func printHistPair(ccsm, ds *obs.Observer) {
-	for _, m := range []struct {
-		label string
-		o     *obs.Observer
-	}{{"CCSM", ccsm}, {"DS", ds}} {
-		for id := obs.HistID(0); id < obs.NumHists; id++ {
-			h := m.o.Hist(id)
-			if h.Count() == 0 {
-				continue
-			}
-			fmt.Printf("[%s] ", m.label)
-			h.WriteText(os.Stdout)
-			fmt.Println()
-		}
-	}
-}
-
-// writeModeFile writes one mode's export next to the requested path:
-// out.json becomes out.ccsm.json and out.ds.json.
-func writeModeFile(path, mode string, write func(io.Writer) error) {
-	ext := filepath.Ext(path)
-	name := strings.TrimSuffix(path, ext) + "." + mode + ext
-	f, err := os.Create(name)
-	fail(err)
-	fail(write(f))
-	fail(f.Close())
-	fmt.Fprintf(os.Stderr, "wrote %s\n", name)
-}
-
-// seriesWriter picks the CSV or JSON time-series encoding from the
-// requested path's extension.
-func seriesWriter(path string, o *obs.Observer) func(io.Writer) error {
-	if strings.HasSuffix(path, ".json") {
-		return o.WriteSeriesJSON
-	}
-	return o.WriteSeriesCSV
 }
 
 func fail(err error) {

@@ -27,22 +27,22 @@ func TestFixtureViolations(t *testing.T) {
 		substr   string
 	}{
 		{"determinism", 10, "import of math/rand"},
-		{"determinism", 20, "time.Now in deterministic package"},
-		{"determinism", 38, "range over map in deterministic package"},
-		{"eventsafety", 52, "event callback calls Engine.Step"},
-		{"eventsafety", 69, `event callback captures loop variable "i"`},
-		{"allocfree", 89, "map allocation in hot-path package"},
-		{"allocfree", 90, "map literal in hot-path package"},
-		{"allocfree", 100, "new(FakeMsg) allocates a message"},
-		{"allocfree", 101, "&FakeMsg{} allocates a message"},
-		{"spanbalance", 117, "span from Recorder.Begin is discarded"},
-		{"spanbalance", 124, "span from Recorder.Begin is discarded"},
-		{"spanbalance", 130, `span "sp" is begun but never Ended`},
-		{"eventsafety", 145, "event callback calls Engine.Step"},
-		{"eventsafety", 148, "event callback calls Engine.Step"},
-		{"eventsafety", 151, "event callback calls Engine.Step"},
-		{"eventsafety", 155, `event callback captures loop variable "i"`},
-		{"eventsafety", 158, `event callback captures loop variable "i"`},
+		{"determinism", 21, "time.Now in deterministic package"},
+		{"determinism", 39, "range over map in deterministic package"},
+		{"eventsafety", 53, "event callback calls Engine.Step"},
+		{"eventsafety", 70, `event callback captures loop variable "i"`},
+		{"allocfree", 90, "map allocation in hot-path package"},
+		{"allocfree", 91, "map literal in hot-path package"},
+		{"allocfree", 101, "new(FakeMsg) allocates a message"},
+		{"allocfree", 102, "&FakeMsg{} allocates a message"},
+		{"spanbalance", 118, "span from Recorder.Begin is discarded"},
+		{"spanbalance", 125, "span from Recorder.Begin is discarded"},
+		{"spanbalance", 131, `span "sp" is begun but never Ended`},
+		{"eventsafety", 146, "event callback calls Engine.Step"},
+		{"eventsafety", 149, "event callback calls Engine.Step"},
+		{"eventsafety", 153, `event callback captures loop variable "i"`},
+		{"eventsafety", 156, `event callback captures loop variable "i"`},
+		{"eventsafety", 159, `event callback captures loop variable "i"`},
 	}
 	if len(diags) != len(want) {
 		t.Errorf("got %d diagnostics, want %d:", len(diags), len(want))

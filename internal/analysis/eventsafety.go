@@ -13,14 +13,11 @@ var callbackSinks = []struct {
 	arg             int
 }{
 	{"dstore/internal/sim", "Engine", "Schedule", 1},
-	{"dstore/internal/sim", "Engine", "ScheduleAt", 1},
-	{"dstore/internal/sim", "Engine", "ScheduleTickAt", 1},
 	{"dstore/internal/sim", "Engine", "ScheduleArg", 1},
 	{"dstore/internal/sim", "Engine", "ScheduleArgAt", 1},
 	{"dstore/internal/interconnect", "Network", "Send", 3},
-	{"dstore/internal/interconnect", "Network", "SendArg", 3},
 	{"dstore/internal/interconnect", "DirectPort", "Send", 1},
-	{"dstore/internal/interconnect", "DirectPort", "SendArg", 1},
+	{"dstore/internal/dram", "DRAM", "Access", 2},
 }
 
 // Engine methods that drive the event loop. Calling one from inside an

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"time"
 
+	"dstore/internal/dram"
 	"dstore/internal/interconnect"
 	"dstore/internal/obs/dtrace"
 	"dstore/internal/sim"
@@ -140,10 +141,7 @@ func SpanBalanced(r *dtrace.Recorder) {
 
 // ArgSinks hands callbacks to the sinks whose callback is not the last
 // argument, or that pass the tick: one eventsafety finding per sink.
-func ArgSinks(eng *sim.Engine, net interconnect.Network, link interconnect.DirectPort, xs []int) {
-	eng.ScheduleTickAt(1, func(sim.Tick) {
-		eng.Step()
-	})
+func ArgSinks(eng *sim.Engine, net interconnect.Network, link interconnect.DirectPort, mem *dram.DRAM, xs []int) {
 	eng.ScheduleArg(1, func(any, sim.Tick) {
 		eng.Step()
 	}, nil)
@@ -151,10 +149,13 @@ func ArgSinks(eng *sim.Engine, net interconnect.Network, link interconnect.Direc
 		eng.Step()
 	}, nil)
 	for i := range xs {
-		net.SendArg(0, 1, 8, func(any, sim.Tick) {
+		net.Send(0, 1, 8, func(any, sim.Tick) {
 			_ = i
 		}, nil)
-		link.SendArg(8, func(any, sim.Tick) {
+		link.Send(8, func(any, sim.Tick) {
+			_ = i
+		}, nil)
+		mem.Access(0, false, func(any, sim.Tick) {
 			_ = i
 		}, nil)
 	}

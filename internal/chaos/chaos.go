@@ -244,35 +244,44 @@ func (n *chaosNet) Port(name string) interconnect.Port  { return n.inner.Port(na
 func (n *chaosNet) PortName(p interconnect.Port) string { return n.inner.PortName(p) }
 func (n *chaosNet) Counters() *interconnect.Counters    { return n.inner.Counters() }
 
-func (n *chaosNet) Send(src, dst interconnect.Port, size int, deliver func(now sim.Tick)) sim.Tick {
-	if deliver == nil {
-		return n.inner.Send(src, dst, size, nil)
+// Send draws no fault itself: each delivery's jitter is drawn when the
+// inner network delivers it, through netArrive.
+func (n *chaosNet) Send(src, dst interconnect.Port, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
+	if fn == nil {
+		return n.inner.Send(src, dst, size, nil, nil)
 	}
-	key := [2]interconnect.Port{src, dst}
-	return n.inner.Send(src, dst, size, func(arr sim.Tick) {
-		at := arr
-		if n.f.draw(n.f.prof.NetJitterProb, &n.f.ctr.NetJitter) {
-			at += n.f.magnitude(n.f.prof.NetJitterMax)
-		}
-		if last := n.lastPair[key]; at < last {
-			at = last
-		}
-		n.lastPair[key] = at
-		if at == arr {
-			deliver(arr)
-			return
-		}
-		n.engine.ScheduleAt(at, func() { deliver(at) })
-	})
+	d := &netDelivery{n: n, key: [2]interconnect.Port{src, dst}, fn: fn, arg: arg}
+	return n.inner.Send(src, dst, size, netArrive, d)
 }
 
-// SendArg funnels through Send: chaos wrapping is cold, so the adapter
-// closure it allocates per message is irrelevant.
-func (n *chaosNet) SendArg(src, dst interconnect.Port, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
-	if fn == nil {
-		return n.Send(src, dst, size, nil)
+// netDelivery is one message in flight on a chaosNet: the sender's
+// callback and the (src, dst) pair whose FIFO order it must keep.
+type netDelivery struct {
+	n   *chaosNet
+	key [2]interconnect.Port
+	fn  func(arg any, now sim.Tick)
+	arg any
+}
+
+// netArrive runs at the inner network's arrival tick. It draws the
+// delivery's jitter, holds it behind the pair's last delivery, and fires
+// the sender's callback now or at the delayed tick.
+func netArrive(arg any, arr sim.Tick) {
+	d := arg.(*netDelivery)
+	n := d.n
+	at := arr
+	if n.f.draw(n.f.prof.NetJitterProb, &n.f.ctr.NetJitter) {
+		at += n.f.magnitude(n.f.prof.NetJitterMax)
 	}
-	return n.Send(src, dst, size, func(now sim.Tick) { fn(arg, now) })
+	if last := n.lastPair[d.key]; at < last {
+		at = last
+	}
+	n.lastPair[d.key] = at
+	if at == arr {
+		d.fn(d.arg, arr)
+		return
+	}
+	n.engine.ScheduleArgAt(at, d.fn, d.arg)
 }
 
 // chaosDirect wraps the dedicated push link with message loss,
@@ -289,34 +298,41 @@ type chaosDirect struct {
 func (d *chaosDirect) Name() string                     { return d.inner.Name() }
 func (d *chaosDirect) Counters() *interconnect.Counters { return d.inner.Counters() }
 
-func (d *chaosDirect) Send(size int, deliver func(now sim.Tick)) sim.Tick {
-	if deliver == nil {
-		return d.inner.Send(size, nil)
+// Send draws the drop and the duplicate at send time; each copy's
+// jitter is drawn when it arrives, through directArrive. A duplicate
+// fires fn twice with the same arg.
+func (d *chaosDirect) Send(size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
+	if fn == nil {
+		return d.inner.Send(size, nil, nil)
 	}
 	if d.f.draw(d.f.prof.PushDropProb, &d.f.ctr.PushDrops) {
 		// The message occupies the link and then vanishes in flight.
-		return d.inner.Send(size, nil)
+		return d.inner.Send(size, nil, nil)
 	}
-	wrapped := func(arr sim.Tick) {
-		if d.f.draw(d.f.prof.PushJitterProb, &d.f.ctr.PushJitter) {
-			at := arr + d.f.magnitude(d.f.prof.PushJitterMax)
-			d.engine.ScheduleAt(at, func() { deliver(at) })
-			return
-		}
-		deliver(arr)
-	}
-	arrival := d.inner.Send(size, wrapped)
+	dl := &directDelivery{d: d, fn: fn, arg: arg}
+	arrival := d.inner.Send(size, directArrive, dl)
 	if d.f.draw(d.f.prof.PushDupProb, &d.f.ctr.PushDups) {
-		d.inner.Send(size, wrapped)
+		d.inner.Send(size, directArrive, dl)
 	}
 	return arrival
 }
 
-// SendArg funnels through Send: chaos wrapping is cold, so the adapter
-// closure it allocates per message is irrelevant.
-func (d *chaosDirect) SendArg(size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
-	if fn == nil {
-		return d.Send(size, nil)
+// directDelivery is one push in flight on a chaosDirect, shared by its
+// duplicate.
+type directDelivery struct {
+	d   *chaosDirect
+	fn  func(arg any, now sim.Tick)
+	arg any
+}
+
+// directArrive runs at the inner link's arrival tick: it draws the
+// copy's jitter and fires the sender's callback now or later.
+func directArrive(arg any, arr sim.Tick) {
+	dl := arg.(*directDelivery)
+	f := dl.d.f
+	if f.draw(f.prof.PushJitterProb, &f.ctr.PushJitter) {
+		dl.d.engine.ScheduleArgAt(arr+f.magnitude(f.prof.PushJitterMax), dl.fn, dl.arg)
+		return
 	}
-	return d.Send(size, func(now sim.Tick) { fn(arg, now) })
+	dl.fn(dl.arg, arr)
 }

@@ -102,21 +102,16 @@ func (c *Ctrl) sendResilientPush(p PutxMsg, req *memsys.Request, target *Ctrl) {
 // crossbar under the §III-G ablation) and arms the ack timeout for the
 // current attempt.
 func (c *Ctrl) sendPushAttempt(pp *pendingPush) {
-	p := pp.msg
-	target := pp.target
-	deliver := func(sim.Tick) { target.ReceivePutx(p, nil) }
-	if c.cfg.DirectOverXbar {
-		if c.cfg.DirectGetx {
-			c.xbar.Send(c.port, target.port, interconnect.CtrlMsgBytes, nil)
-		}
-		c.xbar.Send(c.port, target.port, interconnect.DataMsgBytes, deliver)
-	} else {
-		if c.cfg.DirectGetx {
-			c.directLink.Send(interconnect.CtrlMsgBytes, nil)
-		}
-		c.directLink.Send(interconnect.DataMsgBytes, deliver)
-	}
+	c.sendPutx(pp.target, deliverPush, pp)
 	c.armPushTimer(pp, pushTimeout<<uint(pp.attempt))
+}
+
+// deliverPush lands one copy of a resilient push at its target. Its
+// argument is the *pendingPush, not a pooled packet: a faulty link may
+// deliver one send twice, and runPkt would release a packet twice.
+func deliverPush(arg any, _ sim.Tick) {
+	pp := arg.(*pendingPush)
+	pp.target.ReceivePutx(pp.msg, nil)
 }
 
 // armPushTimer schedules a retry check after delay. The closure is
@@ -178,10 +173,9 @@ func (c *Ctrl) sendPushAck(p PutxMsg, nack bool) {
 	if sender == nil {
 		panic(fmt.Sprintf("coherence %s: push ack for unknown sender %q", c.name, c.mem.peerName(p.From)))
 	}
-	ack := PushAckMsg{Addr: p.Addr, Seq: p.Seq, Nack: nack}
-	c.xbar.Send(c.port, p.From, interconnect.CtrlMsgBytes, func(sim.Tick) {
-		sender.receivePushAck(ack)
-	})
+	pk := c.mem.pkt(pkRecvPushAck)
+	pk.c, pk.body = sender, pushAckBody(PushAckMsg{Addr: p.Addr, Seq: p.Seq, Nack: nack})
+	c.xbar.Send(c.port, p.From, interconnect.CtrlMsgBytes, runPkt, pk)
 }
 
 // receivePushAck resolves one outstanding push: an ack completes the

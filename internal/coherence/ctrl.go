@@ -373,7 +373,7 @@ func (c *Ctrl) sendReq(msg ReqMsg, size int) {
 	c.obsSend(msg)
 	pk := c.mem.pkt(pkRecvReq)
 	pk.body = reqBody(msg)
-	c.xbar.SendArg(c.port, c.mem.port, size, runPkt, pk)
+	c.xbar.Send(c.port, c.mem.port, size, runPkt, pk)
 }
 
 // missPath sends the demand miss into the protocol.
@@ -517,22 +517,29 @@ func (c *Ctrl) processDirectStore(req *memsys.Request, line memsys.Addr) {
 	}
 	pk := c.mem.pkt(pkRecvPutx)
 	pk.c, pk.body, pk.req = target, putxBody(p), req
+	c.sendPutx(target, runPkt, pk)
+}
+
+// sendPutx sends a push's PUTX to target and fires fn(arg, arrival)
+// when it lands. The fault-free and the resilient push differ only in
+// fn and arg.
+func (c *Ctrl) sendPutx(target *Ctrl, fn func(arg any, now sim.Tick), arg any) {
 	if c.cfg.DirectOverXbar {
 		// Ablation: no dedicated network — the push rides the shared
 		// coherence crossbar and contends with everything else.
 		if c.cfg.DirectGetx {
-			c.xbar.Send(c.port, target.port, interconnect.CtrlMsgBytes, nil)
+			c.xbar.Send(c.port, target.port, interconnect.CtrlMsgBytes, nil, nil)
 		}
-		c.xbar.SendArg(c.port, target.port, interconnect.DataMsgBytes, runPkt, pk)
+		c.xbar.Send(c.port, target.port, interconnect.DataMsgBytes, fn, arg)
 		return
 	}
 	if c.cfg.DirectGetx {
 		// The paper's CPU "will issue GETX command" before the data
 		// travels; on the dedicated network this is a control flit
 		// ahead of the PUTX.
-		c.directLink.Send(interconnect.CtrlMsgBytes, nil)
+		c.directLink.Send(interconnect.CtrlMsgBytes, nil, nil)
 	}
-	c.directLink.SendArg(interconnect.DataMsgBytes, runPkt, pk)
+	c.directLink.Send(interconnect.DataMsgBytes, fn, arg)
 }
 
 // ReceivePutx installs a pushed line (GPU L2 slice side): the blue
@@ -691,14 +698,14 @@ func (c *Ctrl) supplyToRequester(p ProbeMsg, d DataMsg) {
 	}
 	pk := c.mem.pkt(pkRecvData)
 	pk.c, pk.body = c.mem.peers[requester], dataBody(d)
-	c.xbar.SendArg(c.port, requester, interconnect.DataMsgBytes, runPkt, pk)
+	c.xbar.Send(c.port, requester, interconnect.DataMsgBytes, runPkt, pk)
 }
 
 func (c *Ctrl) sendAck(ack AckMsg) {
 	c.obs.Msg(c.engine.Now(), c.obsID, obs.MsgAck, ack.Addr, c.obsMem)
 	pk := c.mem.pkt(pkRecvAck)
 	pk.body = ackBody(ack)
-	c.xbar.SendArg(c.port, c.mem.port, interconnect.CtrlMsgBytes, runPkt, pk)
+	c.xbar.Send(c.port, c.mem.port, interconnect.CtrlMsgBytes, runPkt, pk)
 }
 
 // receiveData completes an outstanding miss (or remote load).
@@ -776,7 +783,7 @@ func (c *Ctrl) unblock(line memsys.Addr) {
 	c.obs.Msg(c.engine.Now(), c.obsID, obs.MsgUnblock, line, c.obsMem)
 	pk := c.mem.pkt(pkRecvUnblock)
 	pk.body.addr = line
-	c.xbar.SendArg(c.port, c.mem.port, interconnect.CtrlMsgBytes, runPkt, pk)
+	c.xbar.Send(c.port, c.mem.port, interconnect.CtrlMsgBytes, runPkt, pk)
 }
 
 // drainStalled releases stalled requests only while they can make

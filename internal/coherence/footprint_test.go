@@ -60,6 +60,12 @@ func TestMsgBodyRoundTrip(t *testing.T) {
 	if b := putxBody(m); b.putx() != m {
 		t.Errorf("PutxMsg %+v came back as %+v", m, b.putx())
 	}
+	for _, nack := range []bool{false, true} {
+		m := PushAckMsg{Addr: addr, Seq: seq, Nack: nack}
+		if b := pushAckBody(m); b.pushAck() != m {
+			t.Errorf("PushAckMsg %+v came back as %+v", m, b.pushAck())
+		}
+	}
 }
 
 // TestWritebackVersionGuard checks the packed writeback word: the

@@ -248,7 +248,7 @@ func (m *MemCtrl) apply(t *txn, eff TxnEffect, targets []interconnect.Port) {
 			pk := m.pkt(pkRecvProbe)
 			pk.c = m.peers[tgt]
 			pk.body = probeBody(ProbeMsg{Kind: kind, Addr: line, Requester: t.req.From})
-			m.xbar.SendArg(m.port, tgt, interconnect.CtrlMsgBytes, runPkt, pk)
+			m.xbar.Send(m.port, tgt, interconnect.CtrlMsgBytes, runPkt, pk)
 		}
 	}
 	if eff&TxOwnerData != 0 {
@@ -269,7 +269,7 @@ func (m *MemCtrl) apply(t *txn, eff TxnEffect, targets []interconnect.Port) {
 	if eff&TxWBDone != 0 {
 		pk := m.pkt(pkWBCommit)
 		pk.body = reqBody(t.req)
-		m.xbar.SendArg(m.port, t.req.From, interconnect.CtrlMsgBytes, runPkt, pk)
+		m.xbar.Send(m.port, t.req.From, interconnect.CtrlMsgBytes, runPkt, pk)
 	}
 	if eff&TxFinish != 0 {
 		m.finish(line)
@@ -282,7 +282,7 @@ func (m *MemCtrl) apply(t *txn, eff TxnEffect, targets []interconnect.Port) {
 func (m *MemCtrl) dramAccess(t *txn, write bool) {
 	pk := m.pkt(pkDramDone)
 	pk.t, pk.body.ver = t, t.gen
-	m.dram.AccessArg(t.req.Addr, write, runPkt, pk)
+	m.dram.Access(t.req.Addr, write, runPkt, pk)
 }
 
 // ReceiveAck collects a probe acknowledgement.
@@ -305,7 +305,7 @@ func (m *MemCtrl) sendData(t *txn, class obs.MsgClass, size int) {
 	}
 	pk := m.pkt(pkRecvData)
 	pk.c, pk.body = m.peers[requester], dataBody(d)
-	m.xbar.SendArg(m.port, requester, size, runPkt, pk)
+	m.xbar.Send(m.port, requester, size, runPkt, pk)
 }
 
 // ReceiveUnblock records the requester's completion notice.

@@ -24,6 +24,7 @@ const (
 	pkRecvProbe                   // c.receiveProbe(probe) network delivery
 	pkAnswerProbe                 // c.answerProbe(probe) after lookup delay
 	pkRecvPutx                    // c.ReceivePutx(putx, req) push delivery
+	pkRecvPushAck                 // c.receivePushAck(ack) resilient push ack
 
 	// Memory-controller side.
 	pkRecvReq     // m.ReceiveRequest(rmsg)
@@ -37,10 +38,11 @@ const (
 // pkt is a pooled coherence event carrier: one recycled object stands
 // in for the closure a message send or delayed handler used to
 // allocate. Packets are drawn from the memory controller's shared pool
-// (every Ctrl holds its MemCtrl), scheduled through the engine's or
-// network's static-function variants, dispatched by runPkt, and
-// released back to the pool after dispatch — steady state allocates
-// nothing per message.
+// (every Ctrl holds its MemCtrl), passed as the argument of a runPkt
+// callback to the engine, a network or the DRAM, dispatched by runPkt,
+// and released back to the pool after dispatch — steady state
+// allocates nothing per message. A packet is delivered once, so a send
+// that may be duplicated carries another argument (see deliverPush).
 type pkt struct {
 	m    *MemCtrl // pool owner; also the target of mem-side kinds
 	c    *Ctrl
@@ -56,10 +58,10 @@ type pkt struct {
 type msgBody struct {
 	addr memsys.Addr       // the message's Addr; pkRecvUnblock's line
 	ver  uint64            // Ver; the txn generation of pkDramDone
-	seq  uint64            // PutxMsg.Seq
+	seq  uint64            // PutxMsg.Seq or PushAckMsg.Seq
 	port interconnect.Port // From, or ProbeMsg.Requester
 	kind uint8             // ReqMsg.Type, ProbeMsg.Kind or DataMsg.Grant
-	bits uint8             // AckMsg's HadData/Present/Dirty, DataMsg.Owned
+	bits uint8             // AckMsg's HadData/Present/Dirty, DataMsg.Owned, PushAckMsg.Nack
 }
 
 // The bits of msgBody.bits.
@@ -68,6 +70,7 @@ const (
 	bodyPresent
 	bodyDirty
 	bodyOwned = bodyHadData
+	bodyNack  = bodyHadData
 )
 
 // bitIf returns bit when b is set, else 0.
@@ -118,6 +121,14 @@ func putxBody(m PutxMsg) msgBody {
 
 func (b *msgBody) putx() PutxMsg {
 	return PutxMsg{Addr: b.addr, Ver: b.ver, From: b.port, Seq: b.seq}
+}
+
+func pushAckBody(m PushAckMsg) msgBody {
+	return msgBody{addr: m.Addr, seq: m.Seq, bits: bitIf(m.Nack, bodyNack)}
+}
+
+func (b *msgBody) pushAck() PushAckMsg {
+	return PushAckMsg{Addr: b.addr, Seq: b.seq, Nack: b.bits&bodyNack != 0}
 }
 
 // pktSlab is how many packets the pool allocates at once. Slabs come
@@ -172,6 +183,8 @@ func runPkt(arg any, now sim.Tick) {
 		pk.c.answerProbe(pk.body.probe())
 	case pkRecvPutx:
 		pk.c.ReceivePutx(pk.body.putx(), pk.req)
+	case pkRecvPushAck:
+		pk.c.receivePushAck(pk.body.pushAck())
 	case pkRecvReq:
 		m.ReceiveRequest(pk.body.req())
 	case pkRecvAck:

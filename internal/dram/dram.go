@@ -129,25 +129,13 @@ func (d *DRAM) mapAddr(a memsys.Addr) (channel, bankIdx int, row uint64) {
 	return
 }
 
-// callDone adapts a plain completion closure to the (fn, arg) form used
-// internally; boxing a func value allocates nothing.
-func callDone(arg any, now sim.Tick) { arg.(func(sim.Tick))(now) }
-
-// Access schedules a line read or write and invokes done when the data
-// burst completes. Under the simple scheduler the returned tick is the
-// completion time; under FR-FCFS the request is queued and the return
-// value is 0 (completion arrives via done).
-func (d *DRAM) Access(a memsys.Addr, write bool, done func(now sim.Tick)) sim.Tick {
-	if done == nil {
-		return d.AccessArg(a, write, nil, nil)
-	}
-	return d.AccessArg(a, write, callDone, done)
-}
-
-// AccessArg is the allocation-free variant of Access: fn(arg, finish)
-// fires when the burst completes, so hot callers can pass a static
-// function plus a pooled argument instead of a fresh closure.
-func (d *DRAM) AccessArg(a memsys.Addr, write bool, fn func(arg any, now sim.Tick), arg any) sim.Tick {
+// Access schedules a line read or write and fires fn(arg, finish) when
+// the data burst completes, unless fn is nil. Hot callers pass a static
+// function plus a pooled argument, so an access allocates nothing.
+// Under the simple scheduler the returned tick is the completion time;
+// under FR-FCFS the request is queued and the return value is 0
+// (completion arrives via fn).
+func (d *DRAM) Access(a memsys.Addr, write bool, fn func(arg any, now sim.Tick), arg any) sim.Tick {
 	if d.sched != nil {
 		d.sched.enqueue(a, write, fn, arg)
 		return 0

@@ -17,7 +17,7 @@ func TestFirstAccessPaysActivate(t *testing.T) {
 	e, d := newDRAM()
 	cfg := DefaultConfig()
 	var doneAt sim.Tick
-	d.Access(0, false, func(now sim.Tick) { doneAt = now })
+	d.Access(0, false, func(_ any, now sim.Tick) { doneAt = now }, nil)
 	e.Run()
 	want := cfg.TRCD + cfg.TCAS + cfg.TBurst
 	if doneAt != want {
@@ -31,11 +31,11 @@ func TestFirstAccessPaysActivate(t *testing.T) {
 func TestRowHitIsFaster(t *testing.T) {
 	_, d := newDRAM()
 	cfg := DefaultConfig()
-	base := d.Access(0, false, nil)
+	base := d.Access(0, false, nil, nil)
 	// Same bank, same row: line 0 and line totBanks share a bank; with
 	// RowBytes=2048 (16 lines/row) per-bank line 1 is still row 0.
 	a2 := memsys.Addr(d.totBanks) * memsys.LineSize
-	doneAt := d.Access(a2, false, nil)
+	doneAt := d.Access(a2, false, nil, nil)
 	if doneAt-base != cfg.TCAS+cfg.TBurst {
 		t.Errorf("row hit latency %d, want %d", doneAt-base, cfg.TCAS+cfg.TBurst)
 	}
@@ -51,8 +51,8 @@ func TestRowConflictPaysPrecharge(t *testing.T) {
 	// Two accesses to the same bank, different rows.
 	a1 := memsys.Addr(0)
 	a2 := memsys.Addr(uint64(d.totBanks) * linesPerRow * memsys.LineSize)
-	t1 := d.Access(a1, false, nil)
-	doneAt := d.Access(a2, false, nil)
+	t1 := d.Access(a1, false, nil, nil)
+	doneAt := d.Access(a2, false, nil, nil)
 	_ = e
 	want := t1 + cfg.TRP + cfg.TRCD + cfg.TCAS + cfg.TBurst
 	if doneAt != want {
@@ -71,9 +71,9 @@ func TestBankParallelism(t *testing.T) {
 	run := func(a1, a2 memsys.Addr) sim.Tick {
 		e := sim.NewEngine()
 		d := New(e, cfg)
-		d.Access(a1, false, nil)
+		d.Access(a1, false, nil, nil)
 		var doneAt sim.Tick
-		d.Access(a2, false, func(now sim.Tick) { doneAt = now })
+		d.Access(a2, false, func(_ any, now sim.Tick) { doneAt = now }, nil)
 		e.Run()
 		return doneAt
 	}
@@ -94,9 +94,9 @@ func TestChannelBusSerialisesBursts(t *testing.T) {
 	cfg := DefaultConfig()
 	var finishes []sim.Tick
 	for i := 0; i < 4; i++ {
-		d.Access(memsys.Addr(i)*memsys.LineSize, false, func(now sim.Tick) {
+		d.Access(memsys.Addr(i)*memsys.LineSize, false, func(_ any, now sim.Tick) {
 			finishes = append(finishes, now)
-		})
+		}, nil)
 	}
 	e.Run()
 	if len(finishes) != 4 {
@@ -111,9 +111,9 @@ func TestChannelBusSerialisesBursts(t *testing.T) {
 
 func TestReadWriteCounters(t *testing.T) {
 	e, d := newDRAM()
-	d.Access(0, false, nil)
-	d.Access(memsys.LineSize, true, nil)
-	d.Access(2*memsys.LineSize, true, nil)
+	d.Access(0, false, nil, nil)
+	d.Access(memsys.LineSize, true, nil, nil)
+	d.Access(2*memsys.LineSize, true, nil, nil)
 	e.Run()
 	if d.Counters().Get("reads") != 1 || d.Counters().Get("writes") != 2 {
 		t.Errorf("reads=%d writes=%d", d.Counters().Get("reads"), d.Counters().Get("writes"))
@@ -123,7 +123,7 @@ func TestReadWriteCounters(t *testing.T) {
 func TestAvgLatencyPositive(t *testing.T) {
 	e, d := newDRAM()
 	for i := 0; i < 10; i++ {
-		d.Access(memsys.Addr(i)*memsys.LineSize, false, nil)
+		d.Access(memsys.Addr(i)*memsys.LineSize, false, nil, nil)
 	}
 	e.Run()
 	if d.AvgLatency() <= 0 {
@@ -136,7 +136,7 @@ func TestRowHitRateStreamIsHigh(t *testing.T) {
 	// hit rate should be substantially positive.
 	e, d := newDRAM()
 	for i := 0; i < 1024; i++ {
-		d.Access(memsys.Addr(i)*memsys.LineSize, false, nil)
+		d.Access(memsys.Addr(i)*memsys.LineSize, false, nil, nil)
 	}
 	e.Run()
 	if hr := d.RowHitRate(); hr < 0.5 {
@@ -180,13 +180,13 @@ func TestPropertyCompletionMonotonicPerBank(t *testing.T) {
 			a := memsys.Addr(ln) * memsys.LineSize
 			_, bankIdx, _ := d.mapAddr(a)
 			issue := e.Now()
-			d.Access(a, ln%2 == 0, func(now sim.Tick) {
+			d.Access(a, ln%2 == 0, func(_ any, now sim.Tick) {
 				if now < issue+minLat {
 					recs = append(recs, rec{bank: -1}) // sentinel failure
 					return
 				}
 				recs = append(recs, rec{bank: bankIdx, done: now})
-			})
+			}, nil)
 		}
 		e.Run()
 		last := map[int]sim.Tick{}

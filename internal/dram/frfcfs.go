@@ -133,7 +133,7 @@ func (f *frfcfs) service() {
 		}
 		if !first && soonest > now {
 			f.scheduling = true
-			f.d.engine.ScheduleAt(soonest, f.service)
+			f.d.engine.Schedule(soonest-now, f.service)
 		}
 		return
 	}

@@ -19,7 +19,7 @@ func TestFRFCFSCompletesAll(t *testing.T) {
 	e, d := newFRFCFS()
 	done := 0
 	for i := 0; i < 64; i++ {
-		d.Access(memsys.Addr(i)*memsys.LineSize, i%3 == 0, func(sim.Tick) { done++ })
+		d.Access(memsys.Addr(i)*memsys.LineSize, i%3 == 0, func(any, sim.Tick) { done++ }, nil)
 	}
 	e.Run()
 	if done != 64 {
@@ -45,9 +45,9 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 	c := memsys.Addr(bankStride)                                         // bank0, row0
 
 	var order []string
-	d.Access(a, false, func(sim.Tick) { order = append(order, "a") })
-	d.Access(b, false, func(sim.Tick) { order = append(order, "b") })
-	d.Access(c, false, func(sim.Tick) { order = append(order, "c") })
+	d.Access(a, false, func(any, sim.Tick) { order = append(order, "a") }, nil)
+	d.Access(b, false, func(any, sim.Tick) { order = append(order, "b") }, nil)
+	d.Access(c, false, func(any, sim.Tick) { order = append(order, "c") }, nil)
 	e.Run()
 	if len(order) != 3 {
 		t.Fatalf("completed %v", order)
@@ -65,12 +65,12 @@ func TestFRFCFSReadsPriorityOverWrites(t *testing.T) {
 	for i := 0; i < writeDrainLow+2; i++ {
 		i := i
 		// Same bank so they can't all issue at once.
-		d.Access(memsys.Addr(uint64(i)*uint64(d.totBanks)*2048), true, func(sim.Tick) {
+		d.Access(memsys.Addr(uint64(i)*uint64(d.totBanks)*2048), true, func(any, sim.Tick) {
 			_ = i
 			order = append(order, "w")
-		})
+		}, nil)
 	}
-	d.Access(memsys.Addr(memsys.LineSize), false, func(sim.Tick) { order = append(order, "r") })
+	d.Access(memsys.Addr(memsys.LineSize), false, func(any, sim.Tick) { order = append(order, "r") }, nil)
 	e.Run()
 	pos := -1
 	for i, s := range order {
@@ -92,10 +92,10 @@ func TestFRFCFSWriteDrain(t *testing.T) {
 	e, d := newFRFCFS()
 	done := 0
 	for i := 0; i < writeDrainHigh*2; i++ {
-		d.Access(memsys.Addr(i)*memsys.LineSize, true, func(sim.Tick) { done++ })
+		d.Access(memsys.Addr(i)*memsys.LineSize, true, func(any, sim.Tick) { done++ }, nil)
 	}
 	for i := 0; i < 8; i++ {
-		d.Access(memsys.Addr(1<<20)+memsys.Addr(i)*memsys.LineSize, false, func(sim.Tick) { done++ })
+		d.Access(memsys.Addr(1<<20)+memsys.Addr(i)*memsys.LineSize, false, func(any, sim.Tick) { done++ }, nil)
 	}
 	e.Run()
 	if done != writeDrainHigh*2+8 {
@@ -111,7 +111,7 @@ func TestFRFCFSDefaultUnchanged(t *testing.T) {
 	if d.sched != nil {
 		t.Fatal("default config got the FR-FCFS scheduler")
 	}
-	if at := d.Access(0, false, nil); at == 0 {
+	if at := d.Access(0, false, nil, nil); at == 0 {
 		t.Error("simple scheduler did not return a completion tick")
 	}
 }
@@ -124,7 +124,7 @@ func TestPropertyFRFCFSCompletion(t *testing.T) {
 		want := len(ops)
 		got := 0
 		for _, op := range ops {
-			d.Access(memsys.Addr(op)*memsys.LineSize, op%2 == 0, func(sim.Tick) { got++ })
+			d.Access(memsys.Addr(op)*memsys.LineSize, op%2 == 0, func(any, sim.Tick) { got++ }, nil)
 		}
 		e.Run()
 		return got == want

@@ -4,10 +4,11 @@
 // link from the CPU L1 controller to the GPU L2 (paper §III-G); the
 // baseline CCSM traffic rides the shared crossbar.
 //
-// Links carry closures rather than typed messages: the coherence layer
-// owns message semantics, the network owns timing. Every transfer is
-// counted (messages and bytes) so experiments can report coherence
-// traffic.
+// Links carry a callback and its argument rather than typed messages:
+// the coherence layer owns message semantics, the network owns timing.
+// A send fires fn(arg, arrival) when the message arrives; a timing-only
+// send passes a nil fn. Every transfer is counted (messages and bytes)
+// so experiments can report coherence traffic.
 package interconnect
 
 import (
@@ -30,13 +31,11 @@ const (
 // be wrapped without knowing about faults.
 type DirectPort interface {
 	Name() string
-	// Send transmits size bytes and invokes deliver at arrival,
-	// returning the arrival tick.
-	Send(size int, deliver func(now sim.Tick)) sim.Tick
-	// SendArg is the allocation-free variant: fn(arg, arrival) fires at
-	// arrival. Hot senders pass a static function and a pooled argument
-	// instead of capturing state in a fresh closure per message.
-	SendArg(size int, fn func(arg any, now sim.Tick), arg any) sim.Tick
+	// Send transmits size bytes, fires fn(arg, arrival) at arrival
+	// unless fn is nil, and returns the arrival tick. Hot senders pass
+	// a static function and a pooled argument, so a send allocates
+	// nothing.
+	Send(size int, fn func(arg any, now sim.Tick), arg any) sim.Tick
 	Counters() *Counters
 }
 
@@ -114,19 +113,9 @@ func (l *Link) reserve(size int) sim.Tick {
 	return start + occ + l.latency
 }
 
-// Send transmits size bytes and invokes deliver at arrival. It returns
-// the arrival tick.
-func (l *Link) Send(size int, deliver func(now sim.Tick)) sim.Tick {
-	arrival := l.reserve(size)
-	if deliver != nil {
-		l.engine.ScheduleTickAt(arrival, deliver)
-	}
-	return arrival
-}
-
-// SendArg transmits size bytes and fires fn(arg, arrival) at arrival
-// without allocating a delivery closure.
-func (l *Link) SendArg(size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
+// Send transmits size bytes, fires fn(arg, arrival) at arrival unless
+// fn is nil, and returns the arrival tick.
+func (l *Link) Send(size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
 	arrival := l.reserve(size)
 	if fn != nil {
 		l.engine.ScheduleArgAt(arrival, fn, arg)
@@ -216,19 +205,9 @@ func (x *Crossbar) reserve(src, dst Port, size int) sim.Tick {
 	return busyUntil + x.latency
 }
 
-// Send transmits size bytes from port src to port dst, invoking deliver
-// at arrival, and returns the arrival tick.
-func (x *Crossbar) Send(src, dst Port, size int, deliver func(now sim.Tick)) sim.Tick {
-	arrival := x.reserve(src, dst, size)
-	if deliver != nil {
-		x.engine.ScheduleTickAt(arrival, deliver)
-	}
-	return arrival
-}
-
-// SendArg transmits size bytes from src to dst and fires fn(arg,
-// arrival) at arrival without allocating a delivery closure.
-func (x *Crossbar) SendArg(src, dst Port, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
+// Send transmits size bytes from port src to port dst, fires fn(arg,
+// arrival) at arrival unless fn is nil, and returns the arrival tick.
+func (x *Crossbar) Send(src, dst Port, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
 	arrival := x.reserve(src, dst, size)
 	if fn != nil {
 		x.engine.ScheduleArgAt(arrival, fn, arg)

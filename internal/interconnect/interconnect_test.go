@@ -11,7 +11,7 @@ func TestLinkPureLatency(t *testing.T) {
 	e := sim.NewEngine()
 	l := NewLink(e, "l", 10, 0)
 	var at sim.Tick
-	arr := l.Send(CtrlMsgBytes, func(now sim.Tick) { at = now })
+	arr := l.Send(CtrlMsgBytes, func(_ any, now sim.Tick) { at = now }, nil)
 	e.Run()
 	if arr != 10 || at != 10 {
 		t.Errorf("arrival %d/%d, want 10", arr, at)
@@ -21,7 +21,7 @@ func TestLinkPureLatency(t *testing.T) {
 func TestLinkSerialisation(t *testing.T) {
 	e := sim.NewEngine()
 	l := NewLink(e, "l", 10, 16) // 136B message → 9 ticks occupancy
-	arr := l.Send(DataMsgBytes, nil)
+	arr := l.Send(DataMsgBytes, nil, nil)
 	if arr != 9+10 {
 		t.Errorf("arrival %d, want 19", arr)
 	}
@@ -30,8 +30,8 @@ func TestLinkSerialisation(t *testing.T) {
 func TestLinkBackToBackQueues(t *testing.T) {
 	e := sim.NewEngine()
 	l := NewLink(e, "l", 5, 8) // ctrl msg → 1 tick occupancy
-	a1 := l.Send(CtrlMsgBytes, nil)
-	a2 := l.Send(CtrlMsgBytes, nil)
+	a1 := l.Send(CtrlMsgBytes, nil, nil)
+	a2 := l.Send(CtrlMsgBytes, nil, nil)
 	if a1 != 6 {
 		t.Errorf("first arrival %d, want 6", a1)
 	}
@@ -43,8 +43,8 @@ func TestLinkBackToBackQueues(t *testing.T) {
 func TestLinkCountsTraffic(t *testing.T) {
 	e := sim.NewEngine()
 	l := NewLink(e, "l", 1, 0)
-	l.Send(CtrlMsgBytes, nil)
-	l.Send(DataMsgBytes, nil)
+	l.Send(CtrlMsgBytes, nil, nil)
+	l.Send(DataMsgBytes, nil, nil)
 	if l.Counters().Get("messages") != 2 {
 		t.Error("message count wrong")
 	}
@@ -61,14 +61,14 @@ func TestLinkZeroSizePanics(t *testing.T) {
 			t.Error("zero-size send did not panic")
 		}
 	}()
-	l.Send(0, nil)
+	l.Send(0, nil, nil)
 }
 
 func TestCrossbarLatency(t *testing.T) {
 	e := sim.NewEngine()
 	x := NewCrossbar(e, "x", 12, 0)
 	var at sim.Tick
-	x.Send(x.Port("a"), x.Port("b"), CtrlMsgBytes, func(now sim.Tick) { at = now })
+	x.Send(x.Port("a"), x.Port("b"), CtrlMsgBytes, func(_ any, now sim.Tick) { at = now }, nil)
 	e.Run()
 	if at != 12 {
 		t.Errorf("arrival %d, want 12", at)
@@ -78,8 +78,8 @@ func TestCrossbarLatency(t *testing.T) {
 func TestCrossbarDistinctPortsOverlap(t *testing.T) {
 	e := sim.NewEngine()
 	x := NewCrossbar(e, "x", 4, 8) // ctrl → 1 tick occupancy
-	a1 := x.Send(x.Port("a"), x.Port("b"), CtrlMsgBytes, nil)
-	a2 := x.Send(x.Port("c"), x.Port("d"), CtrlMsgBytes, nil)
+	a1 := x.Send(x.Port("a"), x.Port("b"), CtrlMsgBytes, nil, nil)
+	a2 := x.Send(x.Port("c"), x.Port("d"), CtrlMsgBytes, nil, nil)
 	if a1 != a2 {
 		t.Errorf("independent port pairs should overlap: %d vs %d", a1, a2)
 	}
@@ -88,8 +88,8 @@ func TestCrossbarDistinctPortsOverlap(t *testing.T) {
 func TestCrossbarSharedOutputSerialises(t *testing.T) {
 	e := sim.NewEngine()
 	x := NewCrossbar(e, "x", 4, 8)
-	a1 := x.Send(x.Port("a"), x.Port("mem"), CtrlMsgBytes, nil)
-	a2 := x.Send(x.Port("b"), x.Port("mem"), CtrlMsgBytes, nil)
+	a1 := x.Send(x.Port("a"), x.Port("mem"), CtrlMsgBytes, nil, nil)
+	a2 := x.Send(x.Port("b"), x.Port("mem"), CtrlMsgBytes, nil, nil)
 	if a2 <= a1 {
 		t.Errorf("same destination should serialise: %d then %d", a1, a2)
 	}
@@ -98,8 +98,8 @@ func TestCrossbarSharedOutputSerialises(t *testing.T) {
 func TestCrossbarSharedInputSerialises(t *testing.T) {
 	e := sim.NewEngine()
 	x := NewCrossbar(e, "x", 4, 8)
-	a1 := x.Send(x.Port("cpu"), x.Port("a"), CtrlMsgBytes, nil)
-	a2 := x.Send(x.Port("cpu"), x.Port("b"), CtrlMsgBytes, nil)
+	a1 := x.Send(x.Port("cpu"), x.Port("a"), CtrlMsgBytes, nil, nil)
+	a2 := x.Send(x.Port("cpu"), x.Port("b"), CtrlMsgBytes, nil, nil)
 	if a2 <= a1 {
 		t.Errorf("same source should serialise: %d then %d", a1, a2)
 	}
@@ -108,8 +108,8 @@ func TestCrossbarSharedInputSerialises(t *testing.T) {
 func TestCrossbarTrafficTotals(t *testing.T) {
 	e := sim.NewEngine()
 	x := NewCrossbar(e, "x", 1, 0)
-	x.Send(x.Port("a"), x.Port("b"), DataMsgBytes, nil)
-	x.Send(x.Port("a"), x.Port("b"), CtrlMsgBytes, nil)
+	x.Send(x.Port("a"), x.Port("b"), DataMsgBytes, nil, nil)
+	x.Send(x.Port("a"), x.Port("b"), CtrlMsgBytes, nil, nil)
 	if x.Counters().Messages != 2 || x.Counters().Bytes != DataMsgBytes+CtrlMsgBytes {
 		t.Errorf("totals msgs=%d bytes=%d", x.Counters().Messages, x.Counters().Bytes)
 	}
@@ -139,7 +139,7 @@ func TestPropertyLinkArrivalOrdering(t *testing.T) {
 		var last sim.Tick
 		for _, s := range sizes {
 			size := int(s)%200 + 1
-			arr := l.Send(size, nil)
+			arr := l.Send(size, nil, nil)
 			if arr < e.Now()+7 {
 				return false
 			}
@@ -165,7 +165,7 @@ func TestPropertyCrossbarConservation(t *testing.T) {
 			size := int(s)%300 + 1
 			src := string(rune('a' + i%3))
 			dst := string(rune('x' + i%2))
-			x.Send(x.Port(src), x.Port(dst), size, nil)
+			x.Send(x.Port(src), x.Port(dst), size, nil, nil)
 			wantBytes += uint64(size)
 		}
 		return x.Counters().Messages == uint64(len(sizes)) && x.Counters().Bytes == wantBytes

@@ -15,13 +15,11 @@ type Network interface {
 	Port(name string) Port
 	// PortName returns the name a port was resolved from.
 	PortName(p Port) string
-	// Send transmits size bytes from src to dst, invoking deliver at
-	// arrival, and returns the arrival tick.
-	Send(src, dst Port, size int, deliver func(now sim.Tick)) sim.Tick
-	// SendArg is the allocation-free variant: fn(arg, arrival) fires at
-	// arrival, letting hot senders pass a static function plus a pooled
-	// argument instead of a fresh closure per message.
-	SendArg(src, dst Port, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick
+	// Send transmits size bytes from src to dst, fires fn(arg,
+	// arrival) at arrival unless fn is nil, and returns the arrival
+	// tick. Hot senders pass a static function plus a pooled argument,
+	// so a send allocates nothing.
+	Send(src, dst Port, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick
 	Counters() *Counters
 }
 
@@ -108,18 +106,9 @@ func (r *Ring) HopsBetween(src, dst string) int {
 	return ccw
 }
 
-// Send routes size bytes from src to dst the shorter way around.
-func (r *Ring) Send(src, dst Port, size int, deliver func(now sim.Tick)) sim.Tick {
-	t := r.reserve(src, dst, size)
-	if deliver != nil {
-		r.engine.ScheduleTickAt(t, deliver)
-	}
-	return t
-}
-
-// SendArg routes size bytes from src to dst and fires fn(arg, arrival)
-// at arrival without allocating a delivery closure.
-func (r *Ring) SendArg(src, dst Port, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
+// Send routes size bytes from src to dst the shorter way around and
+// fires fn(arg, arrival) at arrival unless fn is nil.
+func (r *Ring) Send(src, dst Port, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
 	t := r.reserve(src, dst, size)
 	if fn != nil {
 		r.engine.ScheduleArgAt(t, fn, arg)

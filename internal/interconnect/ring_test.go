@@ -31,10 +31,10 @@ func TestRingShortestPathHops(t *testing.T) {
 func TestRingLatencyScalesWithHops(t *testing.T) {
 	e := sim.NewEngine()
 	r := newRing4(e)
-	one := r.Send(r.Port("a"), r.Port("b"), CtrlMsgBytes, nil)
+	one := r.Send(r.Port("a"), r.Port("b"), CtrlMsgBytes, nil, nil)
 	e = sim.NewEngine()
 	r = newRing4(e)
-	two := r.Send(r.Port("a"), r.Port("c"), CtrlMsgBytes, nil)
+	two := r.Send(r.Port("a"), r.Port("c"), CtrlMsgBytes, nil, nil)
 	if two != 2*one {
 		t.Errorf("2-hop arrival %d, want double the 1-hop %d", two, one)
 	}
@@ -44,7 +44,7 @@ func TestRingDelivery(t *testing.T) {
 	e := sim.NewEngine()
 	r := newRing4(e)
 	var at sim.Tick
-	arr := r.Send(r.Port("a"), r.Port("c"), DataMsgBytes, func(now sim.Tick) { at = now })
+	arr := r.Send(r.Port("a"), r.Port("c"), DataMsgBytes, func(_ any, now sim.Tick) { at = now }, nil)
 	e.Run()
 	if at != arr || at == 0 {
 		t.Errorf("delivered at %d, Send returned %d", at, arr)
@@ -56,15 +56,15 @@ func TestRingLinkContention(t *testing.T) {
 	// on opposite directions do not.
 	e := sim.NewEngine()
 	r := NewRing(e, "r", []string{"a", "b", "c", "d"}, 5, 8)
-	a1 := r.Send(r.Port("a"), r.Port("b"), DataMsgBytes, nil) // cw link a->b
-	a2 := r.Send(r.Port("a"), r.Port("b"), DataMsgBytes, nil) // same link: queued
+	a1 := r.Send(r.Port("a"), r.Port("b"), DataMsgBytes, nil, nil) // cw link a->b
+	a2 := r.Send(r.Port("a"), r.Port("b"), DataMsgBytes, nil, nil) // same link: queued
 	if a2 <= a1 {
 		t.Errorf("same-link messages did not serialise: %d then %d", a1, a2)
 	}
 	e2 := sim.NewEngine()
 	r2 := NewRing(e2, "r", []string{"a", "b", "c", "d"}, 5, 8)
-	b1 := r2.Send(r2.Port("a"), r2.Port("b"), DataMsgBytes, nil) // cw
-	b2 := r2.Send(r2.Port("b"), r2.Port("a"), DataMsgBytes, nil) // ccw: independent link
+	b1 := r2.Send(r2.Port("a"), r2.Port("b"), DataMsgBytes, nil, nil) // cw
+	b2 := r2.Send(r2.Port("b"), r2.Port("a"), DataMsgBytes, nil, nil) // ccw: independent link
 	if b2 != b1 {
 		t.Errorf("opposite-direction messages interfered: %d vs %d", b1, b2)
 	}
@@ -73,8 +73,8 @@ func TestRingLinkContention(t *testing.T) {
 func TestRingCounters(t *testing.T) {
 	e := sim.NewEngine()
 	r := newRing4(e)
-	r.Send(r.Port("a"), r.Port("c"), CtrlMsgBytes, nil) // 2 hops
-	r.Send(r.Port("a"), r.Port("b"), DataMsgBytes, nil) // 1 hop
+	r.Send(r.Port("a"), r.Port("c"), CtrlMsgBytes, nil, nil) // 2 hops
+	r.Send(r.Port("a"), r.Port("b"), DataMsgBytes, nil, nil) // 1 hop
 	if r.Counters().Messages != 2 {
 		t.Error("message count wrong")
 	}
@@ -91,7 +91,7 @@ func TestRingPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"too-few-nodes": func() { NewRing(e, "x", []string{"a"}, 1, 0) },
 		"dup-node":      func() { NewRing(e, "x", []string{"a", "a"}, 1, 0) },
-		"zero-size":     func() { r := newRing4(e); r.Send(r.Port("a"), r.Port("b"), 0, nil) },
+		"zero-size":     func() { r := newRing4(e); r.Send(r.Port("a"), r.Port("b"), 0, nil, nil) },
 		"unknown-node":  func() { newRing4(e).Port("z") },
 	} {
 		func() {
@@ -127,7 +127,7 @@ func TestPropertyRingDelivery(t *testing.T) {
 		for _, p := range pairs {
 			src := nodes[int(p)%len(nodes)]
 			dst := nodes[int(p>>4)%len(nodes)]
-			r.Send(r.Port(src), r.Port(dst), CtrlMsgBytes, func(sim.Tick) { got++ })
+			r.Send(r.Port(src), r.Port(dst), CtrlMsgBytes, func(any, sim.Tick) { got++ }, nil)
 		}
 		e.Run()
 		return got == want

@@ -28,15 +28,15 @@ func xbarGoldenTraffic(e *sim.Engine) *Crossbar {
 	x := NewCrossbar(e, "xbar", 16, 32)
 	x.Port("zz.idle")
 	mem, s1, cpu := x.Port("mem"), x.Port("gpu.l2.s1"), x.Port("cpu")
-	x.Send(mem, s1, CtrlMsgBytes, nil)
-	x.Send(cpu, mem, DataMsgBytes, nil)
-	x.Send(s1, cpu, DataMsgBytes, nil)
+	x.Send(mem, s1, CtrlMsgBytes, nil, nil)
+	x.Send(cpu, mem, DataMsgBytes, nil, nil)
+	x.Send(s1, cpu, DataMsgBytes, nil, nil)
 	e.Schedule(3, func() {})
 	e.Run()
 	s0 := x.Port("gpu.l2.s0")
-	x.Send(x.Port("dma"), s0, DataMsgBytes, nil)
-	x.Send(cpu, s0, DataMsgBytes, nil)
-	x.Send(s0, s0, CtrlMsgBytes, nil)
+	x.Send(x.Port("dma"), s0, DataMsgBytes, nil, nil)
+	x.Send(cpu, s0, DataMsgBytes, nil, nil)
+	x.Send(s0, s0, CtrlMsgBytes, nil, nil)
 	return x
 }
 
@@ -77,8 +77,8 @@ func TestCrossbarRestoreContinues(t *testing.T) {
 		t.Fatal("restored crossbar re-serialises differently")
 	}
 	fresh.engine = e // same clock as the original
-	a := orig.Send(orig.Port("cpu"), orig.Port("gpu.l2.s0"), DataMsgBytes, nil)
-	b := fresh.Send(fresh.Port("cpu"), fresh.Port("gpu.l2.s0"), DataMsgBytes, nil)
+	a := orig.Send(orig.Port("cpu"), orig.Port("gpu.l2.s0"), DataMsgBytes, nil, nil)
+	b := fresh.Send(fresh.Port("cpu"), fresh.Port("gpu.l2.s0"), DataMsgBytes, nil, nil)
 	if a != b {
 		t.Errorf("next message arrives at %d after restore, %d uninterrupted", b, a)
 	}

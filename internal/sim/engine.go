@@ -70,9 +70,9 @@ const (
 )
 
 // slotEvent is the callback form every event is stored in: a static
-// (or at least long-lived) function plus one argument word. The
-// convenience Schedule variants box closures or pointer-shaped values
-// into arg, which allocates nothing for pointers, funcs, or interfaces.
+// (or at least long-lived) function plus one argument word. Schedule
+// boxes its closure into arg, and the coherence layer passes pooled
+// pointers; boxing a func or a pointer allocates nothing.
 type slotEvent struct {
 	fn  func(arg any, now Tick)
 	arg any
@@ -259,11 +259,6 @@ func (e *Engine) SetAdvanceHook(fn func(prev, now Tick)) {
 // its pointer directly — no allocation.
 func callFn(arg any, _ Tick) { arg.(func())() }
 
-// callTickFn runs a boxed func(Tick) event, passing the current tick —
-// the delivery-callback shape used by the interconnect, scheduled
-// without a wrapper closure.
-func callTickFn(arg any, now Tick) { arg.(func(Tick))(now) }
-
 // Schedule queues fn to run delay ticks from now. A delay of zero runs fn
 // later in the current tick, after all previously scheduled events for
 // this tick.
@@ -272,26 +267,6 @@ func (e *Engine) Schedule(delay Tick, fn func()) {
 		panic("sim: schedule nil event function")
 	}
 	e.scheduleEvent(e.now+delay, slotEvent{fn: callFn, arg: fn})
-}
-
-// ScheduleAt queues fn to run at the absolute tick when. Scheduling in
-// the past panics: it would silently corrupt causality.
-func (e *Engine) ScheduleAt(when Tick, fn func()) {
-	if fn == nil {
-		panic("sim: schedule nil event function")
-	}
-	e.scheduleEvent(when, slotEvent{fn: callFn, arg: fn})
-}
-
-// ScheduleTickAt queues fn to run at the absolute tick when, passing
-// the tick at which it runs. Boxing fn allocates nothing, so this is
-// the allocation-free way to schedule an existing delivery callback
-// that a plain ScheduleAt would have to wrap in a fresh closure.
-func (e *Engine) ScheduleTickAt(when Tick, fn func(now Tick)) {
-	if fn == nil {
-		panic("sim: schedule nil event function")
-	}
-	e.scheduleEvent(when, slotEvent{fn: callTickFn, arg: fn})
 }
 
 // ScheduleArg queues fn(arg, now) to run delay ticks from now. With a
@@ -304,7 +279,8 @@ func (e *Engine) ScheduleArg(delay Tick, fn func(arg any, now Tick), arg any) {
 	e.scheduleEvent(e.now+delay, slotEvent{fn: fn, arg: arg})
 }
 
-// ScheduleArgAt is ScheduleArg at an absolute tick.
+// ScheduleArgAt is ScheduleArg at an absolute tick. Scheduling in the
+// past panics: it would silently corrupt causality.
 func (e *Engine) ScheduleArgAt(when Tick, fn func(arg any, now Tick), arg any) {
 	if fn == nil {
 		panic("sim: schedule nil event function")

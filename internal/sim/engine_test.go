@@ -78,7 +78,7 @@ func TestScheduleInPastPanics(t *testing.T) {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.ScheduleAt(5, func() {})
+		e.ScheduleArgAt(5, func(any, Tick) {}, nil)
 	})
 	e.Run()
 }

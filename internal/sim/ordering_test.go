@@ -241,12 +241,12 @@ func TestOverflowHeapOrderAcrossPages(t *testing.T) {
 	var ran []key
 	for i := 0; i < n; i++ {
 		k := key{wheelSize + Tick(rng.Intn(n/3)), i}
-		e.ScheduleAt(k.when, func() {
+		e.ScheduleArgAt(k.when, func(any, Tick) {
 			if e.Now() != k.when {
 				t.Errorf("event %d scheduled for tick %d ran at %d", k.i, k.when, e.Now())
 			}
 			ran = append(ran, k)
-		})
+		}, nil)
 	}
 	if len(e.heap) < n/heapPageLen {
 		t.Fatalf("%d heap pages for %d events, want at least %d", len(e.heap), n, n/heapPageLen)

@@ -38,7 +38,7 @@ func TestStallGuardResetsWhenClockAdvances(t *testing.T) {
 		// 90 same-tick events per tick: under the limit individually,
 		// far over it (4500) if the counter failed to reset.
 		for i := 0; i < 90; i++ {
-			e.ScheduleAt(Tick(tick), func() { executed++ })
+			e.ScheduleArgAt(Tick(tick), func(any, Tick) { executed++ }, nil)
 		}
 	}
 	e.Run()
